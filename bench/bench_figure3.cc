@@ -5,14 +5,13 @@
 //
 // The suite runs on the capture-once / replay-many pipeline with the
 // single-pass sweep engine on top: each workload's traced machine run is
-// captured into a packed TraceLog, the primary prediction replays it, and
-// the what-if sweep (half/quarter-size caches, a slower memory, more wired
-// TLB entries) is priced with at most two extra passes — the geometry-only
+// captured into a packed TraceLog, and one parse of the capture feeds the
+// primary prediction and the what-if sweep (half/quarter-size caches, a
+// slower memory, more wired TLB entries) side by side — the geometry-only
 // variants (cache32k, cache16k) are absorbed by ONE forest-simulation sweep
-// pass with exact miss counts, and only the non-sweepable ones (slowmem,
+// with exact miss counts, and only the non-sweepable ones (slowmem,
 // wired16 — different penalties / TLB wiring change the effective stream)
-// still fan out to dedicated replays.  WRL_BATCH=0 forces per-ref delivery;
-// every miss count is bit-identical either way.
+// get dedicated simulators.
 #include <cmath>
 #include <cstdio>
 

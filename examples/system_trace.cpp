@@ -67,9 +67,8 @@ buf:    .space 24576
   auto sys = BuildSystem(config);
 
   TraceParser parser(&sys->kernel_table());
-  parser.SetUserTable(1, &sys->user_table());
-  if (personality == Personality::kMach) {
-    parser.SetUserTable(2, &sys->server_table());
+  for (const SystemInstance::UserSpace& space : sys->user_spaces()) {
+    parser.SetUserTable(space.pid, space.table);
   }
   parser.SetInitialContext(kKernelPid);
 

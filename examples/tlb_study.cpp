@@ -197,7 +197,6 @@ int main(int argc, char** argv) {
       {"sweep", [&sweep_config] { return std::make_unique<SweepEngine>(sweep_config); }});
   ReplayEngine::Options ropts;
   ropts.jobs = jobs;
-  ropts.batch = BatchRefsEnabled();
   ropts.events = &events;
   std::vector<ReplayEngine::Outcome> outcomes;
   {

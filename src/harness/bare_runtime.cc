@@ -234,7 +234,8 @@ BareComparison CompareBareTrace(const BareBuild& build, uint64_t max_instruction
   BareTraceRun traced = RunBareTraced(build, max_instructions);
   TraceParser parser(&build.table);
   parser.SetInitialContext(kKernelPid);
-  parser.SetRefSink([&](const TraceRef& ref) { cmp.parsed.push_back(ref); });
+  RefFnSink collect([&cmp](const TraceRef& ref) { cmp.parsed.push_back(ref); });
+  parser.SetBatchSink(&collect);
   parser.Feed(traced.trace_words);
   parser.Finish();
   cmp.parser_stats = parser.stats();

@@ -10,8 +10,8 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 
-#include "harness/replay_engine.h"
 #include "support/error.h"
 #include "support/strings.h"
 #include "trace/parser.h"
@@ -30,7 +30,8 @@ bool IsPow2(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 // A variant the sweep engine can price exactly: only the (power-of-two)
 // cache geometry differs from the primary configuration.  Anything that
 // perturbs the reference stream or the non-cache timing — TLB wiring,
-// page-map draws, miss penalties, write-buffer shape — needs a real replay.
+// page-map draws, miss penalties, write-buffer shape — needs its own
+// simulator.
 bool GeometryOnly(const ReplayVariant& v, const PredictorConfig& primary) {
   const MemSysConfig& base = primary.memsys;
   return v.tlb_wired == primary.tlb_wired && v.page_map_mult == 0 &&
@@ -56,19 +57,6 @@ void CoverFamilyPoint(std::vector<CacheFamilySpec>& families, uint32_t line, uin
   }
   families.push_back({line, size, size});
 }
-
-// Non-owning pass-through, so a stack-allocated analysis chain can serve as
-// a ReplayEngine config (which wants to own its sinks).
-class BorrowedSink : public RefBatchSink {
- public:
-  explicit BorrowedSink(RefBatchSink* target) : target_(target) {}
-  void OnRefBatch(const TraceRef* refs, size_t count) override {
-    target_->OnRefBatch(refs, count);
-  }
-
- private:
-  RefBatchSink* target_;
-};
 
 // Live progress heartbeat (stderr only, so reports are untouched): a
 // monitor thread prints workloads done, aggregate parse throughput, the
@@ -183,25 +171,20 @@ class ProgressMeter {
   std::thread monitor_;
 };
 
-SystemConfig MakeConfig(const WorkloadSpec& workload, const ExperimentOptions& options,
-                        bool tracing, EventRecorder* events) {
-  SystemConfig config;
-  config.personality = options.personality;
-  config.tracing = tracing;
-  config.clock_period = tracing
-                            ? options.clock_period * static_cast<uint32_t>(options.dilation)
-                            : options.clock_period;
-  config.program_source = workload.source;
-  config.program_name = workload.name;
-  config.files = workload.files;
-  config.trace_buf_bytes = options.trace_buf_bytes;
-  config.scavenge = options.scavenge;
-  config.events = events;
-  if (options.personality == Personality::kMach) {
-    config.policy = PagePolicy::kScrambled;
-    config.policy_mult = 9;
-  }
-  return config;
+// The archive identity an experiment records: the harness's keys, which
+// ArchivedExperimentOptions reads back, then the caller's extras.  The
+// reader returns a key's first value, so the harness's keys win.
+ArchiveMeta ExperimentArchiveMeta(const WorkloadSpec& workload, const ExperimentOptions& options) {
+  ArchiveMeta meta;
+  meta.emplace_back("workload", workload.name);
+  meta.emplace_back("personality", PersonalityName(options.personality));
+  meta.emplace_back("clock_period", std::to_string(options.clock_period));
+  meta.emplace_back("dilation", StrFormat("%.17g", options.dilation));
+  meta.emplace_back("trace_buf_bytes", std::to_string(options.trace_buf_bytes));
+  meta.emplace_back("scavenge", options.scavenge ? "1" : "0");
+  meta.emplace_back("max_instructions", std::to_string(options.max_instructions));
+  meta.insert(meta.end(), options.archive_meta.begin(), options.archive_meta.end());
+  return meta;
 }
 
 }  // namespace
@@ -218,6 +201,89 @@ Personality PersonalityFromName(const std::string& name) {
     return Personality::kMach;
   }
   throw Error("unknown personality '" + name + "' (expected 'ultrix' or 'mach')");
+}
+
+SystemConfig ExperimentSystemConfig(const WorkloadSpec& workload, const ExperimentOptions& options,
+                                    bool tracing) {
+  SystemConfig config;
+  config.personality = options.personality;
+  config.tracing = tracing;
+  config.clock_period = tracing
+                            ? options.clock_period * static_cast<uint32_t>(options.dilation)
+                            : options.clock_period;
+  config.program_source = workload.source;
+  config.program_name = workload.name;
+  config.files = workload.files;
+  config.trace_buf_bytes = options.trace_buf_bytes;
+  config.scavenge = options.scavenge;
+  if (options.personality == Personality::kMach) {
+    config.policy = PagePolicy::kScrambled;
+    config.policy_mult = 9;
+  }
+  return config;
+}
+
+PredictorConfig ExperimentPredictorConfig(const SystemInstance& measured,
+                                          const ExperimentOptions& options) {
+  PredictorConfig config;
+  config.dilation = options.dilation;
+  // Mach: a different permutation draw than the measured run's.
+  config.page_map = options.personality == Personality::kMach ? measured.PageMap(13)
+                                                              : measured.PageMap();
+  return config;
+}
+
+std::unique_ptr<TraceDrivenSimulator> ExperimentSimulator(const SystemInstance& measured,
+                                                          const PredictorConfig& config) {
+  auto simulator = std::make_unique<TraceDrivenSimulator>(config);
+  simulator->AddTextImage(measured.kernel_exe());
+  simulator->AddTextImage(measured.workload_orig());
+  return simulator;
+}
+
+std::unique_ptr<TraceParser> SystemTraceParser(const SystemInstance& traced) {
+  auto parser = std::make_unique<TraceParser>(&traced.kernel_table());
+  for (const SystemInstance::UserSpace& space : traced.user_spaces()) {
+    parser->SetUserTable(space.pid, space.table);
+  }
+  parser->SetInitialContext(kKernelPid);
+  return parser;
+}
+
+void ProfileSystemSpaces(TraceProfiler& profiler, const SystemInstance& traced) {
+  profiler.AddTable(kKernelPid, &traced.kernel_table());
+  profiler.AddSymbols(kKernelPid, traced.kernel_orig());
+  for (const SystemInstance::UserSpace& space : traced.user_spaces()) {
+    profiler.AddTable(space.pid, space.table);
+    profiler.AddSymbols(space.pid, *space.orig);
+    profiler.SetSpaceName(space.pid, space.name);
+  }
+}
+
+ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive) {
+  ExperimentOptions options;
+  const std::string personality = archive.MetaValue("personality");
+  if (!personality.empty()) {
+    options.personality = PersonalityFromName(personality);
+  }
+  auto read = [&archive](const char* key, auto& field) {
+    const std::string text = archive.MetaValue(key);
+    if (text.empty()) {
+      return;
+    }
+    using Field = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_floating_point_v<Field>) {
+      field = std::strtod(text.c_str(), nullptr);
+    } else {
+      field = static_cast<Field>(std::strtoull(text.c_str(), nullptr, 10));
+    }
+  };
+  read("clock_period", options.clock_period);
+  read("dilation", options.dilation);
+  read("trace_buf_bytes", options.trace_buf_bytes);
+  read("scavenge", options.scavenge);
+  read("max_instructions", options.max_instructions);
+  return options;
 }
 
 std::vector<std::string> ExperimentResult::Warnings() const {
@@ -255,10 +321,15 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   // which are immutable once BuildSystem returns, so with parallel_pair
   // the measured *run* can overlap the whole traced half on a helper
   // thread.
+  auto build = [&](bool tracing) {
+    SystemConfig config = ExperimentSystemConfig(workload, options, tracing);
+    config.events = events;
+    return BuildSystem(config);
+  };
   std::unique_ptr<SystemInstance> measured;
   {
     EventRecorder::Scope scope(events, "build.measured", "build");
-    measured = BuildSystem(MakeConfig(workload, options, false, events));
+    measured = build(false);
   }
   auto [idle_lo, idle_hi] = measured->IdleRange();
   measured->machine().SetIdleRange(idle_lo, idle_hi);
@@ -307,45 +378,51 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   }
 
   // ---- Predicted: the traced system driving the analysis program ----
-  // Two analysis modes, bit-identical by construction:
-  //   * live (default): the parser consumes each drain during the traced
-  //     run and feeds the simulator in batches (or per-ref when
-  //     options.batch is off);
-  //   * capture-replay: the drains are captured into a packed TraceLog and
-  //     the analysis — primary config plus every ReplayVariant — replays
-  //     the capture after the run (one parse, K cheap replays).
+  // One parser feeds one tee: the primary simulator, the profiler, the
+  // sweep engine, and a simulator per replayed variant.  Live (default),
+  // the parser consumes each drain during the traced run.  In capture mode
+  // the drains are packed into a TraceLog and the same parser consumes the
+  // capture after the run.  Both see the identical word sequence, so every
+  // output is bit-identical across modes.
   std::unique_ptr<SystemInstance> traced;
   std::unique_ptr<TraceParser> parser;
   TraceLog trace_log;
-  std::unique_ptr<ReplayEngine> engine;
+  TeeBatchSink tee;
+  std::unique_ptr<TraceDrivenSimulator> simulator;
   std::unique_ptr<TraceProfiler> profiler;
-  std::unique_ptr<TeeBatchSink> tee;
-  if (options.profile) {
-    profiler = std::make_unique<TraceProfiler>(options.profile_options);
-  }
-  PredictorConfig pconfig;
-  pconfig.dilation = options.dilation;
-  // Page mapping (paper §4.2): the simulator implements the policy.  Under
-  // the deterministic policy this reproduces the measured run's map; under
-  // Mach's random policy it is *a* mapping with the right distribution but
-  // different draws — the repeatability problem the paper reports.
-  if (options.personality == Personality::kMach) {
-    pconfig.page_map = measured->PageMap(13);  // Different permutation draw.
-  } else {
-    pconfig.page_map = measured->PageMap();
-  }
-  TraceDrivenSimulator simulator(pconfig);
-
-  // Partition the replay variants: with the sweep active, geometry-only
-  // variants are priced by the single-pass sweep engine; the rest fan out
-  // to real replays.  The sweep engine's families are widened to cover
-  // every absorbed geometry, and its construction rejects non-power-of-two
-  // family specs with a diagnostic naming the offending size.
-  const bool sweep_active = options.sweep.Active();
-  std::vector<ReplayVariant> replayed_variants;
-  std::vector<bool> variant_swept(options.replay_variants.size(), false);
   std::unique_ptr<SweepEngine> sweep_engine;
-  if (sweep_active) {
+  // One slot per caller variant: its own simulator when it replays, null
+  // when the sweep absorbs it.
+  std::vector<std::unique_ptr<TraceDrivenSimulator>> variant_sims(options.replay_variants.size());
+  // Durable capture tee (ExperimentOptions::archive_path): rides the chunk
+  // consumer in every transport mode.  Declared before the pipeline so
+  // unwinding joins the consumer thread before the writer is destroyed.
+  std::unique_ptr<ArchiveWriter> archive;
+  // Pipelined transport state.  Declared after every component the consumer
+  // thread touches (parser, tee and its sinks, trace_log, archive), so stack
+  // unwinding joins the consumer before any of them is destroyed.  In
+  // pipelined live mode the parser runs on the consumer thread, so it
+  // records its Feed phases into a private recorder (no cycle source — the
+  // traced machine's cycle counter belongs to the producer thread) that is
+  // absorbed into the shared timeline after the pipeline drains.
+  std::unique_ptr<EventRecorder> consumer_events;
+  uint64_t consumer_epoch_us = 0;
+  std::unique_ptr<TracePipeline> pipeline;
+  std::exception_ptr traced_exc;
+  // Capture when asked to, or when a variant needs its own simulator: when
+  // the sweep absorbs every variant the analysis (and the sweep with it)
+  // can stay live.
+  bool capture = options.capture_replay;
+  try {
+    const PredictorConfig pconfig = ExperimentPredictorConfig(*measured, options);
+    simulator = ExperimentSimulator(*measured, pconfig);
+
+    // Partition the replay variants: with the sweep active, geometry-only
+    // variants are priced by the single-pass sweep engine; the rest get
+    // their own simulators.  The sweep engine's families are widened to
+    // cover every absorbed geometry, and its construction rejects
+    // non-power-of-two family specs with a diagnostic naming the size.
+    const bool sweep_active = options.sweep.Active();
     SweepConfig sweep_config;
     sweep_config.base = pconfig.memsys;
     sweep_config.page_map = pconfig.page_map;
@@ -355,135 +432,64 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     sweep_config.tlb_max_entries = options.sweep.tlb_max_entries;
     for (size_t i = 0; i < options.replay_variants.size(); ++i) {
       const ReplayVariant& v = options.replay_variants[i];
-      if (GeometryOnly(v, pconfig)) {
-        variant_swept[i] = true;
+      if (sweep_active && GeometryOnly(v, pconfig)) {
         CoverFamilyPoint(sweep_config.icache, v.memsys.icache.line_bytes,
                          v.memsys.icache.size_bytes);
         CoverFamilyPoint(sweep_config.dcache, v.memsys.dcache.line_bytes,
                          v.memsys.dcache.size_bytes);
-      } else {
-        replayed_variants.push_back(v);
+        continue;
       }
+      PredictorConfig vconfig = pconfig;
+      vconfig.memsys = v.memsys;
+      vconfig.tlb_wired = v.tlb_wired;
+      if (v.page_map_mult != 0) {
+        vconfig.page_map = measured->PageMap(v.page_map_mult);
+      }
+      variant_sims[i] = ExperimentSimulator(*measured, vconfig);
+      capture = true;
     }
-    sweep_engine = std::make_unique<SweepEngine>(sweep_config);
-  } else {
-    replayed_variants = options.replay_variants;
-  }
-  // Capture only when something actually replays: when the sweep absorbs
-  // every variant the analysis (and the sweep with it) can stay live.
-  const bool capture = options.capture_replay || !replayed_variants.empty();
-  // Durable capture tee (ExperimentOptions::archive_path): rides the chunk
-  // consumer in every transport mode.  Declared before the pipeline so
-  // unwinding joins the consumer thread before the writer is destroyed.
-  std::unique_ptr<ArchiveWriter> archive;
-  // Pipelined transport state.  Declared after every component the consumer
-  // thread touches (parser, simulator, profiler, tee, trace_log, archive),
-  // so stack unwinding joins the consumer before any of them is destroyed.
-  // In pipelined live mode the parser runs on the consumer thread, so it
-  // records its Feed phases into a private recorder (no cycle source — the
-  // traced machine's cycle counter belongs to the producer thread) that is
-  // absorbed into the shared timeline after the pipeline drains.
-  std::unique_ptr<EventRecorder> consumer_events;
-  uint64_t consumer_epoch_us = 0;
-  std::unique_ptr<TracePipeline> pipeline;
-  std::exception_ptr traced_exc;
-  // Outcomes of the real (non-swept) replays, merged back into
-  // result.replays in the caller's variant order after the primary
-  // prediction is finalized.
-  std::vector<ReplayVariantResult> replay_results;
-  uint64_t sweep_outcome_wall_us = 0;
-  try {
-    // Original binaries, for the pixie-style arithmetic-stall estimate.
-    simulator.AddTextImage(measured->kernel_exe());
-    simulator.AddTextImage(measured->workload_orig());
+    if (sweep_active) {
+      sweep_engine = std::make_unique<SweepEngine>(sweep_config);
+    }
 
     {
       EventRecorder::Scope scope(events, "build.traced", "build");
-      traced = BuildSystem(MakeConfig(workload, options, true, events));
+      traced = build(true);
     }
-
-    if (profiler != nullptr) {
-      // Same tables the parser resolves keys against; symbols from the
-      // original images (the address space the reconstructed refs live in).
-      profiler->AddTable(kKernelPid, &traced->kernel_table());
-      profiler->AddTable(1, &traced->user_table());
-      profiler->AddSymbols(kKernelPid, traced->kernel_orig());
-      profiler->AddSymbols(1, measured->workload_orig());
-      profiler->SetSpaceName(1, workload.name);
-      if (options.personality == Personality::kMach) {
-        profiler->AddTable(2, &traced->server_table());
-        profiler->AddSymbols(2, traced->server_orig());
-        profiler->SetSpaceName(2, "server");
-      }
+    if (options.profile) {
+      profiler = std::make_unique<TraceProfiler>(options.profile_options);
+      ProfileSystemSpaces(*profiler, *traced);
     }
+    tee.Add(simulator.get());
+    tee.Add(profiler.get());
+    tee.Add(sweep_engine.get());
+    for (const auto& sim : variant_sims) {
+      tee.Add(sim.get());
+    }
+    parser = SystemTraceParser(*traced);
+    parser->SetBatchSink(&tee);
+    if (options.pipeline && !capture) {
+      consumer_events = std::make_unique<EventRecorder>();
+      consumer_epoch_us = events->ElapsedUs();
+      parser->SetEventRecorder(consumer_events.get());
+    } else {
+      parser->SetEventRecorder(events);
+    }
+    auto feed = [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); };
 
-    // The chunk consumer: the TraceLog packer (capture mode) or the parser
-    // feeding the analysis chain (live mode).  Synchronously it runs inside
-    // each drain; pipelined it runs on the consumer thread while the
-    // machine simulates ahead.  Either way it sees the identical chunk
-    // sequence and boundaries, so every output is bit-identical.
-    std::function<void(const uint32_t*, size_t)> consume;
+    // The chunk consumer: the parser (live) or the TraceLog packer
+    // (capture).  Synchronously it runs inside each drain; pipelined it runs
+    // on the consumer thread while the machine simulates ahead.  Either way
+    // it sees the identical chunk sequence and boundaries.
+    std::function<void(const uint32_t*, size_t)> consume = feed;
     if (capture) {
       consume = [&trace_log](const uint32_t* words, size_t count) {
         trace_log.Append(words, count);
       };
-    } else {
-      parser = std::make_unique<TraceParser>(&traced->kernel_table());
-      parser->SetUserTable(1, &traced->user_table());
-      if (options.personality == Personality::kMach) {
-        parser->SetUserTable(2, &traced->server_table());
-      }
-      parser->SetInitialContext(kKernelPid);
-      std::vector<RefBatchSink*> live_sinks{&simulator};
-      if (profiler != nullptr) {
-        live_sinks.push_back(profiler.get());
-      }
-      if (sweep_engine != nullptr) {
-        live_sinks.push_back(sweep_engine.get());
-      }
-      if (options.batch) {
-        if (live_sinks.size() > 1) {
-          tee = std::make_unique<TeeBatchSink>(live_sinks);
-          parser->SetBatchSink(tee.get());
-        } else {
-          parser->SetBatchSink(&simulator);
-        }
-      } else if (live_sinks.size() > 1) {
-        parser->SetRefSink([&simulator, prof = profiler.get(),
-                            sweep = sweep_engine.get()](const TraceRef& ref) {
-          simulator.OnRef(ref);
-          if (prof != nullptr) {
-            prof->OnRef(ref);
-          }
-          if (sweep != nullptr) {
-            sweep->OnRef(ref);
-          }
-        });
-      } else {
-        parser->SetRefSink([&simulator](const TraceRef& ref) { simulator.OnRef(ref); });
-      }
-      if (options.pipeline) {
-        consumer_events = std::make_unique<EventRecorder>();
-        consumer_epoch_us = events->ElapsedUs();
-        parser->SetEventRecorder(consumer_events.get());
-      } else {
-        parser->SetEventRecorder(events);
-      }
-      consume = [&parser](const uint32_t* words, size_t count) { parser->Feed(words, count); };
     }
     if (!options.archive_path.empty()) {
-      // Harness identity keys first, caller extras after; MetaValue returns
-      // the first match, so the harness's own identity is authoritative.
-      ArchiveMeta meta;
-      meta.emplace_back("workload", workload.name);
-      meta.emplace_back("personality", PersonalityName(options.personality));
-      meta.emplace_back("clock_period", std::to_string(options.clock_period));
-      meta.emplace_back("dilation", StrFormat("%.17g", options.dilation));
-      meta.emplace_back("trace_buf_bytes", std::to_string(options.trace_buf_bytes));
-      meta.emplace_back("scavenge", options.scavenge ? "1" : "0");
-      meta.emplace_back("max_instructions", std::to_string(options.max_instructions));
-      meta.insert(meta.end(), options.archive_meta.begin(), options.archive_meta.end());
-      archive = std::make_unique<ArchiveWriter>(options.archive_path, meta);
+      archive = std::make_unique<ArchiveWriter>(options.archive_path,
+                                                ExperimentArchiveMeta(workload, options));
       consume = [w = archive.get(),
                  inner = std::move(consume)](const uint32_t* words, size_t count) {
         w->Append(words, count);
@@ -521,136 +527,64 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
       // this point leaves a footerless archive the reader recovers by scan.
       archive->Finalize();
     }
+    {
+      // Capture mode parses the whole capture here, in one named phase
+      // (chunk-parallel decode when pipelined); live, only the parser's
+      // final flush remains.
+      EventRecorder::Scope scope(capture ? events : nullptr, "replay:" + workload.name,
+                                 "analysis");
+      if (capture) {
+        trace_log.ReplayParallel(options.pipeline ? PipelineDecodeWorkers() : 1, feed);
+      }
+      parser->Finish();
+    }
+    result.parser_errors = parser->stats().validation_errors;
     if (capture) {
-      // Parse the capture once; fan the batch stream out to the primary
-      // analysis chain and every variant.  Variants are cheap replays of
-      // the same materialized stream, not traced machine runs.
-      ReplaySource source;
-      source.log = &trace_log;
-      source.kernel_table = &traced->kernel_table();
-      source.user_tables.emplace_back(1, &traced->user_table());
-      if (options.personality == Personality::kMach) {
-        source.user_tables.emplace_back(2, &traced->server_table());
-      }
-      engine = std::make_unique<ReplayEngine>(std::move(source));
-      std::vector<ReplayEngine::Config> configs;
-      configs.push_back({"primary", [&simulator] {
-                           return std::make_unique<BorrowedSink>(&simulator);
-                         }});
-      if (profiler != nullptr) {
-        // The profiler rides the fan-out as one more cheap replay of the
-        // materialized stream — appended first so variant harvesting below
-        // can skip it by name-independent position.
-        configs.push_back({"profile", [prof = profiler.get()] {
-                             return std::make_unique<BorrowedSink>(prof);
-                           }});
-      }
-      if (sweep_engine != nullptr) {
-        // The whole family rides the fan-out as ONE extra pass over the
-        // materialized stream, whatever the family's size.
-        configs.push_back({"sweep", [sweep = sweep_engine.get()] {
-                             return std::make_unique<BorrowedSink>(sweep);
-                           }});
-      }
-      const size_t variant_begin =
-          1 + (profiler != nullptr ? 1 : 0) + (sweep_engine != nullptr ? 1 : 0);
-      for (const ReplayVariant& variant : replayed_variants) {
-        PredictorConfig vconfig = pconfig;
-        vconfig.memsys = variant.memsys;
-        vconfig.tlb_wired = variant.tlb_wired;
-        if (variant.page_map_mult != 0) {
-          vconfig.page_map = measured->PageMap(variant.page_map_mult);
-        }
-        configs.push_back({variant.name, [vconfig, &measured] {
-                             auto sim = std::make_unique<TraceDrivenSimulator>(vconfig);
-                             sim->AddTextImage(measured->kernel_exe());
-                             sim->AddTextImage(measured->workload_orig());
-                             return sim;
-                           }});
-      }
-      ReplayEngine::Options ropts;
-      ropts.batch = options.batch;
-      ropts.decode_workers = options.pipeline ? PipelineDecodeWorkers() : 1;
-      ropts.events = events;
-      {
-        EventRecorder::Scope scope(events, "replay:" + workload.name, "analysis");
-        std::vector<ReplayEngine::Outcome> outcomes = engine->Run(configs, ropts);
-        const size_t sweep_idx =
-            sweep_engine != nullptr ? 1 + (profiler != nullptr ? 1 : 0) : outcomes.size();
-        if (sweep_idx < outcomes.size()) {
-          sweep_outcome_wall_us = outcomes[sweep_idx].wall_us;
-        }
-        for (size_t i = variant_begin; i < outcomes.size(); ++i) {
-          auto* sim = static_cast<TraceDrivenSimulator*>(outcomes[i].sink.get());
-          ReplayVariantResult vr;
-          vr.name = outcomes[i].name;
-          vr.prediction = sim->Finish();
-          vr.tlb = sim->tlb().stats();
-          vr.refs = outcomes[i].refs;
-          vr.wall_us = outcomes[i].wall_us;
-          replay_results.push_back(std::move(vr));
-        }
-        if (sweep_engine != nullptr) {
-          // The replay throughput metric counts only real replays: the
-          // sweep pass's equivalent-replay rate is sweep_mrefs_per_sec.
-          uint64_t replay_refs = 0;
-          uint64_t replay_wall_us = 0;
-          for (size_t i = 0; i < outcomes.size(); ++i) {
-            if (i == sweep_idx) {
-              continue;
-            }
-            replay_refs += outcomes[i].refs;
-            replay_wall_us += outcomes[i].wall_us;
-          }
-          result.replay_mrefs_per_sec =
-              replay_wall_us > 0
-                  ? static_cast<double>(replay_refs) / static_cast<double>(replay_wall_us)
-                  : 0.0;
-        } else {
-          result.replay_mrefs_per_sec = engine->mrefs_per_sec();
-        }
-      }
-      result.parser_errors = engine->parser_stats().validation_errors;
       result.trace_log_words = trace_log.words();
       result.trace_log_bytes = trace_log.stored_bytes();
       result.trace_compression = trace_log.CompressionRatio();
-    } else {
-      parser->Finish();
-      result.parser_errors = parser->stats().validation_errors;
+      // The replay throughput counts every sink but the sweep, whose
+      // equivalent-replay rate is sweep_mrefs_per_sec.
+      const uint64_t replay_us = tee.busy_us() - tee.busy_us(sweep_engine.get());
+      const uint64_t replay_refs = tee.refs() * (tee.size() - (sweep_engine != nullptr ? 1 : 0));
+      result.replay_mrefs_per_sec =
+          replay_us > 0 ? static_cast<double>(replay_refs) / static_cast<double>(replay_us) : 0.0;
     }
     if (profiler != nullptr) {
       result.profile = profiler->Finish();
     }
-    result.prediction = simulator.Finish();
+    result.prediction = simulator->Finish();
     if (sweep_engine != nullptr) {
       result.sweep = sweep_engine->Finish();
-      result.sweep.wall_us = sweep_outcome_wall_us;
+      result.sweep.wall_us = tee.busy_us(sweep_engine.get());
       result.sweep_ran = true;
-      if (sweep_outcome_wall_us > 0) {
+      if (result.sweep.wall_us > 0) {
         // Equivalent-replay throughput: one pass priced `family_points`
         // configurations of `refs` references each.
-        result.sweep_mrefs_per_sec =
-            static_cast<double>(result.sweep.family_points) *
-            static_cast<double>(result.sweep.refs) / static_cast<double>(sweep_outcome_wall_us);
+        result.sweep_mrefs_per_sec = static_cast<double>(result.sweep.family_points) *
+                                     static_cast<double>(result.sweep.refs) /
+                                     static_cast<double>(result.sweep.wall_us);
       }
     }
-    // Merge the variant results back in the caller's order: swept variants
-    // carry exact miss counts from the shared pass and derived timing,
-    // replayed ones their own simulator's numbers.
-    size_t replayed_idx = 0;
+    // Variant results in the caller's order: swept variants carry exact
+    // miss counts from the shared pass and derived timing, replayed ones
+    // their own simulator's numbers.
     for (size_t i = 0; i < options.replay_variants.size(); ++i) {
       const ReplayVariant& v = options.replay_variants[i];
-      if (variant_swept[i]) {
-        ReplayVariantResult vr;
-        vr.name = v.name;
+      ReplayVariantResult vr;
+      vr.name = v.name;
+      if (TraceDrivenSimulator* sim = variant_sims[i].get()) {
+        vr.prediction = sim->Finish();
+        vr.tlb = sim->tlb().stats();
+        vr.refs = tee.refs();
+        vr.wall_us = tee.busy_us(sim);
+      } else {
         vr.prediction = sweep_engine->DerivePrediction(result.prediction, v.memsys);
         vr.tlb = sweep_engine->tlb_stats();
         vr.refs = result.sweep.refs;
         vr.swept = true;
-        result.replays.push_back(std::move(vr));
-      } else {
-        result.replays.push_back(std::move(replay_results[replayed_idx++]));
       }
+      result.replays.push_back(std::move(vr));
     }
     result.traced_machine_instructions = traced->machine().instructions();
     result.trace_words = traced->trace_words_drained();
@@ -682,17 +616,14 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   StatsRegistry registry;
   measured->RegisterStats(registry, "measured.");
   traced->RegisterStats(registry, "traced.");
+  parser->RegisterStats(registry, "parser.");
   if (capture) {
-    engine->RegisterParserStats(registry, "parser.");
-    engine->RegisterStats(registry, "replay.");
     trace_log.RegisterStats(registry, "tracelog.");
-  } else {
-    parser->RegisterStats(registry, "parser.");
   }
   if (archive != nullptr) {
     archive->RegisterStats(registry, "archive.");
   }
-  simulator.RegisterStats(registry, "predicted.");
+  simulator->RegisterStats(registry, "predicted.");
   if (sweep_engine != nullptr) {
     sweep_engine->RegisterStats(registry, "sweep.");
   }

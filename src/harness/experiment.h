@@ -8,6 +8,7 @@
 #define WRLTRACE_HARNESS_EXPERIMENT_H_
 
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,9 +32,9 @@ const char* PersonalityName(Personality personality);
 Personality PersonalityFromName(const std::string& name);
 
 // One extra analysis configuration of a capture-once / replay-many sweep:
-// after the primary analysis replays the captured trace, each variant
-// replays the identical stream with its own cache geometry, TLB wiring,
-// and page-map draw — no additional traced machine run.
+// the variant's own simulator, with its own cache geometry, TLB wiring,
+// and page-map draw, consumes the identical reference stream beside the
+// primary one — no additional traced machine run.
 struct ReplayVariant {
   std::string name;
   MemSysConfig memsys;
@@ -54,13 +55,13 @@ struct ReplayVariantResult {
 };
 
 // Single-pass sweep configuration (src/sweep).  When active, one
-// SweepEngine pass rides the analysis stream — live behind the parser or
-// as one more replay config in capture mode — and (a) prices the explicit
-// cache families and TLB curve below, and (b) absorbs every *geometry-only*
-// ReplayVariant (same penalties, write buffer, TLB wiring, and page map as
-// the primary; power-of-two cache geometry): those variants get exact miss
-// counts from the shared pass and derived timing instead of a dedicated
-// replay.  Non-sweepable variants still fan out to real replays.
+// SweepEngine pass rides the analysis tee, live or in capture mode, and
+// (a) prices the explicit cache families and TLB curve below, and (b)
+// absorbs every *geometry-only* ReplayVariant (same penalties, write
+// buffer, TLB wiring, and page map as the primary; power-of-two cache
+// geometry): those variants get exact miss counts from the shared pass and
+// derived timing instead of a dedicated simulator.  Non-sweepable variants
+// still get their own.
 struct SweepOptions {
   // Activates the sweep even with no explicit families (it then covers
   // only the geometry-only replay variants and/or the TLB curve).
@@ -104,17 +105,16 @@ struct ExperimentOptions {
   // a second thread while this thread builds and runs the traced system.
   // All result fields and metrics are unchanged; only wall time shrinks.
   bool parallel_pair = false;
-  // Batched parser→analysis reference delivery (the default; WRL_BATCH=0 in
-  // the environment, or batch=false here, forces the per-ref std::function
-  // path).  Every counter and predicted number is identical either way.
-  bool batch = BatchRefsEnabled();
+  // The parser always hands references to the analysis in batches; this
+  // constant remains only for callers that still read it.
+  static constexpr bool batch = true;
   // Pipelined trace transport: drained chunks flow through a bounded SPSC
-  // ring to a consumer thread that runs the parser + analysis sink chain
-  // (live mode) or the TraceLog packer (capture mode), so the traced
-  // machine keeps simulating while each drain is consumed
-  // (simulate ∥ parse ∥ analyze).  On the replay side the same option
-  // enables chunk-parallel TraceLog decode.  Defaults to on when the host
-  // has more than one hardware thread; WRL_PIPELINE=0 forces the
+  // ring to a consumer thread that runs the parser + analysis tee (live
+  // mode) or the TraceLog packer (capture mode), so the traced machine
+  // keeps simulating while each drain is consumed
+  // (simulate ∥ parse ∥ analyze).  In capture mode the same option enables
+  // chunk-parallel TraceLog decode for the post-run parse.  Defaults to on
+  // when the host has more than one hardware thread; WRL_PIPELINE=0 forces the
   // synchronous path and WRL_PIPELINE=1 forces the pipeline even on
   // single-core hosts.  Every counter, trace word, profile, and report
   // value is identical either way; the overlap itself is observable via
@@ -123,17 +123,18 @@ struct ExperimentOptions {
   // Ring capacity in chunks (one chunk = one trace-buffer drain).
   size_t pipeline_depth = kDefaultPipelineDepth;
   // Capture-once / replay-many: capture the traced run's drained words into
-  // a packed TraceLog and run the analysis as a post-run replay of the
-  // capture instead of live during the traced run.  Bit-identical results;
-  // implied by a non-empty replay_variants.
+  // a packed TraceLog and parse the capture after the run instead of live
+  // during it.  The same parser and analysis tee serve both modes, so the
+  // results are bit-identical.  Implied by a replay variant the sweep
+  // cannot absorb.
   bool capture_replay = false;
-  // Extra analysis configurations replayed from the captured trace (each a
-  // cheap replay, not another traced machine run).  Replays run serially
-  // inside the experiment — RunSuite already parallelizes across workloads.
+  // Extra analysis configurations priced from the same parse of the traced
+  // run: each gets its own simulator on the analysis tee (or, when only its
+  // cache geometry differs, a point of the sweep pass) — not another traced
+  // machine run.  RunSuite already parallelizes across workloads.
   std::vector<ReplayVariant> replay_variants;
   // Attribution profiling (src/prof): tee the reconstructed reference
-  // stream into a TraceProfiler — live behind the parser, or as one more
-  // replay config in capture mode — and return the finished Profile in
+  // stream into a TraceProfiler and return the finished Profile in
   // ExperimentResult::profile.  Bit-identical in every mode.
   bool profile = false;
   ProfileOptions profile_options;
@@ -186,22 +187,25 @@ struct ExperimentResult {
   uint64_t run_wall_us = 0;
   uint64_t simulated_instructions = 0;
 
-  // Capture-once / replay-many outputs (capture mode only; empty/zero when
-  // the analysis ran live).
+  // One result per ReplayVariant, in option order.  A replayed variant's
+  // wall_us is its simulator's busy time on the analysis tee.
   std::vector<ReplayVariantResult> replays;
+  // Capture-once / replay-many outputs (capture mode only; zero when the
+  // analysis ran live).
   uint64_t trace_log_words = 0;
   uint64_t trace_log_bytes = 0;       // Stored (packed) bytes.
   double trace_compression = 0;       // raw_bytes / stored_bytes.
-  // Fan-out throughput of the real replays (the sweep pass is excluded —
-  // its throughput is sweep_mrefs_per_sec, counted per family point).
+  // Throughput of the post-run analysis: references per busy microsecond,
+  // summed over every sink on the tee but the sweep (whose throughput is
+  // sweep_mrefs_per_sec, counted per family point).
   double replay_mrefs_per_sec = 0;
 
   // Single-pass sweep outputs (sweep_ran only when SweepOptions::Active()).
+  // sweep.wall_us is the sweep engine's busy time on the analysis tee.
   bool sweep_ran = false;
   SweepResult sweep;
   // Equivalent-replay throughput of the sweep pass: family points × refs
-  // per wall-second of the one pass (capture mode only — live-mode sweeps
-  // share the traced run's wall clock and report 0).
+  // per busy second of the one pass, in live and capture mode alike.
   double sweep_mrefs_per_sec = 0;
 
   // The attribution profile (empty unless ExperimentOptions::profile).
@@ -235,6 +239,38 @@ struct ExperimentResult {
   // errors and degenerate predictions.
   std::vector<std::string> Warnings() const;
 };
+
+// ---- Set-up shared by the harness and the tools ----
+// One place for each rule that rebuilds part of an experiment, so
+// `wrltrace` and `wrlprof` reproduce the harness's systems bit for bit.
+
+// The measured (untraced) or traced system of an experiment: the traced
+// clock runs at 1/dilation the rate (paper §4.1); Mach scrambles its pages.
+SystemConfig ExperimentSystemConfig(const WorkloadSpec& workload, const ExperimentOptions& options,
+                                    bool tracing);
+
+// The primary analysis configuration.  Page mapping (paper §4.2): under
+// the deterministic policy the simulator reproduces the measured run's
+// map; under Mach's random policy it draws a different permutation — the
+// repeatability problem the paper reports.
+PredictorConfig ExperimentPredictorConfig(const SystemInstance& measured,
+                                          const ExperimentOptions& options);
+
+// A simulator for `config` that prices arithmetic stalls from the measured
+// system's original binaries.
+std::unique_ptr<TraceDrivenSimulator> ExperimentSimulator(const SystemInstance& measured,
+                                                          const PredictorConfig& config);
+
+// A parser of the traced system's trace, starting in kernel context.
+std::unique_ptr<TraceParser> SystemTraceParser(const SystemInstance& traced);
+
+// Registers the traced system's address spaces (tables, original-image
+// symbols, names) with `profiler`.
+void ProfileSystemSpaces(TraceProfiler& profiler, const SystemInstance& traced);
+
+// The options a harness-recorded archive identifies, read back as
+// RunExperiment wrote them; a key the archive lacks keeps its default.
+ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive);
 
 // Runs one workload through both systems.
 ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOptions& options);

@@ -112,17 +112,9 @@ std::vector<ReplayEngine::Outcome> ReplayEngine::Run(const std::vector<Config>& 
     EventRecorder::Scope scope(events, "replay:" + configs[i].name, "replay");
     uint64_t wall0 = WallNowUs();
     out.sink = configs[i].make();
-    if (options.batch) {
-      size_t batch = options.batch_refs == 0 ? kRefBatchCapacity : options.batch_refs;
-      for (size_t off = 0; off < refs_.size(); off += batch) {
-        size_t count = std::min(batch, refs_.size() - off);
-        out.sink->OnRefBatch(refs_.data() + off, count);
-      }
-    } else {
-      // The per-ref compatibility path: same stream, one ref per delivery.
-      for (const TraceRef& ref : refs_) {
-        out.sink->OnRefBatch(&ref, 1);
-      }
+    const size_t batch = options.batch_refs == 0 ? kRefBatchCapacity : options.batch_refs;
+    for (size_t off = 0; off < refs_.size(); off += batch) {
+      out.sink->OnRefBatch(refs_.data() + off, std::min(batch, refs_.size() - off));
     }
     out.refs = refs_.size();
     out.wall_us = WallNowUs() - wall0;

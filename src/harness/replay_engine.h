@@ -13,10 +13,9 @@
 // traced run + one parse + K cheap replays.
 //
 // Bit-identity invariant: the materialized stream is exactly the sequence a
-// live per-ref sink would have seen, so every counter and predicted number
-// a replayed configuration produces matches the live path bit-for-bit.
-// Options::batch=false (or WRL_BATCH=0 in harnesses) delivers the same
-// stream one reference at a time for A/B verification.
+// live parser delivers, so every counter and predicted number a replayed
+// configuration produces matches the live path bit-for-bit, at any
+// Options::batch_refs.
 #ifndef WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 #define WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 
@@ -85,8 +84,6 @@ class ReplayEngine {
     // Worker threads for the chunk-parallel TraceLog decode feeding the
     // single parse (only the first Run/Parse pays this; 1 = serial).
     unsigned decode_workers = 1;
-    // false = per-ref delivery (the WRL_BATCH=0 compatibility/A-B path).
-    bool batch = true;
     size_t batch_refs = kRefBatchCapacity;
     // When set, per-config timelines are absorbed here in config order
     // after the pool drains (deterministic regardless of scheduling).
@@ -101,8 +98,6 @@ class ReplayEngine {
   // Aggregate throughput of the last Run(): references delivered across all
   // configs per wall-second of the whole fan-out.
   double mrefs_per_sec() const { return last_mrefs_per_sec_; }
-  uint64_t last_run_refs() const { return last_run_refs_; }
-  uint64_t last_run_wall_us() const { return last_run_wall_us_; }
 
   // Binds replay-side metrics (materialized refs, last-run throughput) into
   // `registry` under `prefix`; the engine must outlive snapshots.

@@ -38,8 +38,8 @@ std::map<std::string, double> FlatMetrics(const std::vector<ExperimentResult>& r
           static_cast<double>(v.prediction.utlb_misses);
     }
   }
-  // Replay fan-out throughput across the capture-replay experiments (wall-
-  // clock dependent, like sim.mips below — a single global key).
+  // Post-run analysis throughput across the capture-replay experiments
+  // (wall-clock dependent, like sim.mips below — a single global key).
   double replay_mrefs_sum = 0;
   size_t replay_experiments = 0;
   for (const ExperimentResult& r : results) {
@@ -151,7 +151,7 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
 
   if (r.trace_log_words > 0) {
     // The capture-replay pipeline's accounting: what the TraceLog held and
-    // how fast the fan-out consumed it.
+    // how fast the post-run analysis consumed it.
     writer.Key("capture").BeginObject();
     writer.KV("trace_log_words", r.trace_log_words);
     writer.KV("trace_log_bytes", r.trace_log_bytes);

@@ -897,6 +897,14 @@ uint32_t SystemInstance::TranslateUserPage(uint32_t pid, uint32_t vpn,
   return layout.region_base_page + slice_base + index;
 }
 
+std::vector<SystemInstance::UserSpace> SystemInstance::user_spaces() const {
+  std::vector<UserSpace> spaces{{1, &user_table_, &workload_orig_, config_.program_name}};
+  if (config_.personality == Personality::kMach) {
+    spaces.push_back({2, &server_table_, &server_orig_, "server"});
+  }
+  return spaces;
+}
+
 std::pair<uint32_t, uint32_t> SystemInstance::IdleRange() const {
   uint32_t lo = kernel_exe_.SymbolAddress("idle_loop");
   uint32_t hi = kernel_exe_.SymbolAddress("idle_exit");

@@ -102,6 +102,16 @@ class SystemInstance {
   }
   const TraceInfoTable& kernel_table() const { return kernel_table_; }
   const TraceInfoTable& user_table() const { return user_table_; }
+  // One user address space the trace covers: the table its trace keys
+  // resolve against and the original image its references name.
+  struct UserSpace {
+    uint8_t pid;
+    const TraceInfoTable* table;
+    const Executable* orig;
+    std::string name;
+  };
+  // The workload (pid 1) and, under Mach, the UNIX server (pid 2).
+  std::vector<UserSpace> user_spaces() const;
   uint64_t trace_words_drained() const { return trace_words_drained_; }
 
   // The page-mapping function the simulator should use for prediction

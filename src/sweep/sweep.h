@@ -26,8 +26,8 @@
 //     working-set/reuse-distance profile exported through wrlstats.
 //
 // The SweepEngine is a RefBatchSink, so it rides everything the analysis
-// side already has: the live parser tee, the capture-replay fan-out, and
-// the PR 7 pipeline.  It mirrors TraceDrivenSimulator's reference
+// side already has: the experiment's analysis tee (live or over a
+// capture), ReplayEngine configs, and the PR 7 pipeline.  It mirrors TraceDrivenSimulator's reference
 // ordering exactly — one TlbSimulator (the family shares the TLB
 // configuration; geometry changes cannot perturb it) synthesizes the
 // UTLB-handler references into the cache stream *before* the triggering

@@ -1,5 +1,7 @@
 #include "trace/parser.h"
 
+#include <chrono>
+
 #include "mach/address_space.h"
 #include "support/error.h"
 #include "support/strings.h"
@@ -28,6 +30,36 @@ void TraceInfoTable::AddObject(const std::vector<BlockStatic>& blocks,
 const TraceBlockInfo* TraceInfoTable::Find(uint32_t key_addr) const {
   auto it = blocks_.find(key_addr);
   return it == blocks_.end() ? nullptr : &it->second;
+}
+
+void TeeBatchSink::OnRefBatch(const TraceRef* refs, size_t count) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point t0 = Clock::now();
+  for (Entry& entry : sinks_) {
+    entry.sink->OnRefBatch(refs, count);
+    const Clock::time_point t1 = Clock::now();
+    entry.busy_ns += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+    t0 = t1;
+  }
+  refs_ += count;
+}
+
+uint64_t TeeBatchSink::busy_us(const RefBatchSink* sink) const {
+  for (const Entry& entry : sinks_) {
+    if (entry.sink == sink) {
+      return entry.busy_ns / 1000;
+    }
+  }
+  return 0;
+}
+
+uint64_t TeeBatchSink::busy_us() const {
+  uint64_t ns = 0;
+  for (const Entry& entry : sinks_) {
+    ns += entry.busy_ns;
+  }
+  return ns / 1000;
 }
 
 TraceParser::TraceParser(const TraceInfoTable* kernel_table) : kernel_table_(kernel_table) {}
@@ -77,9 +109,6 @@ void TraceParser::EmitRef(const TraceRef& ref) {
     if (batch_.size() >= batch_capacity_) {
       FlushBatch();
     }
-  }
-  if (ref_sink_) {
-    ref_sink_(ref);
   }
 }
 

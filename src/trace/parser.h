@@ -24,8 +24,6 @@
 #define WRLTRACE_TRACE_PARSER_H_
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -87,13 +85,12 @@ constexpr uint8_t kKernelPid = 0xff;
 // ---- Batched reference delivery ----
 //
 // The parser reconstructs tens of references per trace word; delivering
-// each one through a std::function costs an indirect call per reference.
+// each one through an indirect call would cost a call per reference.
 // Batch delivery amortizes that: references accumulate in a dense buffer
 // and consumers receive ~4K at a time through this typed interface, paying
 // one virtual call per batch and iterating a contiguous array in their own
-// tight loop.  The per-ref std::function sink remains as a compatibility
-// shim (and as the WRL_BATCH=0 A/B reference path); both deliver the
-// identical reference sequence.
+// tight loop.  A batch capacity of 1 hands each reference over as soon as
+// it is rebuilt; every capacity delivers the identical sequence.
 constexpr size_t kRefBatchCapacity = 4096;
 
 class RefBatchSink {
@@ -118,27 +115,37 @@ class RefFnSink : public RefBatchSink {
 };
 
 // Fans one batch stream out to several consumers (e.g. a cache simulator
-// plus a profiler on the same live run).  Delivery order is the sink order
-// given at construction; each sink sees the identical batches.
+// plus a profiler on the same run).  Delivery order is the order the sinks
+// were added; each sink sees the identical batches.  The tee also times
+// each sink's share of every batch, so a caller reads any sink's busy time
+// back by the sink's own pointer.
 class TeeBatchSink : public RefBatchSink {
  public:
-  explicit TeeBatchSink(std::vector<RefBatchSink*> sinks) : sinks_(std::move(sinks)) {}
-  void OnRefBatch(const TraceRef* refs, size_t count) override {
-    for (RefBatchSink* sink : sinks_) {
-      sink->OnRefBatch(refs, count);
+  // Appends `sink`; a null sink is skipped, so optional analyses can be
+  // added unconditionally.
+  void Add(RefBatchSink* sink) {
+    if (sink != nullptr) {
+      sinks_.push_back({sink, 0});
     }
   }
+  void OnRefBatch(const TraceRef* refs, size_t count) override;
+
+  size_t size() const { return sinks_.size(); }
+  // References delivered to each sink.
+  uint64_t refs() const { return refs_; }
+  // Host wall microseconds `sink` spent consuming batches (0 for a sink the
+  // tee does not hold), and the sum over every sink.
+  uint64_t busy_us(const RefBatchSink* sink) const;
+  uint64_t busy_us() const;
 
  private:
-  std::vector<RefBatchSink*> sinks_;
+  struct Entry {
+    RefBatchSink* sink;
+    uint64_t busy_ns;
+  };
+  std::vector<Entry> sinks_;
+  uint64_t refs_ = 0;
 };
-
-// Batched delivery is the default; WRL_BATCH=0 forces every harness onto
-// the per-ref slow path so the bit-identity invariant stays A/B-testable.
-inline bool BatchRefsEnabled() {
-  const char* env = std::getenv("WRL_BATCH");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
 
 struct TraceParserStats {
   uint64_t words = 0;
@@ -160,11 +167,9 @@ class TraceParser {
   explicit TraceParser(const TraceInfoTable* kernel_table);
 
   void SetUserTable(uint8_t pid, const TraceInfoTable* table);
-  void SetRefSink(std::function<void(const TraceRef&)> sink) { ref_sink_ = std::move(sink); }
-  // Batched delivery: references accumulate into fixed-size batches handed
-  // to `sink` (the same sequence SetRefSink would see, in the same order).
-  // Batches flush when full and at Finish(); call FlushBatch() to force an
-  // earlier flush.  Both sinks may be set at once (each gets every ref).
+  // Reference delivery: references accumulate, in reconstruction order,
+  // into batches of `batch_refs` handed to `sink`.  Batches flush when full
+  // and at Finish(); call FlushBatch() to force an earlier flush.
   void SetBatchSink(RefBatchSink* sink, size_t batch_refs = kRefBatchCapacity);
   // Delivers any buffered references to the batch sink now.
   void FlushBatch();
@@ -228,7 +233,6 @@ class TraceParser {
   bool expecting_operand_ = false;
   MarkerCode pending_marker_ = kMarkTraceOn;
 
-  std::function<void(const TraceRef&)> ref_sink_;
   RefBatchSink* batch_sink_ = nullptr;
   size_t batch_capacity_ = kRefBatchCapacity;
   std::vector<TraceRef> batch_;

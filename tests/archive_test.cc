@@ -406,25 +406,11 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
   EXPECT_EQ(archive.word_count(), live.trace_words);
   EXPECT_EQ(archive.MetaValue("workload"), "unit");
 
-  auto make_config = [&](bool tracing) {
-    SystemConfig config;
-    config.tracing = tracing;
-    config.clock_period = tracing ? 200000 * 15 : 200000;
-    config.program_source = kBody;
-    config.program_name = "unit";
-    config.trace_buf_bytes = 16u << 20;
-    config.scavenge = options.scavenge;
-    return config;
-  };
-  auto measured = BuildSystem(make_config(false));
-  auto traced = BuildSystem(make_config(true));
-
-  PredictorConfig pconfig;
-  pconfig.dilation = options.dilation;
-  pconfig.page_map = measured->PageMap();
-  TraceDrivenSimulator simulator(pconfig);
-  simulator.AddTextImage(measured->kernel_exe());
-  simulator.AddTextImage(measured->workload_orig());
+  const ExperimentOptions rebuilt = ArchivedExperimentOptions(archive);
+  auto measured = BuildSystem(ExperimentSystemConfig(UnitWorkload(), rebuilt, false));
+  auto traced = BuildSystem(ExperimentSystemConfig(UnitWorkload(), rebuilt, true));
+  std::unique_ptr<TraceDrivenSimulator> simulator =
+      ExperimentSimulator(*measured, ExperimentPredictorConfig(*measured, rebuilt));
 
   ReplaySource source;
   source.log = &archive;
@@ -434,13 +420,13 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
   engine.Parse();
   const std::vector<TraceRef>& refs = engine.refs();
   for (size_t i = 0; i < refs.size(); i += kRefBatchCapacity) {
-    simulator.OnRefBatch(refs.data() + i, std::min(kRefBatchCapacity, refs.size() - i));
+    simulator->OnRefBatch(refs.data() + i, std::min(kRefBatchCapacity, refs.size() - i));
   }
-  simulator.Finish();
+  simulator->Finish();
 
   StatsRegistry registry;
   engine.RegisterParserStats(registry, "parser.");
-  simulator.RegisterStats(registry, "predicted.");
+  simulator->RegisterStats(registry, "predicted.");
   StatsSnapshot replayed = registry.Snapshot();
 
   // Every analysis counter the live run produced, reproduced exactly.

@@ -145,11 +145,12 @@ get_anchor:
   TraceParser parser(&build.table);
   parser.SetInitialContext(kKernelPid);
   std::vector<TraceRef> loads;
-  parser.SetRefSink([&](const TraceRef& ref) {
+  RefFnSink collect([&](const TraceRef& ref) {
     if (ref.kind == TraceRef::kLoad) {
       loads.push_back(ref);
     }
   });
+  parser.SetBatchSink(&collect);
   parser.Feed(traced.trace_words);
   parser.Finish();
   ASSERT_TRUE(parser.errors().empty()) << parser.errors().front();

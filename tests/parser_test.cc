@@ -43,7 +43,8 @@ Collected Parse(const TraceInfoTable& table, const std::vector<uint32_t>& words,
   parser.SetUserTable(1, &table);
   parser.SetUserTable(2, &table);
   parser.SetInitialContext(initial);
-  parser.SetRefSink([&](const TraceRef& r) { out.refs.push_back(r); });
+  RefFnSink collect([&](const TraceRef& r) { out.refs.push_back(r); });
+  parser.SetBatchSink(&collect);
   parser.Feed(words);
   parser.Finish();
   out.stats = parser.stats();
@@ -208,7 +209,8 @@ TEST(TraceParser, IncrementalFeedMatchesBatch) {
     TraceParser parser(&table);
     parser.SetUserTable(1, &table);
     parser.SetInitialContext(1);
-    parser.SetRefSink([&](const TraceRef& r) { incremental.refs.push_back(r); });
+    RefFnSink collect([&](const TraceRef& r) { incremental.refs.push_back(r); });
+    parser.SetBatchSink(&collect);
     for (uint32_t w : words) {
       parser.Feed(&w, 1);
     }

@@ -1,8 +1,8 @@
 // The pipelined trace transport's contract (ISSUE 7): chunks flow through
 // the bounded SPSC ring in strict drain order, so a pipelined experiment is
 // byte-identical to the synchronous one — every counter, trace word,
-// profile, and predicted number — in live, capture-replay, profiled, and
-// per-ref-shim modes.  The transport itself must apply backpressure when
+// profile, and predicted number — in live, capture-replay, and profiled
+// modes.  The transport itself must apply backpressure when
 // the consumer is slow, count its stalls/starves, shut down cleanly when
 // the consumer chain throws mid-stream, and the replay-side chunk-parallel
 // TraceLog decode must deliver the identical word sequence and chunk
@@ -400,22 +400,18 @@ void ExpectSameExperiment(const ExperimentResult& pipelined, const ExperimentRes
   ExpectSameStats(pipelined.stats, sync.stats);
 }
 
-// Runs the workload with the pipeline forced on and off (the host may have
-// one core, where the default degrades to synchronous) and applies `mod` to
-// both option sets.
-template <typename Mod>
-void RunBothAndCompare(const Mod& mod) {
+TEST(PipelinedExperiment, LiveAnalysisIsByteIdentical) {
+  // The pipeline forced on and off: the host may have one core, where the
+  // default degrades to synchronous.
   WorkloadSpec w = UnitWorkload();
 
   ExperimentOptions pipelined_options;
   pipelined_options.pipeline = true;
   pipelined_options.pipeline_depth = 3;  // Small ring: exercise wraparound.
-  mod(pipelined_options);
   ExperimentResult pipelined = RunExperiment(w, pipelined_options);
 
   ExperimentOptions sync_options;
   sync_options.pipeline = false;
-  mod(sync_options);
   ExperimentResult sync = RunExperiment(w, sync_options);
 
   ExpectSameExperiment(pipelined, sync);
@@ -426,10 +422,6 @@ void RunBothAndCompare(const Mod& mod) {
   EXPECT_FALSE(sync.stats.Has("trace.pipeline.chunks"));
   EXPECT_GE(pipelined.stats.CounterValue("trace.pipeline.chunks"), 1u);
   EXPECT_EQ(pipelined.stats.CounterValue("trace.pipeline.words"), pipelined.trace_words);
-}
-
-TEST(PipelinedExperiment, LiveAnalysisIsByteIdentical) {
-  RunBothAndCompare([](ExperimentOptions&) {});
 }
 
 TEST(PipelinedExperiment, CaptureReplayIsByteIdentical) {
@@ -472,12 +464,6 @@ TEST(PipelinedExperiment, ProfiledRunIsByteIdentical) {
 
   ExpectSameExperiment(pipelined, sync);
   EXPECT_EQ(pipelined.profile.CanonicalJson(), sync.profile.CanonicalJson());
-}
-
-TEST(PipelinedExperiment, PerRefShimIsByteIdentical) {
-  // The WRL_BATCH=0 compatibility path under the pipeline: the consumer
-  // thread drives the per-ref std::function chain.
-  RunBothAndCompare([](ExperimentOptions& options) { options.batch = false; });
 }
 
 }  // namespace

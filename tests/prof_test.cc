@@ -373,7 +373,7 @@ TEST(TraceProfiler, LiveReplayAndPerRefProfilesBitIdentical) {
   }
   Profile replay_profile = replay->Finish();
 
-  // Per-ref: the WRL_BATCH=0 shape, one reference at a time.
+  // Per-ref: one reference at a time through OnRef.
   auto perref = MakeBareProfiler(build);
   for (const TraceRef& r : refs) {
     perref->OnRef(r);

@@ -1,8 +1,8 @@
 // The capture-once / replay-many pipeline's contract: a TraceLog stores the
 // drained trace words losslessly, and a batched replay of the capture
 // produces bit-identical parser stats, Prediction, and TLB miss counts to
-// the live per-ref path — with batching on or off, serial or on a worker
-// pool.
+// the live path fed one reference at a time — at any batch size, serial or
+// on a worker pool.
 #include <memory>
 #include <vector>
 
@@ -16,6 +16,7 @@
 #include "support/rng.h"
 #include "trace/parser.h"
 #include "trace/trace_log.h"
+#include "workloads/workloads.h"
 
 namespace wrl {
 namespace {
@@ -114,17 +115,18 @@ struct LiveOutcome {
   TlbSimStats tlb;
 };
 
-// The reference path: per-ref live analysis in lockstep with the parse.
+// The reference path: live analysis in lockstep with the parse, each
+// reference handed over as soon as it is rebuilt.
 LiveOutcome RunLive(const BareBuild& build, const BareTraceRun& run) {
   LiveOutcome out;
   TraceDrivenSimulator sim((PredictorConfig()));
   TlbSimulator tlb;
   TraceParser parser(&build.table);
   parser.SetInitialContext(kKernelPid);
-  parser.SetRefSink([&](const TraceRef& r) {
-    sim.OnRef(r);
-    tlb.OnRef(r);
-  });
+  TeeBatchSink tee;
+  tee.Add(&sim);
+  tee.Add(&tlb);
+  parser.SetBatchSink(&tee, 1);
   parser.Feed(run.trace_words);
   parser.Finish();
   out.stats = parser.stats();
@@ -162,25 +164,20 @@ TEST(ReplayEngine, BatchedReplayBitIdenticalToLive) {
       {"sim", [] { return std::make_unique<TraceDrivenSimulator>(PredictorConfig()); }});
   configs.push_back({"tlb", [] { return std::make_unique<TlbSimulator>(); }});
 
-  for (bool batch : {true, false}) {
-    SCOPED_TRACE(batch ? "batched" : "per-ref");
-    ReplayEngine::Options options;
-    options.batch = batch;
-    std::vector<ReplayEngine::Outcome> outcomes = engine.Run(configs, options);
-    ASSERT_EQ(outcomes.size(), 2u);
+  std::vector<ReplayEngine::Outcome> outcomes = engine.Run(configs);
+  ASSERT_EQ(outcomes.size(), 2u);
 
-    // The single parse saw the same stream the live parser saw.
-    EXPECT_EQ(engine.parser_stats().refs, live.stats.refs);
-    EXPECT_EQ(engine.parser_stats().words, live.stats.words);
-    EXPECT_EQ(engine.parser_stats().blocks, live.stats.blocks);
-    EXPECT_EQ(engine.parser_stats().validation_errors, live.stats.validation_errors);
+  // The single parse saw the same stream the live parser saw.
+  EXPECT_EQ(engine.parser_stats().refs, live.stats.refs);
+  EXPECT_EQ(engine.parser_stats().words, live.stats.words);
+  EXPECT_EQ(engine.parser_stats().blocks, live.stats.blocks);
+  EXPECT_EQ(engine.parser_stats().validation_errors, live.stats.validation_errors);
 
-    auto* sim = static_cast<TraceDrivenSimulator*>(outcomes[0].sink.get());
-    ExpectSamePrediction(sim->Finish(), live.prediction);
-    auto* tlb = static_cast<TlbSimulator*>(outcomes[1].sink.get());
-    EXPECT_EQ(tlb->stats().utlb_misses, live.tlb.utlb_misses);
-    EXPECT_EQ(tlb->stats().user_refs, live.tlb.user_refs);
-  }
+  auto* sim = static_cast<TraceDrivenSimulator*>(outcomes[0].sink.get());
+  ExpectSamePrediction(sim->Finish(), live.prediction);
+  auto* tlb = static_cast<TlbSimulator*>(outcomes[1].sink.get());
+  EXPECT_EQ(tlb->stats().utlb_misses, live.tlb.utlb_misses);
+  EXPECT_EQ(tlb->stats().user_refs, live.tlb.user_refs);
 }
 
 TEST(ReplayEngine, OddBatchSizesDeliverIdenticalResults) {
@@ -266,6 +263,70 @@ TEST(ReplayExperiment, CaptureReplayMatchesLiveExperiment) {
   ExpectSamePrediction(captured.replays[0].prediction, captured.prediction);
   EXPECT_GT(captured.trace_log_words, 0u);
   EXPECT_GT(captured.trace_compression, 0.0);
+}
+
+// The figure3-whatif shape, the one experiment where five sinks share the
+// analysis tee: a paper workload in capture mode with the profiler, the
+// sweep, a geometry-only variant the sweep absorbs, and a slowmem variant
+// with its own simulator.  Each sink's output equals its output when it
+// rides the tee alone beside the primary simulator, in both transport
+// modes, and each sink reports its own busy time.
+TEST(ReplayExperiment, SharedTeeMatchesSingleSinkRuns) {
+  const WorkloadSpec w = PaperWorkload("sed", 0.05);
+  ReplayVariant geometry;
+  geometry.name = "cache16k";
+  geometry.memsys.icache.size_bytes = 16 * 1024;
+  geometry.memsys.dcache.size_bytes = 16 * 1024;
+  ReplayVariant slowmem;
+  slowmem.name = "slowmem";
+  slowmem.memsys.read_miss_penalty = 30;
+  slowmem.memsys.uncached_penalty = 30;
+
+  ExperimentOptions single;
+  single.pipeline = false;
+  single.capture_replay = true;
+  const ExperimentResult primary = RunExperiment(w, single);
+  ExperimentOptions profile_only = single;
+  profile_only.profile = true;
+  const ExperimentResult profiled = RunExperiment(w, profile_only);
+  ExperimentOptions sweep_only = single;
+  sweep_only.sweep.enabled = true;
+  sweep_only.sweep.tlb_max_entries = 64;
+  sweep_only.replay_variants = {geometry};
+  const ExperimentResult swept = RunExperiment(w, sweep_only);
+  ExperimentOptions slowmem_only = single;
+  slowmem_only.replay_variants = {slowmem};
+  const ExperimentResult slow = RunExperiment(w, slowmem_only);
+
+  for (bool pipeline : {false, true}) {
+    SCOPED_TRACE(pipeline ? "pipelined" : "synchronous");
+    ExperimentOptions options = sweep_only;
+    options.pipeline = pipeline;
+    options.profile = true;
+    options.replay_variants = {geometry, slowmem};
+    const ExperimentResult shared = RunExperiment(w, options);
+    EXPECT_EQ(shared.parser_errors, 0u);
+
+    ExpectSamePrediction(shared.prediction, primary.prediction);
+    EXPECT_EQ(shared.profile.CanonicalJson(), profiled.profile.CanonicalJson());
+    ASSERT_TRUE(shared.sweep_ran);
+    EXPECT_EQ(shared.sweep.tlb_lru_misses, swept.sweep.tlb_lru_misses);
+    ASSERT_EQ(shared.replays.size(), 2u);
+    EXPECT_TRUE(shared.replays[0].swept);
+    ExpectSamePrediction(shared.replays[0].prediction, swept.replays[0].prediction);
+    EXPECT_FALSE(shared.replays[1].swept);
+    ExpectSamePrediction(shared.replays[1].prediction, slow.replays[0].prediction);
+
+    const uint64_t parser_refs = shared.stats.CounterValue("parser.refs");
+    EXPECT_EQ(shared.profile.totals.refs, parser_refs);
+    for (const ReplayVariantResult& v : shared.replays) {
+      EXPECT_EQ(v.refs, parser_refs) << v.name;
+    }
+    EXPECT_GT(shared.replays[1].wall_us, 0u);
+    EXPECT_GT(shared.sweep.wall_us, 0u);
+    EXPECT_GT(shared.sweep_mrefs_per_sec, 0.0);
+    EXPECT_GT(shared.replay_mrefs_per_sec, 0.0);
+  }
 }
 
 }  // namespace

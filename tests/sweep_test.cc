@@ -422,15 +422,16 @@ TEST(SweepExperiment, LiveCaptureAndPipelinedModesAreBitIdentical) {
     ASSERT_TRUE(result.sweep_ran);
     ExpectSameSweep(result.sweep, reference.sweep);
   }
-  {
-    SCOPED_TRACE("per-ref shim (WRL_BATCH=0 equivalent)");
-    ExperimentOptions options = SweepOptionsBase();
-    options.pipeline = false;
-    options.batch = false;
-    ExperimentResult result = RunExperiment(w, options);
-    ASSERT_TRUE(result.sweep_ran);
-    ExpectSameSweep(result.sweep, reference.sweep);
-  }
+}
+
+// A live sweep rides the analysis tee behind the parser during the traced
+// run, and the tee times it there too: its throughput is real, not 0.
+TEST(SweepExperiment, LiveSweepReportsItsBusyTime) {
+  ExperimentResult result = RunExperiment(UnitWorkload(), SweepOptionsBase());
+  ASSERT_TRUE(result.sweep_ran);
+  EXPECT_EQ(result.trace_log_words, 0u);  // Live: nothing was captured.
+  EXPECT_GT(result.sweep.wall_us, 0u);
+  EXPECT_GT(result.sweep_mrefs_per_sec, 0.0);
 }
 
 TEST(SweepEngine, ChunkParallelDecodeDeliversIdenticalSweep) {

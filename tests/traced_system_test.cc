@@ -47,12 +47,11 @@ TracedRun RunTraced(const std::string& program,
   run.sys = BuildSystem(config);
 
   TraceParser parser(&run.sys->kernel_table());
-  parser.SetUserTable(1, &run.sys->user_table());
-  if (personality == Personality::kMach) {
-    parser.SetUserTable(2, &run.sys->server_table());
+  for (const SystemInstance::UserSpace& space : run.sys->user_spaces()) {
+    parser.SetUserTable(space.pid, space.table);
   }
   parser.SetInitialContext(kKernelPid);
-  parser.SetRefSink([&](const TraceRef& ref) {
+  RefFnSink tally([&](const TraceRef& ref) {
     if (ref.kernel) {
       ++run.kernel_refs;
     } else if (ref.kind == TraceRef::kLoad) {
@@ -61,6 +60,7 @@ TracedRun RunTraced(const std::string& program,
       ++run.user_stores;
     }
   });
+  parser.SetBatchSink(&tally);
   run.sys->SetTraceSink([&parser](const uint32_t* words, size_t count) {
     parser.Feed(words, count);
   });

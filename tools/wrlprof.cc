@@ -5,11 +5,13 @@
 // and page that generated it — plus the §5 distortion accounting: trace
 // words and epoxie-inserted instructions charged per block.
 //
-// Two analysis modes, bit-identical by construction:
-//   * capture (default): drains are captured into a TraceLog and the
-//     profiler replays the materialized stream (ReplayEngine, one parse);
-//   * --live: the profiler consumes batches behind the parser during the
-//     traced run itself.
+// One parser feeds the profiler in both analysis modes, bit-identical by
+// construction:
+//   * capture (default): drains are captured into a TraceLog and the parser
+//     consumes the capture after the traced run;
+//   * --live: the parser consumes each drain during the traced run itself.
+// The traced system is the experiment harness's (same clock, page policy,
+// and trace buffer), so the profile is the one `profile` experiments get.
 //
 // The built-in reconciliation gate cross-checks the profile against the
 // wrlstats parser counters — Σ block insts == parser.ifetches, Σ loads ==
@@ -40,7 +42,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/replay_engine.h"
+#include "harness/experiment.h"
 #include "kernel/system_build.h"
 #include "prof/prof.h"
 #include "support/error.h"
@@ -254,45 +256,22 @@ int Run(int argc, char** argv) {
 
   WorkloadSpec workload = PaperWorkload(cli.workload, cli.scale);
 
-  SystemConfig config;
-  config.personality = cli.personality;
-  config.tracing = true;
-  config.clock_period = 200000 * 15;  // The harness's dilated traced clock.
-  config.program_source = workload.source;
-  config.program_name = workload.name;
-  config.files = workload.files;
-  if (cli.personality == Personality::kMach) {
-    config.policy = PagePolicy::kScrambled;
-    config.policy_mult = 9;
-  }
-  std::unique_ptr<SystemInstance> traced = BuildSystem(config);
+  ExperimentOptions options;
+  options.personality = cli.personality;
+  std::unique_ptr<SystemInstance> traced =
+      BuildSystem(ExperimentSystemConfig(workload, options, true));
 
   ProfileOptions popts;
   popts.window_refs = cli.window_refs;
   TraceProfiler profiler(popts);
-  profiler.AddTable(kKernelPid, &traced->kernel_table());
-  profiler.AddTable(1, &traced->user_table());
-  profiler.AddSymbols(kKernelPid, traced->kernel_orig());
-  profiler.AddSymbols(1, traced->workload_orig());
-  profiler.SetSpaceName(1, workload.name);
-  if (cli.personality == Personality::kMach) {
-    profiler.AddTable(2, &traced->server_table());
-    profiler.AddSymbols(2, traced->server_orig());
-    profiler.SetSpaceName(2, "server");
-  }
+  ProfileSystemSpaces(profiler, *traced);
 
+  std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
+  parser->SetBatchSink(&profiler);
+  auto feed = [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); };
   TraceLog trace_log;
-  std::unique_ptr<TraceParser> parser;
   if (cli.live) {
-    parser = std::make_unique<TraceParser>(&traced->kernel_table());
-    parser->SetUserTable(1, &traced->user_table());
-    if (cli.personality == Personality::kMach) {
-      parser->SetUserTable(2, &traced->server_table());
-    }
-    parser->SetInitialContext(kKernelPid);
-    parser->SetBatchSink(&profiler);
-    traced->SetTraceSink(
-        [&parser](const uint32_t* words, size_t count) { parser->Feed(words, count); });
+    traced->SetTraceSink(feed);
   } else {
     traced->SetTraceSink(
         [&trace_log](const uint32_t* words, size_t count) { trace_log.Append(words, count); });
@@ -303,34 +282,11 @@ int Run(int argc, char** argv) {
     throw Error(StrFormat("traced run of '%s' did not halt (pc=0x%08x)",
                           workload.name.c_str(), traced->machine().pc()));
   }
-
-  TraceParserStats pstats;
-  if (cli.live) {
-    parser->Finish();
-    pstats = parser->stats();
-  } else {
-    ReplaySource source;
-    source.log = &trace_log;
-    source.kernel_table = &traced->kernel_table();
-    source.user_tables.emplace_back(1, &traced->user_table());
-    if (cli.personality == Personality::kMach) {
-      source.user_tables.emplace_back(2, &traced->server_table());
-    }
-    ReplayEngine engine(std::move(source));
-    engine.Parse();
-    if (BatchRefsEnabled()) {
-      // Replay the materialized stream in parser-sized batches.
-      const std::vector<TraceRef>& refs = engine.refs();
-      for (size_t i = 0; i < refs.size(); i += kRefBatchCapacity) {
-        profiler.OnRefBatch(refs.data() + i, std::min(kRefBatchCapacity, refs.size() - i));
-      }
-    } else {
-      for (const TraceRef& ref : engine.refs()) {
-        profiler.OnRef(ref);
-      }
-    }
-    pstats = engine.parser_stats();
+  if (!cli.live) {
+    trace_log.Replay(feed);
   }
+  parser->Finish();
+  const TraceParserStats& pstats = parser->stats();
 
   Profile profile = profiler.Finish();
   Reconcile reconcile;

@@ -33,11 +33,13 @@
 //
 // Exit codes: 0 ok/identical, 1 difference or integrity finding, 2 usage
 // or hard error (wrong magic, unreadable file, unknown workload).
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -122,11 +124,11 @@ void WriteAnalysisJson(const std::string& path, const std::string& mode,
 // The capturing system, rebuilt deterministically from archive metadata: the
 // measured instance supplies the page map and original binaries, the traced
 // instance the instrumentation tables — the exact inputs the live analysis
-// used, so the replay is bit-identical by construction.
+// used, built by the harness's own set-up rules, so the replay is
+// bit-identical by construction.
 struct RebuiltSystems {
   WorkloadSpec workload;
-  Personality personality = Personality::kUltrix;
-  double scale = 1.0;
+  ExperimentOptions options;
   std::unique_ptr<SystemInstance> measured;
   std::unique_ptr<SystemInstance> traced;
   PredictorConfig pconfig;
@@ -139,43 +141,12 @@ RebuiltSystems RebuildFromMeta(const ArchiveReader& archive) {
     throw Error("wrltrace: archive has no 'workload' metadata — cannot rebuild the "
                 "capturing system (was it recorded by the harness?)");
   }
-  sys.personality = PersonalityFromName(archive.MetaValue("personality", "ultrix"));
-  sys.scale = std::strtod(archive.MetaValue("scale", "1").c_str(), nullptr);
-  sys.workload = PaperWorkload(workload_name, sys.scale);
-
-  const uint32_t clock_period = static_cast<uint32_t>(
-      std::strtoul(archive.MetaValue("clock_period", "200000").c_str(), nullptr, 10));
-  const double dilation = std::strtod(archive.MetaValue("dilation", "15").c_str(), nullptr);
-  const bool scavenge = archive.MetaValue("scavenge", "1") != "0";
-  const uint32_t trace_buf_bytes = static_cast<uint32_t>(
-      std::strtoul(archive.MetaValue("trace_buf_bytes", "16777216").c_str(), nullptr, 10));
-
-  auto make_config = [&](bool tracing) {
-    SystemConfig config;
-    config.personality = sys.personality;
-    config.tracing = tracing;
-    config.clock_period =
-        tracing ? clock_period * static_cast<uint32_t>(dilation) : clock_period;
-    config.program_source = sys.workload.source;
-    config.program_name = sys.workload.name;
-    config.files = sys.workload.files;
-    config.trace_buf_bytes = trace_buf_bytes;
-    config.scavenge = scavenge;
-    if (sys.personality == Personality::kMach) {
-      config.policy = PagePolicy::kScrambled;
-      config.policy_mult = 9;
-    }
-    return config;
-  };
-  sys.measured = BuildSystem(make_config(false));
-  sys.traced = BuildSystem(make_config(true));
-
-  sys.pconfig.dilation = dilation;
-  // Same page-map draws the harness makes (experiment.cc): deterministic
-  // policy reproduces the measured map; Mach takes a different permutation.
-  sys.pconfig.page_map = sys.personality == Personality::kMach
-                             ? sys.measured->PageMap(13)
-                             : sys.measured->PageMap();
+  sys.workload =
+      PaperWorkload(workload_name, std::strtod(archive.MetaValue("scale", "1").c_str(), nullptr));
+  sys.options = ArchivedExperimentOptions(archive);
+  sys.measured = BuildSystem(ExperimentSystemConfig(sys.workload, sys.options, false));
+  sys.traced = BuildSystem(ExperimentSystemConfig(sys.workload, sys.options, true));
+  sys.pconfig = ExperimentPredictorConfig(*sys.measured, sys.options);
   return sys;
 }
 
@@ -183,11 +154,19 @@ ReplaySource MakeSource(const ArchiveReader& archive, const RebuiltSystems& sys)
   ReplaySource source;
   source.log = &archive;
   source.kernel_table = &sys.traced->kernel_table();
-  source.user_tables.emplace_back(1, &sys.traced->user_table());
-  if (sys.personality == Personality::kMach) {
-    source.user_tables.emplace_back(2, &sys.traced->server_table());
+  for (const SystemInstance::UserSpace& space : sys.traced->user_spaces()) {
+    source.user_tables.emplace_back(space.pid, space.table);
   }
   return source;
+}
+
+// Parses a numeric flag's value: decimal digits only (no sign, no blanks)
+// that fit in `value`.
+template <typename T>
+bool ParseDecimal(const char* text, T& value) {
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  return text != end && ec == std::errc() && ptr == end;
 }
 
 void PrintDiagnostics(const ArchiveReader& archive) {
@@ -354,14 +333,22 @@ int CmdVerify(int argc, char** argv) {
 
 int CmdCat(int argc, char** argv) {
   std::string path;
-  size_t chunk = static_cast<size_t>(-1);
+  std::optional<size_t> chunk;
   uint64_t limit = 0;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--chunk" && i + 1 < argc) {
-      chunk = static_cast<size_t>(std::atoll(argv[++i]));
+      size_t index = 0;
+      if (!ParseDecimal(argv[++i], index)) {
+        Usage();
+        return 2;
+      }
+      chunk = index;
     } else if (arg == "--limit" && i + 1 < argc) {
-      limit = static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!ParseDecimal(argv[++i], limit)) {
+        Usage();
+        return 2;
+      }
     } else if (path.empty()) {
       path = arg;
     } else {
@@ -375,15 +362,16 @@ int CmdCat(int argc, char** argv) {
   }
   ArchiveReader archive(path);
   PrintDiagnostics(archive);
+  if (chunk && *chunk >= archive.chunk_count()) {
+    std::fprintf(stderr, "wrltrace: --chunk %zu out of range (archive has %zu chunks)\n", *chunk,
+                 archive.chunk_count());
+    Usage();
+    return 2;
+  }
   uint64_t printed = 0;
   std::vector<uint32_t> buffer;
-  const size_t begin = chunk == static_cast<size_t>(-1) ? 0 : chunk;
-  const size_t end = chunk == static_cast<size_t>(-1) ? archive.chunk_count() : chunk + 1;
-  if (begin >= archive.chunk_count() && begin != end) {
-    throw Error(StrFormat("wrltrace: chunk %zu out of range (archive has %zu)", begin,
-                          archive.chunk_count()));
-  }
-  for (size_t i = begin; i < end && i < archive.chunk_count(); ++i) {
+  const size_t end = chunk ? *chunk + 1 : archive.chunk_count();
+  for (size_t i = chunk.value_or(0); i < end; ++i) {
     archive.DecodeChunk(i, buffer);
     for (uint32_t word : buffer) {
       std::printf("0x%08x\n", word);
@@ -409,7 +397,10 @@ int CmdReplay(int argc, char** argv) {
     } else if (arg == "--expect" && i + 1 < argc) {
       expect_path = argv[++i];
     } else if (arg == "--decode-workers" && i + 1 < argc) {
-      decode_workers = static_cast<unsigned>(std::atoi(argv[++i]));
+      if (!ParseDecimal(argv[++i], decode_workers) || decode_workers < 1) {
+        Usage();
+        return 2;
+      }
     } else if (path.empty()) {
       path = arg;
     } else {
@@ -426,34 +417,17 @@ int CmdReplay(int argc, char** argv) {
   PrintDiagnostics(archive);
   RebuiltSystems sys = RebuildFromMeta(archive);
 
-  TraceDrivenSimulator simulator(sys.pconfig);
-  simulator.AddTextImage(sys.measured->kernel_exe());
-  simulator.AddTextImage(sys.measured->workload_orig());
-
   ReplayEngine engine(MakeSource(archive, sys));
-  std::vector<ReplayEngine::Config> configs;
-  configs.push_back({"primary", [&simulator] {
-                       // Non-owning: the simulator outlives the fan-out.
-                       class Borrowed : public RefBatchSink {
-                        public:
-                         explicit Borrowed(RefBatchSink* t) : t_(t) {}
-                         void OnRefBatch(const TraceRef* refs, size_t n) override {
-                           t_->OnRefBatch(refs, n);
-                         }
-
-                        private:
-                         RefBatchSink* t_;
-                       };
-                       return std::make_unique<Borrowed>(&simulator);
-                     }});
   ReplayEngine::Options ropts;
   ropts.decode_workers = decode_workers;
-  engine.Run(configs, ropts);
-  Prediction prediction = simulator.Finish();
+  std::vector<ReplayEngine::Outcome> outcomes = engine.Run(
+      {{"primary", [&sys] { return ExperimentSimulator(*sys.measured, sys.pconfig); }}}, ropts);
+  auto* simulator = static_cast<TraceDrivenSimulator*>(outcomes[0].sink.get());
+  Prediction prediction = simulator->Finish();
 
   StatsRegistry registry;
   engine.RegisterParserStats(registry, "parser.");
-  simulator.RegisterStats(registry, "predicted.");
+  simulator->RegisterStats(registry, "predicted.");
   StatsSnapshot stats = registry.Snapshot();
 
   std::printf("wrltrace: replayed %s: %llu words -> %llu refs, predicted %.0f cycles\n",
@@ -465,7 +439,7 @@ int CmdReplay(int argc, char** argv) {
                  static_cast<unsigned long long>(engine.parser_stats().validation_errors));
   }
   if (!json_path.empty()) {
-    WriteAnalysisJson(json_path, "replay", sys.workload.name, sys.personality, path,
+    WriteAnalysisJson(json_path, "replay", sys.workload.name, sys.options.personality, path,
                       prediction.PredictedCycles(), stats);
   }
 
