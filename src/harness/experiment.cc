@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -260,29 +263,58 @@ void ProfileSystemSpaces(TraceProfiler& profiler, const SystemInstance& traced) 
   }
 }
 
-ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive) {
+ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive, double* scale) {
   ExperimentOptions options;
   const std::string personality = archive.MetaValue("personality");
   if (!personality.empty()) {
     options.personality = PersonalityFromName(personality);
   }
-  auto read = [&archive](const char* key, auto& field) {
+  auto reject = [](const char* key, const std::string& text, const char* expected) {
+    throw Error(StrFormat("archive metadata '%s' has invalid value '%s' (expected %s)", key,
+                          text.c_str(), expected));
+  };
+  // Integer keys: decimal digits only, no larger than their field holds.
+  auto read_integer = [&](const char* key, auto& field) {
     const std::string text = archive.MetaValue(key);
     if (text.empty()) {
       return;
     }
     using Field = std::remove_reference_t<decltype(field)>;
-    if constexpr (std::is_floating_point_v<Field>) {
-      field = std::strtod(text.c_str(), nullptr);
-    } else {
-      field = static_cast<Field>(std::strtoull(text.c_str(), nullptr, 10));
+    const uint64_t max = std::numeric_limits<Field>::max();
+    uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || value > max) {
+      reject(key, text, StrFormat("decimal digits, at most %llu",
+                                  static_cast<unsigned long long>(max)).c_str());
     }
+    field = static_cast<Field>(value);
   };
-  read("clock_period", options.clock_period);
-  read("dilation", options.dilation);
-  read("trace_buf_bytes", options.trace_buf_bytes);
-  read("scavenge", options.scavenge);
-  read("max_instructions", options.max_instructions);
+  // Real keys: finite and inside [0, max], so every conversion they feed
+  // is defined.
+  auto read_real = [&](const char* key, double& field, double max, const char* range) {
+    const std::string text = archive.MetaValue(key);
+    if (text.empty()) {
+      return;
+    }
+    double value = 0;
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || !std::isfinite(value) || value < 0 || value > max) {
+      reject(key, text, range);
+    }
+    field = value;
+  };
+  read_integer("clock_period", options.clock_period);
+  read_real("dilation", options.dilation, 4294967295.0, "a number in [0, 4294967295]");
+  read_integer("trace_buf_bytes", options.trace_buf_bytes);
+  read_integer("scavenge", options.scavenge);
+  read_integer("max_instructions", options.max_instructions);
+  double workload_scale = 1;
+  read_real("scale", workload_scale, 1024.0, "a number in [0, 1024]");
+  if (scale != nullptr) {
+    *scale = workload_scale;
+  }
   return options;
 }
 

@@ -270,7 +270,17 @@ void ProfileSystemSpaces(TraceProfiler& profiler, const SystemInstance& traced);
 
 // The options a harness-recorded archive identifies, read back as
 // RunExperiment wrote them; a key the archive lacks keeps its default.
-ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive);
+// `*scale`, when given, receives the workload scale a tool recorded under
+// `scale` (default 1).  Every identity key is validated, since archive
+// bytes are untrusted: clock_period, trace_buf_bytes, scavenge and
+// max_instructions must be decimal digits within their field (scavenge is
+// 0 or 1); dilation must be a finite number in [0, 4294967295], the range
+// the traced clock's uint32_t truncation defines; scale must be a finite
+// number in [0, 1024], which keeps the workload generators' largest
+// scaled input (eqntott's 2 MiB table) inside uint32_t.  A bad value
+// throws wrl::Error naming the key and the value.
+ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive,
+                                            double* scale = nullptr);
 
 // Runs one workload through both systems.
 ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOptions& options);

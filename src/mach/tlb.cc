@@ -7,8 +7,7 @@ namespace wrl {
 std::optional<unsigned> Tlb::Lookup(uint32_t vaddr, uint8_t asid) const {
   uint32_t vpn = vaddr >> 12;
   for (unsigned i = 0; i < kEntries; ++i) {
-    const TlbEntry& e = entries_[i];
-    if (e.vpn() == vpn && (e.global() || e.asid() == asid)) {
+    if (entries_[i].Matches(vpn, asid)) {
       return i;
     }
   }

@@ -25,6 +25,12 @@ struct TlbEntry {
   bool dirty() const { return (entry_lo >> 10) & 1; }
   bool valid() const { return (entry_lo >> 9) & 1; }
   bool global() const { return (entry_lo >> 8) & 1; }
+
+  // The associative match rule: VPN equality and (global || ASID match);
+  // validity and dirtiness are the caller's business, as on real hardware.
+  bool Matches(uint32_t page, uint8_t match_asid) const {
+    return vpn() == page && (global() || asid() == match_asid);
+  }
 };
 
 inline uint32_t MakeEntryHi(uint32_t vaddr, uint8_t asid) {
@@ -42,9 +48,8 @@ class Tlb {
 
   explicit Tlb(unsigned wired = 8) : wired_(wired) { Reset(); }
 
-  // Associative lookup.  Returns the matching entry index, or nullopt.
-  // A match requires VPN equality and (global || asid match); validity and
-  // dirtiness are the caller's business, as on real hardware.
+  // Associative lookup (TlbEntry::Matches).  Returns the first matching
+  // entry's index, or nullopt.
   std::optional<unsigned> Lookup(uint32_t vaddr, uint8_t asid) const;
 
   TlbEntry& entry(unsigned index) { return entries_[index]; }

@@ -8,7 +8,8 @@
 namespace wrl {
 
 TraceDrivenSimulator::TraceDrivenSimulator(const PredictorConfig& config)
-    : config_(config), memsys_(config.memsys), tlb_(config.tlb_wired) {
+    : config_(config), memsys_(config.memsys), tlb_(config.tlb_wired),
+      translator_(config.page_map) {
   tlb_.SetSynthesizedSink(&synth_sink_);
 }
 
@@ -20,26 +21,29 @@ void TraceDrivenSimulator::SynthSink::OnRefBatch(const TraceRef* refs, size_t co
 }
 
 void TraceDrivenSimulator::AddTextImage(const Executable& exe) {
-  images_.push_back({exe.text_base, exe.text});
+  Image image{exe.text_base, std::vector<uint8_t>(exe.text.size() / 4)};
+  for (size_t i = 0; i < image.stall_cycles.size(); ++i) {
+    uint32_t word;
+    std::memcpy(&word, exe.text.data() + 4 * i, 4);
+    Op op = Decode(word).op;
+    image.stall_cycles[i] = static_cast<uint8_t>(IsArithStall(op) ? ArithStallCycles(op) : 0);
+  }
+  images_.push_back(std::move(image));
 }
 
-uint32_t TraceDrivenSimulator::TextWordAt(uint32_t addr) const {
+unsigned TraceDrivenSimulator::ArithStallAt(uint32_t addr) const {
   for (const Image& image : images_) {
-    if (addr >= image.base && addr + 4 <= image.base + image.text.size()) {
-      uint32_t w;
-      std::memcpy(&w, image.text.data() + (addr - image.base), 4);
-      return w;
+    // Unsigned offsets wrap below the base, so one compare bounds both ends.
+    const uint32_t word = (addr - image.base) / 4;
+    if (word < image.stall_cycles.size()) {
+      return image.stall_cycles[word];
     }
   }
   return 0;
 }
 
-uint32_t TraceDrivenSimulator::Translate(const TraceRef& ref) const {
-  return TranslateRef(ref, config_.page_map);
-}
-
 void TraceDrivenSimulator::Access(const TraceRef& ref) {
-  uint32_t paddr = Translate(ref);
+  uint32_t paddr = translator_.Translate(ref);
   bool uncached = InKseg1(ref.addr);
   uint64_t stall = 0;
   switch (ref.kind) {
@@ -78,13 +82,7 @@ void TraceDrivenSimulator::OnRef(const TraceRef& ref) {
       ++result_.user_instructions;
     }
     // Pixie-style arithmetic-stall estimate from the original text.
-    uint32_t word = TextWordAt(ref.addr);
-    if (word != 0) {
-      Op op = Decode(word).op;
-      if (IsArithStall(op)) {
-        result_.arith_stall_cycles += ArithStallCycles(op);
-      }
-    }
+    result_.arith_stall_cycles += ArithStallAt(ref.addr);
   }
   tlb_.OnRef(ref);
   Access(ref);

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "mach/address_space.h"
@@ -43,23 +44,61 @@ using PageMapFn = std::function<uint32_t(uint32_t pid, uint32_t vpn)>;
 // synthetic mapping inside the PT pool (runtime frames are unknowable from
 // the trace — a tiny and deliberate approximation); kuseg goes through the
 // page-mapping policy, with kernel references attributed to pid 1.
-inline uint32_t TranslateRef(const TraceRef& ref, const PageMapFn& page_map) {
-  uint32_t vaddr = ref.addr;
-  if (InKseg0(vaddr) || InKseg1(vaddr)) {
-    return vaddr & 0x1fffffffu;
+//
+// kuseg frames are memoized in a direct-mapped table keyed on the whole
+// (pid, VPN) pair, so the policy runs once per memo miss instead of once
+// per reference.  That is exact because a page map is a pure function
+// (PredictorConfig::page_map).
+class PageTranslator {
+ public:
+  explicit PageTranslator(PageMapFn page_map)
+      : page_map_(std::move(page_map)), memo_(page_map_ ? kMemoSlots : 0) {}
+
+  uint32_t Translate(const TraceRef& ref) {
+    uint32_t vaddr = ref.addr;
+    if (InKseg0(vaddr) || InKseg1(vaddr)) {
+      return vaddr & 0x1fffffffu;
+    }
+    if (InKseg2(vaddr)) {
+      return 0x00600000u | (vaddr & 0x001ff000u) | (vaddr & 0xfffu);
+    }
+    uint32_t pid = ref.pid == kKernelPid ? 1 : ref.pid;
+    return (Frame(pid, vaddr >> 12) << 12) | (vaddr & 0xfffu);
   }
-  if (InKseg2(vaddr)) {
-    return 0x00600000u | (vaddr & 0x001ff000u) | (vaddr & 0xfffu);
+
+ private:
+  static constexpr unsigned kMemoBits = 10;
+  static constexpr size_t kMemoSlots = size_t{1} << kMemoBits;
+  // kuseg VPNs take 19 bits and pids 8, so no key reaches this.
+  static constexpr uint32_t kEmpty = 0xffffffffu;
+
+  uint32_t Frame(uint32_t pid, uint32_t vpn) {
+    if (!page_map_) {
+      return vpn;
+    }
+    const uint32_t key = (pid << 19) | vpn;
+    Slot& slot = memo_[(key * 0x9e3779b1u) >> (32 - kMemoBits)];
+    if (slot.key != key) {
+      slot.pfn = page_map_(pid, vpn);  // May throw: tag the slot after.
+      slot.key = key;
+    }
+    return slot.pfn;
   }
-  uint32_t pid = ref.pid == kKernelPid ? 1 : ref.pid;
-  uint32_t pfn = page_map ? page_map(pid, vaddr >> 12) : (vaddr >> 12);
-  return (pfn << 12) | (vaddr & 0xfffu);
-}
+
+  struct Slot {
+    uint32_t key = kEmpty;
+    uint32_t pfn = 0;
+  };
+  PageMapFn page_map_;
+  std::vector<Slot> memo_;
+};
 
 struct PredictorConfig {
   MemSysConfig memsys;
   // The idle-loop scaling factor compensating for time dilation.
   double dilation = 15.0;
+  // Must be a pure function of (pid, vpn): same arguments, same frame,
+  // no matter when or how often it is called.  PageTranslator memoizes it.
   PageMapFn page_map;
   // Wired entries of the simulated TLB (replay sweeps vary this).
   unsigned tlb_wired = 8;
@@ -105,7 +144,8 @@ class TraceDrivenSimulator : public RefBatchSink {
   explicit TraceDrivenSimulator(const PredictorConfig& config);
 
   // Registers an original binary image so arithmetic stalls can be
-  // estimated pixie-style from its text.
+  // estimated pixie-style from its text.  Each word's stall cycles are
+  // decoded once, here; the image must not change afterwards.
   void AddTextImage(const Executable& exe);
 
   void OnRef(const TraceRef& ref);
@@ -139,21 +179,21 @@ class TraceDrivenSimulator : public RefBatchSink {
 
   void Access(const TraceRef& ref);
   bool current_is_kernel_ = false;
-  uint32_t Translate(const TraceRef& ref) const;
-  // Decoded original instruction word at an original text address (0 if
-  // unknown).
-  uint32_t TextWordAt(uint32_t addr) const;
+  // Arithmetic-stall cycles of the original instruction at a word-aligned
+  // text address (0 outside every registered image).
+  unsigned ArithStallAt(uint32_t addr) const;
 
   PredictorConfig config_;
   MemorySystem memsys_;
   TlbSimulator tlb_;
+  PageTranslator translator_;
   SynthSink synth_sink_{this};
   Prediction result_;
   uint64_t now_ = 0;  // Simulated cycle time driving the write buffer.
 
   struct Image {
     uint32_t base;
-    std::vector<uint8_t> text;
+    std::vector<uint8_t> stall_cycles;  // Per original text word.
   };
   std::vector<Image> images_;
 };

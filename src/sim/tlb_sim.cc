@@ -4,6 +4,24 @@
 
 namespace wrl {
 
+std::optional<unsigned> TlbSimulator::Find(uint32_t vaddr, uint8_t asid) {
+  uint8_t& hint = hint_[HintSlot(vaddr)];
+  if (tlb_.entry(hint).Matches(vaddr >> 12, asid)) {
+    return hint;
+  }
+  std::optional<unsigned> index = tlb_.Lookup(vaddr, asid);
+  if (index) {
+    hint = static_cast<uint8_t>(*index);
+  }
+  return index;
+}
+
+void TlbSimulator::Refill(uint32_t vaddr, const TlbEntry& entry) {
+  const unsigned slot = tlb_.Random(instruction_counter_);
+  tlb_.entry(slot) = entry;
+  hint_[HintSlot(vaddr)] = static_cast<uint8_t>(slot);
+}
+
 bool TlbSimulator::OnRef(const TraceRef& ref) {
   if (ref.kind == TraceRef::kIfetch) {
     ++instruction_counter_;
@@ -15,12 +33,9 @@ bool TlbSimulator::OnRef(const TraceRef& ref) {
   uint8_t asid = (ref.pid == kKernelPid) ? 0 : ref.pid;
   if (InKseg2(vaddr)) {
     // Mapped kernel segment: global entries.
-    auto index = tlb_.Lookup(vaddr, asid);
-    if (!index) {
+    if (!Find(vaddr, asid)) {
       ++stats_.ktlb_misses;
-      unsigned slot = tlb_.Random(instruction_counter_);
-      tlb_.entry(slot) = {MakeEntryHi(vaddr, asid),
-                          MakeEntryLo(vaddr & 0x0ffff000u, true, true, true)};
+      Refill(vaddr, {MakeEntryHi(vaddr, asid), MakeEntryLo(vaddr & 0x0ffff000u, true, true, true)});
     }
     return false;
   }
@@ -39,14 +54,13 @@ bool TlbSimulator::OnRef(const TraceRef& ref) {
   if (ref.pid != kKernelPid) {
     last_user_asid_ = ref.pid;
   }
-  auto index = tlb_.Lookup(vaddr, asid);
+  auto index = Find(vaddr, asid);
   if (index && tlb_.entry(*index).valid()) {
     return false;
   }
   ++stats_.utlb_misses;
-  unsigned slot = tlb_.Random(instruction_counter_);
-  tlb_.entry(slot) = {MakeEntryHi(vaddr, asid), MakeEntryLo(0, true, true, false)};
-  SynthesizeHandler({ref.kind, vaddr, 4, asid, false, false});
+  Refill(vaddr, {MakeEntryHi(vaddr, asid), MakeEntryLo(0, true, true, false)});
+  SynthesizeHandler({vaddr, ref.kind, 4, asid, false, false});
   return true;
 }
 
@@ -58,10 +72,10 @@ void TlbSimulator::SynthesizeHandler(const TraceRef& ref) {
   // then the linear page-table load in kseg2 (PTEBase + vpn*4).
   TraceRef handler[kHandlerInstructions + 1];
   for (unsigned i = 0; i < kHandlerInstructions; ++i) {
-    handler[i] = {TraceRef::kIfetch, kVecUtlbMiss + 4 * i, 4, kKernelPid, true, false};
+    handler[i] = {kVecUtlbMiss + 4 * i, TraceRef::kIfetch, 4, kKernelPid, true, false};
   }
   uint32_t pte_addr = kKseg2 + (static_cast<uint32_t>(ref.pid) << 21) + ((ref.addr >> 12) << 2);
-  handler[kHandlerInstructions] = {TraceRef::kLoad, pte_addr, 4, kKernelPid, true, false};
+  handler[kHandlerInstructions] = {pte_addr, TraceRef::kLoad, 4, kKernelPid, true, false};
   synth_sink_->OnRefBatch(handler, kHandlerInstructions + 1);
 }
 

@@ -174,7 +174,8 @@ uint64_t StackDistanceProfiler::MissesAtCapacity(unsigned capacity) const {
 
 // ---- SweepEngine -------------------------------------------------------
 
-SweepEngine::SweepEngine(const SweepConfig& config) : config_(config), tlb_(config.tlb_wired) {
+SweepEngine::SweepEngine(const SweepConfig& config)
+    : config_(config), tlb_(config.tlb_wired), translator_(config.page_map) {
   for (const CacheFamilySpec& spec : config.icache) {
     iforests_.emplace_back(spec.line_bytes, spec.min_size_bytes, spec.max_size_bytes);
   }
@@ -193,7 +194,7 @@ void SweepEngine::CacheAccess(const TraceRef& ref) {
     }
     return;
   }
-  const uint32_t paddr = TranslateRef(ref, config_.page_map);
+  const uint32_t paddr = translator_.Translate(ref);
   switch (ref.kind) {
     case TraceRef::kIfetch:
       for (CacheForest& forest : iforests_) {

@@ -168,7 +168,8 @@ struct CacheFamilySpec {
 
 struct SweepConfig {
   // The primary analysis configuration: penalties for derived timing, the
-  // page map and TLB wiring that fix the (shared) reference stream.
+  // page map and TLB wiring that fix the (shared) reference stream.  The
+  // page map must be pure, as PredictorConfig::page_map documents.
   MemSysConfig base;
   PageMapFn page_map;
   unsigned tlb_wired = 8;
@@ -262,6 +263,7 @@ class SweepEngine : public RefBatchSink {
 
   SweepConfig config_;
   TlbSimulator tlb_;
+  PageTranslator translator_;
   SynthSink synth_sink_{this};
   std::vector<CacheForest> iforests_;
   std::vector<CacheForest> dforests_;

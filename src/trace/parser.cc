@@ -135,7 +135,7 @@ void TraceParser::EmitFetches() {
     if (kernel && addr < kKseg0) {
       RecordError(StrFormat("kernel instruction address 0x%08x outside kernel space", addr));
     }
-    EmitRef({TraceRef::kIfetch, addr, 4, pid_, kernel, idle_});
+    EmitRef({addr, TraceRef::kIfetch, 4, pid_, kernel, idle_});
     ++cursor_.next_inst;
     if (cursor_.next_mem < info.mem_ops.size() &&
         cursor_.next_inst - 1 == info.mem_ops[cursor_.next_mem].index) {
@@ -183,7 +183,7 @@ void TraceParser::HandleKey(uint32_t word) {
 void TraceParser::HandleData(uint32_t word) {
   const TraceBlockInfo& info = *cursor_.info;
   const MemOpStatic& op = info.mem_ops[cursor_.next_mem];
-  EmitRef({op.is_store ? TraceRef::kStore : TraceRef::kLoad, word, op.bytes, pid_,
+  EmitRef({word, op.is_store ? TraceRef::kStore : TraceRef::kLoad, op.bytes, pid_,
            pid_ == kKernelPid, idle_});
   ++cursor_.next_mem;
   EmitFetches();

@@ -69,16 +69,23 @@ class TraceInfoTable {
   std::unordered_map<uint32_t, TraceBlockInfo> blocks_;
 };
 
-// One reconstructed reference.
+// One reconstructed reference, packed into 8 bytes: the 32-bit address
+// first, so no padding precedes it, then one byte each for kind, access
+// size and pid, and the two flags as 1-bit fields sharing the last byte.
+// The replay stream and every batch a sink reads are arrays of these, so
+// the size is the memory traffic per reference.  Aggregate initializers
+// list the fields in declaration order: {addr, kind, bytes, pid, kernel,
+// idle}.
 struct TraceRef {
   enum Kind : uint8_t { kIfetch, kLoad, kStore };
-  Kind kind;
   uint32_t addr;   // Original-binary virtual address.
+  Kind kind;
   uint8_t bytes;
   uint8_t pid;     // 0xff for kernel.
-  bool kernel;
-  bool idle;       // Inside the kernel idle loop (per block flags).
+  bool kernel : 1;
+  bool idle : 1;   // Inside the kernel idle loop (per block flags).
 };
+static_assert(sizeof(TraceRef) == 8, "TraceRef must stay packed into 8 bytes");
 
 constexpr uint8_t kKernelPid = 0xff;
 

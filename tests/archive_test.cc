@@ -445,6 +445,70 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
   EXPECT_GT(compared, 10u);
 }
 
+// An archive whose identity metadata is the test's, over one tiny chunk.
+ArchiveReader ArchiveWithMeta(const std::string& name, const ArchiveMeta& meta) {
+  const std::string path = TempPath(name);
+  {
+    ArchiveWriter writer(path, meta, ArchiveWriter::Options{});
+    writer.Append(std::vector<uint32_t>{0x80001000, 0x80001004});
+    writer.Finalize();
+  }
+  return ArchiveReader(path);
+}
+
+TEST(ArchiveExperiment, ReadsBackValidIdentityMetadata) {
+  ArchiveReader archive = ArchiveWithMeta(
+      "meta_valid.wrl", {{"workload", "sed"}, {"personality", "mach"}, {"clock_period", "4096"},
+                         {"dilation", "12.5"}, {"trace_buf_bytes", "4294967295"},
+                         {"scavenge", "0"}, {"max_instructions", "18446744073709551615"},
+                         {"scale", "0.05"}});
+  double scale = 0;
+  const ExperimentOptions options = ArchivedExperimentOptions(archive, &scale);
+  EXPECT_EQ(options.personality, Personality::kMach);
+  EXPECT_EQ(options.clock_period, 4096u);
+  EXPECT_EQ(options.dilation, 12.5);
+  EXPECT_EQ(options.trace_buf_bytes, 4294967295u);
+  EXPECT_FALSE(options.scavenge);
+  EXPECT_EQ(options.max_instructions, 18446744073709551615u);
+  EXPECT_EQ(scale, 0.05);
+}
+
+// Each malformed identity value must fail loudly, naming its key and
+// value, instead of silently becoming 0 or reaching an undefined
+// float-to-integer conversion.
+void ExpectRejected(const std::string& key, const std::string& value) {
+  SCOPED_TRACE(key + "=" + value);
+  ArchiveReader archive =
+      ArchiveWithMeta("meta_" + key + ".wrl", {{"workload", "sed"}, {key, value}});
+  try {
+    ArchivedExperimentOptions(archive);
+    ADD_FAILURE() << "accepted";
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'" + key + "'"), std::string::npos) << message;
+    EXPECT_NE(message.find("'" + value + "'"), std::string::npos) << message;
+  }
+}
+
+TEST(ArchiveExperiment, RejectsNanDilation) { ExpectRejected("dilation", "nan"); }
+TEST(ArchiveExperiment, RejectsHugeDilation) { ExpectRejected("dilation", "1e300"); }
+TEST(ArchiveExperiment, RejectsMalformedClockPeriod) { ExpectRejected("clock_period", "12x"); }
+TEST(ArchiveExperiment, RejectsOutOfRangeTraceBuffer) {
+  ExpectRejected("trace_buf_bytes", "99999999999");
+}
+TEST(ArchiveExperiment, RejectsInfiniteScale) { ExpectRejected("scale", "inf"); }
+
+TEST(ArchiveExperiment, RejectsOtherMalformedIdentityValues) {
+  ExpectRejected("dilation", "-1");
+  ExpectRejected("dilation", "15 ");
+  ExpectRejected("clock_period", "-5");
+  ExpectRejected("clock_period", "+5");
+  ExpectRejected("scavenge", "2");
+  ExpectRejected("max_instructions", "18446744073709551616");
+  ExpectRejected("scale", "2048");
+  ExpectRejected("scale", "0x1p3");
+}
+
 TEST(ArchiveExperiment, PipelinedAndSynchronousTeesWriteIdenticalArchives) {
   const std::string path_a = TempPath("tee_sync.wrl");
   const std::string path_b = TempPath("tee_pipe.wrl");

@@ -31,13 +31,13 @@ namespace {
 // the data reference arrives, then the run resumes.
 
 TraceRef Ifetch(uint32_t addr, uint8_t pid = 1) {
-  return {TraceRef::kIfetch, addr, 4, pid, pid == kKernelPid, false};
+  return {addr, TraceRef::kIfetch, 4, pid, pid == kKernelPid, false};
 }
 TraceRef Load(uint32_t addr, uint8_t pid = 1) {
-  return {TraceRef::kLoad, addr, 4, pid, pid == kKernelPid, false};
+  return {addr, TraceRef::kLoad, 4, pid, pid == kKernelPid, false};
 }
 TraceRef Store(uint32_t addr, uint8_t pid = 1) {
-  return {TraceRef::kStore, addr, 4, pid, pid == kKernelPid, false};
+  return {addr, TraceRef::kStore, 4, pid, pid == kKernelPid, false};
 }
 
 // Two user blocks: A = 2 insts, no mem ops; B = 3 insts, load at index 1.

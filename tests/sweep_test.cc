@@ -345,6 +345,164 @@ TEST(SweepEngine, TlbCurveMatchesExactLruReplays) {
   }
 }
 
+// ---- The memoized page-map translation ---------------------------------
+
+// The analysis translation with no memo: every kuseg reference calls the
+// page map afresh.
+uint32_t UnmemoizedTranslate(const TraceRef& ref, const PageMapFn& page_map) {
+  const uint32_t vaddr = ref.addr;
+  if (InKseg0(vaddr) || InKseg1(vaddr)) {
+    return vaddr & 0x1fffffffu;
+  }
+  if (InKseg2(vaddr)) {
+    return 0x00600000u | (vaddr & 0x001ff000u) | (vaddr & 0xfffu);
+  }
+  const uint32_t pid = ref.pid == kKernelPid ? 1 : ref.pid;
+  return (page_map(pid, vaddr >> 12) << 12) | (vaddr & 0xfffu);
+}
+
+// The cache-indexing halves of TraceDrivenSimulator (one MemorySystem,
+// timed the same way) and SweepEngine (one forest per family), both fed
+// through UnmemoizedTranslate in the consumers' own order: synthesized
+// handler refs first, then the triggering reference.
+class UnmemoizedCacheReference : public RefBatchSink {
+ public:
+  UnmemoizedCacheReference(const PageMapFn& page_map, const SweepConfig& sweep)
+      : memsys(MemSysConfig{}), page_map_(page_map), tlb_(sweep.tlb_wired) {
+    for (const CacheFamilySpec& spec : sweep.icache) {
+      iforests.emplace_back(spec.line_bytes, spec.min_size_bytes, spec.max_size_bytes);
+    }
+    for (const CacheFamilySpec& spec : sweep.dcache) {
+      dforests.emplace_back(spec.line_bytes, spec.min_size_bytes, spec.max_size_bytes);
+    }
+    tlb_.SetSynthesizedSink(&synth_);
+  }
+
+  void OnRefBatch(const TraceRef* refs, size_t count) override {
+    for (size_t i = 0; i < count; ++i) {
+      tlb_.OnRef(refs[i]);
+      Access(refs[i]);
+    }
+  }
+
+  MemorySystem memsys;
+  uint64_t mem_stall_cycles = 0;
+  std::vector<CacheForest> iforests;
+  std::vector<CacheForest> dforests;
+
+ private:
+  void Access(const TraceRef& ref) {
+    const uint32_t paddr = UnmemoizedTranslate(ref, page_map_);
+    const bool uncached = InKseg1(ref.addr);
+    uint64_t stall = 0;
+    switch (ref.kind) {
+      case TraceRef::kIfetch:
+        stall = uncached ? memsys.UncachedLoad(paddr, now_) : memsys.Fetch(paddr, now_);
+        break;
+      case TraceRef::kLoad:
+        stall = uncached ? memsys.UncachedLoad(paddr, now_) : memsys.Load(paddr, now_);
+        break;
+      case TraceRef::kStore:
+        stall = uncached ? memsys.UncachedStore(paddr, now_) : memsys.Store(paddr, now_);
+        break;
+    }
+    mem_stall_cycles += stall;
+    now_ += stall + (ref.kind == TraceRef::kIfetch ? 1 : 0);
+    if (!uncached && ref.kind != TraceRef::kStore) {
+      for (CacheForest& forest : ref.kind == TraceRef::kIfetch ? iforests : dforests) {
+        forest.Access(paddr);
+      }
+    }
+  }
+
+  PageMapFn page_map_;
+  TlbSimulator tlb_;
+  RefFnSink synth_{[this](const TraceRef& ref) { Access(ref); }};
+  uint64_t now_ = 0;
+};
+
+TEST(PageTranslator, ConsumersIndexCachesExactlyAsUnmemoizedTranslation) {
+  // A pid-dependent pure page map: one VPN maps to a different frame under
+  // every pid, so a memo hit for the wrong pid reindexes the caches.
+  uint64_t calls = 0;
+  PageMapFn page_map = [&calls](uint32_t pid, uint32_t vpn) {
+    ++calls;
+    return (vpn * 40503u + pid * 7919u) & 0x3fffu;
+  };
+  // Three processes over one 700-page layout, with kernel references into
+  // kuseg (translated as pid 1): 2100 (pid, VPN) keys, so keys collide in
+  // the 1024-slot memo, and the same VPN recurs under every pid.
+  Rng rng(37);
+  std::vector<TraceRef> refs;
+  uint8_t pid = 1;
+  uint32_t recent[16] = {};
+  for (int i = 0; i < 300000; ++i) {
+    if (rng.Below(300) == 0) {
+      pid = static_cast<uint8_t>(1 + rng.Below(3));
+    }
+    uint32_t& page = recent[rng.Below(16)];
+    if (page == 0 || rng.Below(8) == 0) {
+      page = 0x00400u + rng.Below(700);
+    }
+    const uint32_t roll = rng.Below(100);
+    const TraceRef::Kind kind = roll < 60   ? TraceRef::kIfetch
+                                : roll < 85 ? TraceRef::kLoad
+                                            : TraceRef::kStore;
+    const uint32_t addr = (page << 12) + rng.Below(kPageBytes / 4) * 4;
+    if (roll % 10 == 0) {
+      refs.push_back({addr, kind, 4, kKernelPid, true, false});
+    } else if (roll % 10 == 1) {
+      refs.push_back({kKseg0 + rng.Below(1u << 16) * 4, kind, 4, kKernelPid, true, false});
+    } else {
+      refs.push_back({addr, kind, 4, pid, false, false});
+    }
+  }
+
+  SweepConfig sweep_config;
+  sweep_config.page_map = page_map;
+  sweep_config.icache.push_back({16, 1024, 64 * 1024});
+  sweep_config.dcache.push_back({4, 1024, 64 * 1024});
+  PredictorConfig predictor_config;
+  predictor_config.page_map = page_map;
+
+  UnmemoizedCacheReference reference(page_map, sweep_config);
+  reference.OnRefBatch(refs.data(), refs.size());
+  const uint64_t unmemoized_calls = calls;
+
+  calls = 0;
+  TraceDrivenSimulator sim(predictor_config);
+  sim.OnRefBatch(refs.data(), refs.size());
+  const Prediction p = sim.Finish();
+  const MemSysStats& want = reference.memsys.stats();
+  EXPECT_EQ(p.memsys_stats.inst_fetches, want.inst_fetches);
+  EXPECT_EQ(p.memsys_stats.icache_misses, want.icache_misses);
+  EXPECT_EQ(p.memsys_stats.data_reads, want.data_reads);
+  EXPECT_EQ(p.memsys_stats.dcache_misses, want.dcache_misses);
+  EXPECT_EQ(p.memsys_stats.data_writes, want.data_writes);
+  EXPECT_EQ(p.memsys_stats.wb_stall_cycles, want.wb_stall_cycles);
+  EXPECT_EQ(p.memsys_stats.uncached_reads, want.uncached_reads);
+  EXPECT_EQ(p.memsys_stats.uncached_writes, want.uncached_writes);
+  EXPECT_EQ(p.mem_stall_cycles, reference.mem_stall_cycles);
+  // The memo, not the page map, answered most references.
+  EXPECT_LT(calls, unmemoized_calls / 4);
+
+  SweepEngine sweep(sweep_config);
+  sweep.OnRefBatch(refs.data(), refs.size());
+  sweep.Finish();
+  for (const CacheForest& forest : reference.iforests) {
+    for (uint32_t size : forest.FamilySizes()) {
+      SCOPED_TRACE(size);
+      EXPECT_EQ(sweep.IcacheMisses(forest.line_bytes(), size), forest.Misses(size));
+    }
+  }
+  for (const CacheForest& forest : reference.dforests) {
+    for (uint32_t size : forest.FamilySizes()) {
+      SCOPED_TRACE(size);
+      EXPECT_EQ(sweep.DcacheMisses(forest.line_bytes(), size), forest.Misses(size));
+    }
+  }
+}
+
 // ---- Through the experiment harness, in every delivery mode ------------
 
 WorkloadSpec UnitWorkload() {

@@ -35,7 +35,6 @@
 // or hard error (wrong magic, unreadable file, unknown workload).
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -141,9 +140,9 @@ RebuiltSystems RebuildFromMeta(const ArchiveReader& archive) {
     throw Error("wrltrace: archive has no 'workload' metadata — cannot rebuild the "
                 "capturing system (was it recorded by the harness?)");
   }
-  sys.workload =
-      PaperWorkload(workload_name, std::strtod(archive.MetaValue("scale", "1").c_str(), nullptr));
-  sys.options = ArchivedExperimentOptions(archive);
+  double scale = 1;
+  sys.options = ArchivedExperimentOptions(archive, &scale);
+  sys.workload = PaperWorkload(workload_name, scale);
   sys.measured = BuildSystem(ExperimentSystemConfig(sys.workload, sys.options, false));
   sys.traced = BuildSystem(ExperimentSystemConfig(sys.workload, sys.options, true));
   sys.pconfig = ExperimentPredictorConfig(*sys.measured, sys.options);
