@@ -3,15 +3,14 @@
 // short-running and I/O-heavy ones (sed, compress) and the write-buffer-
 // bound one (liv) larger.
 //
-// The suite runs on the capture-once / replay-many pipeline with the
-// single-pass sweep engine on top: each workload's traced machine run is
-// captured into a packed TraceLog, and one parse of the capture feeds the
-// primary prediction and the what-if sweep (half/quarter-size caches, a
-// slower memory, more wired TLB entries) side by side — the geometry-only
-// variants (cache32k, cache16k) are absorbed by ONE forest-simulation sweep
-// with exact miss counts, and only the non-sweepable ones (slowmem,
-// wired16 — different penalties / TLB wiring change the effective stream)
-// get dedicated simulators.
+// Each workload's traced machine run also prices a what-if sweep
+// (half/quarter-size caches, a slower memory, more wired TLB entries): one
+// live parse of the trace feeds the primary prediction and every variant
+// side by side on the analysis tee.  The geometry-only variants (cache32k,
+// cache16k) are absorbed by ONE forest-simulation sweep with exact miss
+// counts, and only the non-sweepable ones (slowmem, wired16 — different
+// penalties / TLB wiring change the effective stream) get dedicated
+// simulators.
 #include <cmath>
 #include <cstdio>
 
@@ -21,7 +20,7 @@ using namespace wrl;
 
 namespace {
 
-// The what-if sweep replayed against each workload's capture.
+// The what-if sweep priced beside each workload's primary prediction.
 std::vector<ReplayVariant> SweepVariants() {
   std::vector<ReplayVariant> variants;
   {
@@ -64,8 +63,9 @@ int main(int argc, char** argv) {
   ExperimentOptions base;
   base.replay_variants = SweepVariants();
   // Absorb the geometry-only variants into the single-pass sweep engine;
-  // slowmem and wired16 still replay (their penalties / wiring are not
-  // sweepable).  The sweep also exports the LRU TLB capacity curve.
+  // slowmem and wired16 get their own simulators on the tee (their
+  // penalties / wiring are not sweepable).  The sweep also exports the LRU
+  // TLB capacity curve.
   base.sweep.enabled = true;
   base.sweep.tlb_max_entries = 64;
   std::vector<ExperimentResult> results =
@@ -84,15 +84,14 @@ int main(int argc, char** argv) {
   }
   printf("\nworst |error| = %.2f%%\n", worst);
 
-  // The replay sweep: predicted time for each what-if config, from the same
-  // single capture as the primary prediction (one traced run per workload).
-  printf("\n=== What-if sweep (one capture; '*' = priced by the sweep pass) ===\n");
+  // The what-if sweep: predicted time for each what-if config, from the same
+  // single parse as the primary prediction (one traced run per workload).
+  printf("\n=== What-if sweep (one parse; '*' = priced by the sweep pass) ===\n");
   printf("%-10s %10s", "workload", "primary");
   for (const ReplayVariant& v : base.replay_variants) {
     printf(" %10s", v.name.c_str());
   }
   printf("\n");
-  double mrefs_sum = 0;
   double sweep_mrefs_sum = 0;
   unsigned sweep_runs = 0;
   for (const ExperimentResult& r : results) {
@@ -102,18 +101,13 @@ int main(int argc, char** argv) {
              v.swept ? '*' : ' ');
     }
     printf("\n");
-    mrefs_sum += r.replay_mrefs_per_sec;
     if (r.sweep_ran && r.sweep_mrefs_per_sec > 0) {
       sweep_mrefs_sum += r.sweep_mrefs_per_sec;
       ++sweep_runs;
     }
   }
-  if (!results.empty()) {
-    printf("\ncapture compression %.2fx (first workload), replay fan-out %.1f Mrefs/s (mean)\n",
-           results.front().trace_compression, mrefs_sum / static_cast<double>(results.size()));
-  }
   if (sweep_runs > 0) {
-    printf("sweep pass: %.0f Mrefs/s equivalent (mean; family points x refs / pass wall time)\n",
+    printf("\nsweep pass: %.0f Mrefs/s equivalent (mean; family points x refs / pass wall time)\n",
            sweep_mrefs_sum / static_cast<double>(sweep_runs));
   }
   MaybeWriteRunReport(argc, argv, "bench_figure3", scale, results, &events);

@@ -260,9 +260,10 @@ void BM_TraceTableLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceTableLookup);
 
-// Capture-once/replay-many, end to end on a real trace: pack the traced
-// run's words into a TraceLog, parse once, replay the materialized stream
-// through a fresh TLB simulator in kRefBatchCapacity batches.
+// Batched delivery of a real trace's references: pack the traced run's
+// words into a TraceLog, collect the reconstructed stream once through a
+// ReplayEngine config, then time a fresh TLB simulator consuming it in
+// kRefBatchCapacity batches.
 void BM_ReplayBatched(benchmark::State& state) {
   BareBuild build = BuildBareTraced(kBody);
   BareTraceRun run = RunBareTraced(build);
@@ -272,8 +273,15 @@ void BM_ReplayBatched(benchmark::State& state) {
   source.log = &log;
   source.kernel_table = &build.table;
   ReplayEngine engine(std::move(source));
-  engine.Parse();
-  const std::vector<TraceRef>& refs = engine.refs();
+  std::vector<TraceRef> refs;
+  auto collect = [&refs] {
+    return std::make_unique<RefFnSink>([&refs](const TraceRef& r) { refs.push_back(r); });
+  };
+  engine.Run({{"collect", collect}});
+  if (refs.empty()) {
+    state.SkipWithError("the replay delivered no references");
+    return;
+  }
   uint64_t delivered = 0;
   for (auto _ : state) {
     TlbSimulator tlb;

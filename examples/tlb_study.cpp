@@ -3,11 +3,11 @@
 // single-pass sweep engine: the traced machine runs *once*, its drained
 // trace is captured into a packed TraceLog, and the whole configuration
 // family — every TLB capacity on the LRU curve plus an 8-point cache-size
-// family — is priced by ONE pass over the materialized stream
+// family — is priced by ONE streaming parse of the capture
 // (Mattson-style stack distances for the TLB, Hill-&-Smith forest
 // simulation for the caches), next to the faithful 64-entry production
-// model.  A K-point sweep costs one traced run + one parse + one pass,
-// instead of the K replays the previous revision fanned out.
+// model on the same tee.  A K-point sweep costs one traced run + one
+// parse, instead of K replays.
 //
 //   $ ./build/examples/tlb_study [--scale=S] [--jobs N] [--sweep-sizes=8,64,...]
 //                                [--check] [--json report.json]
@@ -18,9 +18,9 @@
 //
 // With --json the run emits a wrlstats/1 report: the full counter-registry
 // snapshot of the traced and measured systems, the capture's compression
-// ratio, the replay/sweep throughput next to the live-analysis bound, the
-// TLB miss curves, the cache family, and the event timeline (load the file
-// in chrome://tracing or ui.perfetto.dev).
+// ratio, the production TLB's and the sweep's busy-time throughput next to
+// the live-analysis bound, the TLB miss curves, the cache family, and the
+// event timeline (load the file in chrome://tracing or ui.perfetto.dev).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -167,23 +167,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // One parse of the capture, then exactly two consumers of the same
-  // materialized stream: the faithful production TLB and the sweep engine
-  // pricing every other configuration in its one pass.
+  // One parse of the capture feeding exactly two sinks on one tee: the
+  // faithful production TLB and the sweep engine pricing every other
+  // configuration in the same pass.
   ReplaySource source;
   source.log = &log;
   source.kernel_table = &sys->kernel_table();
   source.user_tables.emplace_back(1, &sys->user_table());
   ReplayEngine engine(std::move(source));
-  {
-    EventRecorder::Scope scope(&events, "replay.parse", "analysis");
-    engine.Parse();
-  }
-  if (engine.parser_stats().validation_errors > 0) {
-    fprintf(stderr, "*** WARNING: %llu trace validation errors — the reconstructed trace "
-            "is suspect ***\n",
-            static_cast<unsigned long long>(engine.parser_stats().validation_errors));
-  }
 
   SweepConfig sweep_config;
   sweep_config.page_map = measured->PageMap();
@@ -195,13 +186,15 @@ int main(int argc, char** argv) {
   configs.push_back({"production64", [] { return std::make_unique<TlbSimulator>(); }});
   configs.push_back(
       {"sweep", [&sweep_config] { return std::make_unique<SweepEngine>(sweep_config); }});
-  ReplayEngine::Options ropts;
-  ropts.jobs = jobs;
-  ropts.events = &events;
   std::vector<ReplayEngine::Outcome> outcomes;
   {
-    EventRecorder::Scope scope(&events, "replay.fanout", "analysis");
-    outcomes = engine.Run(configs, ropts);
+    EventRecorder::Scope scope(&events, "replay", "analysis");
+    outcomes = engine.Run(configs);
+  }
+  if (engine.parser_stats().validation_errors > 0) {
+    fprintf(stderr, "*** WARNING: %llu trace validation errors — the reconstructed trace "
+            "is suspect ***\n",
+            static_cast<unsigned long long>(engine.parser_stats().validation_errors));
   }
   auto* production = static_cast<TlbSimulator*>(outcomes[0].sink.get());
   auto* sweep = static_cast<SweepEngine*>(outcomes[1].sink.get());
@@ -236,9 +229,9 @@ int main(int argc, char** argv) {
          static_cast<unsigned long long>(measured->UtlbMissCount()));
 
   // --check: replay every cache family point through an independent
-  // TraceDrivenSimulator and demand bit-identical miss counts.  Also the
-  // honest speedup measurement: those K replays are exactly what the sweep
-  // pass replaced.
+  // TraceDrivenSimulator (one more parse, all K simulators on its tee) and
+  // demand bit-identical miss counts.  Also the honest speedup measurement:
+  // those K simulators' busy time is exactly what the sweep pass replaced.
   uint64_t check_wall_us = 0;
   if (check) {
     printf("\nverifying %zu family points against independent replays...\n", sres.icache.size());
@@ -254,7 +247,7 @@ int main(int argc, char** argv) {
     std::vector<ReplayEngine::Outcome> check_outcomes;
     {
       EventRecorder::Scope scope(&events, "replay.check", "analysis");
-      check_outcomes = engine.Run(check_configs, ropts);
+      check_outcomes = engine.Run(check_configs);
     }
     for (size_t i = 0; i < check_outcomes.size(); ++i) {
       auto* sim = static_cast<TraceDrivenSimulator*>(check_outcomes[i].sink.get());
@@ -282,14 +275,14 @@ int main(int argc, char** argv) {
                : static_cast<double>(check_wall_us) / static_cast<double>(sweep_wall_us));
   }
 
-  // Throughput accounting: the replay fan-out against the live-analysis
-  // bound it replaced (refs over the traced machine run's wall time — the
+  // Throughput accounting: the production TLB's busy-time rate against the
+  // live-analysis bound (refs over the traced machine run's wall time — the
   // fastest live analysis could possibly go, since it runs in lockstep
   // with trace generation), and the sweep's equivalent-replay rate (one
   // pass pricing family_points configurations at once).  The replay rate
-  // covers the real replays only — the sweep pass is priced per family
+  // covers the production TLB only — the sweep pass is priced per family
   // point by sweep.mrefs_per_sec, matching the harness's accounting.
-  const double refs = static_cast<double>(engine.refs().size());
+  const double refs = static_cast<double>(engine.parser_stats().refs);
   const double live_mrefs =
       traced_wall_us == 0 ? 0 : refs / (static_cast<double>(traced_wall_us) * 1e-6) / 1e6;
   const double replay_mrefs =
@@ -302,8 +295,8 @@ int main(int argc, char** argv) {
   printf("\ncapture: %llu words -> %llu bytes (%.2fx compression)\n",
          static_cast<unsigned long long>(log.words()),
          static_cast<unsigned long long>(log.stored_bytes()), log.CompressionRatio());
-  printf("replay:  %zu configs x %.1fM refs; fan-out at %.1f Mrefs/s (live-analysis "
-         "bound %.1f Mrefs/s, %.1fx)\n",
+  printf("replay:  %zu configs x %.1fM refs; production TLB at %.1f Mrefs/s "
+         "(live-analysis bound %.1f Mrefs/s, %.1fx)\n",
          outcomes.size(), refs / 1e6, replay_mrefs, live_mrefs, speedup);
   printf("sweep:   %zu family points + %u-entry TLB curve in one pass "
          "(%.0f Mrefs/s equivalent)\n",
@@ -315,7 +308,6 @@ int main(int argc, char** argv) {
     sys->RegisterStats(registry, "traced.");
     measured->RegisterStats(registry, "measured.");
     engine.RegisterParserStats(registry, "parser.");
-    engine.RegisterStats(registry, "replay.");
     log.RegisterStats(registry, "tracelog.");
     production->RegisterStats(registry, "tlbsim.");
     sweep->RegisterStats(registry, "sweep.");

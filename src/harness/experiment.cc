@@ -174,6 +174,24 @@ class ProgressMeter {
   std::thread monitor_;
 };
 
+// The whole of `text` is a finite number in [0, max], so every conversion
+// it feeds is defined.
+bool ParseBoundedReal(const std::string& text, double max, double& value) {
+  double parsed = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || !std::isfinite(parsed) || parsed < 0 || parsed > max) {
+    return false;
+  }
+  value = parsed;
+  return true;
+}
+
+// A dilation the traced clock's uint32_t truncation defines.
+bool ParseDilation(const std::string& text, double& dilation) {
+  return ParseBoundedReal(text, 4294967295.0, dilation);
+}
+
 // The archive identity an experiment records: the harness's keys, which
 // ArchivedExperimentOptions reads back, then the caller's extras.  The
 // reader returns a key's first value, so the harness's keys win.
@@ -263,6 +281,10 @@ void ProfileSystemSpaces(TraceProfiler& profiler, const SystemInstance& traced) 
   }
 }
 
+bool ParseWorkloadScale(const std::string& text, double& scale) {
+  return ParseBoundedReal(text, 1024.0, scale);
+}
+
 ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive, double* scale) {
   ExperimentOptions options;
   const std::string personality = archive.MetaValue("personality");
@@ -290,28 +312,20 @@ ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive, double
     }
     field = static_cast<Field>(value);
   };
-  // Real keys: finite and inside [0, max], so every conversion they feed
-  // is defined.
-  auto read_real = [&](const char* key, double& field, double max, const char* range) {
+  // Real keys: `parse` accepts the whole text as a number in the key's range.
+  auto read_real = [&](const char* key, double& field, auto parse, const char* range) {
     const std::string text = archive.MetaValue(key);
-    if (text.empty()) {
-      return;
-    }
-    double value = 0;
-    const char* end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || ptr != end || !std::isfinite(value) || value < 0 || value > max) {
+    if (!text.empty() && !parse(text, field)) {
       reject(key, text, range);
     }
-    field = value;
   };
   read_integer("clock_period", options.clock_period);
-  read_real("dilation", options.dilation, 4294967295.0, "a number in [0, 4294967295]");
+  read_real("dilation", options.dilation, ParseDilation, "a number in [0, 4294967295]");
   read_integer("trace_buf_bytes", options.trace_buf_bytes);
   read_integer("scavenge", options.scavenge);
   read_integer("max_instructions", options.max_instructions);
   double workload_scale = 1;
-  read_real("scale", workload_scale, 1024.0, "a number in [0, 1024]");
+  read_real("scale", workload_scale, ParseWorkloadScale, "a number in [0, 1024]");
   if (scale != nullptr) {
     *scale = workload_scale;
   }
@@ -411,14 +425,12 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
 
   // ---- Predicted: the traced system driving the analysis program ----
   // One parser feeds one tee: the primary simulator, the profiler, the
-  // sweep engine, and a simulator per replayed variant.  Live (default),
-  // the parser consumes each drain during the traced run.  In capture mode
-  // the drains are packed into a TraceLog and the same parser consumes the
-  // capture after the run.  Both see the identical word sequence, so every
-  // output is bit-identical across modes.
+  // sweep engine, and a simulator per replayed variant.  The parser
+  // consumes each drain during the traced run (paper §3: the analysis
+  // program consumes the buffer in place), so no copy of the trace outlives
+  // its drain.
   std::unique_ptr<SystemInstance> traced;
   std::unique_ptr<TraceParser> parser;
-  TraceLog trace_log;
   TeeBatchSink tee;
   std::unique_ptr<TraceDrivenSimulator> simulator;
   std::unique_ptr<TraceProfiler> profiler;
@@ -431,20 +443,16 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   // unwinding joins the consumer thread before the writer is destroyed.
   std::unique_ptr<ArchiveWriter> archive;
   // Pipelined transport state.  Declared after every component the consumer
-  // thread touches (parser, tee and its sinks, trace_log, archive), so stack
-  // unwinding joins the consumer before any of them is destroyed.  In
-  // pipelined live mode the parser runs on the consumer thread, so it
-  // records its Feed phases into a private recorder (no cycle source — the
-  // traced machine's cycle counter belongs to the producer thread) that is
-  // absorbed into the shared timeline after the pipeline drains.
+  // thread touches (parser, tee and its sinks, archive), so stack unwinding
+  // joins the consumer before any of them is destroyed.  Pipelined, the
+  // parser runs on the consumer thread, so it records its Feed phases into
+  // a private recorder (no cycle source — the traced machine's cycle
+  // counter belongs to the producer thread) that is absorbed into the
+  // shared timeline after the pipeline drains.
   std::unique_ptr<EventRecorder> consumer_events;
   uint64_t consumer_epoch_us = 0;
   std::unique_ptr<TracePipeline> pipeline;
   std::exception_ptr traced_exc;
-  // Capture when asked to, or when a variant needs its own simulator: when
-  // the sweep absorbs every variant the analysis (and the sweep with it)
-  // can stay live.
-  bool capture = options.capture_replay;
   try {
     const PredictorConfig pconfig = ExperimentPredictorConfig(*measured, options);
     simulator = ExperimentSimulator(*measured, pconfig);
@@ -478,7 +486,6 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
         vconfig.page_map = measured->PageMap(v.page_map_mult);
       }
       variant_sims[i] = ExperimentSimulator(*measured, vconfig);
-      capture = true;
     }
     if (sweep_active) {
       sweep_engine = std::make_unique<SweepEngine>(sweep_config);
@@ -500,25 +507,20 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     }
     parser = SystemTraceParser(*traced);
     parser->SetBatchSink(&tee);
-    if (options.pipeline && !capture) {
+    if (options.pipeline) {
       consumer_events = std::make_unique<EventRecorder>();
       consumer_epoch_us = events->ElapsedUs();
       parser->SetEventRecorder(consumer_events.get());
     } else {
       parser->SetEventRecorder(events);
     }
-    auto feed = [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); };
 
-    // The chunk consumer: the parser (live) or the TraceLog packer
-    // (capture).  Synchronously it runs inside each drain; pipelined it runs
-    // on the consumer thread while the machine simulates ahead.  Either way
-    // it sees the identical chunk sequence and boundaries.
-    std::function<void(const uint32_t*, size_t)> consume = feed;
-    if (capture) {
-      consume = [&trace_log](const uint32_t* words, size_t count) {
-        trace_log.Append(words, count);
-      };
-    }
+    // The chunk consumer: the parser, behind the archive tee when there is
+    // one.  Synchronously it runs inside each drain; pipelined it runs on
+    // the consumer thread while the machine simulates ahead.  Either way it
+    // sees the identical chunk sequence and boundaries.
+    std::function<void(const uint32_t*, size_t)> consume =
+        [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); };
     if (!options.archive_path.empty()) {
       archive = std::make_unique<ArchiveWriter>(options.archive_path,
                                                 ExperimentArchiveMeta(workload, options));
@@ -559,29 +561,8 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
       // this point leaves a footerless archive the reader recovers by scan.
       archive->Finalize();
     }
-    {
-      // Capture mode parses the whole capture here, in one named phase
-      // (chunk-parallel decode when pipelined); live, only the parser's
-      // final flush remains.
-      EventRecorder::Scope scope(capture ? events : nullptr, "replay:" + workload.name,
-                                 "analysis");
-      if (capture) {
-        trace_log.ReplayParallel(options.pipeline ? PipelineDecodeWorkers() : 1, feed);
-      }
-      parser->Finish();
-    }
+    parser->Finish();
     result.parser_errors = parser->stats().validation_errors;
-    if (capture) {
-      result.trace_log_words = trace_log.words();
-      result.trace_log_bytes = trace_log.stored_bytes();
-      result.trace_compression = trace_log.CompressionRatio();
-      // The replay throughput counts every sink but the sweep, whose
-      // equivalent-replay rate is sweep_mrefs_per_sec.
-      const uint64_t replay_us = tee.busy_us() - tee.busy_us(sweep_engine.get());
-      const uint64_t replay_refs = tee.refs() * (tee.size() - (sweep_engine != nullptr ? 1 : 0));
-      result.replay_mrefs_per_sec =
-          replay_us > 0 ? static_cast<double>(replay_refs) / static_cast<double>(replay_us) : 0.0;
-    }
     if (profiler != nullptr) {
       result.profile = profiler->Finish();
     }
@@ -649,9 +630,6 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   measured->RegisterStats(registry, "measured.");
   traced->RegisterStats(registry, "traced.");
   parser->RegisterStats(registry, "parser.");
-  if (capture) {
-    trace_log.RegisterStats(registry, "tracelog.");
-  }
   if (archive != nullptr) {
     archive->RegisterStats(registry, "archive.");
   }

@@ -20,7 +20,6 @@
 #include "sweep/sweep.h"
 #include "trace/chunk_ring.h"
 #include "trace/trace_archive.h"
-#include "trace/trace_log.h"
 #include "workloads/workloads.h"
 
 namespace wrl {
@@ -31,10 +30,10 @@ namespace wrl {
 const char* PersonalityName(Personality personality);
 Personality PersonalityFromName(const std::string& name);
 
-// One extra analysis configuration of a capture-once / replay-many sweep:
-// the variant's own simulator, with its own cache geometry, TLB wiring,
-// and page-map draw, consumes the identical reference stream beside the
-// primary one — no additional traced machine run.
+// One extra analysis configuration of a what-if study: the variant's own
+// simulator, with its own cache geometry, TLB wiring, and page-map draw,
+// consumes the identical reference stream beside the primary one on the
+// analysis tee — no additional traced machine run.
 struct ReplayVariant {
   std::string name;
   MemSysConfig memsys;
@@ -55,13 +54,12 @@ struct ReplayVariantResult {
 };
 
 // Single-pass sweep configuration (src/sweep).  When active, one
-// SweepEngine pass rides the analysis tee, live or in capture mode, and
-// (a) prices the explicit cache families and TLB curve below, and (b)
-// absorbs every *geometry-only* ReplayVariant (same penalties, write
-// buffer, TLB wiring, and page map as the primary; power-of-two cache
-// geometry): those variants get exact miss counts from the shared pass and
-// derived timing instead of a dedicated simulator.  Non-sweepable variants
-// still get their own.
+// SweepEngine pass rides the analysis tee and (a) prices the explicit cache
+// families and TLB curve below, and (b) absorbs every *geometry-only*
+// ReplayVariant (same penalties, write buffer, TLB wiring, and page map as
+// the primary; power-of-two cache geometry): those variants get exact miss
+// counts from the shared pass and derived timing instead of a dedicated
+// simulator.  Non-sweepable variants still get their own.
 struct SweepOptions {
   // Activates the sweep even with no explicit families (it then covers
   // only the geometry-only replay variants and/or the TLB curve).
@@ -109,29 +107,26 @@ struct ExperimentOptions {
   // constant remains only for callers that still read it.
   static constexpr bool batch = true;
   // Pipelined trace transport: drained chunks flow through a bounded SPSC
-  // ring to a consumer thread that runs the parser + analysis tee (live
-  // mode) or the TraceLog packer (capture mode), so the traced machine
-  // keeps simulating while each drain is consumed
-  // (simulate ∥ parse ∥ analyze).  In capture mode the same option enables
-  // chunk-parallel TraceLog decode for the post-run parse.  Defaults to on
-  // when the host has more than one hardware thread; WRL_PIPELINE=0 forces the
-  // synchronous path and WRL_PIPELINE=1 forces the pipeline even on
-  // single-core hosts.  Every counter, trace word, profile, and report
-  // value is identical either way; the overlap itself is observable via
-  // the trace.pipeline.* metrics, which exist only on pipelined runs.
+  // ring to a consumer thread that runs the parser + analysis tee, so the
+  // traced machine keeps simulating while each drain is consumed
+  // (simulate ∥ parse ∥ analyze).  Defaults to on when the host has more
+  // than one hardware thread; WRL_PIPELINE=0 forces the synchronous path
+  // and WRL_PIPELINE=1 forces the pipeline even on single-core hosts.
+  // Every counter, trace word, profile, and report value is identical
+  // either way; the overlap itself is observable via the trace.pipeline.*
+  // metrics, which exist only on pipelined runs.
   bool pipeline = PipelineEnabled();
   // Ring capacity in chunks (one chunk = one trace-buffer drain).
   size_t pipeline_depth = kDefaultPipelineDepth;
-  // Capture-once / replay-many: capture the traced run's drained words into
-  // a packed TraceLog and parse the capture after the run instead of live
-  // during it.  The same parser and analysis tee serve both modes, so the
-  // results are bit-identical.  Implied by a replay variant the sweep
-  // cannot absorb.
-  bool capture_replay = false;
-  // Extra analysis configurations priced from the same parse of the traced
-  // run: each gets its own simulator on the analysis tee (or, when only its
-  // cache geometry differs, a point of the sweep pass) — not another traced
-  // machine run.  RunSuite already parallelizes across workloads.
+  // The analysis always runs live, behind the parser, during the traced
+  // run; this constant remains only for the wrlbench benchmark, which still
+  // reads it.
+  static constexpr bool capture_replay = false;
+  // Extra analysis configurations priced from the same live parse of the
+  // traced run: each gets its own simulator on the analysis tee (or, when
+  // only its cache geometry differs, a point of the sweep pass) — not
+  // another traced machine run.  RunSuite already parallelizes across
+  // workloads.
   std::vector<ReplayVariant> replay_variants;
   // Attribution profiling (src/prof): tee the reconstructed reference
   // stream into a TraceProfiler and return the finished Profile in
@@ -142,11 +137,11 @@ struct ExperimentOptions {
   SweepOptions sweep;
   // Tee the capture to a durable wrltrace/1 archive at this path
   // (trace/trace_archive.h): every drained chunk streams to disk as the
-  // analysis consumes it, in every transport mode (live, pipelined,
-  // capture-replay), so the on-disk chunk sequence is exactly the sequence
-  // the analysis saw.  The archive is finalized (directory footer + fsync)
-  // after the traced run drains; a crash mid-run leaves a recoverable
-  // footerless archive.  Empty = no archive.
+  // analysis consumes it, synchronous or pipelined, so the on-disk chunk
+  // sequence is exactly the sequence the analysis saw.  The archive is
+  // finalized (directory footer + fsync) after the traced run drains; a
+  // crash mid-run leaves a recoverable footerless archive.  Empty = no
+  // archive.
   std::string archive_path;
   // Extra identity metadata recorded into the archive alongside the
   // harness's own keys (workload, personality, clock_period, dilation,
@@ -190,22 +185,13 @@ struct ExperimentResult {
   // One result per ReplayVariant, in option order.  A replayed variant's
   // wall_us is its simulator's busy time on the analysis tee.
   std::vector<ReplayVariantResult> replays;
-  // Capture-once / replay-many outputs (capture mode only; zero when the
-  // analysis ran live).
-  uint64_t trace_log_words = 0;
-  uint64_t trace_log_bytes = 0;       // Stored (packed) bytes.
-  double trace_compression = 0;       // raw_bytes / stored_bytes.
-  // Throughput of the post-run analysis: references per busy microsecond,
-  // summed over every sink on the tee but the sweep (whose throughput is
-  // sweep_mrefs_per_sec, counted per family point).
-  double replay_mrefs_per_sec = 0;
 
   // Single-pass sweep outputs (sweep_ran only when SweepOptions::Active()).
   // sweep.wall_us is the sweep engine's busy time on the analysis tee.
   bool sweep_ran = false;
   SweepResult sweep;
   // Equivalent-replay throughput of the sweep pass: family points × refs
-  // per busy second of the one pass, in live and capture mode alike.
+  // per busy second of the one pass.
   double sweep_mrefs_per_sec = 0;
 
   // The attribution profile (empty unless ExperimentOptions::profile).
@@ -268,6 +254,13 @@ std::unique_ptr<TraceParser> SystemTraceParser(const SystemInstance& traced);
 // symbols, names) with `profiler`.
 void ProfileSystemSpaces(TraceProfiler& profiler, const SystemInstance& traced);
 
+// Reads a workload scale, from a tool's --scale flag or an archive's
+// `scale` key: the whole of `text` must be a number, finite, and in
+// [0, 1024], which keeps the workload generators' largest scaled input
+// (eqntott's 2 MiB table) inside uint32_t.  Returns false, leaving `scale`
+// unchanged, for anything else.
+bool ParseWorkloadScale(const std::string& text, double& scale);
+
 // The options a harness-recorded archive identifies, read back as
 // RunExperiment wrote them; a key the archive lacks keeps its default.
 // `*scale`, when given, receives the workload scale a tool recorded under
@@ -275,10 +268,9 @@ void ProfileSystemSpaces(TraceProfiler& profiler, const SystemInstance& traced);
 // bytes are untrusted: clock_period, trace_buf_bytes, scavenge and
 // max_instructions must be decimal digits within their field (scavenge is
 // 0 or 1); dilation must be a finite number in [0, 4294967295], the range
-// the traced clock's uint32_t truncation defines; scale must be a finite
-// number in [0, 1024], which keeps the workload generators' largest
-// scaled input (eqntott's 2 MiB table) inside uint32_t.  A bad value
-// throws wrl::Error naming the key and the value.
+// the traced clock's uint32_t truncation defines; scale must pass
+// ParseWorkloadScale.  A bad value throws wrl::Error naming the key and
+// the value.
 ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive,
                                             double* scale = nullptr);
 

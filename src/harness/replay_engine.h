@@ -1,21 +1,18 @@
-// Capture-once / replay-many analysis (the ROADMAP's "many scenarios, as
-// fast as the hardware allows" leverage for the analysis side).
+// Streaming replay of a captured trace: the analysis side of
+// capture-once / analyze-many, in the same shape as a live experiment.
 //
-// A configuration sweep used to cost one traced machine run *per
-// configuration*, regenerating a byte-identical trace each time.  The
-// ReplayEngine inverts that: the captured TraceLog is parsed exactly once
-// (one pass of table lookups and block reconstruction), the reconstructed
-// reference stream is materialized as a dense array, and each analysis
-// configuration replays that array in kRefBatchCapacity-sized batches —
-// fanned out across a worker pool (the PR 2 pattern: workers claim the next
-// config, results land in config order, per-config EventRecorder timelines
-// are absorbed deterministically).  A K-config sweep therefore costs one
-// traced run + one parse + K cheap replays.
+// A ReplayEngine re-parses a capture (an in-memory TraceLog or an on-disk
+// wrltrace/1 archive) with the capturing system's lookup tables and hands
+// every batch to one TeeBatchSink holding each analysis configuration's
+// sink: one parser, one tee, exactly what RunExperiment runs behind the
+// traced machine.  A K-config study costs one traced run + one parse per
+// Run() call.  Nothing is materialized: each batch is consumed by every
+// sink and its buffer reused, so replay memory is O(chunk), not O(capture).
 //
-// Bit-identity invariant: the materialized stream is exactly the sequence a
-// live parser delivers, so every counter and predicted number a replayed
-// configuration produces matches the live path bit-for-bit, at any
-// Options::batch_refs.
+// Bit-identity invariant: the parser sees the captured word sequence in the
+// captured chunking, so every counter and predicted number a replayed
+// configuration produces matches the live run bit for bit, at any
+// Options::decode_workers.
 #ifndef WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 #define WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 
@@ -26,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "stats/events.h"
 #include "stats/stats.h"
 #include "trace/parser.h"
 #include "trace/trace_log.h"
@@ -48,24 +44,9 @@ class ReplayEngine {
  public:
   explicit ReplayEngine(ReplaySource source) : source_(std::move(source)) {}
 
-  // Parses the log once and materializes the reference stream.  Idempotent;
-  // Run() calls it implicitly.  `decode_workers` > 1 decodes the log's
-  // independently coded chunks on that many worker threads while the parser
-  // consumes them strictly in capture order (TraceLog::ReplayParallel) —
-  // the parse sees the identical word sequence either way.  The dense
-  // stream is reserved exactly once, from the parser's own ifetch+load+
-  // store counters, so materialization never grows by reallocation; its
-  // byte cost is exported as the `replay.materialized_bytes` metric.
-  void Parse(unsigned decode_workers = 1);
-
-  const TraceParserStats& parser_stats() const { return parser_stats_; }
-  const std::vector<std::string>& parser_errors() const { return parser_errors_; }
-  const std::vector<TraceRef>& refs() const { return refs_; }
-
-  // One analysis configuration of the fan-out.  `make` builds the config's
-  // sink chain and runs on the replay worker thread; the engine keeps the
-  // returned sink alive in the Outcome so callers can downcast and harvest
-  // results.
+  // One analysis configuration.  `make` builds the config's sink before the
+  // parse starts; the engine keeps the returned sink alive in the Outcome so
+  // callers can downcast and harvest results.
   struct Config {
     std::string name;
     std::function<std::unique_ptr<RefBatchSink>()> make;
@@ -74,50 +55,40 @@ class ReplayEngine {
   struct Outcome {
     std::string name;
     std::unique_ptr<RefBatchSink> sink;
-    uint64_t refs = 0;
-    uint64_t wall_us = 0;  // Host wall time of this config's replay.
-    std::vector<TimelineEvent> timeline;
+    uint64_t refs = 0;     // References delivered to the sink.
+    uint64_t wall_us = 0;  // Host wall time the sink spent consuming them.
   };
 
   struct Options {
-    unsigned jobs = 1;
-    // Worker threads for the chunk-parallel TraceLog decode feeding the
-    // single parse (only the first Run/Parse pays this; 1 = serial).
+    // Worker threads decoding the source's independently coded chunks while
+    // the parser consumes them strictly in capture order
+    // (TraceChunkSource::ReplayParallel); 1 = serial.
     unsigned decode_workers = 1;
-    size_t batch_refs = kRefBatchCapacity;
-    // When set, per-config timelines are absorbed here in config order
-    // after the pool drains (deterministic regardless of scheduling).
-    EventRecorder* events = nullptr;
   };
 
-  // Replays the materialized stream through every config.  Outcomes are in
-  // config order.  Throws whatever a config's make/sink throws.
+  // Parses the source once, feeding every config's sink through one tee.
+  // Each call parses again.  Outcomes are in config order.  Throws whatever
+  // the source, a config's make, or a sink throws.
   std::vector<Outcome> Run(const std::vector<Config>& configs, const Options& options);
   std::vector<Outcome> Run(const std::vector<Config>& configs);  // Default options.
 
-  // Aggregate throughput of the last Run(): references delivered across all
-  // configs per wall-second of the whole fan-out.
-  double mrefs_per_sec() const { return last_mrefs_per_sec_; }
-
-  // Binds replay-side metrics (materialized refs, last-run throughput) into
-  // `registry` under `prefix`; the engine must outlive snapshots.
-  void RegisterStats(StatsRegistry& registry, const std::string& prefix = "replay.");
-  // Binds the single parse's parser counters (same names the live path
-  // registers) under `prefix`.
+  // The last Run()'s parse.
+  const TraceParserStats& parser_stats() const { return parser_stats_; }
+  const std::vector<std::string>& parser_errors() const { return parser_errors_; }
+  // Binds the parser counters (same names the live path registers) under
+  // `prefix`; the engine must outlive snapshots, which read the last Run().
   void RegisterParserStats(StatsRegistry& registry, const std::string& prefix = "parser.");
+
+  // Remain only for the wrlbench benchmark, which still calls them: Run()
+  // does the parse, so Parse() does nothing, and no stream is materialized,
+  // so refs() is always empty.
+  void Parse(unsigned /*decode_workers*/ = 1) {}
+  std::vector<TraceRef> refs() const { return {}; }
 
  private:
   ReplaySource source_;
-  bool parsed_ = false;
-  std::vector<TraceRef> refs_;
   TraceParserStats parser_stats_;
   std::vector<std::string> parser_errors_;
-  uint64_t materialized_bytes_ = 0;  // Dense-stream footprint of the capture.
-  uint64_t parse_wall_us_ = 0;
-  uint64_t last_run_refs_ = 0;
-  uint64_t last_run_wall_us_ = 0;
-  uint64_t configs_run_ = 0;
-  double last_mrefs_per_sec_ = 0;
 };
 
 }  // namespace wrl

@@ -28,9 +28,6 @@ std::map<std::string, double> FlatMetrics(const std::vector<ExperimentResult>& r
         static_cast<double>(r.prediction.utlb_misses);
     metrics[MetricKey(r, "trace_words")] = static_cast<double>(r.trace_words);
     metrics[MetricKey(r, "parser_errors")] = static_cast<double>(r.parser_errors);
-    if (r.trace_log_words > 0) {
-      metrics[MetricKey(r, "trace_compression")] = r.trace_compression;
-    }
     for (const ReplayVariantResult& v : r.replays) {
       metrics[MetricKey(r, ("replay." + v.name + ".predicted_seconds").c_str())] =
           static_cast<double>(v.prediction.PredictedCycles()) / options.clock_hz;
@@ -38,22 +35,10 @@ std::map<std::string, double> FlatMetrics(const std::vector<ExperimentResult>& r
           static_cast<double>(v.prediction.utlb_misses);
     }
   }
-  // Post-run analysis throughput across the capture-replay experiments
-  // (wall-clock dependent, like sim.mips below — a single global key).
-  double replay_mrefs_sum = 0;
-  size_t replay_experiments = 0;
-  for (const ExperimentResult& r : results) {
-    if (r.replay_mrefs_per_sec > 0) {
-      replay_mrefs_sum += r.replay_mrefs_per_sec;
-      ++replay_experiments;
-    }
-  }
-  if (replay_experiments > 0) {
-    metrics["replay.mrefs_per_sec"] = replay_mrefs_sum / static_cast<double>(replay_experiments);
-  }
   // Single-pass sweep throughput: equivalent-replay references per second
-  // (family points × refs / sweep wall), averaged like replay.mrefs_per_sec,
-  // plus the speedup over pricing the same points with real replays.
+  // (family points × refs / sweep wall), averaged over the experiments that
+  // ran a sweep (wall-clock dependent, like sim.mips below — a single
+  // global key).
   double sweep_mrefs_sum = 0;
   size_t sweep_experiments = 0;
   for (const ExperimentResult& r : results) {
@@ -64,10 +49,6 @@ std::map<std::string, double> FlatMetrics(const std::vector<ExperimentResult>& r
   }
   if (sweep_experiments > 0) {
     metrics["sweep.mrefs_per_sec"] = sweep_mrefs_sum / static_cast<double>(sweep_experiments);
-    if (replay_experiments > 0 && metrics["replay.mrefs_per_sec"] > 0) {
-      metrics["sweep.speedup_vs_replay"] =
-          metrics["sweep.mrefs_per_sec"] / metrics["replay.mrefs_per_sec"];
-    }
   }
   // Simulator throughput: simulated instructions per wall-second of run
   // time, aggregated over the whole suite.  Wall-clock dependent, so it is
@@ -149,16 +130,6 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
   writer.KV("traced_machine_instructions", r.traced_machine_instructions);
   writer.EndObject();
 
-  if (r.trace_log_words > 0) {
-    // The capture-replay pipeline's accounting: what the TraceLog held and
-    // how fast the post-run analysis consumed it.
-    writer.Key("capture").BeginObject();
-    writer.KV("trace_log_words", r.trace_log_words);
-    writer.KV("trace_log_bytes", r.trace_log_bytes);
-    writer.KV("compression_ratio", r.trace_compression);
-    writer.KV("replay_mrefs_per_sec", r.replay_mrefs_per_sec);
-    writer.EndObject();
-  }
   if (!r.replays.empty()) {
     writer.Key("replays").BeginArray();
     for (const ReplayVariantResult& v : r.replays) {

@@ -26,17 +26,18 @@
 //     working-set/reuse-distance profile exported through wrlstats.
 //
 // The SweepEngine is a RefBatchSink, so it rides everything the analysis
-// side already has: the experiment's analysis tee (live or over a
-// capture), ReplayEngine configs, and the PR 7 pipeline.  It mirrors TraceDrivenSimulator's reference
-// ordering exactly — one TlbSimulator (the family shares the TLB
-// configuration; geometry changes cannot perturb it) synthesizes the
-// UTLB-handler references into the cache stream *before* the triggering
-// reference, as the per-config replay does — so family-point miss counts
-// are exact, not sampled.  Timing for a family point is *derived*
-// (cycles = primary + Δmisses × penalty, write-buffer occupancy carried
-// from the primary run — see DerivePrediction), which is the one
-// documented approximation: miss counts are exact, stall cycles inherit
-// the primary run's write-buffer history.
+// side already has: the experiment's live analysis tee (synchronous or
+// behind the trace pipeline) and ReplayEngine configs over a capture.  It
+// mirrors TraceDrivenSimulator's reference ordering exactly — one
+// TlbSimulator (the family shares the TLB configuration; geometry changes
+// cannot perturb it) synthesizes the UTLB-handler references into the
+// cache stream *before* the triggering reference, as the per-config replay
+// does — so family-point miss counts are exact, not sampled.  Timing for a
+// family point is *derived* (cycles = primary + Δmisses × penalty,
+// write-buffer occupancy carried from the primary run — see
+// DerivePrediction), which is the one documented approximation: miss
+// counts are exact, stall cycles inherit the primary run's write-buffer
+// history.
 #ifndef WRLTRACE_SWEEP_SWEEP_H_
 #define WRLTRACE_SWEEP_SWEEP_H_
 
@@ -204,7 +205,7 @@ struct SweepResult {
   // harness divides points × refs by the pass wall time for the
   // sweep.mrefs_per_sec metric.
   size_t family_points = 0;
-  uint64_t wall_us = 0;           // Filled by the harness (capture mode).
+  uint64_t wall_us = 0;           // Filled by the harness (tee busy time).
 };
 
 class SweepEngine : public RefBatchSink {

@@ -56,7 +56,8 @@ inline bool PipelineEnabled() {
 
 // Worker count for chunk-parallel TraceLog decode (the replay-side use of
 // the same pipelining idea): 1 (serial) when the pipeline is disabled,
-// otherwise bounded by the host's hardware threads.
+// otherwise bounded by the host's hardware threads.  Only the wrlbench
+// benchmark's span run still reads it.
 inline unsigned PipelineDecodeWorkers() {
   if (!PipelineEnabled()) {
     return 1;

@@ -54,14 +54,6 @@ uint64_t TeeBatchSink::busy_us(const RefBatchSink* sink) const {
   return 0;
 }
 
-uint64_t TeeBatchSink::busy_us() const {
-  uint64_t ns = 0;
-  for (const Entry& entry : sinks_) {
-    ns += entry.busy_ns;
-  }
-  return ns / 1000;
-}
-
 TraceParser::TraceParser(const TraceInfoTable* kernel_table) : kernel_table_(kernel_table) {}
 
 void TraceParser::SetUserTable(uint8_t pid, const TraceInfoTable* table) {
@@ -112,10 +104,10 @@ void TraceParser::EmitRef(const TraceRef& ref) {
   }
 }
 
-void TraceParser::SetBatchSink(RefBatchSink* sink, size_t batch_refs) {
+void TraceParser::SetBatchSink(RefBatchSink* sink, size_t capacity) {
   FlushBatch();
   batch_sink_ = sink;
-  batch_capacity_ = batch_refs == 0 ? 1 : batch_refs;
+  batch_capacity_ = capacity == 0 ? 1 : capacity;
   batch_.reserve(batch_capacity_);
 }
 

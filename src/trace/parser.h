@@ -72,10 +72,9 @@ class TraceInfoTable {
 // One reconstructed reference, packed into 8 bytes: the 32-bit address
 // first, so no padding precedes it, then one byte each for kind, access
 // size and pid, and the two flags as 1-bit fields sharing the last byte.
-// The replay stream and every batch a sink reads are arrays of these, so
-// the size is the memory traffic per reference.  Aggregate initializers
-// list the fields in declaration order: {addr, kind, bytes, pid, kernel,
-// idle}.
+// Every batch a sink reads is an array of these, so the size is the
+// memory traffic per reference.  Aggregate initializers list the fields in
+// declaration order: {addr, kind, bytes, pid, kernel, idle}.
 struct TraceRef {
   enum Kind : uint8_t { kIfetch, kLoad, kStore };
   uint32_t addr;   // Original-binary virtual address.
@@ -137,13 +136,11 @@ class TeeBatchSink : public RefBatchSink {
   }
   void OnRefBatch(const TraceRef* refs, size_t count) override;
 
-  size_t size() const { return sinks_.size(); }
   // References delivered to each sink.
   uint64_t refs() const { return refs_; }
   // Host wall microseconds `sink` spent consuming batches (0 for a sink the
-  // tee does not hold), and the sum over every sink.
+  // tee does not hold).
   uint64_t busy_us(const RefBatchSink* sink) const;
-  uint64_t busy_us() const;
 
  private:
   struct Entry {
@@ -175,9 +172,9 @@ class TraceParser {
 
   void SetUserTable(uint8_t pid, const TraceInfoTable* table);
   // Reference delivery: references accumulate, in reconstruction order,
-  // into batches of `batch_refs` handed to `sink`.  Batches flush when full
-  // and at Finish(); call FlushBatch() to force an earlier flush.
-  void SetBatchSink(RefBatchSink* sink, size_t batch_refs = kRefBatchCapacity);
+  // into batches of up to `capacity` handed to `sink`.  Batches flush when
+  // full and at Finish(); call FlushBatch() to force an earlier flush.
+  void SetBatchSink(RefBatchSink* sink, size_t capacity = kRefBatchCapacity);
   // Delivers any buffered references to the batch sink now.
   void FlushBatch();
   void SetMetaSink(std::function<void(MarkerCode, uint32_t)> sink) {

@@ -409,19 +409,22 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
   const ExperimentOptions rebuilt = ArchivedExperimentOptions(archive);
   auto measured = BuildSystem(ExperimentSystemConfig(UnitWorkload(), rebuilt, false));
   auto traced = BuildSystem(ExperimentSystemConfig(UnitWorkload(), rebuilt, true));
-  std::unique_ptr<TraceDrivenSimulator> simulator =
-      ExperimentSimulator(*measured, ExperimentPredictorConfig(*measured, rebuilt));
+  const PredictorConfig pconfig = ExperimentPredictorConfig(*measured, rebuilt);
 
   ReplaySource source;
   source.log = &archive;
   source.kernel_table = &traced->kernel_table();
   source.user_tables.emplace_back(1, &traced->user_table());
   ReplayEngine engine(std::move(source));
-  engine.Parse();
-  const std::vector<TraceRef>& refs = engine.refs();
-  for (size_t i = 0; i < refs.size(); i += kRefBatchCapacity) {
-    simulator->OnRefBatch(refs.data() + i, std::min(kRefBatchCapacity, refs.size() - i));
-  }
+  uint64_t collected = 0;
+  std::vector<ReplayEngine::Outcome> outcomes = engine.Run(
+      {{"primary", [&] { return ExperimentSimulator(*measured, pconfig); }},
+       {"count", [&collected] {
+          return std::make_unique<RefFnSink>([&collected](const TraceRef&) { ++collected; });
+        }}});
+  ASSERT_GT(collected, 0u);
+  EXPECT_EQ(collected, live.stats.CounterValue("parser.refs"));
+  auto* simulator = static_cast<TraceDrivenSimulator*>(outcomes[0].sink.get());
   simulator->Finish();
 
   StatsRegistry registry;
@@ -533,20 +536,6 @@ TEST(ArchiveExperiment, PipelinedAndSynchronousTeesWriteIdenticalArchives) {
     b.DecodeChunk(i, wb);
     EXPECT_EQ(wa, wb) << "chunk " << i;
   }
-}
-
-TEST(ArchiveExperiment, CaptureReplayModeTeesTheSameCapture) {
-  const std::string path = TempPath("tee_capture.wrl");
-  ExperimentOptions options;
-  options.capture_replay = true;
-  options.archive_path = path;
-  ExperimentResult result = RunExperiment(UnitWorkload(), options);
-
-  ArchiveReader archive(path);
-  EXPECT_EQ(archive.word_count(), result.trace_log_words);
-  // Shared codec: the on-disk payload bytes equal the TraceLog's packed
-  // footprint the experiment reported.
-  EXPECT_EQ(archive.payload_bytes(), result.trace_log_bytes);
 }
 
 }  // namespace

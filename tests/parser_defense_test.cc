@@ -43,14 +43,14 @@ struct Outcome {
 
 // Parses `words` through the batched path with a deliberately tiny batch so
 // corrupt words land on batch boundaries too.
-Outcome ParseBatched(const std::vector<uint32_t>& words, size_t batch_refs = 3) {
+Outcome ParseBatched(const std::vector<uint32_t>& words, size_t capacity = 3) {
   static TraceInfoTable table = MakeTable();
   Outcome out;
   TraceParser parser(&table);
   parser.SetUserTable(1, &table);
   parser.SetInitialContext(1);
   RecordingSink sink;
-  parser.SetBatchSink(&sink, batch_refs);
+  parser.SetBatchSink(&sink, capacity);
   parser.Feed(words);
   parser.Finish();
   out.refs = std::move(sink.refs_);
@@ -124,10 +124,10 @@ TEST(ParserDefense, BatchedMatchesPerRefOnDamagedStreams) {
       {kKeyC, 0x00500000, 0x00500010, kKeyB, 0x00600000, kKeyA},  // healthy
   };
   for (const auto& words : streams) {
-    for (size_t batch_refs : {size_t{2}, size_t{3}, kRefBatchCapacity}) {
+    for (size_t capacity : {size_t{2}, size_t{3}, kRefBatchCapacity}) {
       SCOPED_TRACE("stream of " + std::to_string(words.size()) + " words, batch " +
-                   std::to_string(batch_refs));
-      ExpectSameRefs(ParseBatched(words, batch_refs), ParseBatched(words, 1));
+                   std::to_string(capacity));
+      ExpectSameRefs(ParseBatched(words, capacity), ParseBatched(words, 1));
     }
   }
 }

@@ -1,8 +1,8 @@
-// The pipelined trace transport's contract (ISSUE 7): chunks flow through
-// the bounded SPSC ring in strict drain order, so a pipelined experiment is
+// The pipelined trace transport's contract: chunks flow through the bounded
+// SPSC ring in strict drain order, so a pipelined experiment is
 // byte-identical to the synchronous one — every counter, trace word,
-// profile, and predicted number — in live, capture-replay, and profiled
-// modes.  The transport itself must apply backpressure when
+// profile, and predicted number — with and without replay variants and the
+// profiler.  The transport itself must apply backpressure when
 // the consumer is slow, count its stalls/starves, shut down cleanly when
 // the consumer chain throws mid-stream, and the replay-side chunk-parallel
 // TraceLog decode must deliver the identical word sequence and chunk
@@ -251,7 +251,7 @@ TEST(TraceLogParallel, SinkErrorPropagatesWithoutHanging) {
   EXPECT_EQ(delivered, 3u);  // Strict order: nothing past the failure.
 }
 
-// ---- ReplayEngine: parallel decode identity and exact materialization ----
+// ---- ReplayEngine: parallel decode identity ----
 
 TEST(ReplayEngine, ParallelDecodeMatchesSerialParse) {
   BareBuild build = BuildBareTraced(kBody);
@@ -265,65 +265,51 @@ TEST(ReplayEngine, ParallelDecodeMatchesSerialParse) {
   }
   ASSERT_GT(log.chunks(), 1u);
 
-  auto make_engine = [&] {
+  // Each engine streams the capture to a collecting sink and a TLB
+  // simulator, decoding serially or on four workers.
+  struct Replayed {
+    TraceParserStats stats;
+    std::vector<TraceRef> refs;
+    uint64_t utlb_misses = 0;
+  };
+  auto replay = [&](unsigned decode_workers) {
     ReplaySource source;
     source.log = &log;
     source.kernel_table = &build.table;
-    return ReplayEngine(std::move(source));
+    ReplayEngine engine(std::move(source));
+    Replayed out;
+    ReplayEngine::Options options;
+    options.decode_workers = decode_workers;
+    std::vector<ReplayEngine::Outcome> outcomes = engine.Run(
+        {{"collect", [&out] {
+            return std::make_unique<RefFnSink>(
+                [&out](const TraceRef& r) { out.refs.push_back(r); });
+          }},
+         {"tlb", [] { return std::make_unique<TlbSimulator>(); }}},
+        options);
+    out.stats = engine.parser_stats();
+    out.utlb_misses = static_cast<TlbSimulator*>(outcomes[1].sink.get())->stats().utlb_misses;
+    return out;
   };
+  const Replayed serial = replay(1);
+  const Replayed parallel = replay(4);
 
-  ReplayEngine serial = make_engine();
-  serial.Parse(1);
-  ReplayEngine parallel = make_engine();
-  parallel.Parse(4);
-
-  EXPECT_EQ(parallel.parser_stats().words, serial.parser_stats().words);
-  EXPECT_EQ(parallel.parser_stats().refs, serial.parser_stats().refs);
-  EXPECT_EQ(parallel.parser_stats().blocks, serial.parser_stats().blocks);
-  EXPECT_EQ(parallel.parser_stats().validation_errors, serial.parser_stats().validation_errors);
-  ASSERT_EQ(parallel.refs().size(), serial.refs().size());
-  for (size_t i = 0; i < serial.refs().size(); ++i) {
-    const TraceRef& a = serial.refs()[i];
-    const TraceRef& b = parallel.refs()[i];
+  ASSERT_FALSE(serial.refs.empty());
+  EXPECT_EQ(serial.refs.size(), serial.stats.refs);
+  EXPECT_EQ(parallel.stats.words, serial.stats.words);
+  EXPECT_EQ(parallel.stats.refs, serial.stats.refs);
+  EXPECT_EQ(parallel.stats.blocks, serial.stats.blocks);
+  EXPECT_EQ(parallel.stats.validation_errors, serial.stats.validation_errors);
+  ASSERT_EQ(parallel.refs.size(), serial.refs.size());
+  for (size_t i = 0; i < serial.refs.size(); ++i) {
+    const TraceRef& a = serial.refs[i];
+    const TraceRef& b = parallel.refs[i];
     ASSERT_TRUE(a.kind == b.kind && a.addr == b.addr && a.bytes == b.bytes && a.pid == b.pid &&
                 a.kernel == b.kernel && a.idle == b.idle)
         << "ref " << i << " diverged";
   }
-
   // Same downstream analysis either way.
-  ReplayEngine::Options options;
-  std::vector<ReplayEngine::Config> configs;
-  configs.push_back({"tlb", [] { return std::make_unique<TlbSimulator>(); }});
-  auto a = serial.Run(configs, options);
-  auto b = parallel.Run(configs, options);
-  EXPECT_EQ(static_cast<TlbSimulator*>(a[0].sink.get())->stats().utlb_misses,
-            static_cast<TlbSimulator*>(b[0].sink.get())->stats().utlb_misses);
-}
-
-TEST(ReplayEngine, MaterializesExactlyOnce) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
-  TraceLog log;
-  log.Append(run.trace_words.data(), run.trace_words.size());
-
-  ReplaySource source;
-  source.log = &log;
-  source.kernel_table = &build.table;
-  ReplayEngine engine(std::move(source));
-  engine.Parse();
-
-  const TraceParserStats& stats = engine.parser_stats();
-  uint64_t expected = stats.ifetches + stats.loads + stats.stores;
-  ASSERT_GT(expected, 0u);
-  EXPECT_EQ(engine.refs().size(), expected);
-  // The single exact reserve: the dense stream never grew by reallocation.
-  EXPECT_EQ(engine.refs().capacity(), engine.refs().size());
-
-  StatsRegistry registry;
-  engine.RegisterStats(registry);
-  StatsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.CounterValue("replay.materialized_bytes"),
-            engine.refs().size() * sizeof(TraceRef));
+  EXPECT_EQ(parallel.utlb_misses, serial.utlb_misses);
 }
 
 // ---- Experiment-level byte identity: pipelined vs synchronous ----
@@ -424,12 +410,12 @@ TEST(PipelinedExperiment, LiveAnalysisIsByteIdentical) {
   EXPECT_EQ(pipelined.stats.CounterValue("trace.pipeline.words"), pipelined.trace_words);
 }
 
+// A replay variant on the consumer thread's tee, pipelined vs synchronous.
 TEST(PipelinedExperiment, CaptureReplayIsByteIdentical) {
   WorkloadSpec w = UnitWorkload();
 
   ExperimentOptions pipelined_options;
   pipelined_options.pipeline = true;
-  pipelined_options.capture_replay = true;
   ReplayVariant baseline;
   baseline.name = "baseline";
   pipelined_options.replay_variants.push_back(baseline);
@@ -440,8 +426,6 @@ TEST(PipelinedExperiment, CaptureReplayIsByteIdentical) {
   ExperimentResult sync = RunExperiment(w, sync_options);
 
   ExpectSameExperiment(pipelined, sync);
-  EXPECT_EQ(pipelined.trace_log_words, sync.trace_log_words);
-  EXPECT_EQ(pipelined.trace_log_bytes, sync.trace_log_bytes);
   ASSERT_EQ(pipelined.replays.size(), sync.replays.size());
   for (size_t i = 0; i < sync.replays.size(); ++i) {
     EXPECT_EQ(pipelined.replays[i].name, sync.replays[i].name);

@@ -1,9 +1,9 @@
 // Tests for the trace-attribution profiler (src/prof): cursor-mirror
 // attribution on synthetic streams, working-set/page math, symbolization
 // edge cases, the wrlprof/1 payload schema, and the bit-identity contract —
-// the same capture profiled live, replayed, per-ref, and through the
-// experiment harness at any jobs count must produce byte-identical
-// profiles.
+// the same trace profiled live, streamed from a capture, per-ref, and
+// through the experiment harness at any jobs count must produce
+// byte-identical profiles.
 #include "prof/prof.h"
 
 #include <gtest/gtest.h>
@@ -357,21 +357,23 @@ TEST(TraceProfiler, LiveReplayAndPerRefProfilesBitIdentical) {
   ASSERT_TRUE(parser.errors().empty());
   Profile live_profile = live->Finish();
 
-  // Replay: the same words packed into a TraceLog, parsed once by the
-  // engine, the materialized stream delivered in batches.
+  // Replay: the same words packed into a TraceLog and streamed by the
+  // engine to a profiler config, beside a config collecting the stream.
   TraceLog log;
   log.Append(run.trace_words.data(), run.trace_words.size());
   ReplaySource source;
   source.log = &log;
   source.kernel_table = &build.table;
   ReplayEngine engine(std::move(source));
-  engine.Parse();
-  auto replay = MakeBareProfiler(build);
-  const std::vector<TraceRef>& refs = engine.refs();
-  for (size_t off = 0; off < refs.size(); off += kRefBatchCapacity) {
-    replay->OnRefBatch(refs.data() + off, std::min(kRefBatchCapacity, refs.size() - off));
-  }
-  Profile replay_profile = replay->Finish();
+  std::vector<TraceRef> refs;
+  std::vector<ReplayEngine::Outcome> outcomes = engine.Run(
+      {{"profile", [&build] { return MakeBareProfiler(build); }},
+       {"collect", [&refs] {
+          return std::make_unique<RefFnSink>([&refs](const TraceRef& r) { refs.push_back(r); });
+        }}});
+  ASSERT_FALSE(refs.empty());
+  EXPECT_EQ(refs.size(), parser.stats().refs);
+  Profile replay_profile = static_cast<TraceProfiler*>(outcomes[0].sink.get())->Finish();
 
   // Per-ref: one reference at a time through OnRef.
   auto perref = MakeBareProfiler(build);
@@ -406,26 +408,22 @@ TEST(TraceProfiler, LiveReplayAndPerRefProfilesBitIdentical) {
 
 // ---- Experiment harness ------------------------------------------------
 
+// A profiled experiment: the profile reconciles with the run's own parser
+// counters, and the wrlstats/1 run report embeds it.
 TEST(ExperimentProfile, LiveVsCaptureReplayBitIdentical) {
   WorkloadSpec workload = PaperWorkload("sed", 0.05);
   ExperimentOptions options;
   options.profile = true;
 
   ExperimentResult live = RunExperiment(workload, options);
-  options.capture_replay = true;
-  ExperimentResult replayed = RunExperiment(workload, options);
-
   ASSERT_GT(live.profile.totals.refs, 0u);
-  EXPECT_EQ(live.profile.CanonicalJson(), replayed.profile.CanonicalJson());
 
   // The wrlstats counters and the profile describe the same stream.
-  for (const ExperimentResult* r : {&live, &replayed}) {
-    EXPECT_EQ(r->profile.totals.refs, r->stats.CounterValue("parser.refs"));
-    EXPECT_EQ(r->profile.totals.insts, r->stats.CounterValue("parser.ifetches"));
-    EXPECT_EQ(r->profile.totals.block_entries, r->stats.CounterValue("parser.blocks"));
-    EXPECT_EQ(r->profile.totals.unattributed_insts, 0u);
-    EXPECT_EQ(r->profile.totals.unattributed_data, 0u);
-  }
+  EXPECT_EQ(live.profile.totals.refs, live.stats.CounterValue("parser.refs"));
+  EXPECT_EQ(live.profile.totals.insts, live.stats.CounterValue("parser.ifetches"));
+  EXPECT_EQ(live.profile.totals.block_entries, live.stats.CounterValue("parser.blocks"));
+  EXPECT_EQ(live.profile.totals.unattributed_insts, 0u);
+  EXPECT_EQ(live.profile.totals.unattributed_data, 0u);
 
   // The wrlstats/1 run report embeds the profile, top-N capped, with the
   // totals agreeing with the report's own parser counters.

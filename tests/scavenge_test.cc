@@ -332,6 +332,8 @@ TEST(ScavengeSystem, UserStreamBitIdenticalAndDilationShrinks) {
   EXPECT_EQ(roff.stats.CounterValue("traced.epoxie.scavenged_windows"), 0u);
 }
 
+// The scavenged system under both transports: the pipelined run matches
+// the synchronous one.
 TEST(ScavengeSystem, CaptureReplayAndPipelineMatchLive) {
   WorkloadSpec workload = PaperWorkload("sed", 0.05);
   ExperimentOptions live;
@@ -341,17 +343,11 @@ TEST(ScavengeSystem, CaptureReplayAndPipelineMatchLive) {
   ExperimentResult rlive = RunExperiment(workload, live);
   ASSERT_GT(rlive.profile.totals.refs, 0u);
 
-  ExperimentOptions capture = live;
-  capture.capture_replay = true;
-  ExperimentResult rcap = RunExperiment(workload, capture);
-
   ExperimentOptions piped = live;
   piped.pipeline = true;
   ExperimentResult rpipe = RunExperiment(workload, piped);
 
-  EXPECT_EQ(rlive.profile.CanonicalJson(), rcap.profile.CanonicalJson());
   EXPECT_EQ(rlive.profile.CanonicalJson(), rpipe.profile.CanonicalJson());
-  EXPECT_EQ(rlive.prediction.PredictedCycles(), rcap.prediction.PredictedCycles());
   EXPECT_EQ(rlive.prediction.PredictedCycles(), rpipe.prediction.PredictedCycles());
 }
 

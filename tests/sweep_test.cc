@@ -3,8 +3,8 @@
 // bit-identical to what a dedicated TraceDrivenSimulator / exact-LRU
 // replay at each configuration reports — against randomized oracles for
 // the two core data structures, against real captured traces end to end,
-// and through every delivery mode the harness has (live, capture-replay,
-// pipelined, chunk-parallel decode, per-ref shim).  Degenerate families
+// and through every delivery mode the harness has (synchronous, pipelined,
+// streamed from a capture with chunk-parallel decode, per-ref shim).  Degenerate families
 // and non-power-of-two geometries must be rejected loudly, not rounded.
 #include <list>
 #include <map>
@@ -541,6 +541,7 @@ void ExpectSameSweep(const SweepResult& a, const SweepResult& b) {
   EXPECT_EQ(a.tlb.user_refs, b.tlb.user_refs);
 }
 
+// The live sweep, synchronous and behind the trace pipeline.
 TEST(SweepExperiment, LiveCaptureAndPipelinedModesAreBitIdentical) {
   WorkloadSpec w = UnitWorkload();
 
@@ -553,29 +554,10 @@ TEST(SweepExperiment, LiveCaptureAndPipelinedModesAreBitIdentical) {
   EXPECT_EQ(reference.sweep.family_points, 10u);
 
   {
-    SCOPED_TRACE("capture-replay");
-    ExperimentOptions options = SweepOptionsBase();
-    options.pipeline = false;
-    options.capture_replay = true;
-    ExperimentResult result = RunExperiment(w, options);
-    ASSERT_TRUE(result.sweep_ran);
-    ExpectSameSweep(result.sweep, reference.sweep);
-  }
-  {
     SCOPED_TRACE("pipelined (WRL_PIPELINE=1 equivalent)");
     ExperimentOptions options = SweepOptionsBase();
     options.pipeline = true;
     options.pipeline_depth = 3;
-    ExperimentResult result = RunExperiment(w, options);
-    ASSERT_TRUE(result.sweep_ran);
-    ExpectSameSweep(result.sweep, reference.sweep);
-  }
-  {
-    SCOPED_TRACE("pipelined capture-replay");
-    ExperimentOptions options = SweepOptionsBase();
-    options.pipeline = true;
-    options.pipeline_depth = 3;
-    options.capture_replay = true;
     ExperimentResult result = RunExperiment(w, options);
     ASSERT_TRUE(result.sweep_ran);
     ExpectSameSweep(result.sweep, reference.sweep);
@@ -587,7 +569,6 @@ TEST(SweepExperiment, LiveCaptureAndPipelinedModesAreBitIdentical) {
 TEST(SweepExperiment, LiveSweepReportsItsBusyTime) {
   ExperimentResult result = RunExperiment(UnitWorkload(), SweepOptionsBase());
   ASSERT_TRUE(result.sweep_ran);
-  EXPECT_EQ(result.trace_log_words, 0u);  // Live: nothing was captured.
   EXPECT_GT(result.sweep.wall_us, 0u);
   EXPECT_GT(result.sweep_mrefs_per_sec, 0.0);
 }
@@ -610,14 +591,16 @@ TEST(SweepEngine, ChunkParallelDecodeDeliversIdenticalSweep) {
     source.log = &log;
     source.kernel_table = &build.table;
     ReplayEngine engine(std::move(source));
-    engine.Parse(workers);
     std::vector<ReplayEngine::Config> configs;
     configs.push_back(
         {"sweep", [&sweep_config] { return std::make_unique<SweepEngine>(sweep_config); }});
-    std::vector<ReplayEngine::Outcome> outcomes = engine.Run(configs, {});
+    ReplayEngine::Options options;
+    options.decode_workers = workers;
+    std::vector<ReplayEngine::Outcome> outcomes = engine.Run(configs, options);
     auto* sweep = static_cast<SweepEngine*>(outcomes[0].sink.get());
     results.push_back(sweep->Finish());
   }
+  ASSERT_GT(results[0].refs, 0u);
   ExpectSameSweep(results[0], results[1]);
 }
 

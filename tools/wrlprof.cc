@@ -5,13 +5,10 @@
 // and page that generated it — plus the §5 distortion accounting: trace
 // words and epoxie-inserted instructions charged per block.
 //
-// One parser feeds the profiler in both analysis modes, bit-identical by
-// construction:
-//   * capture (default): drains are captured into a TraceLog and the parser
-//     consumes the capture after the traced run;
-//   * --live: the parser consumes each drain during the traced run itself.
-// The traced system is the experiment harness's (same clock, page policy,
-// and trace buffer), so the profile is the one `profile` experiments get.
+// The parser consumes each drain during the traced run and feeds the
+// profiler, as in every experiment.  The traced system is the experiment
+// harness's (same clock, page policy, and trace buffer), so the profile is
+// the one `profile` experiments get.
 //
 // The built-in reconciliation gate cross-checks the profile against the
 // wrlstats parser counters — Σ block insts == parser.ifetches, Σ loads ==
@@ -21,13 +18,15 @@
 //
 // Usage:
 //   wrlprof [--workload NAME] [--personality ultrix|mach] [--scale F]
-//           [--live] [--top N] [--window REFS] [--json PATH]
-//           [--folded PATH] [--no-verify] [--quiet]
+//           [--top N] [--window REFS] [--json PATH] [--folded PATH]
+//           [--no-verify] [--quiet]
+//
+// F is a number in [0, 1024].
 //
 // --json writes a schema-versioned document ("wrlprof/1"):
 //   {
 //     "schema": "wrlprof/1", "tool": "wrlprof",
-//     "workload": ..., "personality": ..., "scale": ..., "mode": ...,
+//     "workload": ..., "personality": ..., "scale": ..., "mode": "live",
 //     "reconcile": {"exact": true, ...},
 //     "profile": { "totals": ..., "blocks": [...], "symbols": [...],
 //                  "pages": [...], "working_set": [...] },
@@ -49,7 +48,6 @@
 #include "support/json.h"
 #include "support/strings.h"
 #include "trace/parser.h"
-#include "trace/trace_log.h"
 #include "workloads/workloads.h"
 
 using namespace wrl;
@@ -60,7 +58,6 @@ struct CliOptions {
   std::string workload = "sed";
   Personality personality = Personality::kUltrix;
   double scale = 1.0;
-  bool live = false;
   size_t top = 10;
   uint64_t window_refs = 1u << 18;
   std::string json_path;
@@ -89,8 +86,8 @@ struct Reconcile {
 void Usage() {
   std::fprintf(stderr,
                "usage: wrlprof [--workload NAME] [--personality ultrix|mach] [--scale F]\n"
-               "               [--live] [--top N] [--window REFS] [--json PATH]\n"
-               "               [--folded PATH] [--no-verify] [--quiet]\n");
+               "               [--top N] [--window REFS] [--json PATH] [--folded PATH]\n"
+               "               [--no-verify] [--quiet]\n");
 }
 
 void WriteTextFile(const std::string& path, const std::string& content) {
@@ -168,9 +165,8 @@ void PrintTables(const TraceProfiler& profiler, const Profile& profile, size_t t
   (void)profiler;
 }
 
-void WriteJsonReport(const std::string& path, const CliOptions& cli, const char* mode,
-                     const Reconcile& reconcile, const Profile& profile,
-                     const TraceParserStats& pstats) {
+void WriteJsonReport(const std::string& path, const CliOptions& cli, const Reconcile& reconcile,
+                     const Profile& profile, const TraceParserStats& pstats) {
   JsonWriter writer;
   writer.BeginObject();
   writer.KV("schema", "wrlprof/1");
@@ -178,7 +174,7 @@ void WriteJsonReport(const std::string& path, const CliOptions& cli, const char*
   writer.KV("workload", cli.workload);
   writer.KV("personality", cli.personality == Personality::kUltrix ? "ultrix" : "mach");
   writer.KV("scale", cli.scale);
-  writer.KV("mode", mode);
+  writer.KV("mode", "live");
 
   writer.Key("reconcile");
   writer.BeginObject();
@@ -233,9 +229,10 @@ int Run(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--scale" && i + 1 < argc) {
-      cli.scale = std::atof(argv[++i]);
-    } else if (arg == "--live") {
-      cli.live = true;
+      if (!ParseWorkloadScale(argv[++i], cli.scale)) {
+        Usage();
+        return 2;
+      }
     } else if (arg == "--top" && i + 1 < argc) {
       cli.top = static_cast<size_t>(std::atol(argv[++i]));
     } else if (arg == "--window" && i + 1 < argc) {
@@ -268,22 +265,13 @@ int Run(int argc, char** argv) {
 
   std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
   parser->SetBatchSink(&profiler);
-  auto feed = [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); };
-  TraceLog trace_log;
-  if (cli.live) {
-    traced->SetTraceSink(feed);
-  } else {
-    traced->SetTraceSink(
-        [&trace_log](const uint32_t* words, size_t count) { trace_log.Append(words, count); });
-  }
+  traced->SetTraceSink(
+      [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); });
 
   RunResult run = traced->Run(cli.max_instructions);
   if (!run.halted) {
     throw Error(StrFormat("traced run of '%s' did not halt (pc=0x%08x)",
                           workload.name.c_str(), traced->machine().pc()));
-  }
-  if (!cli.live) {
-    trace_log.Replay(feed);
   }
   parser->Finish();
   const TraceParserStats& pstats = parser->stats();
@@ -298,15 +286,13 @@ int Run(int argc, char** argv) {
   reconcile.totals = &profile.totals;
 
   if (!cli.quiet) {
-    std::printf("wrlprof: %s (%s, scale %g, %s analysis)\n", workload.name.c_str(),
-                cli.personality == Personality::kUltrix ? "ultrix" : "mach", cli.scale,
-                cli.live ? "live" : "capture-replay");
+    std::printf("wrlprof: %s (%s, scale %g, live analysis)\n", workload.name.c_str(),
+                cli.personality == Personality::kUltrix ? "ultrix" : "mach", cli.scale);
     PrintTables(profiler, profile, cli.top);
   }
 
   if (!cli.json_path.empty()) {
-    WriteJsonReport(cli.json_path, cli, cli.live ? "live" : "capture", reconcile, profile,
-                    pstats);
+    WriteJsonReport(cli.json_path, cli, reconcile, profile, pstats);
   }
   if (!cli.folded_path.empty()) {
     WriteTextFile(cli.folded_path, profile.FoldedStacks());

@@ -10,9 +10,9 @@
 // Subcommands:
 //   record  --workload NAME --out FILE [--scale F] [--personality P]
 //           [--json PATH]
-//       Run the experiment (live analysis), tee the capture to FILE, and
-//       write the analysis-counter document (--json) that `replay --expect`
-//       checks bit-for-bit.
+//       Run the experiment, tee the capture to FILE, and write the
+//       analysis-counter document (--json) that `replay --expect` checks
+//       bit-for-bit.  F is a number in [0, 1024].
 //   info    FILE [--json PATH]
 //       Header, identity metadata, chunk directory summary, compression,
 //       and any degraded-capture diagnostics.
@@ -24,7 +24,7 @@
 //   cat     FILE [--chunk I] [--limit N]
 //       Decoded trace words as hex, one per line.
 //   replay  FILE [--json PATH] [--expect PATH] [--decode-workers N]
-//       Rebuild the capturing system from metadata, replay the archive
+//       Rebuild the capturing system from metadata, stream the archive
 //       through the ReplayEngine, and (with --expect) require every
 //       analysis counter to match a `record --json` document bit-for-bit.
 //   diff    A B
@@ -189,7 +189,10 @@ int CmdRecord(int argc, char** argv) {
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--scale" && i + 1 < argc) {
-      scale = std::atof(argv[++i]);
+      if (!ParseWorkloadScale(argv[++i], scale)) {
+        Usage();
+        return 2;
+      }
     } else if (arg == "--personality" && i + 1 < argc) {
       personality = PersonalityFromName(argv[++i]);
     } else if (arg == "--json" && i + 1 < argc) {
@@ -314,7 +317,7 @@ int CmdVerify(int argc, char** argv) {
   // tracking) against a freshly rebuilt system.
   RebuiltSystems sys = RebuildFromMeta(archive);
   ReplayEngine engine(MakeSource(archive, sys));
-  engine.Parse();
+  engine.Run({});
   const uint64_t parse_errors = engine.parser_stats().validation_errors;
   for (const std::string& error : engine.parser_errors()) {
     std::fprintf(stderr, "wrltrace: %s: parser: %s\n", path.c_str(), error.c_str());
