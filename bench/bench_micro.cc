@@ -473,13 +473,16 @@ struct SystemTrace {
   std::vector<TraceRef> refs;
 };
 
+SystemConfig GccSystemConfig(bool tracing) {
+  return ExperimentSystemConfig(PaperWorkload("gcc", 0.05), ExperimentOptions{}, tracing);
+}
+
 SystemTrace BuildGccSystemTrace() {
   SystemTrace trace;
-  const WorkloadSpec workload = PaperWorkload("gcc", 0.05);
   const ExperimentOptions options;
-  trace.measured = BuildSystem(ExperimentSystemConfig(workload, options, false));
+  trace.measured = BuildSystem(GccSystemConfig(false));
   trace.pconfig = ExperimentPredictorConfig(*trace.measured, options);
-  std::unique_ptr<SystemInstance> traced = BuildSystem(ExperimentSystemConfig(workload, options, true));
+  std::unique_ptr<SystemInstance> traced = BuildSystem(GccSystemConfig(true));
   std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
   RefFnSink collect([&trace](const TraceRef& ref) { trace.refs.push_back(ref); });
   parser->SetBatchSink(&collect);
@@ -537,6 +540,34 @@ void BM_PredictorSim(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.refs.size()));
 }
 BENCHMARK(BM_PredictorSim);
+
+// The traced machine itself, on the system GccSystemTrace parses: user-mode
+// translation, the alternation between the program's pages and the trace
+// buffer that memtrace's stores cause, UTLB refills, and the drain.  None
+// of the bare-program machine benches touches user-mode translation.  The
+// build is outside the timed region; items are simulated instructions.
+void BM_TracedSystemRun(benchmark::State& state) {
+  const SystemConfig config = GccSystemConfig(true);
+  const uint64_t max_instructions = ExperimentOptions{}.max_instructions;
+  uint64_t instructions = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<SystemInstance> traced = BuildSystem(config);
+    state.ResumeTiming();
+    RunResult run = traced->Run(max_instructions);
+    if (!run.halted) {
+      state.SkipWithError("the traced system did not halt");
+      return;
+    }
+    instructions += run.instructions;
+    benchmark::DoNotOptimize(run.cycles);
+    state.PauseTiming();
+    traced.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(instructions));
+}
+BENCHMARK(BM_TracedSystemRun);
 
 // Console output as usual, but every finished run is also captured so the
 // --json report can be emitted afterwards.

@@ -37,28 +37,39 @@ uint32_t Gcd(uint32_t a, uint32_t b) { return b == 0 ? a : Gcd(b, a % b); }
 
 }  // namespace
 
-std::vector<uint8_t> BuildDiskImage(const std::vector<DiskFile>& files, uint32_t disk_bytes) {
-  std::vector<uint8_t> image(disk_bytes, 0);
+void BuildDiskImage(const std::vector<DiskFile>& files, PhysMem& image) {
   WRL_CHECK_MSG(files.size() <= kFsDirEntries, "too many files for the flat filesystem");
-  uint32_t next_sector = kFsBlockSectors;  // Data starts at the first block boundary.
+  const uint64_t disk_sectors = image.size() / kDiskSectorBytes;
+  uint64_t next_sector = kFsBlockSectors;  // Data starts at the first block boundary.
   for (size_t i = 0; i < files.size(); ++i) {
     const DiskFile& f = files[i];
     WRL_CHECK_MSG(f.name.size() < kFsNameBytes, "file name too long");
-    size_t entry = i * 32;
-    std::memcpy(image.data() + entry, f.name.c_str(), f.name.size() + 1);
-    uint32_t length = static_cast<uint32_t>(f.content.size()) + f.extra_capacity;
-    uint32_t sectors = (length + 511) / 512;
+    // 64-bit sums: in 32 bits a huge extra_capacity wraps to a tiny length
+    // and the next file lands on top of this one.
+    uint64_t length = static_cast<uint64_t>(f.content.size()) + f.extra_capacity;
+    uint64_t sectors = (length + kDiskSectorBytes - 1) / kDiskSectorBytes;
     // Round the allocation to block boundaries so files never share blocks.
-    sectors = ((sectors + kFsBlockSectors - 1) / kFsBlockSectors) * kFsBlockSectors;
-    Put32(image, entry + 24, next_sector);
-    Put32(image, entry + 28, length);
-    WRL_CHECK_MSG((next_sector + sectors) * 512 <= disk_bytes, "disk image overflow");
+    sectors = (sectors + kFsBlockSectors - 1) / kFsBlockSectors * kFsBlockSectors;
+    if (length > UINT32_MAX || next_sector + sectors > disk_sectors) {
+      throw Error(StrFormat("disk file '%s' (%llu bytes) does not fit: it needs sectors "
+                            "[%llu, %llu) of a %llu-sector disk",
+                            f.name.c_str(), static_cast<unsigned long long>(length),
+                            static_cast<unsigned long long>(next_sector),
+                            static_cast<unsigned long long>(next_sector + sectors),
+                            static_cast<unsigned long long>(disk_sectors)));
+    }
+    uint8_t* entry = image.data() + i * 32;
+    const uint32_t dir_sector = static_cast<uint32_t>(next_sector);
+    const uint32_t dir_length = static_cast<uint32_t>(length);
+    std::memcpy(entry, f.name.c_str(), f.name.size() + 1);
+    std::memcpy(entry + 24, &dir_sector, 4);
+    std::memcpy(entry + 28, &dir_length, 4);
     if (!f.content.empty()) {
-      std::memcpy(image.data() + next_sector * 512, f.content.data(), f.content.size());
+      std::memcpy(image.data() + next_sector * kDiskSectorBytes, f.content.data(),
+                  f.content.size());
     }
     next_sector += sectors;
   }
-  return image;
 }
 
 std::string UserLibAsm() {
@@ -582,8 +593,7 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
   mconfig.fastpath = config.fastpath;
   sys.machine_ = std::make_unique<Machine>(mconfig);
   Machine& m = *sys.machine_;
-  m.disk().image() = BuildDiskImage(config.files,
-                                    static_cast<uint32_t>(m.disk().image().size()));
+  BuildDiskImage(config.files, m.disk().image());
   m.LoadImage(sys.kernel_exe_, [](uint32_t v) { return v - kKseg0; });
 
   // ---- Per-process layout and premapping ----

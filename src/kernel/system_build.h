@@ -204,8 +204,11 @@ std::string UserLibAsm();
 // The Mach UNIX-server program (user-level filesystem over device I/O).
 std::string ServerAsm();
 
-// Builds the flat-filesystem disk image.
-std::vector<uint8_t> BuildDiskImage(const std::vector<DiskFile>& files, uint32_t disk_bytes);
+// Writes the flat-filesystem directory and every file's contents into
+// `image` in place.  The image must be all zeros (a fresh Disk's is), so
+// each file's extra capacity and the unused directory entries read as
+// zeros.  Throws Error, naming the file, when a file does not fit.
+void BuildDiskImage(const std::vector<DiskFile>& files, PhysMem& image);
 
 }  // namespace wrl
 

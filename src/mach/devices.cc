@@ -8,9 +8,8 @@
 
 namespace wrl {
 
-Disk::Disk(const DiskConfig& config) : config_(config) {
-  image_.assign(static_cast<size_t>(config.num_sectors) * kDiskSectorBytes, 0);
-}
+Disk::Disk(const DiskConfig& config)
+    : config_(config), image_(static_cast<size_t>(config.num_sectors) * kDiskSectorBytes) {}
 
 void Disk::WriteReg(uint32_t reg, uint32_t value, uint64_t now) {
   switch (reg) {

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "mach/phys_mem.h"
 
@@ -62,12 +61,14 @@ struct DiskConfig {
   uint64_t per_sector_cycles = 10000;    // Transfer time per sector.
 };
 
-// The DMA disk.  Owns the disk image (flat byte array).
+// The DMA disk.  Owns the disk image: a flat byte array in a PhysMem, so
+// only the pages something writes (the host's BuildDiskImage, or a DMA
+// write) are ever committed.  A sector nobody wrote reads as zeros.
 class Disk {
  public:
   explicit Disk(const DiskConfig& config);
 
-  std::vector<uint8_t>& image() { return image_; }
+  PhysMem& image() { return image_; }
   const DiskConfig& config() const { return config_; }
 
   // Register interface (called by the machine's MMIO dispatch).
@@ -88,7 +89,7 @@ class Disk {
 
  private:
   DiskConfig config_;
-  std::vector<uint8_t> image_;
+  PhysMem image_;
   uint32_t sector_ = 0;
   uint32_t dma_addr_ = 0;
   uint32_t count_ = 0;

@@ -117,7 +117,7 @@ void Machine::RaiseException(Exc code, uint32_t faulting_pc, bool in_delay, uint
     // handler depends on this).
     uint32_t ptebase = cop0_[kCop0Context] & 0xffe00000u;
     cop0_[kCop0Context] = ptebase | (((badvaddr >> 12) & 0x7ffffu) << 2);
-    cop0_[kCop0EntryHi] = MakeEntryHi(badvaddr, static_cast<uint8_t>((cop0_[kCop0EntryHi] >> 6) & 63));
+    cop0_[kCop0EntryHi] = MakeEntryHi(badvaddr, CurrentAsid());
   }
   // Push the KU/IE stack: old<-prev, prev<-current, current<-(kernel, off).
   uint32_t status = cop0_[kCop0Status];
@@ -132,26 +132,14 @@ void Machine::RaiseException(Exc code, uint32_t faulting_pc, bool in_delay, uint
   FlushMicroTlb();
 }
 
-Machine::Translation Machine::Translate(uint32_t vaddr, Access access, uint32_t faulting_pc,
-                                        bool in_delay) {
+Machine::Translation Machine::TranslateSlow(uint32_t vaddr, Access access, uint32_t faulting_pc,
+                                            bool in_delay) {
   Translation t;
   bool user = user_mode();
   bool store = access == Access::kStore;
-  MicroTlb& mt = access == Access::kFetch ? micro_itlb_ : micro_dtlb_;
-  if (fastpath_.micro_tlb && (InKuseg(vaddr) || InKseg2(vaddr))) {
-    uint8_t asid = static_cast<uint8_t>((cop0_[kCop0EntryHi] >> 6) & 63);
-    uint32_t key = MicroTlbKey(vaddr, asid, user);
-    // Stores may only hit a writable (TLB-dirty) cached translation; a clean
-    // page must fall through so the slow path raises the Mod exception.
-    if (mt.key == key && (!store || mt.writable)) {
-      t.ok = true;
-      t.paddr = mt.frame | (vaddr & (kPageBytes - 1));
-      t.cached = mt.cached;
-      return t;
-    }
-  }
+  MicroTlb& micro = access == Access::kFetch ? micro_itlb_ : micro_dtlb_;
   if (InKuseg(vaddr)) {
-    uint8_t asid = static_cast<uint8_t>((cop0_[kCop0EntryHi] >> 6) & 63);
+    uint8_t asid = CurrentAsid();
     auto index = tlb_.Lookup(vaddr, asid);
     if (!index) {
       // kuseg refill goes through the dedicated UTLB vector — unless the
@@ -174,10 +162,8 @@ Machine::Translation Machine::Translate(uint32_t vaddr, Access access, uint32_t 
     t.paddr = (e.pfn() << 12) | (vaddr & 0xfff);
     t.cached = !e.uncached();
     if (fastpath_.micro_tlb) {
-      mt.key = MicroTlbKey(vaddr, asid, user);
-      mt.frame = e.pfn() << kPageShift;
-      mt.cached = t.cached;
-      mt.writable = e.dirty();
+      micro.For(vaddr) = {MicroTlbKey(vaddr, asid, user), e.pfn() << kPageShift, t.cached,
+                          e.dirty()};
     }
     return t;
   }
@@ -200,7 +186,7 @@ Machine::Translation Machine::Translate(uint32_t vaddr, Access access, uint32_t 
   }
   // kseg2: mapped kernel segment; misses use the *general* vector (the
   // paper's slow KTLB path).
-  uint8_t asid = static_cast<uint8_t>((cop0_[kCop0EntryHi] >> 6) & 63);
+  uint8_t asid = CurrentAsid();
   auto index = tlb_.Lookup(vaddr, asid);
   if (!index || !tlb_.entry(*index).valid()) {
     RaiseException(store ? Exc::kTlbS : Exc::kTlbL, faulting_pc, in_delay, vaddr, true, false);
@@ -215,10 +201,8 @@ Machine::Translation Machine::Translate(uint32_t vaddr, Access access, uint32_t 
   t.paddr = (e.pfn() << 12) | (vaddr & 0xfff);
   t.cached = !e.uncached();
   if (fastpath_.micro_tlb) {
-    mt.key = MicroTlbKey(vaddr, asid, user);
-    mt.frame = e.pfn() << kPageShift;
-    mt.cached = t.cached;
-    mt.writable = e.dirty();
+    micro.For(vaddr) = {MicroTlbKey(vaddr, asid, user), e.pfn() << kPageShift, t.cached,
+                        e.dirty()};
   }
   return t;
 }
@@ -749,7 +733,7 @@ void Machine::Execute(const Inst& inst, uint32_t cur, bool delay) {
         }
         case Op::kTlbp: {
           uint32_t vaddr = cop0_[kCop0EntryHi] & 0xfffff000u;
-          uint8_t asid = static_cast<uint8_t>((cop0_[kCop0EntryHi] >> 6) & 63);
+          uint8_t asid = CurrentAsid();
           auto index = tlb_.Lookup(vaddr, asid);
           cop0_[kCop0Index] = index ? (static_cast<uint32_t>(*index) << 8) : 0x80000000u;
           break;

@@ -84,9 +84,10 @@ struct FastPathConfig {
   // Cache Decode() results per physical page; invalidated on stores, DMA,
   // and image loads into the page (self-modifying code keeps working).
   bool predecode = true;
-  // One-entry fetch/data last-translation caches in front of the 64-entry
-  // TLB scan, keyed on (VPN, ASID, user-mode); flushed on tlbwi/tlbwr,
-  // EntryHi writes, and mode transitions.
+  // Direct-mapped fetch and data translation tables (64 slots each,
+  // indexed by VPN mod 64) in front of the 64-entry TLB scan, keyed on
+  // (VPN, ASID, user-mode); both flushed on tlbwi/tlbwr, EntryHi and
+  // Status writes, rfe, and exception entry.
   bool micro_tlb = true;
   // Tick device models only when the cycle counter crosses the next
   // computed deadline (clock tick or disk completion) instead of on every
@@ -229,24 +230,62 @@ class Machine {
     std::array<Inst, kPageBytes / 4> inst;
   };
 
-  // A one-entry last-translation cache.  `key` packs (VPN, ASID, user-mode);
-  // kuseg VPNs fit 19 bits, so the all-ones sentinel can never match.
+  // One side (fetch or data) of the micro-TLB: a direct-mapped table of
+  // recent translations, slot = VPN mod kSlots.  A slot's `key` packs the
+  // full (VPN, ASID, user-mode), so two pages sharing a slot never alias;
+  // the all-ones sentinel can never match (a VPN is 20 bits).  Slots are
+  // filled only after a successful TLB lookup in kuseg or kseg2, so an
+  // unmapped address never hits.
   struct MicroTlb {
+    static constexpr unsigned kSlots = 64;
     static constexpr uint32_t kNoKey = 0xffffffffu;
-    uint32_t key = kNoKey;
-    uint32_t frame = 0;  // pfn << kPageShift
-    bool cached = true;
-    bool writable = false;  // TLB dirty bit: stores may only hit when set.
+    struct Slot {
+      uint32_t key = kNoKey;
+      uint32_t frame = 0;  // pfn << kPageShift
+      bool cached = true;
+      bool writable = false;  // TLB dirty bit: stores may only hit when set.
+    };
+    std::array<Slot, kSlots> slots;
+
+    Slot& For(uint32_t vaddr) { return slots[(vaddr >> kPageShift) % kSlots]; }
+    void Flush() {
+      for (Slot& slot : slots) {
+        slot.key = kNoKey;
+      }
+    }
   };
   static uint32_t MicroTlbKey(uint32_t vaddr, uint8_t asid, bool user) {
     return ((vaddr >> kPageShift) << 8) | (uint32_t{asid} << 1) | (user ? 1u : 0u);
   }
+  uint8_t CurrentAsid() const { return static_cast<uint8_t>((cop0_[kCop0EntryHi] >> 6) & 63); }
   void FlushMicroTlb() {
-    micro_itlb_.key = MicroTlb::kNoKey;
-    micro_dtlb_.key = MicroTlb::kNoKey;
+    micro_itlb_.Flush();
+    micro_dtlb_.Flush();
   }
 
-  Translation Translate(uint32_t vaddr, Access access, uint32_t faulting_pc, bool in_delay);
+  // The two common cases, inline in Step and Execute: a kernel-mode kseg0
+  // access (unmapped and cached, exactly as TranslateSlow computes it) and
+  // a micro-TLB hit.  A store only hits a writable slot, so a store to a
+  // clean page still reaches TranslateSlow and raises Mod.
+  Translation Translate(uint32_t vaddr, Access access, uint32_t faulting_pc, bool in_delay) {
+    bool user = user_mode();
+    if (!user && InKseg0(vaddr)) {
+      return {true, vaddr - kKseg0, true, false};
+    }
+    if (fastpath_.micro_tlb) {
+      const MicroTlb::Slot& slot =
+          (access == Access::kFetch ? micro_itlb_ : micro_dtlb_).For(vaddr);
+      if (slot.key == MicroTlbKey(vaddr, CurrentAsid(), user) &&
+          (access != Access::kStore || slot.writable)) {
+        return {true, slot.frame | (vaddr & (kPageBytes - 1)), slot.cached, false};
+      }
+    }
+    return TranslateSlow(vaddr, access, faulting_pc, in_delay);
+  }
+  // The whole translation, out of line.  What Translate does not shortcut
+  // ends here: TLB lookups (and micro-TLB fills), refill and Mod
+  // exceptions, kseg1 and the device page, address errors.
+  Translation TranslateSlow(uint32_t vaddr, Access access, uint32_t faulting_pc, bool in_delay);
   void RaiseException(Exc code, uint32_t faulting_pc, bool in_delay, uint32_t badvaddr,
                       bool badvaddr_valid, bool utlb_vector);
   void Execute(const Inst& inst, uint32_t cur, bool delay);

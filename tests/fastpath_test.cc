@@ -3,17 +3,19 @@
 // them on or off, the machine must produce byte-identical architectural
 // results — every trace word, cycle count, and counter.  These tests hold
 // it to that, and poke the invalidation edges where each cache could go
-// stale: self-modifying code, DMA into predecoded text, TLB rewrites, and
-// ASID switches.
+// stale: self-modifying code, DMA into predecoded text, TLB rewrites, ASID
+// switches, micro-TLB slot conflicts, and stores to clean pages.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "harness/experiment.h"
 #include "kernel/system_build.h"
 #include "stats/stats.h"
 #include "support/json.h"
 #include "tests/test_util.h"
+#include "workloads/workloads.h"
 
 namespace wrl {
 namespace {
@@ -27,8 +29,31 @@ struct TracedCapture {
   std::vector<uint32_t> trace_words;
   uint64_t cycles = 0;
   uint64_t instructions = 0;
+  uint64_t utlb_misses = 0;
   std::string counters_json;
 };
+
+TracedCapture RunCapture(const SystemConfig& config, uint64_t max_instructions) {
+  auto sys = BuildSystem(config);
+
+  TracedCapture capture;
+  sys->SetTraceSink([&](const uint32_t* words, size_t count) {
+    capture.trace_words.insert(capture.trace_words.end(), words, words + count);
+  });
+  RunResult r = sys->Run(max_instructions);
+  EXPECT_TRUE(r.halted);
+  EXPECT_EQ(sys->machine().halt_code(), 0u);
+  capture.cycles = sys->machine().cycles();
+  capture.instructions = sys->machine().instructions();
+  capture.utlb_misses = sys->machine().utlb_miss_exceptions();
+
+  StatsRegistry registry;
+  sys->RegisterStats(registry, "sys.");
+  JsonWriter writer;
+  registry.Snapshot().WriteJson(writer);
+  capture.counters_json = writer.TakeString();
+  return capture;
+}
 
 TracedCapture RunTracedWith(const FastPathConfig& fastpath) {
   SystemConfig config;
@@ -64,24 +89,7 @@ sum:    sll  $t3, $t1, 2
         .data
 table:  .space 256
 )";
-  auto sys = BuildSystem(config);
-
-  TracedCapture capture;
-  sys->SetTraceSink([&](const uint32_t* words, size_t count) {
-    capture.trace_words.insert(capture.trace_words.end(), words, words + count);
-  });
-  RunResult r = sys->Run(400'000'000);
-  EXPECT_TRUE(r.halted);
-  EXPECT_EQ(sys->machine().halt_code(), 0u);
-  capture.cycles = sys->machine().cycles();
-  capture.instructions = sys->machine().instructions();
-
-  StatsRegistry registry;
-  sys->RegisterStats(registry, "sys.");
-  JsonWriter writer;
-  registry.Snapshot().WriteJson(writer);
-  capture.counters_json = writer.TakeString();
-  return capture;
+  return RunCapture(config, 400'000'000);
 }
 
 TEST(FastPath, TracedSystemByteIdenticalToSlowPath) {
@@ -106,6 +114,32 @@ TEST(FastPath, EachLayerAloneIsByteIdentical) {
     EXPECT_EQ(run.cycles, slow.cycles) << "layer " << layer;
     EXPECT_EQ(run.trace_words, slow.trace_words) << "layer " << layer;
     EXPECT_EQ(run.counters_json, slow.counters_json) << "layer " << layer;
+  }
+}
+
+// The same contract on a paper workload whose translations the loop above
+// never stresses: under Mach two address spaces share the TLB, tlbwr
+// refills evict entries the micro-TLB may still hold, pages collide in
+// micro-TLB slots, and under tracing every memory reference alternates with
+// a store into the trace buffer.  Both systems of an experiment — measured
+// and traced — are built by the harness's own rules.
+TEST(FastPath, PaperWorkloadByteIdenticalToSlowPath) {
+  const WorkloadSpec workload = PaperWorkload("eqntott", 0.05);
+  ExperimentOptions options;
+  options.personality = Personality::kMach;
+  for (bool tracing : {false, true}) {
+    SystemConfig config = ExperimentSystemConfig(workload, options, tracing);
+    config.fastpath = FastPathConfig{};
+    TracedCapture fast = RunCapture(config, options.max_instructions);
+    config.fastpath = FastPathConfig::AllOff();
+    TracedCapture slow = RunCapture(config, options.max_instructions);
+    EXPECT_GT(slow.utlb_misses, 0u) << "tracing " << tracing;
+    EXPECT_EQ(tracing, !slow.trace_words.empty());
+    EXPECT_EQ(fast.cycles, slow.cycles) << "tracing " << tracing;
+    EXPECT_EQ(fast.instructions, slow.instructions) << "tracing " << tracing;
+    ASSERT_EQ(fast.trace_words.size(), slow.trace_words.size()) << "tracing " << tracing;
+    EXPECT_EQ(fast.trace_words, slow.trace_words) << "tracing " << tracing;
+    EXPECT_EQ(fast.counters_json, slow.counters_json) << "tracing " << tracing;
   }
 }
 
@@ -225,8 +259,9 @@ TEST(FastPath, DmaInvalidatesPredecodedPage) {
   EXPECT_EQ(RunDmaOverwrite(false), 742u);
 }
 
-// Rewriting a TLB entry with tlbwi must flush the micro-TLB: the next load
-// through the same virtual page has to see the new frame.
+// Rewriting a TLB entry with tlbwi must flush the whole micro-TLB: the next
+// load through the rewritten page has to see the new frame, even though
+// another page's slot was used since that page's slot was filled.
 constexpr const char* kTlbRewriteProgram = R"(
         .globl _start
         .space 0x80              # UTLB vector unused (entry always present)
@@ -237,27 +272,40 @@ gen:    mfc0 $k0, $cause
         sw   $v0, 0($t9)
         nop
         .space 0x100
-_start: # Distinct values in phys pages 0x100 and 0x101.
+_start: # Distinct values in phys pages 0x100, 0x101 and 0x102.
         li   $t0, 0x80100000
         li   $t1, 1111
         sw   $t1, 0x10($t0)
         li   $t0, 0x80101000
         li   $t1, 2222
         sw   $t1, 0x10($t0)
-        # Map user page 0 -> pfn 0x100 (dirty|valid).
+        li   $t0, 0x80102000
+        li   $t1, 3000
+        sw   $t1, 0x10($t0)
+        # Map user page 1 -> pfn 0x102 (index 1), then user page 0 ->
+        # pfn 0x100 (index 0, dirty|valid); EntryHi is left naming page 0.
+        li   $t1, 0x1000
+        mtc0 $t1, $entryhi
+        li   $t1, 0x00102600
+        mtc0 $t1, $entrylo
+        li   $t1, 0x100
+        mtc0 $t1, $index
+        tlbwi
         mtc0 $zero, $entryhi
         li   $t1, 0x00100600
         mtc0 $t1, $entrylo
         mtc0 $zero, $index
         tlbwi
         li   $t2, 0x10
-        lw   $t3, 0($t2)         # 1111; primes the micro-TLB
+        lw   $t3, 0($t2)         # 1111; primes page 0's micro-TLB slot
+        lw   $t5, 0x1000($t2)    # 3000; page 1's slot is the one used last
         # Rewrite index 0 -> pfn 0x101.
         li   $t1, 0x00101600
         mtc0 $t1, $entrylo
         tlbwi
         lw   $t4, 0($t2)         # must read 2222, not a stale 1111
-        addu $v0, $t3, $t4       # halt(3333)
+        addu $v0, $t3, $t4
+        addu $v0, $v0, $t5       # halt(6333)
         li   $t9, 0xbfd00004
         sw   $v0, 0($t9)
         nop
@@ -266,8 +314,8 @@ spin:   b    spin
 )";
 
 TEST(FastPath, TlbRewriteInvalidatesMicroTlb) {
-  EXPECT_EQ(RunVectored(kTlbRewriteProgram, true)->halt_code(), 3333u);
-  EXPECT_EQ(RunVectored(kTlbRewriteProgram, false)->halt_code(), 3333u);
+  EXPECT_EQ(RunVectored(kTlbRewriteProgram, true)->halt_code(), 6333u);
+  EXPECT_EQ(RunVectored(kTlbRewriteProgram, false)->halt_code(), 6333u);
 }
 
 // Switching the ASID in EntryHi must flush the micro-TLB: a non-global
@@ -308,6 +356,94 @@ spin:   b    spin
 TEST(FastPath, AsidSwitchInvalidatesMicroTlb) {
   EXPECT_EQ(RunVectored(kAsidSwitchProgram, true)->halt_code(), 77u);
   EXPECT_EQ(RunVectored(kAsidSwitchProgram, false)->halt_code(), 77u);
+}
+
+// User pages 0 and 64 share a micro-TLB slot (VPN mod 64) but map to
+// different frames: each load must read its own page, however the slot
+// was last filled.
+constexpr const char* kSlotAliasProgram = R"(
+        .globl _start
+        .space 0x80              # UTLB vector unused (entries always present)
+gen:    mfc0 $k0, $cause
+        srl  $k0, $k0, 2
+        andi $v0, $k0, 31
+        li   $t9, 0xbfd00004
+        sw   $v0, 0($t9)
+        nop
+        .space 0x100
+_start: # 1 in phys page 0x100, 2 in phys page 0x101.
+        li   $t0, 0x80100000
+        li   $t1, 1
+        sw   $t1, 0x10($t0)
+        li   $t0, 0x80101000
+        li   $t1, 2
+        sw   $t1, 0x10($t0)
+        # Map user page 64 -> pfn 0x101 (index 1), user page 0 -> pfn 0x100
+        # (index 0).
+        li   $t1, 0x00040000
+        mtc0 $t1, $entryhi
+        li   $t1, 0x00101600
+        mtc0 $t1, $entrylo
+        li   $t1, 0x100
+        mtc0 $t1, $index
+        tlbwi
+        mtc0 $zero, $entryhi
+        li   $t1, 0x00100600
+        mtc0 $t1, $entrylo
+        mtc0 $zero, $index
+        tlbwi
+        li   $t2, 0x10
+        li   $t6, 0x40010
+        lw   $t3, 0($t2)         # page 0: 1
+        lw   $t4, 0($t6)         # page 64: 2
+        lw   $t5, 0($t2)         # page 0 again: 1
+        sll  $t3, $t3, 8
+        sll  $t4, $t4, 4
+        or   $v0, $t3, $t4
+        or   $v0, $v0, $t5       # halt(0x121)
+        li   $t9, 0xbfd00004
+        sw   $v0, 0($t9)
+        nop
+spin:   b    spin
+        nop
+)";
+
+TEST(FastPath, MicroTlbSlotConflictKeepsPagesApart) {
+  EXPECT_EQ(RunVectored(kSlotAliasProgram, true)->halt_code(), 0x121u);
+  EXPECT_EQ(RunVectored(kSlotAliasProgram, false)->halt_code(), 0x121u);
+}
+
+// A load fills the data slot of a clean (valid, not dirty) page; a store
+// to that page must not hit the slot, and still raises Mod.
+constexpr const char* kCleanPageStoreProgram = R"(
+        .globl _start
+        .space 0x80              # UTLB vector unused (entry always present)
+gen:    mfc0 $k0, $cause
+        srl  $k0, $k0, 2
+        andi $v0, $k0, 31
+        li   $t9, 0xbfd00004
+        sw   $v0, 0($t9)         # halt(ExcCode): Mod is 1
+        nop
+        .space 0x100
+_start: mtc0 $zero, $entryhi
+        li   $t1, 0x00100200     # valid only, not dirty
+        mtc0 $t1, $entrylo
+        mtc0 $zero, $index
+        tlbwi
+        li   $t2, 0x10
+        lw   $t3, 0($t2)         # primes the slot with a clean translation
+        sw   $zero, 0($t2)       # must raise Mod
+        li   $v0, 99             # reached only if the store hit the slot
+        li   $t9, 0xbfd00004
+        sw   $v0, 0($t9)
+        nop
+spin:   b    spin
+        nop
+)";
+
+TEST(FastPath, StoreToCleanPageAfterLoadRaisesMod) {
+  EXPECT_EQ(RunVectored(kCleanPageStoreProgram, true)->halt_code(), 1u);
+  EXPECT_EQ(RunVectored(kCleanPageStoreProgram, false)->halt_code(), 1u);
 }
 
 }  // namespace

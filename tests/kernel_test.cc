@@ -3,7 +3,10 @@
 // personalities — all untraced (the tracing integration has its own suite).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "kernel/system_build.h"
+#include "support/error.h"
 #include "support/strings.h"
 
 namespace wrl {
@@ -360,6 +363,56 @@ buf:    .space 20480
   ASSERT_TRUE(r.halted);
   EXPECT_GT(sys->machine().idle_instructions(), 100u);
   EXPECT_GT(sys->machine().clock().ticks(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The flat filesystem's disk image.
+
+constexpr const char* kExitProgram = R"(
+        .globl main
+main:
+        jr   $ra
+        move $v0, $zero
+)";
+
+uint32_t DirWord(SystemInstance& sys, size_t entry, size_t offset) {
+  uint32_t v = 0;
+  std::memcpy(&v, sys.machine().disk().image().data() + entry * 32 + offset, 4);
+  return v;
+}
+
+// A file may use the disk up to its last block: data starts at the first
+// block boundary, so content plus capacity of disk - 1 block fills it.
+TEST(Kernel, DiskFileMayFillTheLastBlock) {
+  SystemConfig config;
+  config.program_source = kExitProgram;
+  const uint32_t disk_bytes = config.disk.num_sectors * kDiskSectorBytes;
+  config.files = {{"full", {0xab}, disk_bytes - kFsBlockBytes - 1}};
+  auto sys = BuildSystem(config);
+  EXPECT_EQ(DirWord(*sys, 0, 24), kFsBlockSectors);              // start sector
+  EXPECT_EQ(DirWord(*sys, 0, 28), disk_bytes - kFsBlockBytes);   // length
+  EXPECT_EQ(sys->machine().disk().image()[kFsBlockBytes], 0xab);
+  ASSERT_TRUE(sys->Run(kBudget).halted);
+}
+
+// A file's length is content + extra capacity, summed before rounding to
+// sectors and blocks.  None of these fit the 16 MB disk; a sum done in 32
+// bits wraps the first two to a tiny length that "fits", and the next file
+// then lands on the same sectors.
+TEST(Kernel, DiskFileThatDoesNotFitIsRejectedByName) {
+  SystemConfig base;
+  base.program_source = kExitProgram;
+  const uint32_t disk_bytes = base.disk.num_sectors * kDiskSectorBytes;
+  for (uint32_t extra : {0xfffffffeu, 0xfffffe00u, disk_bytes - kFsBlockBytes}) {
+    SystemConfig config = base;
+    config.files = {{"huge", {0xab}, extra}, {"next", {0xcd}, 0}};
+    try {
+      BuildSystem(config);
+      ADD_FAILURE() << "accepted a file with extra_capacity 0x" << std::hex << extra;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'huge'"), std::string::npos) << e.what();
+    }
+  }
 }
 
 }  // namespace
