@@ -67,6 +67,10 @@ bool Disk::Tick(uint64_t now, PhysMem& phys_mem, uint32_t* dma_paddr, uint32_t* 
     size_t disk_off = static_cast<size_t>(sector_) * kDiskSectorBytes;
     WRL_CHECK_MSG(static_cast<size_t>(dma_addr_) + bytes <= phys_mem.size(),
                   StrFormat("disk DMA out of physical memory at 0x%08x", dma_addr_));
+    // The command write checked the range, but the guest may rewrite the
+    // sector and count registers while the transfer is in flight.
+    WRL_CHECK_MSG(disk_off + bytes <= image_.size(),
+                  StrFormat("disk DMA beyond end of disk (sector %u count %u)", sector_, count_));
     if (command_ == 1) {
       std::memcpy(phys_mem.data() + dma_addr_, image_.data() + disk_off, bytes);
       if (dma_paddr != nullptr) {

@@ -171,12 +171,7 @@ Machine::Translation Machine::TranslateSlow(uint32_t vaddr, Access access, uint3
     RaiseException(store ? Exc::kAdES : Exc::kAdEL, faulting_pc, in_delay, vaddr, true, false);
     return t;
   }
-  if (InKseg0(vaddr)) {
-    t.ok = true;
-    t.paddr = vaddr - kKseg0;
-    t.cached = true;
-    return t;
-  }
+  // Kernel kseg0 never gets here: Translate maps it inline.
   if (InKseg1(vaddr)) {
     t.ok = true;
     t.paddr = vaddr - kKseg1;

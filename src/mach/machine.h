@@ -263,9 +263,9 @@ class Machine {
     micro_dtlb_.Flush();
   }
 
-  // The two common cases, inline in Step and Execute: a kernel-mode kseg0
-  // access (unmapped and cached, exactly as TranslateSlow computes it) and
-  // a micro-TLB hit.  A store only hits a writable slot, so a store to a
+  // The two common cases, inline in Step and Execute: a micro-TLB hit, and
+  // a kernel-mode kseg0 access (unmapped and cached), which is handled here
+  // and nowhere else.  A store only hits a writable slot, so a store to a
   // clean page still reaches TranslateSlow and raises Mod.
   Translation Translate(uint32_t vaddr, Access access, uint32_t faulting_pc, bool in_delay) {
     bool user = user_mode();
@@ -282,9 +282,9 @@ class Machine {
     }
     return TranslateSlow(vaddr, access, faulting_pc, in_delay);
   }
-  // The whole translation, out of line.  What Translate does not shortcut
-  // ends here: TLB lookups (and micro-TLB fills), refill and Mod
-  // exceptions, kseg1 and the device page, address errors.
+  // Everything Translate does not finish inline, out of line: TLB lookups
+  // (and micro-TLB fills), refill and Mod exceptions, kseg1 and the device
+  // page, kseg2, address errors.  Never called for kernel kseg0.
   Translation TranslateSlow(uint32_t vaddr, Access access, uint32_t faulting_pc, bool in_delay);
   void RaiseException(Exc code, uint32_t faulting_pc, bool in_delay, uint32_t badvaddr,
                       bool badvaddr_valid, bool utlb_vector);

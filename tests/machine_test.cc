@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/error.h"
 #include "tests/test_util.h"
 
 namespace wrl {
@@ -326,6 +327,27 @@ wait:   b    wait
   ASSERT_TRUE(m.halted());
   EXPECT_EQ(m.halt_code(), 0x07060504u);
   EXPECT_EQ(m.disk().operations(), 1u);
+}
+
+TEST(Machine, DiskTransferPastLastSectorIsRejected) {
+  DiskConfig config;
+  config.num_sectors = 8;
+  PhysMem phys(64 * 1024);
+  // Issued past the end: the command write refuses it.
+  Disk issued{config};
+  issued.WriteReg(kDevDiskSector, 7, 0);
+  issued.WriteReg(kDevDiskCount, 2, 0);
+  EXPECT_THROW(issued.WriteReg(kDevDiskCmd, 1, 0), Error);
+  // Issued in range, then stretched past the end while in flight: the DMA
+  // itself must refuse it rather than read past the image.
+  for (uint32_t cmd : {1u, 2u}) {
+    Disk disk{config};
+    disk.WriteReg(kDevDiskSector, 7, 0);
+    disk.WriteReg(kDevDiskCount, 1, 0);
+    disk.WriteReg(kDevDiskCmd, cmd, 0);
+    disk.WriteReg(kDevDiskCount, 2, 0);
+    EXPECT_THROW(disk.Tick(disk.completion_time(), phys), InternalError) << "cmd " << cmd;
+  }
 }
 
 TEST(Machine, UserModeCannotTouchKseg) {
