@@ -325,7 +325,7 @@ void BM_PipelineDrain(benchmark::State& state) {
 BENCHMARK(BM_PipelineDrain);
 
 // Raw TraceLog unpack throughput: varint+delta decode of a packed multi-chunk
-// capture into trace words, the per-chunk work the parallel decoder fans out.
+// capture into trace words, the per-chunk work every TraceLog replay does.
 void BM_TraceLogDecode(benchmark::State& state) {
   BareBuild build = BuildBareTraced(kBody);
   BareTraceRun run = RunBareTraced(build);
@@ -379,8 +379,8 @@ void BM_ArchiveWrite(benchmark::State& state) {
 BENCHMARK(BM_ArchiveWrite);
 
 // Archive decode throughput off the mmap'd file: per-chunk CRC check plus
-// the bounded varint+delta decode — the per-chunk work the windowed
-// parallel replay fans out.  Directly comparable to BM_TraceLogDecode; the
+// the bounded varint+delta decode — the per-chunk work every archive
+// replay does.  Directly comparable to BM_TraceLogDecode; the
 // delta is the cost of checksumming and untrusted-input bounds checks.
 void BM_ArchiveDecode(benchmark::State& state) {
   BareBuild build = BuildBareTraced(kBody);

@@ -39,8 +39,7 @@ inline double BenchScaleOr(int argc, char** argv, double fallback) {
 inline double BenchScale(int argc, char** argv) { return BenchScaleOr(argc, argv, 0.2); }
 
 // Worker threads for suite runs: --jobs=N, --jobs N, or WRL_JOBS env
-// (default 1 = serial).  Parallel runs also overlap each experiment's
-// measured/traced pair; results and reports are identical either way.
+// (default 1 = serial).  Results and reports are identical either way.
 inline unsigned BenchJobs(int argc, char** argv) {
   long jobs = 1;
   if (const char* env = std::getenv("WRL_JOBS")) {
@@ -57,19 +56,16 @@ inline unsigned BenchJobs(int argc, char** argv) {
   return jobs < 1 ? 1u : static_cast<unsigned>(jobs);
 }
 
-// Live progress heartbeat: --progress or WRL_PROGRESS env (default off).
-// The heartbeat writes only to stderr, so reports are unaffected.
+// Live progress heartbeat: --progress (default off; RunSuite also honours
+// WRL_PROGRESS=1).  The heartbeat writes only to stderr, so reports are
+// unaffected.
 inline bool BenchProgress(int argc, char** argv) {
-  bool progress = false;
-  if (const char* env = std::getenv("WRL_PROGRESS")) {
-    progress = std::strcmp(env, "0") != 0;
-  }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--progress") == 0) {
-      progress = true;
+      return true;
     }
   }
-  return progress;
+  return false;
 }
 
 // Report destination: --json=PATH, --json PATH, or WRL_JSON env.  Empty
@@ -90,43 +86,20 @@ inline std::string BenchJsonPath(int argc, char** argv) {
   return path;
 }
 
-// Runs the full paper-workload suite for one personality.  `base` carries
-// any extra experiment options (replay variants, batch mode, ...);
+// Runs the full paper-workload suite for one personality on `jobs`
+// workers, then prints each result's warnings.  `options` carries any extra
+// experiment options (replay variants, sweep, progress, ...);
 // personality/events/jobs are overwritten from the explicit arguments.
 inline std::vector<ExperimentResult> RunPersonalitySuite(Personality personality, double scale,
                                                          EventRecorder* events, unsigned jobs,
                                                          ExperimentOptions options) {
   options.personality = personality;
   options.events = events;
-  const std::vector<WorkloadSpec> workloads = PaperWorkloads(scale);
-  std::vector<ExperimentResult> results;
-  bool progress = options.progress;
-  if (const char* env = std::getenv("WRL_PROGRESS")) {
-    progress = progress || std::strcmp(env, "0") != 0;
-  }
-  if (jobs <= 1) {
-    if (progress) {
-      // Route through RunSuite so the heartbeat's monitor thread runs even
-      // for serial suites.
-      results = RunSuite(workloads, options);
-      for (const ExperimentResult& r : results) {
-        PrintResultWarnings(r, stderr);
-      }
-      return results;
-    }
-    for (const WorkloadSpec& w : workloads) {
-      fprintf(stderr, "  running %-9s (%s)...\n", w.name.c_str(),
-              personality == Personality::kUltrix ? "ultrix" : "mach");
-      results.push_back(RunExperiment(w, options));
-      PrintResultWarnings(results.back(), stderr);
-    }
-    return results;
-  }
   options.jobs = jobs;
-  options.parallel_pair = true;
-  fprintf(stderr, "  running %zu workloads (%s) on %u workers...\n", workloads.size(),
-          personality == Personality::kUltrix ? "ultrix" : "mach", jobs);
-  results = RunSuite(workloads, options);
+  const std::vector<WorkloadSpec> workloads = PaperWorkloads(scale);
+  fprintf(stderr, "  running %zu workloads (%s) on %u worker(s)...\n", workloads.size(),
+          PersonalityName(personality), jobs);
+  std::vector<ExperimentResult> results = RunSuite(workloads, options);
   for (const ExperimentResult& r : results) {
     PrintResultWarnings(r, stderr);
   }

@@ -7,9 +7,10 @@
 // (Mattson-style stack distances for the TLB, Hill-&-Smith forest
 // simulation for the caches), next to the faithful 64-entry production
 // model on the same tee.  A K-point sweep costs one traced run + one
-// parse, instead of K replays.
+// parse, instead of K replays.  The measured (uninstrumented) run overlaps
+// the traced run on a helper thread.
 //
-//   $ ./build/examples/tlb_study [--scale=S] [--jobs N] [--sweep-sizes=8,64,...]
+//   $ ./build/examples/tlb_study [--scale=S] [--sweep-sizes=8,64,...]
 //                                [--check] [--json report.json]
 //
 // --check replays every cache family point through an independent
@@ -92,7 +93,6 @@ bool HasFlag(int argc, char** argv, const char* flag) {
 
 int main(int argc, char** argv) {
   std::string json_path = BenchJsonPath(argc, argv);
-  unsigned jobs = BenchJobs(argc, argv);
   const double scale = BenchScaleOr(argc, argv, 0.15);
   const bool check = HasFlag(argc, argv, "--check");
   const std::vector<unsigned> sizes = SweepSizes(argc, argv);
@@ -117,33 +117,29 @@ int main(int argc, char** argv) {
   TraceLog log;
   sys->SetTraceSink([&log](const uint32_t* words, size_t n) { log.Append(words, n); });
 
-  // The measured (uninstrumented) system is independent of the sweep; with
-  // --jobs > 1 its run overlaps the traced run on a helper thread.
+  // The measured (uninstrumented) system is independent of the sweep, so
+  // its run overlaps the traced run on a helper thread, recording into a
+  // private recorder that is absorbed after the join.
   SystemConfig untraced = config;
   untraced.tracing = false;
   untraced.clock_period = 200000;
   untraced.events = nullptr;
   auto measured = BuildSystem(untraced);
   EventRecorder measured_events;
-  uint64_t measured_epoch_us = 0;
+  const uint64_t measured_epoch_us = events.ElapsedUs();
   std::exception_ptr measured_exc;
-  std::thread measured_thread;
-  auto run_measured = [&](EventRecorder* ev) {
-    ev->SetCycleSource([m = &measured->machine()]() -> uint64_t { return m->cycles(); });
-    EventRecorder::Scope scope(ev, "run.measured:" + w.name, "run");
-    measured->Run(3'000'000'000ull);
-  };
-  if (jobs > 1) {
-    printf("overlapping the measured run on a second worker (--jobs %u)...\n", jobs);
-    measured_epoch_us = events.ElapsedUs();
-    measured_thread = std::thread([&] {
-      try {
-        run_measured(&measured_events);
-      } catch (...) {
-        measured_exc = std::current_exception();
-      }
-    });
-  }
+  // Declared after everything the helper touches, so any exit joins it
+  // first.
+  std::jthread measured_thread([&] {
+    try {
+      measured_events.SetCycleSource(
+          [m = &measured->machine()]() -> uint64_t { return m->cycles(); });
+      EventRecorder::Scope scope(&measured_events, "run.measured:" + w.name, "run");
+      measured->Run(3'000'000'000ull);
+    } catch (...) {
+      measured_exc = std::current_exception();
+    }
+  });
 
   RunResult r;
   uint64_t traced_wall_us = 0;
@@ -154,13 +150,11 @@ int main(int argc, char** argv) {
     r = sys->Run(3'000'000'000ull);
     traced_wall_us = events.ElapsedUs() - wall0;
   }
-  if (measured_thread.joinable()) {
-    measured_thread.join();
-    if (measured_exc != nullptr) {
-      std::rethrow_exception(measured_exc);
-    }
-    events.Absorb(measured_events.TakeEvents(), measured_epoch_us);
+  measured_thread.join();
+  if (measured_exc != nullptr) {
+    std::rethrow_exception(measured_exc);
   }
+  events.Absorb(measured_events.TakeEvents(), measured_epoch_us);
   events.SetCycleSource(nullptr);
   if (!r.halted) {
     printf("did not halt!\n");
@@ -221,10 +215,6 @@ int main(int argc, char** argv) {
   printf("handler refs): %llu misses\n",
          static_cast<unsigned long long>(production->stats().utlb_misses));
 
-  if (jobs <= 1) {
-    run_measured(&events);
-    events.SetCycleSource(nullptr);
-  }
   printf("measured on the uninstrumented system (kernel counter): %llu misses\n",
          static_cast<unsigned long long>(measured->UtlbMissCount()));
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -63,21 +62,22 @@ void CoverFamilyPoint(std::vector<CacheFamilySpec>& families, uint32_t line, uin
 
 // Live progress heartbeat (stderr only, so reports are untouched): a
 // monitor thread prints workloads done, aggregate parse throughput, the
-// suite-so-far sim.mips, and a naive ETA every interval.  Workers feed it
-// through atomics; enabled by ExperimentOptions::progress or WRL_PROGRESS=1.
+// suite-so-far sim.mips, and a naive ETA every two seconds.  Workers feed
+// it through atomics; enabled by ExperimentOptions::progress or, the one
+// place it is read, WRL_PROGRESS=1 in the environment.
 class ProgressMeter {
  public:
-  ProgressMeter(bool enabled, size_t total, uint32_t interval_ms) : total_(total) {
+  ProgressMeter(bool enabled, size_t total) : total_(total) {
     const char* env = std::getenv("WRL_PROGRESS");
     enabled_ = (enabled || (env != nullptr && std::strcmp(env, "0") != 0)) && total_ > 0;
     if (!enabled_) {
       return;
     }
     start_us_ = WallNowUs();
-    monitor_ = std::thread([this, interval_ms] {
+    monitor_ = std::thread([this] {
       std::unique_lock<std::mutex> lock(mutex_);
       while (!stop_) {
-        cv_.wait_for(lock, std::chrono::milliseconds(interval_ms == 0 ? 1000 : interval_ms));
+        cv_.wait_for(lock, kInterval);
         if (stop_) {
           break;
         }
@@ -157,6 +157,8 @@ class ProgressMeter {
                  static_cast<unsigned long long>(done), total_, mrefs, mips, sweep, eta);
   }
 
+  static constexpr std::chrono::milliseconds kInterval{2000};
+
   size_t total_;
   bool enabled_ = false;
   uint64_t start_us_ = 0;
@@ -173,19 +175,6 @@ class ProgressMeter {
   bool stop_ = false;
   std::thread monitor_;
 };
-
-// The whole of `text` is a finite number in [0, max], so every conversion
-// it feeds is defined.
-bool ParseBoundedReal(const std::string& text, double max, double& value) {
-  double parsed = 0;
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
-  if (ec != std::errc() || ptr != end || !std::isfinite(parsed) || parsed < 0 || parsed > max) {
-    return false;
-  }
-  value = parsed;
-  return true;
-}
 
 // A dilation the traced clock's uint32_t truncation defines.
 bool ParseDilation(const std::string& text, double& dilation) {
@@ -281,10 +270,6 @@ void ProfileSystemSpaces(TraceProfiler& profiler, const SystemInstance& traced) 
   }
 }
 
-bool ParseWorkloadScale(const std::string& text, double& scale) {
-  return ParseBoundedReal(text, 1024.0, scale);
-}
-
 ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive, double* scale) {
   ExperimentOptions options;
   const std::string personality = archive.MetaValue("personality");
@@ -362,11 +347,10 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   events->Begin("experiment:" + workload.name, "experiment");
 
   // ---- Measured: the uninstrumented system with the hardware timer ----
-  // Built on this thread either way: the traced side only needs the
-  // measured *build* outputs (page layouts, original binaries), all of
-  // which are immutable once BuildSystem returns, so with parallel_pair
-  // the measured *run* can overlap the whole traced half on a helper
-  // thread.
+  // Built on this thread: the traced side only needs the measured *build*
+  // outputs (page layouts, original binaries), all of which are immutable
+  // once BuildSystem returns, so the measured *run* overlaps the whole
+  // traced half on a helper thread.
   auto build = [&](bool tracing) {
     SystemConfig config = ExperimentSystemConfig(workload, options, tracing);
     config.events = events;
@@ -380,48 +364,42 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   auto [idle_lo, idle_hi] = measured->IdleRange();
   measured->machine().SetIdleRange(idle_lo, idle_hi);
 
-  uint64_t measured_run_wall_us = 0;
-  uint64_t traced_run_wall_us = 0;
-  // Runs the measured system and fills the measured-side result fields.
-  // `ev` is this side's recorder: the shared one when serial, a private
-  // one when the pair is overlapped (merged back below).
-  auto run_measured = [&](EventRecorder* ev) {
-    ev->SetCycleSource([machine = &measured->machine()] { return machine->cycles(); });
-    RunResult mr;
-    uint64_t wall0 = WallNowUs();
-    {
-      EventRecorder::Scope scope(ev, "run.measured", "run");
-      mr = measured->Run(options.max_instructions);
-    }
-    measured_run_wall_us = WallNowUs() - wall0;
-    if (!mr.halted) {
-      throw Error(StrFormat("measured run of '%s' did not halt (pc=0x%08x)",
-                            workload.name.c_str(), measured->machine().pc()));
-    }
-    result.measured_cycles = measured->ProcessCycles(1);
-    result.measured_utlb = measured->UtlbMissCount();
-    result.measured_idle_instructions = measured->machine().idle_instructions();
-    result.measured_tlbdropins = measured->TlbDropins();
-    result.measured_user_instructions = measured->machine().user_instructions();
-    result.exit_code = measured->ProcessExitCode(1);
-  };
-
+  // The helper runs the measured system and fills the measured-side result
+  // fields.  It records into a private recorder (EventRecorder is not
+  // thread-safe), absorbed into the shared timeline at its wall offset
+  // after the join.
   EventRecorder measured_events;
-  uint64_t measured_epoch_us = 0;
+  const uint64_t measured_epoch_us = events->ElapsedUs();
+  uint64_t measured_run_wall_us = 0;
   std::exception_ptr measured_exc;
-  std::thread measured_thread;
-  if (options.parallel_pair) {
-    measured_epoch_us = events->ElapsedUs();
-    measured_thread = std::thread([&] {
-      try {
-        run_measured(&measured_events);
-      } catch (...) {
-        measured_exc = std::current_exception();
+  // Declared after everything the helper touches, so every exit path —
+  // a throw anywhere below included — joins it before any of that is
+  // destroyed.
+  std::jthread measured_thread([&] {
+    try {
+      measured_events.SetCycleSource(
+          [machine = &measured->machine()] { return machine->cycles(); });
+      RunResult mr;
+      uint64_t wall0 = WallNowUs();
+      {
+        EventRecorder::Scope scope(&measured_events, "run.measured", "run");
+        mr = measured->Run(options.max_instructions);
       }
-    });
-  } else {
-    run_measured(events);
-  }
+      measured_run_wall_us = WallNowUs() - wall0;
+      if (!mr.halted) {
+        throw Error(StrFormat("measured run of '%s' did not halt (pc=0x%08x)",
+                              workload.name.c_str(), measured->machine().pc()));
+      }
+      result.measured_cycles = measured->ProcessCycles(1);
+      result.measured_utlb = measured->UtlbMissCount();
+      result.measured_idle_instructions = measured->machine().idle_instructions();
+      result.measured_tlbdropins = measured->TlbDropins();
+      result.measured_user_instructions = measured->machine().user_instructions();
+      result.exit_code = measured->ProcessExitCode(1);
+    } catch (...) {
+      measured_exc = std::current_exception();
+    }
+  });
 
   // ---- Predicted: the traced system driving the analysis program ----
   // One parser feeds one tee: the primary simulator, the profiler, the
@@ -452,6 +430,7 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   std::unique_ptr<EventRecorder> consumer_events;
   uint64_t consumer_epoch_us = 0;
   std::unique_ptr<TracePipeline> pipeline;
+  uint64_t traced_run_wall_us = 0;
   std::exception_ptr traced_exc;
   try {
     const PredictorConfig pconfig = ExperimentPredictorConfig(*measured, options);
@@ -531,7 +510,7 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
       };
     }
     if (options.pipeline) {
-      pipeline = std::make_unique<TracePipeline>(std::move(consume), options.pipeline_depth);
+      pipeline = std::make_unique<TracePipeline>(std::move(consume));
       traced->SetTraceSink([p = pipeline.get()](const uint32_t* words, size_t count) {
         p->Produce(words, count);
       });
@@ -605,9 +584,7 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   } catch (...) {
     traced_exc = std::current_exception();
   }
-  if (measured_thread.joinable()) {
-    measured_thread.join();
-  }
+  measured_thread.join();
   if (measured_exc != nullptr) {
     std::rethrow_exception(measured_exc);
   }
@@ -641,11 +618,9 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     pipeline->RegisterStats(registry, "trace.pipeline.");
   }
   result.stats = registry.Snapshot();
-  if (options.parallel_pair) {
-    // Fold the helper thread's run.measured phase back into the shared
-    // timeline at its true wall offset.
-    events->Absorb(measured_events.TakeEvents(), measured_epoch_us, /*depth_offset=*/1);
-  }
+  // Fold the helper thread's run.measured phase back into the shared
+  // timeline at its true wall offset.
+  events->Absorb(measured_events.TakeEvents(), measured_epoch_us, /*depth_offset=*/1);
   if (consumer_events != nullptr) {
     // Fold the consumer thread's parser phases back in at their true wall
     // offset (nested under the experiment scope, like the measured half).
@@ -664,7 +639,7 @@ std::vector<ExperimentResult> RunSuite(const std::vector<WorkloadSpec>& workload
   unsigned jobs = options.jobs == 0 ? 1 : options.jobs;
   jobs = static_cast<unsigned>(
       std::min<size_t>(jobs, workloads.empty() ? size_t{1} : workloads.size()));
-  ProgressMeter progress(options.progress, workloads.size(), options.progress_interval_ms);
+  ProgressMeter progress(options.progress, workloads.size());
   if (jobs <= 1) {
     std::vector<ExperimentResult> results;
     results.reserve(workloads.size());

@@ -87,8 +87,6 @@ struct ExperimentOptions {
   // traced.epoxie.* dilation metrics derived from it — changes.
   bool scavenge = ScavengeEnabled();
   uint64_t max_instructions = 3'000'000'000;
-  // Simulated clock frequency used only to render cycles as seconds.
-  double clock_hz = 25e6;
   // Optional shared timeline: build/run/analysis phases and trace drains
   // are recorded here.  When null the experiment records into a private
   // recorder and moves the events into ExperimentResult::timeline.
@@ -99,10 +97,6 @@ struct ExperimentOptions {
   // independent of scheduling.  With jobs > 1 each merged experiment's
   // event wall clock restarts at that experiment's start.
   unsigned jobs = 1;
-  // Overlap the two halves of one experiment: the measured run executes on
-  // a second thread while this thread builds and runs the traced system.
-  // All result fields and metrics are unchanged; only wall time shrinks.
-  bool parallel_pair = false;
   // The parser always hands references to the analysis in batches; this
   // constant remains only for callers that still read it.
   static constexpr bool batch = true;
@@ -116,8 +110,9 @@ struct ExperimentOptions {
   // either way; the overlap itself is observable via the trace.pipeline.*
   // metrics, which exist only on pipelined runs.
   bool pipeline = PipelineEnabled();
-  // Ring capacity in chunks (one chunk = one trace-buffer drain).
-  size_t pipeline_depth = kDefaultPipelineDepth;
+  // Ring capacity in chunks (one chunk = one trace-buffer drain).  Fixed;
+  // the wrlbench benchmark still reads it.
+  static constexpr size_t pipeline_depth = kDefaultPipelineDepth;
   // The analysis always runs live, behind the parser, during the traced
   // run; this constant remains only for the wrlbench benchmark, which still
   // reads it.
@@ -148,12 +143,11 @@ struct ExperimentOptions {
   // trace_buf_bytes, scavenge, max_instructions) — e.g. a tool's workload
   // scale, so `wrltrace replay` can rebuild the capturing system.
   ArchiveMeta archive_meta;
-  // Live progress heartbeat: RunSuite emits periodic stderr lines
-  // (workloads done, refs/sec, sim.mips, ETA).  WRL_PROGRESS=1 in the
-  // environment forces it on.  Reports are unaffected — the heartbeat
+  // Live progress heartbeat: RunSuite emits a stderr line every two
+  // seconds (workloads done, refs/sec, sim.mips, ETA).  WRL_PROGRESS=1 in
+  // the environment forces it on.  Reports are unaffected — the heartbeat
   // writes only to stderr.
   bool progress = false;
-  uint32_t progress_interval_ms = 2000;
 };
 
 struct ExperimentResult {
@@ -254,13 +248,6 @@ std::unique_ptr<TraceParser> SystemTraceParser(const SystemInstance& traced);
 // symbols, names) with `profiler`.
 void ProfileSystemSpaces(TraceProfiler& profiler, const SystemInstance& traced);
 
-// Reads a workload scale, from a tool's --scale flag or an archive's
-// `scale` key: the whole of `text` must be a number, finite, and in
-// [0, 1024], which keeps the workload generators' largest scaled input
-// (eqntott's 2 MiB table) inside uint32_t.  Returns false, leaving `scale`
-// unchanged, for anything else.
-bool ParseWorkloadScale(const std::string& text, double& scale);
-
 // The options a harness-recorded archive identifies, read back as
 // RunExperiment wrote them; a key the archive lacks keeps its default.
 // `*scale`, when given, receives the workload scale a tool recorded under
@@ -274,7 +261,11 @@ bool ParseWorkloadScale(const std::string& text, double& scale);
 ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive,
                                             double* scale = nullptr);
 
-// Runs one workload through both systems.
+// Runs one workload through both systems.  The measured run executes on a
+// helper thread while this thread builds and runs the traced half; the
+// measured system's build outputs are immutable by then, so every result
+// field is what a serial run computes.  If both runs fail, the measured
+// run's error is the one thrown.
 ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOptions& options);
 
 // Runs the full Table 2 / Table 3 suite for one personality.

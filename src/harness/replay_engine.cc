@@ -5,11 +5,6 @@
 namespace wrl {
 
 std::vector<ReplayEngine::Outcome> ReplayEngine::Run(const std::vector<Config>& configs) {
-  return Run(configs, Options());
-}
-
-std::vector<ReplayEngine::Outcome> ReplayEngine::Run(const std::vector<Config>& configs,
-                                                     const Options& options) {
   WRL_CHECK_MSG(source_.log != nullptr, "ReplayEngine has no trace source");
   std::vector<Outcome> outcomes(configs.size());
   TeeBatchSink tee;
@@ -24,8 +19,7 @@ std::vector<ReplayEngine::Outcome> ReplayEngine::Run(const std::vector<Config>& 
   }
   parser.SetInitialContext(source_.initial_context);
   parser.SetBatchSink(&tee);
-  source_.log->ReplayParallel(options.decode_workers, [&parser](const uint32_t* words,
-                                                                size_t count) {
+  source_.log->Replay([&parser](const uint32_t* words, size_t count) {
     parser.Feed(words, count);
   });
   parser.Finish();

@@ -11,8 +11,7 @@
 //
 // Bit-identity invariant: the parser sees the captured word sequence in the
 // captured chunking, so every counter and predicted number a replayed
-// configuration produces matches the live run bit for bit, at any
-// Options::decode_workers.
+// configuration produces matches the live run bit for bit.
 #ifndef WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 #define WRLTRACE_HARNESS_REPLAY_ENGINE_H_
 
@@ -59,18 +58,11 @@ class ReplayEngine {
     uint64_t wall_us = 0;  // Host wall time the sink spent consuming them.
   };
 
-  struct Options {
-    // Worker threads decoding the source's independently coded chunks while
-    // the parser consumes them strictly in capture order
-    // (TraceChunkSource::ReplayParallel); 1 = serial.
-    unsigned decode_workers = 1;
-  };
-
-  // Parses the source once, feeding every config's sink through one tee.
-  // Each call parses again.  Outcomes are in config order.  Throws whatever
-  // the source, a config's make, or a sink throws.
-  std::vector<Outcome> Run(const std::vector<Config>& configs, const Options& options);
-  std::vector<Outcome> Run(const std::vector<Config>& configs);  // Default options.
+  // Streams the source once (TraceChunkSource::Replay), feeding every
+  // config's sink through one tee.  Each call parses again.  Outcomes are
+  // in config order.  Throws whatever the source, a config's make, or a
+  // sink throws.
+  std::vector<Outcome> Run(const std::vector<Config>& configs);
 
   // The last Run()'s parse.
   const TraceParserStats& parser_stats() const { return parser_stats_; }
@@ -80,8 +72,15 @@ class ReplayEngine {
   void RegisterParserStats(StatsRegistry& registry, const std::string& prefix = "parser.");
 
   // Remain only for the wrlbench benchmark, which still calls them: Run()
-  // does the parse, so Parse() does nothing, and no stream is materialized,
-  // so refs() is always empty.
+  // does the parse, so Parse() does nothing; no stream is materialized, so
+  // refs() is always empty; and every source decodes serially, so
+  // Options::decode_workers is ignored.
+  struct Options {
+    unsigned decode_workers = 1;
+  };
+  std::vector<Outcome> Run(const std::vector<Config>& configs, const Options& /*ignored*/) {
+    return Run(configs);
+  }
   void Parse(unsigned /*decode_workers*/ = 1) {}
   std::vector<TraceRef> refs() const { return {}; }
 

@@ -1,5 +1,6 @@
 #include "support/strings.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -100,6 +101,17 @@ int64_t ParseInt(std::string_view text) {
     }
   }
   return negative ? -value : value;
+}
+
+bool ParseBoundedReal(std::string_view text, double max, double& value) {
+  double parsed = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || !std::isfinite(parsed) || parsed < 0 || parsed > max) {
+    return false;
+  }
+  value = parsed;
+  return true;
 }
 
 }  // namespace wrl

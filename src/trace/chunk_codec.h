@@ -8,8 +8,7 @@
 // bucket — a fold of the word's upper address nibbles — and the zigzagged
 // delta is varint coded with the bucket id in the low four bits.  The
 // predictors reset at every chunk boundary, so every chunk decodes
-// independently (the foundation of both chunk-parallel decode and the
-// archive's O(1) seek).
+// independently (the foundation of the archive's O(1) seek).
 //
 // Keeping the coder in one header guarantees a TraceLog capture and an
 // archive of the same words are byte-identical payloads: the archive's CRCs

@@ -54,10 +54,10 @@ inline bool PipelineEnabled() {
   return std::thread::hardware_concurrency() > 1;
 }
 
-// Worker count for chunk-parallel TraceLog decode (the replay-side use of
-// the same pipelining idea): 1 (serial) when the pipeline is disabled,
-// otherwise bounded by the host's hardware threads.  Only the wrlbench
-// benchmark's span run still reads it.
+// Remains only for the wrlbench benchmark, whose span run still passes it
+// to ReplayEngine::Options::decode_workers, which nothing reads: 1 when
+// the pipeline is disabled, otherwise the host's hardware threads, clamped
+// to [2, 8].
 inline unsigned PipelineDecodeWorkers() {
   if (!PipelineEnabled()) {
     return 1;

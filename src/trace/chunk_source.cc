@@ -1,12 +1,5 @@
 #include "trace/chunk_source.h"
 
-#include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <thread>
-
 namespace wrl {
 
 void TraceChunkSource::Replay(
@@ -16,101 +9,6 @@ void TraceChunkSource::Replay(
   for (size_t i = 0; i < n; ++i) {
     DecodeChunk(i, buffer);
     sink(buffer.data(), buffer.size());
-  }
-}
-
-void TraceChunkSource::ReplayParallel(
-    unsigned workers, const std::function<void(const uint32_t*, size_t)>& sink) const {
-  const size_t n = chunk_count();
-  if (workers <= 1 || n <= 1) {
-    Replay(sink);
-    return;
-  }
-  workers = static_cast<unsigned>(std::min<size_t>(workers, n));
-  // In-flight bound: decoded-but-undelivered chunks never exceed the
-  // window, so peak memory is O(workers × chunk), not O(capture).
-  const size_t window = static_cast<size_t>(workers) * 4;
-
-  std::mutex mutex;
-  std::condition_variable chunk_ready;   // Signals the delivery loop.
-  std::condition_variable window_open;   // Signals waiting decoders.
-  std::vector<std::vector<uint32_t>> decoded(n);
-  std::vector<uint8_t> ready(n, 0);      // Guarded by mutex.
-  size_t delivered = 0;                  // Guarded by mutex.
-  bool abandoned = false;                // Sink threw; decoders bail out.
-  std::atomic<size_t> next{0};
-  std::exception_ptr decode_error;       // First decoder failure (if any).
-
-  auto decode_worker = [&] {
-    std::vector<uint32_t> buffer;
-    try {
-      for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-        {
-          std::unique_lock<std::mutex> lock(mutex);
-          window_open.wait(lock, [&] { return i < delivered + window || abandoned; });
-          if (abandoned) {
-            return;
-          }
-        }
-        DecodeChunk(i, buffer);
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          decoded[i] = std::move(buffer);
-          ready[i] = 1;
-        }
-        buffer = std::vector<uint32_t>();
-        chunk_ready.notify_all();
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (decode_error == nullptr) {
-        decode_error = std::current_exception();
-      }
-      abandoned = true;
-      chunk_ready.notify_all();
-      window_open.notify_all();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) {
-    pool.emplace_back(decode_worker);
-  }
-
-  // Strict in-order delivery on the calling thread: the sink (typically a
-  // stateful parser) sees exactly the Replay() sequence.
-  std::exception_ptr sink_error;
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<uint32_t> chunk;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      chunk_ready.wait(lock, [&] { return ready[i] != 0 || abandoned; });
-      if (abandoned && ready[i] == 0) {
-        break;
-      }
-      chunk = std::move(decoded[i]);
-      delivered = i + 1;
-    }
-    window_open.notify_all();
-    try {
-      sink(chunk.data(), chunk.size());
-    } catch (...) {
-      sink_error = std::current_exception();
-      std::lock_guard<std::mutex> lock(mutex);
-      abandoned = true;
-      window_open.notify_all();
-      break;
-    }
-  }
-  for (std::thread& worker : pool) {
-    worker.join();
-  }
-  if (sink_error != nullptr) {
-    std::rethrow_exception(sink_error);
-  }
-  if (decode_error != nullptr) {
-    std::rethrow_exception(decode_error);
   }
 }
 

@@ -7,10 +7,10 @@
 //   * chunks preserve the capture's drain boundaries, so a replayed parser
 //     sees the same Feed() granularity the live path saw;
 //   * DecodeChunk(i) depends only on chunk i (independent coding), which is
-//     what makes windowed chunk-parallel decode and O(1) seek possible;
-//   * Replay() and ReplayParallel() deliver the identical word sequence in
-//     the identical chunking — the bit-identity invariant every analysis
-//     mode is tested against.
+//     what makes O(1) seek possible;
+//   * Replay() delivers the captured word sequence in the captured
+//     chunking — the bit-identity invariant every analysis mode is tested
+//     against.
 #ifndef WRLTRACE_TRACE_CHUNK_SOURCE_H_
 #define WRLTRACE_TRACE_CHUNK_SOURCE_H_
 
@@ -32,17 +32,15 @@ class TraceChunkSource {
   virtual void DecodeChunk(size_t index, std::vector<uint32_t>& out) const = 0;
 
   // Decodes the capture, invoking `sink` once per chunk in capture order.
-  // The default decodes through DecodeChunk; sources with a cheaper path
-  // (e.g. an unpacked TraceLog handing out its own storage) override it.
+  // The default decodes through DecodeChunk into one reused buffer.
   virtual void Replay(const std::function<void(const uint32_t*, size_t)>& sink) const;
 
-  // Chunk-parallel decode: up to `workers` threads decode chunks
-  // concurrently while the calling thread invokes `sink` once per chunk in
-  // strict capture order — the identical delivery Replay() makes.
-  // In-flight decoded chunks are bounded, so memory stays O(workers), not
-  // O(capture).  workers <= 1 or a single-chunk source degrade to Replay().
-  virtual void ReplayParallel(unsigned workers,
-                              const std::function<void(const uint32_t*, size_t)>& sink) const;
+  // Remains only for the wrlbench benchmark, which still overrides and
+  // calls it: Replay(sink), whatever `workers` says.
+  virtual void ReplayParallel(unsigned /*workers*/,
+                              const std::function<void(const uint32_t*, size_t)>& sink) const {
+    Replay(sink);
+  }
 
   // The whole capture as one flat word vector.
   std::vector<uint32_t> Words() const;

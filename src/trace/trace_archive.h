@@ -25,13 +25,12 @@
 //
 // Crash-safety protocol: the writer streams each chunk (flushed as it
 // lands) and writes the footer only at Finalize().  A reader that finds a
-// valid footer seeks the directory in O(1) and can decode any window of
-// chunks in parallel.  A truncated or torn archive — missing footer, torn
-// final chunk, interrupted write — is *recovered*, not rejected: the reader
-// scans forward validating each chunk's framing CRC and payload CRC, keeps
-// every chunk up to the last valid one, and surfaces a loud
-// degraded-capture diagnostic.  Only a wrong magic or unknown version is a
-// hard failure.  Every CRC is IEEE CRC-32.
+// valid footer seeks any chunk through the directory in O(1).  A truncated
+// or torn archive — missing footer, torn final chunk, interrupted write —
+// is *recovered*, not rejected: the reader scans forward validating each
+// chunk's framing CRC and payload CRC, keeps every chunk up to the last
+// valid one, and surfaces a loud degraded-capture diagnostic.  Only a wrong
+// magic or unknown version is a hard failure.  Every CRC is IEEE CRC-32.
 #ifndef WRLTRACE_TRACE_TRACE_ARCHIVE_H_
 #define WRLTRACE_TRACE_TRACE_ARCHIVE_H_
 
@@ -116,10 +115,10 @@ class ArchiveWriter {
 
 // Memory-maps a wrltrace/1 archive and serves it as a TraceChunkSource:
 // ReplayEngine (and everything downstream — simulators, sweeps, profilers)
-// replays an archive exactly as it would an in-memory TraceLog, including
-// windowed chunk-parallel decode via the directory.  Every DecodeChunk
-// verifies the chunk's CRC before trusting a byte, so a corrupt payload
-// surfaces as a chunk-accurate wrl::Error, never as garbage references.
+// replays an archive exactly as it would an in-memory TraceLog.  Every
+// DecodeChunk verifies the chunk's CRC before trusting a byte, so a corrupt
+// payload surfaces as a chunk-accurate wrl::Error, never as garbage
+// references.
 class ArchiveReader : public TraceChunkSource {
  public:
   // Opens and indexes the archive.  Wrong magic or unknown version throws

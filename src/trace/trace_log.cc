@@ -7,14 +7,10 @@ namespace wrl {
 
 void TraceLog::Append(const uint32_t* words, size_t count) {
   chunk_words_.push_back(count);
-  chunk_starts_.push_back(packed_ ? bytes_.size() : raw_.size());
+  chunk_starts_.push_back(bytes_.size());
   words_ += count;
-  if (!packed_) {
-    raw_.insert(raw_.end(), words, words + count);
-    return;
-  }
   // Fresh predictors per chunk (the codec's contract), so chunks decode
-  // independently — the chunk-parallel replay relies on this.
+  // independently — DecodeChunk relies on this.
   codec::EncodeChunk(words, count, bytes_);
 }
 
@@ -23,45 +19,7 @@ void TraceLog::DecodeChunk(size_t index, std::vector<uint32_t>& out) const {
   uint64_t count = chunk_words_[index];
   out.clear();
   out.reserve(count);
-  if (!packed_) {
-    const uint32_t* begin = raw_.data() + chunk_starts_[index];
-    out.insert(out.end(), begin, begin + count);
-    return;
-  }
   codec::DecodeChunk(bytes_.data(), chunk_starts_[index], count, out);
-}
-
-void TraceLog::Replay(const std::function<void(const uint32_t*, size_t)>& sink) const {
-  if (!packed_) {
-    size_t offset = 0;
-    for (uint64_t chunk : chunk_words_) {
-      sink(raw_.data() + offset, chunk);
-      offset += chunk;
-    }
-    return;
-  }
-  TraceChunkSource::Replay(sink);
-}
-
-void TraceLog::ReplayParallel(
-    unsigned workers, const std::function<void(const uint32_t*, size_t)>& sink) const {
-  if (!packed_) {
-    Replay(sink);
-    return;
-  }
-  TraceChunkSource::ReplayParallel(workers, sink);
-}
-
-void TraceLog::Clear() {
-  bytes_.clear();
-  raw_.clear();
-  chunk_words_.clear();
-  chunk_starts_.clear();
-  words_ = 0;
-}
-
-uint64_t TraceLog::stored_bytes() const {
-  return packed_ ? bytes_.size() : raw_.size() * 4;
 }
 
 double TraceLog::CompressionRatio() const {

@@ -4,25 +4,23 @@
 // A TraceLog records the raw kernel-buffer words exactly as the trace
 // transport drained them, preserving drain-chunk boundaries, so any number
 // of analysis configurations can later replay the identical stream without
-// re-running the traced machine.  Storage is optionally packed with the
-// shared chunk codec (trace/chunk_codec.h): per-bucket delta + zigzag +
-// LEB128 varints.  Typical system traces pack to roughly half their raw
-// size — directly addressing the paper's §4.3 concern that buffer capacity
-// bounds continuous tracing — and the achieved ratio is exported as a
-// wrlstats metric rather than assumed.  Packing is lossless: Replay()
-// reproduces the captured words bit-for-bit in the captured chunking.
+// re-running the traced machine.  Storage is packed with the shared chunk
+// codec (trace/chunk_codec.h): per-bucket delta + zigzag + LEB128 varints.
+// Typical system traces pack to roughly half their raw size — directly
+// addressing the paper's §4.3 concern that buffer capacity bounds
+// continuous tracing — and the achieved ratio is exported as a wrlstats
+// metric rather than assumed.  Packing is lossless: Replay() reproduces
+// the captured words bit-for-bit in the captured chunking.
 //
 // Chunks are *independently* coded (predictors reset per chunk, start
 // offsets recorded), so TraceLog implements TraceChunkSource: any chunk
-// decodes without touching the ones before it, ReplayParallel() fans the
-// decode out to worker threads, and the analysis side treats an in-memory
-// capture and an on-disk wrltrace/1 archive (trace_archive.h)
-// interchangeably.
+// decodes without touching the ones before it, and the analysis side
+// treats an in-memory capture and an on-disk wrltrace/1 archive
+// (trace_archive.h) interchangeably.
 #ifndef WRLTRACE_TRACE_TRACE_LOG_H_
 #define WRLTRACE_TRACE_TRACE_LOG_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,10 +31,6 @@ namespace wrl {
 
 class TraceLog : public TraceChunkSource {
  public:
-  // `packed` selects the delta/varint encoding; unpacked logs store the
-  // words verbatim (useful when append cost must be absolutely minimal).
-  explicit TraceLog(bool packed = true) : packed_(packed) {}
-
   // Appends one drained chunk.  Chunk boundaries are preserved and replayed
   // as-is, so a replayed parser sees the same Feed() granularity the live
   // path saw.
@@ -47,23 +41,14 @@ class TraceLog : public TraceChunkSource {
   size_t chunk_count() const override { return chunk_words_.size(); }
   uint64_t word_count() const override { return words_; }
   void DecodeChunk(size_t index, std::vector<uint32_t>& out) const override;
-  // Unpacked logs hand out their own storage without a decode copy.
-  void Replay(const std::function<void(const uint32_t*, size_t)>& sink) const override;
-  // An unpacked log has nothing to decode in parallel; it degrades to the
-  // zero-copy Replay().
-  void ReplayParallel(unsigned workers,
-                      const std::function<void(const uint32_t*, size_t)>& sink) const override;
 
-  void Clear();
-
-  bool packed() const { return packed_; }
   uint64_t words() const { return words_; }
   uint64_t chunks() const { return chunk_words_.size(); }
   // Raw payload size (4 bytes per captured word).
   uint64_t raw_bytes() const { return words_ * 4; }
-  // Bytes actually held (packed stream or verbatim words).
-  uint64_t stored_bytes() const;
-  // raw_bytes / stored_bytes; 1.0 for an empty or unpacked log.
+  // Bytes actually held (the packed stream).
+  uint64_t stored_bytes() const { return bytes_.size(); }
+  // raw_bytes / stored_bytes; 1.0 for an empty log.
   double CompressionRatio() const;
 
   // Binds capture-side counters and the compression ratio into `registry`;
@@ -71,12 +56,10 @@ class TraceLog : public TraceChunkSource {
   void RegisterStats(StatsRegistry& registry, const std::string& prefix = "tracelog.");
 
  private:
-  bool packed_;
-  std::vector<uint8_t> bytes_;     // Packed stream (packed_ == true).
-  std::vector<uint32_t> raw_;      // Verbatim words (packed_ == false).
+  std::vector<uint8_t> bytes_;         // Packed stream.
   std::vector<uint64_t> chunk_words_;  // Words per appended chunk.
-  // Start of each chunk: byte offset into bytes_ (packed) or word offset
-  // into raw_ (unpacked).  Chunks decode independently from here.
+  // Start of each chunk: byte offset into bytes_.  Chunks decode
+  // independently from here.
   std::vector<uint64_t> chunk_starts_;
   uint64_t words_ = 0;
 };

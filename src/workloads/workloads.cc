@@ -1271,4 +1271,8 @@ WorkloadSpec PaperWorkload(const std::string& name, double scale) {
   throw Error(StrFormat("unknown workload '%s'", name.c_str()));
 }
 
+bool ParseWorkloadScale(const std::string& text, double& scale) {
+  return ParseBoundedReal(text, 1024.0, scale);
+}
+
 }  // namespace wrl

@@ -42,6 +42,13 @@ std::vector<WorkloadSpec> PaperWorkloads(double scale = 1.0);
 // A single workload by name (throws wrl::Error if unknown).
 WorkloadSpec PaperWorkload(const std::string& name, double scale = 1.0);
 
+// Reads a workload scale, from a tool's --scale flag or an archive's
+// `scale` key: the whole of `text` must be a number, finite, and in
+// [0, 1024], which keeps the generators' largest scaled input (eqntott's
+// 2 MiB table) inside uint32_t.  Returns false, leaving `scale`
+// unchanged, for anything else.
+bool ParseWorkloadScale(const std::string& text, double& scale);
+
 }  // namespace wrl
 
 #endif  // WRLTRACE_WORKLOADS_WORKLOADS_H_

@@ -156,25 +156,6 @@ TEST(ArchiveRoundTrip, EmptyArchive) {
   EXPECT_TRUE(archive.Verify());
 }
 
-TEST(ArchiveRoundTrip, ParallelDecodeMatchesSerial) {
-  const std::string path = TempPath("parallel.wrl");
-  auto chunks = SyntheticChunks(13, 301);
-  WriteTestArchive(path, chunks);
-  ArchiveReader archive(path);
-
-  std::vector<std::vector<uint32_t>> serial;
-  archive.Replay([&serial](const uint32_t* words, size_t count) {
-    serial.emplace_back(words, words + count);
-  });
-  std::vector<std::vector<uint32_t>> parallel;
-  archive.ReplayParallel(4, [&parallel](const uint32_t* words, size_t count) {
-    parallel.emplace_back(words, words + count);
-  });
-  // Identical words in identical chunk boundaries — the bit-identity
-  // invariant windowed decode is tested against.
-  EXPECT_EQ(serial, parallel);
-}
-
 TEST(ArchiveRoundTrip, PayloadsShareTheTraceLogCodec) {
   const std::string path = TempPath("codec.wrl");
   auto chunks = SyntheticChunks(5, 400);
@@ -520,7 +501,6 @@ TEST(ArchiveExperiment, PipelinedAndSynchronousTeesWriteIdenticalArchives) {
   sync_options.archive_path = path_a;
   ExperimentOptions pipe_options;
   pipe_options.pipeline = true;
-  pipe_options.pipeline_depth = 3;
   pipe_options.archive_path = path_b;
   RunExperiment(UnitWorkload(), sync_options);
   RunExperiment(UnitWorkload(), pipe_options);

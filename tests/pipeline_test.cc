@@ -3,10 +3,9 @@
 // byte-identical to the synchronous one — every counter, trace word,
 // profile, and predicted number — with and without replay variants and the
 // profiler.  The transport itself must apply backpressure when
-// the consumer is slow, count its stalls/starves, shut down cleanly when
-// the consumer chain throws mid-stream, and the replay-side chunk-parallel
-// TraceLog decode must deliver the identical word sequence and chunk
-// boundaries at every worker count.
+// the consumer is slow, count its stalls/starves, and shut down cleanly
+// when the consumer chain throws mid-stream.  The measured run overlapping
+// the traced half must surface its own failure from the helper thread.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -16,15 +15,10 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/bare_runtime.h"
 #include "harness/experiment.h"
-#include "harness/replay_engine.h"
-#include "sim/tlb_sim.h"
 #include "stats/stats.h"
 #include "support/error.h"
-#include "support/rng.h"
 #include "trace/chunk_ring.h"
-#include "trace/trace_log.h"
 
 namespace wrl {
 namespace {
@@ -171,147 +165,6 @@ TEST(TracePipeline, AbandonedPipelineJoinsQuietly) {
   // Destructor runs here with the error still queued.
 }
 
-// ---- Chunk-parallel TraceLog decode ----
-
-TEST(TraceLogParallel, DecodeEquivalenceAcrossWorkerCounts) {
-  // Enough chunks to exceed every worker count's in-flight window, with
-  // adversarial random words (every top nibble, variable chunk sizes).
-  Rng rng(1234);
-  TraceLog log;
-  for (int chunk = 0; chunk < 23; ++chunk) {
-    std::vector<uint32_t> words(1 + rng.Below(257));
-    for (auto& w : words) {
-      w = rng.Below(0xffffffffu);
-    }
-    log.Append(words.data(), words.size());
-  }
-
-  std::vector<uint32_t> ref_words;
-  std::vector<size_t> ref_chunks;
-  log.Replay([&](const uint32_t* w, size_t n) {
-    ref_words.insert(ref_words.end(), w, w + n);
-    ref_chunks.push_back(n);
-  });
-
-  for (unsigned workers : {1u, 2u, 3u, 8u}) {
-    SCOPED_TRACE(workers);
-    std::vector<uint32_t> words;
-    std::vector<size_t> chunks;
-    log.ReplayParallel(workers, [&](const uint32_t* w, size_t n) {
-      words.insert(words.end(), w, w + n);
-      chunks.push_back(n);
-    });
-    EXPECT_EQ(words, ref_words);
-    EXPECT_EQ(chunks, ref_chunks);
-  }
-}
-
-TEST(TraceLogParallel, DecodeEquivalenceOnRealTrace) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
-  ASSERT_GT(run.trace_words.size(), 64u);
-
-  // Append in slices so the log has several independently coded chunks,
-  // like a multi-drain capture.
-  TraceLog log;
-  size_t slice = run.trace_words.size() / 5 + 1;
-  for (size_t off = 0; off < run.trace_words.size(); off += slice) {
-    size_t count = std::min(slice, run.trace_words.size() - off);
-    log.Append(run.trace_words.data() + off, count);
-  }
-  ASSERT_GT(log.chunks(), 1u);
-
-  for (unsigned workers : {2u, 4u}) {
-    SCOPED_TRACE(workers);
-    std::vector<uint32_t> words;
-    log.ReplayParallel(workers,
-                       [&](const uint32_t* w, size_t n) { words.insert(words.end(), w, w + n); });
-    EXPECT_EQ(words, run.trace_words);
-  }
-}
-
-TEST(TraceLogParallel, SinkErrorPropagatesWithoutHanging) {
-  Rng rng(7);
-  TraceLog log;
-  for (int chunk = 0; chunk < 16; ++chunk) {
-    std::vector<uint32_t> words(64);
-    for (auto& w : words) {
-      w = rng.Below(0xffffffffu);
-    }
-    log.Append(words.data(), words.size());
-  }
-  size_t delivered = 0;
-  EXPECT_THROW(log.ReplayParallel(4,
-                                  [&](const uint32_t*, size_t) {
-                                    if (++delivered == 3) {
-                                      throw Error("analysis failed");
-                                    }
-                                  }),
-               Error);
-  EXPECT_EQ(delivered, 3u);  // Strict order: nothing past the failure.
-}
-
-// ---- ReplayEngine: parallel decode identity ----
-
-TEST(ReplayEngine, ParallelDecodeMatchesSerialParse) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
-
-  TraceLog log;
-  size_t slice = run.trace_words.size() / 7 + 1;
-  for (size_t off = 0; off < run.trace_words.size(); off += slice) {
-    size_t count = std::min(slice, run.trace_words.size() - off);
-    log.Append(run.trace_words.data() + off, count);
-  }
-  ASSERT_GT(log.chunks(), 1u);
-
-  // Each engine streams the capture to a collecting sink and a TLB
-  // simulator, decoding serially or on four workers.
-  struct Replayed {
-    TraceParserStats stats;
-    std::vector<TraceRef> refs;
-    uint64_t utlb_misses = 0;
-  };
-  auto replay = [&](unsigned decode_workers) {
-    ReplaySource source;
-    source.log = &log;
-    source.kernel_table = &build.table;
-    ReplayEngine engine(std::move(source));
-    Replayed out;
-    ReplayEngine::Options options;
-    options.decode_workers = decode_workers;
-    std::vector<ReplayEngine::Outcome> outcomes = engine.Run(
-        {{"collect", [&out] {
-            return std::make_unique<RefFnSink>(
-                [&out](const TraceRef& r) { out.refs.push_back(r); });
-          }},
-         {"tlb", [] { return std::make_unique<TlbSimulator>(); }}},
-        options);
-    out.stats = engine.parser_stats();
-    out.utlb_misses = static_cast<TlbSimulator*>(outcomes[1].sink.get())->stats().utlb_misses;
-    return out;
-  };
-  const Replayed serial = replay(1);
-  const Replayed parallel = replay(4);
-
-  ASSERT_FALSE(serial.refs.empty());
-  EXPECT_EQ(serial.refs.size(), serial.stats.refs);
-  EXPECT_EQ(parallel.stats.words, serial.stats.words);
-  EXPECT_EQ(parallel.stats.refs, serial.stats.refs);
-  EXPECT_EQ(parallel.stats.blocks, serial.stats.blocks);
-  EXPECT_EQ(parallel.stats.validation_errors, serial.stats.validation_errors);
-  ASSERT_EQ(parallel.refs.size(), serial.refs.size());
-  for (size_t i = 0; i < serial.refs.size(); ++i) {
-    const TraceRef& a = serial.refs[i];
-    const TraceRef& b = parallel.refs[i];
-    ASSERT_TRUE(a.kind == b.kind && a.addr == b.addr && a.bytes == b.bytes && a.pid == b.pid &&
-                a.kernel == b.kernel && a.idle == b.idle)
-        << "ref " << i << " diverged";
-  }
-  // Same downstream analysis either way.
-  EXPECT_EQ(parallel.utlb_misses, serial.utlb_misses);
-}
-
 // ---- Experiment-level byte identity: pipelined vs synchronous ----
 
 // Names excluded from identity comparison: the pipeline's own transport
@@ -393,7 +246,6 @@ TEST(PipelinedExperiment, LiveAnalysisIsByteIdentical) {
 
   ExperimentOptions pipelined_options;
   pipelined_options.pipeline = true;
-  pipelined_options.pipeline_depth = 3;  // Small ring: exercise wraparound.
   ExperimentResult pipelined = RunExperiment(w, pipelined_options);
 
   ExperimentOptions sync_options;
@@ -448,6 +300,22 @@ TEST(PipelinedExperiment, ProfiledRunIsByteIdentical) {
 
   ExpectSameExperiment(pipelined, sync);
   EXPECT_EQ(pipelined.profile.CanonicalJson(), sync.profile.CanonicalJson());
+}
+
+// Neither run halts within the budget.  The measured run fails on its
+// helper thread while the traced half fails on this one; the measured
+// failure is the one that surfaces.
+TEST(OverlappedExperiment, MeasuredRunFailureSurfacesFromTheHelperThread) {
+  ExperimentOptions options;
+  options.max_instructions = 1000;
+  try {
+    RunExperiment(UnitWorkload(), options);
+    FAIL() << "RunExperiment returned";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("measured run of 'unit' did not halt"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -446,7 +446,6 @@ TEST(ExperimentProfile, SuiteJobsInvariance) {
 
   std::vector<ExperimentResult> serial = RunSuite(workloads, options);
   options.jobs = 2;
-  options.parallel_pair = true;
   std::vector<ExperimentResult> parallel = RunSuite(workloads, options);
 
   ASSERT_EQ(serial.size(), parallel.size());

@@ -1,9 +1,9 @@
 // The capture-once / analyze-many contract: a TraceLog stores the drained
 // trace words losslessly, and a streaming ReplayEngine parse of the capture
 // produces bit-identical parser stats, Prediction, and TLB miss counts to
-// the live path fed one reference at a time — on every Run() and at any
-// decode worker count.  Experiments price replay variants on the same
-// live analysis tee as the primary simulator.
+// the live path fed one reference at a time — on every Run().
+// Experiments price replay variants on the same live analysis tee as the
+// primary simulator.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -200,8 +200,8 @@ ReplayEngine::Config Collector(std::vector<TraceRef>* refs) {
           }};
 }
 
-// Run() parses again on every call: two calls on one engine, serial and
-// with chunk-parallel decode, deliver the identical stream to fresh sinks.
+// Run() parses again on every call: two calls on one engine over a
+// multi-chunk capture deliver the identical stream to fresh sinks.
 TEST(ReplayEngine, EveryRunStreamsTheWholeCapture) {
   BareBuild build = BuildBareTraced(kBody);
   BareTraceRun run = RunBareTraced(build);
@@ -220,15 +220,11 @@ TEST(ReplayEngine, EveryRunStreamsTheWholeCapture) {
 
   std::vector<TraceRef> streams[2];
   for (int call = 0; call < 2; ++call) {
-    const unsigned workers = call == 0 ? 1 : 4;
-    SCOPED_TRACE(workers);
-    ReplayEngine::Options options;
-    options.decode_workers = workers;
+    SCOPED_TRACE(call);
     std::vector<ReplayEngine::Outcome> outcomes = engine.Run(
         {Collector(&streams[call]),
          {"sim", [] { return std::make_unique<TraceDrivenSimulator>(PredictorConfig()); }},
-         {"tlb", [] { return std::make_unique<TlbSimulator>(); }}},
-        options);
+         {"tlb", [] { return std::make_unique<TlbSimulator>(); }}});
     ASSERT_EQ(outcomes.size(), 3u);
 
     const TraceParserStats& stats = engine.parser_stats();

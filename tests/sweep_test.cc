@@ -4,8 +4,8 @@
 // replay at each configuration reports — against randomized oracles for
 // the two core data structures, against real captured traces end to end,
 // and through every delivery mode the harness has (synchronous, pipelined,
-// streamed from a capture with chunk-parallel decode, per-ref shim).  Degenerate families
-// and non-power-of-two geometries must be rejected loudly, not rounded.
+// streamed from a capture).  Degenerate families and non-power-of-two
+// geometries must be rejected loudly, not rounded.
 #include <list>
 #include <map>
 #include <memory>
@@ -223,7 +223,7 @@ TEST(SweepEngine, FamilyPointsBitIdenticalToIndependentReplays) {
   std::vector<ReplayEngine::Config> configs;
   configs.push_back(
       {"sweep", [&sweep_config] { return std::make_unique<SweepEngine>(sweep_config); }});
-  std::vector<ReplayEngine::Outcome> outcomes = engine.Run(configs, {});
+  std::vector<ReplayEngine::Outcome> outcomes = engine.Run(configs);
   auto* sweep = static_cast<SweepEngine*>(outcomes[0].sink.get());
   const SweepResult& result = sweep->Finish();
   ASSERT_EQ(result.icache.size(), 5u);  // 1K..16K.
@@ -240,7 +240,7 @@ TEST(SweepEngine, FamilyPointsBitIdenticalToIndependentReplays) {
     pc.memsys.dcache = {result.dcache[i].size_bytes, result.dcache[i].line_bytes};
     std::vector<ReplayEngine::Config> check;
     check.push_back({"check", [pc] { return std::make_unique<TraceDrivenSimulator>(pc); }});
-    std::vector<ReplayEngine::Outcome> out = engine.Run(check, {});
+    std::vector<ReplayEngine::Outcome> out = engine.Run(check);
     auto* sim = static_cast<TraceDrivenSimulator*>(out[0].sink.get());
     Prediction p = sim->Finish();
     EXPECT_EQ(p.memsys_stats.icache_misses, result.icache[i].misses);
@@ -557,7 +557,6 @@ TEST(SweepExperiment, LiveCaptureAndPipelinedModesAreBitIdentical) {
     SCOPED_TRACE("pipelined (WRL_PIPELINE=1 equivalent)");
     ExperimentOptions options = SweepOptionsBase();
     options.pipeline = true;
-    options.pipeline_depth = 3;
     ExperimentResult result = RunExperiment(w, options);
     ASSERT_TRUE(result.sweep_ran);
     ExpectSameSweep(result.sweep, reference.sweep);
@@ -571,37 +570,6 @@ TEST(SweepExperiment, LiveSweepReportsItsBusyTime) {
   ASSERT_TRUE(result.sweep_ran);
   EXPECT_GT(result.sweep.wall_us, 0u);
   EXPECT_GT(result.sweep_mrefs_per_sec, 0.0);
-}
-
-TEST(SweepEngine, ChunkParallelDecodeDeliversIdenticalSweep) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
-  TraceLog log;
-  // Several chunks so multi-worker decode has real work to split.
-  const size_t third = run.trace_words.size() / 3;
-  log.Append(run.trace_words.data(), third);
-  log.Append(run.trace_words.data() + third, third);
-  log.Append(run.trace_words.data() + 2 * third, run.trace_words.size() - 2 * third);
-
-  SweepConfig sweep_config = UnitSweepConfig();
-  std::vector<SweepResult> results;
-  for (unsigned workers : {1u, 3u}) {
-    SCOPED_TRACE(workers);
-    ReplaySource source;
-    source.log = &log;
-    source.kernel_table = &build.table;
-    ReplayEngine engine(std::move(source));
-    std::vector<ReplayEngine::Config> configs;
-    configs.push_back(
-        {"sweep", [&sweep_config] { return std::make_unique<SweepEngine>(sweep_config); }});
-    ReplayEngine::Options options;
-    options.decode_workers = workers;
-    std::vector<ReplayEngine::Outcome> outcomes = engine.Run(configs, options);
-    auto* sweep = static_cast<SweepEngine*>(outcomes[0].sink.get());
-    results.push_back(sweep->Finish());
-  }
-  ASSERT_GT(results[0].refs, 0u);
-  ExpectSameSweep(results[0], results[1]);
 }
 
 // ---- Geometry-only replay variants are absorbed by the sweep -----------

@@ -21,7 +21,8 @@
 //           [--top N] [--window REFS] [--json PATH] [--folded PATH]
 //           [--no-verify] [--quiet]
 //
-// F is a number in [0, 1024].
+// F is a number in [0, 1024]; N (0 = all rows) and REFS (at least 1) are
+// decimal digits.
 //
 // --json writes a schema-versioned document ("wrlprof/1"):
 //   {
@@ -234,9 +235,15 @@ int Run(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--top" && i + 1 < argc) {
-      cli.top = static_cast<size_t>(std::atol(argv[++i]));
+      if (!ParseDecimal(argv[++i], cli.top)) {
+        Usage();
+        return 2;
+      }
     } else if (arg == "--window" && i + 1 < argc) {
-      cli.window_refs = static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!ParseDecimal(argv[++i], cli.window_refs) || cli.window_refs < 1) {
+        Usage();
+        return 2;
+      }
     } else if (arg == "--json" && i + 1 < argc) {
       cli.json_path = argv[++i];
     } else if (arg == "--folded" && i + 1 < argc) {

@@ -23,7 +23,7 @@
 //       when everything is clean.
 //   cat     FILE [--chunk I] [--limit N]
 //       Decoded trace words as hex, one per line.
-//   replay  FILE [--json PATH] [--expect PATH] [--decode-workers N]
+//   replay  FILE [--json PATH] [--expect PATH]
 //       Rebuild the capturing system from metadata, stream the archive
 //       through the ReplayEngine, and (with --expect) require every
 //       analysis counter to match a `record --json` document bit-for-bit.
@@ -33,9 +33,7 @@
 //
 // Exit codes: 0 ok/identical, 1 difference or integrity finding, 2 usage
 // or hard error (wrong magic, unreadable file, unknown workload).
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -64,7 +62,7 @@ void Usage() {
       "       wrltrace info FILE [--json PATH]\n"
       "       wrltrace verify FILE\n"
       "       wrltrace cat FILE [--chunk I] [--limit N]\n"
-      "       wrltrace replay FILE [--json PATH] [--expect PATH] [--decode-workers N]\n"
+      "       wrltrace replay FILE [--json PATH] [--expect PATH]\n"
       "       wrltrace diff A B\n");
 }
 
@@ -157,15 +155,6 @@ ReplaySource MakeSource(const ArchiveReader& archive, const RebuiltSystems& sys)
     source.user_tables.emplace_back(space.pid, space.table);
   }
   return source;
-}
-
-// Parses a numeric flag's value: decimal digits only (no sign, no blanks)
-// that fit in `value`.
-template <typename T>
-bool ParseDecimal(const char* text, T& value) {
-  const char* end = text + std::strlen(text);
-  auto [ptr, ec] = std::from_chars(text, end, value);
-  return text != end && ec == std::errc() && ptr == end;
 }
 
 void PrintDiagnostics(const ArchiveReader& archive) {
@@ -391,18 +380,12 @@ int CmdReplay(int argc, char** argv) {
   std::string path;
   std::string json_path;
   std::string expect_path;
-  unsigned decode_workers = 1;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--expect" && i + 1 < argc) {
       expect_path = argv[++i];
-    } else if (arg == "--decode-workers" && i + 1 < argc) {
-      if (!ParseDecimal(argv[++i], decode_workers) || decode_workers < 1) {
-        Usage();
-        return 2;
-      }
     } else if (path.empty()) {
       path = arg;
     } else {
@@ -420,10 +403,8 @@ int CmdReplay(int argc, char** argv) {
   RebuiltSystems sys = RebuildFromMeta(archive);
 
   ReplayEngine engine(MakeSource(archive, sys));
-  ReplayEngine::Options ropts;
-  ropts.decode_workers = decode_workers;
   std::vector<ReplayEngine::Outcome> outcomes = engine.Run(
-      {{"primary", [&sys] { return ExperimentSimulator(*sys.measured, sys.pconfig); }}}, ropts);
+      {{"primary", [&sys] { return ExperimentSimulator(*sys.measured, sys.pconfig); }}});
   auto* simulator = static_cast<TraceDrivenSimulator*>(outcomes[0].sink.get());
   Prediction prediction = simulator->Finish();
 

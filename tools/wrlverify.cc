@@ -12,9 +12,10 @@
 // Usage:
 //   wrlverify [--json PATH] [--scale F] [--jobs N] [--quiet]
 //
-// --jobs audits targets on a worker pool; findings and the report order
-// stay deterministic regardless of N (results are slot-indexed and
-// printed in task order).
+// F is a number in [0, 1024].  --jobs audits targets on a worker pool of N
+// threads (decimal digits; 0 = every hardware thread); findings and the
+// report order stay deterministic regardless of N (results are
+// slot-indexed and printed in task order).
 //
 // --json writes the machine-readable report (schema "wrlverify/1"):
 //   {
@@ -232,6 +233,10 @@ void WriteJsonReport(const std::string& path, const std::vector<TargetReport>& t
   out << writer.TakeString() << "\n";
 }
 
+void Usage() {
+  fprintf(stderr, "usage: wrlverify [--json PATH] [--scale F] [--jobs N] [--quiet]\n");
+}
+
 int Run(int argc, char** argv) {
   std::string json_path;
   double scale = 1.0;
@@ -242,16 +247,22 @@ int Run(int argc, char** argv) {
     if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--scale" && i + 1 < argc) {
-      scale = std::atof(argv[++i]);
+      if (!ParseWorkloadScale(argv[++i], scale)) {
+        Usage();
+        return 2;
+      }
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+      if (!ParseDecimal(argv[++i], jobs)) {
+        Usage();
+        return 2;
+      }
       if (jobs == 0) {
         jobs = std::max(1u, std::thread::hardware_concurrency());
       }
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
-      fprintf(stderr, "usage: wrlverify [--json PATH] [--scale F] [--jobs N] [--quiet]\n");
+      Usage();
       return 2;
     }
   }
