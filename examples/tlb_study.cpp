@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
   config.events = &events;
   auto sys = BuildSystem(config);
 
-  // Capture once: the drains land in the packed TraceLog; nothing is
-  // parsed while the machine runs.
+  // Capture once: the trace's chunks land in the packed TraceLog; nothing
+  // is parsed while the machine runs.
   TraceLog log;
   sys->SetTraceSink([&log](const uint32_t* words, size_t n) { log.Append(words, n); });
 

@@ -404,9 +404,10 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   // ---- Predicted: the traced system driving the analysis program ----
   // One parser feeds one tee: the primary simulator, the profiler, the
   // sweep engine, and a simulator per replayed variant.  The parser
-  // consumes each drain during the traced run (paper §3: the analysis
-  // program consumes the buffer in place), so no copy of the trace outlives
-  // its drain.
+  // consumes the trace during the traced run: the traced system publishes
+  // each drain as one or more chunks, the earlier ones while the machine
+  // still runs (paper §3: the analysis program consumes the buffer in
+  // place), so no copy of the trace outlives its chunk.
   std::unique_ptr<SystemInstance> traced;
   std::unique_ptr<TraceParser> parser;
   TeeBatchSink tee;
@@ -495,9 +496,9 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     }
 
     // The chunk consumer: the parser, behind the archive tee when there is
-    // one.  Synchronously it runs inside each drain; pipelined it runs on
-    // the consumer thread while the machine simulates ahead.  Either way it
-    // sees the identical chunk sequence and boundaries.
+    // one.  Synchronously it runs inside each sink call; pipelined it runs
+    // on the consumer thread while the machine simulates ahead.  Either way
+    // it sees the identical chunk sequence and boundaries.
     std::function<void(const uint32_t*, size_t)> consume =
         [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); };
     if (!options.archive_path.empty()) {
@@ -532,7 +533,9 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     }
     if (pipeline != nullptr) {
       // Drain the ring and join the consumer; rethrows anything the
-      // parser/sink chain threw mid-stream.
+      // parser/sink chain threw mid-stream.  The phase is the analysis
+      // tail the traced run did not hide.
+      EventRecorder::Scope scope(events, "trace.pipeline_wait", "trace");
       pipeline->Finish();
     }
     if (archive != nullptr) {

@@ -100,18 +100,21 @@ struct ExperimentOptions {
   // The parser always hands references to the analysis in batches; this
   // constant remains only for callers that still read it.
   static constexpr bool batch = true;
-  // Pipelined trace transport: drained chunks flow through a bounded SPSC
+  // Pipelined trace transport: trace chunks flow through a bounded SPSC
   // ring to a consumer thread that runs the parser + analysis tee, so the
-  // traced machine keeps simulating while each drain is consumed
-  // (simulate ∥ parse ∥ analyze).  Defaults to on when the host has more
-  // than one hardware thread; WRL_PIPELINE=0 forces the synchronous path
-  // and WRL_PIPELINE=1 forces the pipeline even on single-core hosts.
+  // traced machine keeps simulating while each chunk is consumed
+  // (simulate ∥ parse ∥ analyze).  A drain is published as one or more
+  // chunks, the earlier ones while the traced machine still runs, so the
+  // consumer works during the traced run.  Defaults to on when the host
+  // has more than one hardware thread; WRL_PIPELINE=0 forces the
+  // synchronous path and WRL_PIPELINE=1 forces the pipeline even on
+  // single-core hosts.
   // Every counter, trace word, profile, and report value is identical
   // either way; the overlap itself is observable via the trace.pipeline.*
   // metrics, which exist only on pipelined runs.
   bool pipeline = PipelineEnabled();
-  // Ring capacity in chunks (one chunk = one trace-buffer drain).  Fixed;
-  // the wrlbench benchmark still reads it.
+  // Ring capacity in chunks (a drain is published as one or more chunks).
+  // Fixed; the wrlbench benchmark still reads it.
   static constexpr size_t pipeline_depth = kDefaultPipelineDepth;
   // The analysis always runs live, behind the parser, during the traced
   // run; this constant remains only for the wrlbench benchmark, which still
@@ -131,12 +134,12 @@ struct ExperimentOptions {
   // Single-pass multi-configuration sweep (see SweepOptions above).
   SweepOptions sweep;
   // Tee the capture to a durable wrltrace/1 archive at this path
-  // (trace/trace_archive.h): every drained chunk streams to disk as the
-  // analysis consumes it, synchronous or pipelined, so the on-disk chunk
-  // sequence is exactly the sequence the analysis saw.  The archive is
-  // finalized (directory footer + fsync) after the traced run drains; a
-  // crash mid-run leaves a recoverable footerless archive.  Empty = no
-  // archive.
+  // (trace/trace_archive.h): every chunk streams to disk as the analysis
+  // consumes it, synchronous or pipelined, so the on-disk chunk sequence is
+  // exactly the sequence the analysis saw (a drain is published as one or
+  // more chunks).  The archive is finalized (directory footer + fsync)
+  // after the traced run's final drain; a crash mid-run leaves a
+  // recoverable footerless archive.  Empty = no archive.
   std::string archive_path;
   // Extra identity metadata recorded into the archive alongside the
   // harness's own keys (workload, personality, clock_period, dilation,

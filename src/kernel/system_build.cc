@@ -793,11 +793,82 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
   return sys_owner;
 }
 
+// ---- Publishing the finished prefix of the in-kernel trace buffer ----
+//
+// Which words are finished (kernel_asm.cc): the kernel stores ktrace_ptr
+// only after writing every word below it — after ue_drain_loop and the
+// MKENTER pair (ne_nobump), in nx_marker, user_exit, write_marker, at
+// kflush, and before the halt (ks_done, kernel_sys_asm.cc) — so within one
+// fill the words below the stored pointer never change again and the
+// pointer only grows.  It moves back to the base only at the end of
+// analysis_drain, after the drain hostcall; while suspended the kernel
+// leaves it at the drained fill level.
+//
+// So the host keeps `published_words_`, the words of the current fill
+// already handed over, and after each drain `drained_fill_`.  A poll
+// publishes nothing while the pointer still reads the drained fill; any
+// other value means the kernel reset the buffer, and publishing restarts
+// at word 0.  (Were the kernel to refill the buffer to exactly the drained
+// level between two polls, that would read as "not reset yet": those words
+// wait for the next poll that reads another value, or for the next drain,
+// which restarts at 0 too — delayed, never lost or resent.)  Any other
+// pointer below `published_words_` breaks the invariant and throws instead
+// of resending words.  Cut points depend only on instruction counts and
+// kernel state, never on the sink or the host, so they are deterministic.
+
+// Instructions between two polls of the kernel's trace pointer, and the
+// fewest finished words (64 KB) a poll hands over.
+constexpr uint64_t kPublishSliceInstructions = uint64_t{1} << 16;
+constexpr size_t kPublishMinWords = size_t{1} << 14;
+
+std::optional<size_t> SystemInstance::TraceFillWords() const {
+  const uint32_t ptr = machine_->PhysRead32(ktrace_ptr_addr_);
+  const uint32_t base_v = ktrace_base_ + kKseg0;
+  if (ptr < base_v) {
+    return std::nullopt;
+  }
+  WRL_CHECK_MSG((ptr & 3) == 0 && ptr - base_v <= config_.trace_buf_bytes,
+                StrFormat("kernel trace pointer 0x%08x outside the %u-byte buffer at 0x%08x", ptr,
+                          config_.trace_buf_bytes, base_v));
+  return (ptr - base_v) / 4;
+}
+
+void SystemInstance::PublishTrace(size_t min_words) {
+  const std::optional<size_t> fill = TraceFillWords();
+  if (!fill) {
+    return;
+  }
+  if (drained_fill_) {
+    if (*fill == *drained_fill_) {
+      return;  // The kernel has not reset the drained buffer yet.
+    }
+    drained_fill_.reset();
+    published_words_ = 0;
+  }
+  WRL_CHECK_MSG(*fill >= published_words_,
+                StrFormat("kernel trace pointer moved back from word %zu to %zu without a drain",
+                          published_words_, *fill));
+  const size_t words = *fill - published_words_;
+  if (words == 0 || words < min_words) {
+    return;
+  }
+  if (trace_sink_) {
+    trace_sink_(reinterpret_cast<const uint32_t*>(machine_->phys().data() + ktrace_base_) +
+                    published_words_,
+                words);
+  }
+  published_words_ = *fill;
+}
+
 void SystemInstance::DrainTrace() {
-  uint32_t ptr = machine_->PhysRead32(ktrace_ptr_addr_);
-  uint32_t base_v = ktrace_base_ + kKseg0;
-  WRL_CHECK_MSG(ptr >= base_v, "kernel trace pointer below buffer");
-  size_t words = (ptr - base_v) / 4;
+  const std::optional<size_t> fill = TraceFillWords();
+  WRL_CHECK_MSG(fill.has_value(), "kernel trace pointer below buffer");
+  if (drained_fill_) {
+    // The kernel finished the previous drain and filled the buffer anew.
+    drained_fill_.reset();
+    published_words_ = 0;
+  }
+  const size_t words = *fill;
   last_drain_words_ = words;
   trace_words_drained_ += words;
   ++trace_drains_;
@@ -805,16 +876,31 @@ void SystemInstance::DrainTrace() {
   if (config_.events != nullptr) {
     config_.events->Instant("trace.drain", "trace", "words", words);
   }
-  if (trace_sink_ && words > 0) {
-    const uint32_t* data =
-        reinterpret_cast<const uint32_t*>(machine_->phys().data() + ktrace_base_);
-    trace_sink_(data, words);
-  }
+  PublishTrace(1);
+  drained_fill_ = words;
 }
 
 RunResult SystemInstance::Run(uint64_t max_instructions) {
-  RunResult result = machine_->Run(max_instructions);
-  if (config_.tracing) {
+  if (!config_.tracing) {
+    return machine_->Run(max_instructions);
+  }
+  // Machine::Run stops only on halt or on its instruction budget, so
+  // consecutive slices retire exactly what one call would.
+  RunResult result;
+  uint64_t left = max_instructions;
+  for (;;) {
+    const uint64_t slice = std::min(left, kPublishSliceInstructions);
+    result = machine_->Run(slice);
+    left -= slice;
+    if (result.halted || left == 0) {
+      break;
+    }
+    PublishTrace(kPublishMinWords);
+  }
+  if (!result.halted) {
+    PublishTrace(1);  // Stopped on the budget: hand over every finished word.
+  } else if (!halt_drained_) {
+    halt_drained_ = true;
     DrainTrace();  // Final drain after halt.
   }
   return result;

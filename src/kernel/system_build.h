@@ -7,12 +7,16 @@
 // boot parameter block, preloads the images ("warmed" memory, like the
 // paper's warmed buffer cache), builds the disk image for the flat
 // filesystem, and services HOSTCALL drains of the in-kernel trace buffer.
+// While a traced system runs, the host also publishes the buffer's finished
+// prefix to the trace sink, so the analysis works during the traced run
+// rather than after it; it only reads simulated memory to do so.
 #ifndef WRLTRACE_KERNEL_SYSTEM_BUILD_H_
 #define WRLTRACE_KERNEL_SYSTEM_BUILD_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,7 +82,13 @@ class SystemInstance {
   const Executable& kernel_orig() const { return kernel_orig_; }
   const Executable& workload_orig() const { return workload_orig_; }
   const Executable& server_orig() const { return server_orig_; }
-  // Runs to halt; services trace drains along the way for traced systems.
+  // Runs to halt or until `max_instructions` more instructions retire.  A
+  // traced system runs in fixed instruction slices: after each it hands the
+  // sink the finished words of the in-kernel buffer once enough have built
+  // up, and it services the kernel's drains along the way.  A run that
+  // stops on its budget hands over every finished word; the run that halts
+  // the machine performs the final drain, once.  Splitting a budget across
+  // calls therefore delivers exactly the words one call would.
   RunResult Run(uint64_t max_instructions);
 
   // ---- Results ----
@@ -95,8 +105,10 @@ class SystemInstance {
   uint32_t ProcessExitCode(uint32_t pid) const;
 
   // ---- Tracing ----
-  // Registers the consumer of raw trace words; called for every drain
-  // (mode switch) and once at halt.  Only meaningful when tracing.
+  // Registers the consumer of raw trace words.  Each call hands over the
+  // next stretch of the kernel's trace in order: a drain (mode switch, or
+  // the final one at halt) is published as one or more chunks, the earlier
+  // ones while the machine still runs.  Only meaningful when tracing.
   void SetTraceSink(std::function<void(const uint32_t*, size_t)> sink) {
     trace_sink_ = std::move(sink);
   }
@@ -146,6 +158,16 @@ class SystemInstance {
  private:
   friend std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config);
 
+  // The kernel buffer's fill level in words, from its ktrace_ptr; nullopt
+  // while the pointer is below the buffer (it reads 0 until boot arms it).
+  // Simulated memory is untrusted: an unaligned pointer or one past the
+  // buffer's end throws before any word reaches the sink.
+  std::optional<size_t> TraceFillWords() const;
+  // Hands the sink the finished words not yet published, if at least
+  // `min_words` of them have built up.
+  void PublishTrace(size_t min_words);
+  // A kernel drain: hands over the unpublished rest of the fill and
+  // accounts the whole fill as drained.
   void DrainTrace();
 
   SystemConfig config_;
@@ -166,6 +188,11 @@ class SystemInstance {
   uint64_t last_drain_words_ = 0;
   uint64_t trace_drains_ = 0;
   Histogram drain_words_hist_;   // Buffer fill level (words) at each drain.
+  size_t published_words_ = 0;   // Words of the current fill already handed over.
+  // Fill level of the last drain while the buffer may still hold the
+  // drained words (the kernel has not visibly reset its pointer yet).
+  std::optional<size_t> drained_fill_;
+  bool halt_drained_ = false;
   double kernel_text_growth_ = 1.0;
   double workload_text_growth_ = 1.0;
   double server_text_growth_ = 1.0;

@@ -3,11 +3,14 @@
 // Chen's argument is that software tracing pays off when the trace is
 // consumed on the fly — but a synchronous on-the-fly consumer makes the
 // traced machine stall for the full cost of every drain.  HMTT-style
-// decoupling fixes that: the traced machine (producer) copies each drained
-// trace-buffer chunk into a bounded single-producer/single-consumer ring
+// decoupling fixes that: the traced machine (producer) copies each chunk of
+// finished trace words into a bounded single-producer/single-consumer ring
 // and immediately resumes simulating, while a consumer thread runs the
-// parser + analysis sink chain over the chunks in drain order
-// (simulate ∥ parse ∥ analyze).
+// parser + analysis sink chain over the chunks in trace order
+// (simulate ∥ parse ∥ analyze).  A drain is published as one or more
+// chunks: the traced system hands over the buffer's finished prefix while
+// the machine still runs (kernel/system_build.h), so the consumer works
+// during the traced run, not only after it.
 //
 // Ordering/identity invariant: the ring is strictly FIFO and the consumer
 // is a single thread, so the consumer observes exactly the chunk sequence
@@ -40,9 +43,11 @@
 
 namespace wrl {
 
-// Default ring capacity, in chunks.  A chunk is one trace-buffer drain, so
-// even a shallow ring lets the machine run a full buffer ahead of the
-// analysis; deeper rings only buy slack against bursty drains.
+// Default ring capacity, in chunks.  A chunk is one published stretch of
+// the trace buffer (a drain is published as one or more chunks), at least
+// 64 KB unless it ends a drain or a run, so even a shallow ring lets the
+// machine run well ahead of the analysis; deeper rings only buy slack
+// against bursty drains.
 constexpr size_t kDefaultPipelineDepth = 8;
 
 // The pipeline default: on when a second hardware thread exists to run the
@@ -73,8 +78,10 @@ inline unsigned PipelineDecodeWorkers() {
 // the ring reaches steady state.
 //
 // Exactly one producer thread may call Push/Close and one consumer thread
-// Pop; Cancel may be called from either side.  The stats accessors are
-// meant for after the ring has quiesced (Close + drained, or Cancel).
+// Pop; Cancel may be called from either side.  The counter accessors take
+// the ring's lock, so either side may read them mid-stream; the occupancy
+// histogram and RegisterStats are for after the ring has quiesced (Close +
+// drained, or Cancel).
 class ChunkRing {
  public:
   explicit ChunkRing(size_t capacity = kDefaultPipelineDepth);
@@ -95,13 +102,14 @@ class ChunkRing {
 
   bool cancelled() const;
 
-  // ---- Observability (quiesced ring) ----
-  uint64_t chunks() const { return chunks_; }
-  uint64_t words() const { return words_; }
-  uint64_t producer_stalls() const { return producer_stalls_; }
-  uint64_t consumer_starves() const { return consumer_starves_; }
-  uint64_t max_occupancy() const { return max_occupancy_; }
+  // ---- Observability ----
+  uint64_t chunks() const { return Locked(chunks_); }
+  uint64_t words() const { return Locked(words_); }
+  uint64_t producer_stalls() const { return Locked(producer_stalls_); }
+  uint64_t consumer_starves() const { return Locked(consumer_starves_); }
+  uint64_t max_occupancy() const { return Locked(max_occupancy_); }
   size_t capacity() const { return slots_.size(); }
+  // Quiesced ring only.
   const Histogram& occupancy_hist() const { return occupancy_hist_; }
 
   // Binds the ring's counters into `registry` under `prefix`
@@ -126,11 +134,16 @@ class ChunkRing {
   uint64_t consumer_starves_ = 0;
   uint64_t max_occupancy_ = 0;
   Histogram occupancy_hist_;  // Ring occupancy after each push.
+
+  uint64_t Locked(const uint64_t& counter) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return counter;
+  }
 };
 
 // The harness-facing wrapper: owns the ring and the consumer thread.  The
 // traced machine's trace sink calls Produce; the consumer thread invokes
-// `consume` once per chunk, in drain order.  Finish() closes the ring,
+// `consume` once per chunk, in trace order.  Finish() closes the ring,
 // joins the consumer, and rethrows anything the consumer chain threw — so
 // a parser/sink failure mid-stream surfaces on the producer thread as the
 // same exception the synchronous path would have thrown.

@@ -4,8 +4,9 @@
 // ReplayEngine, sweeps, and tools never care where a capture lives.
 //
 // The contract every source honors:
-//   * chunks preserve the capture's drain boundaries, so a replayed parser
-//     sees the same Feed() granularity the live path saw;
+//   * chunks preserve the capture's chunk boundaries (the stretches the
+//     traced system published), so a replayed parser sees the same Feed()
+//     granularity the live path saw;
 //   * DecodeChunk(i) depends only on chunk i (independent coding), which is
 //     what makes O(1) seek possible;
 //   * Replay() delivers the captured word sequence in the captured

@@ -12,10 +12,12 @@
 //            clock period, dilation, epoxie/scavenge settings, ...) —
 //            everything a fresh process needs to rebuild the capturing
 //            system deterministically and replay the archive bit-identically.
-//   chunks   a sequence of records, one per trace-buffer drain:
+//   chunks   a sequence of records, one per stretch of trace the traced
+//            system published (a drain is published as one or more
+//            chunks; kernel/system_build.h):
 //              "wrlc" | payload_bytes u32 | word_count u32 |
 //              payload_crc u32 | head_crc u32 | payload
-//            The payload is the shared chunk codec's coding of the drain
+//            The payload is the shared chunk codec's coding of the chunk
 //            (trace/chunk_codec.h) — independently decodable, so any chunk
 //            decodes without touching the ones before it.
 //   footer   "wrlf" | chunk_count u32 | total_words u64 |
@@ -72,7 +74,8 @@ class ArchiveWriter {
   ArchiveWriter(const ArchiveWriter&) = delete;
   ArchiveWriter& operator=(const ArchiveWriter&) = delete;
 
-  // Appends one drained chunk (boundaries are preserved on replay).
+  // Appends one published chunk of trace words (a drain arrives as one or
+  // more chunks; boundaries are preserved on replay).
   void Append(const uint32_t* words, size_t count);
   void Append(const std::vector<uint32_t>& words) { Append(words.data(), words.size()); }
 

@@ -2,7 +2,7 @@
 // of hybrid tracing systems — HMTT, the CVA6 efficient-trace work).
 //
 // A TraceLog records the raw kernel-buffer words exactly as the trace
-// transport drained them, preserving drain-chunk boundaries, so any number
+// transport delivered them, preserving chunk boundaries, so any number
 // of analysis configurations can later replay the identical stream without
 // re-running the traced machine.  Storage is packed with the shared chunk
 // codec (trace/chunk_codec.h): per-bucket delta + zigzag + LEB128 varints.
@@ -31,9 +31,10 @@ namespace wrl {
 
 class TraceLog : public TraceChunkSource {
  public:
-  // Appends one drained chunk.  Chunk boundaries are preserved and replayed
-  // as-is, so a replayed parser sees the same Feed() granularity the live
-  // path saw.
+  // Appends one chunk of trace words as the traced system published it (a
+  // drain is published as one or more chunks).  Chunk boundaries are
+  // preserved and replayed as-is, so a replayed parser sees the same Feed()
+  // granularity the live path saw.
   void Append(const uint32_t* words, size_t count);
   void Append(const std::vector<uint32_t>& words) { Append(words.data(), words.size()); }
 

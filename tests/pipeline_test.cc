@@ -19,6 +19,7 @@
 #include "stats/stats.h"
 #include "support/error.h"
 #include "trace/chunk_ring.h"
+#include "workloads/workloads.h"
 
 namespace wrl {
 namespace {
@@ -88,6 +89,13 @@ TEST(ChunkRing, PreservesOrderUnderBackpressure) {
   EXPECT_EQ(ring.occupancy_hist().count(), kChunks);
 }
 
+// Waits until the consumer has found the ring empty `n` times.
+void AwaitStarves(const ChunkRing& ring, uint64_t n) {
+  while (ring.consumer_starves() < n) {
+    std::this_thread::yield();
+  }
+}
+
 TEST(ChunkRing, CountsConsumerStarves) {
   ChunkRing ring(4);
   std::atomic<uint64_t> seen{0};
@@ -98,14 +106,16 @@ TEST(ChunkRing, CountsConsumerStarves) {
     }
   });
   for (uint32_t i = 0; i < 8; ++i) {
-    // A slow producer: the consumer drains instantly and must wait.
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    // A producer slower than the consumer: each push waits until the
+    // consumer has emptied the ring and blocked on it once more.
+    AwaitStarves(ring, i + 1);
     ASSERT_TRUE(ring.Push(&i, 1));
   }
+  AwaitStarves(ring, 9);
   ring.Close();
   consumer.join();
   EXPECT_EQ(seen.load(), 8u);
-  EXPECT_GE(ring.consumer_starves(), 1u);
+  EXPECT_EQ(ring.consumer_starves(), 9u);
   EXPECT_EQ(ring.producer_stalls(), 0u);
 }
 
@@ -260,6 +270,25 @@ TEST(PipelinedExperiment, LiveAnalysisIsByteIdentical) {
   EXPECT_FALSE(sync.stats.Has("trace.pipeline.chunks"));
   EXPECT_GE(pipelined.stats.CounterValue("trace.pipeline.chunks"), 1u);
   EXPECT_EQ(pipelined.stats.CounterValue("trace.pipeline.words"), pipelined.trace_words);
+}
+
+// At the default 16 MB buffer a small paper workload drains once, at halt,
+// yet its trace reaches the consumer in several chunks while the traced
+// machine runs, the ring carries every drained word, and the wait for the
+// consumer after the run is a named timeline phase.
+TEST(PipelinedExperiment, TraceStreamsDuringTheTracedRun) {
+  ExperimentOptions options;
+  options.pipeline = true;
+  ExperimentResult result = RunExperiment(PaperWorkload("sed", 0.02), options);
+  const uint64_t drains = result.stats.CounterValue("traced.trace.drains");
+  EXPECT_EQ(drains, 1u);
+  EXPECT_GT(result.stats.CounterValue("trace.pipeline.chunks"), drains);
+  EXPECT_EQ(result.stats.CounterValue("trace.pipeline.words"), result.trace_words);
+  size_t waits = 0;
+  for (const TimelineEvent& e : result.timeline) {
+    waits += e.name == "trace.pipeline_wait" && !e.instant;
+  }
+  EXPECT_EQ(waits, 1u);
 }
 
 // A replay variant on the consumer thread's tee, pipelined vs synchronous.

@@ -5,10 +5,11 @@
 // and page that generated it — plus the §5 distortion accounting: trace
 // words and epoxie-inserted instructions charged per block.
 //
-// The parser consumes each drain during the traced run and feeds the
-// profiler, as in every experiment.  The traced system is the experiment
-// harness's (same clock, page policy, and trace buffer), so the profile is
-// the one `profile` experiments get.
+// The parser consumes the trace during the traced run — each drain is
+// published as one or more chunks, the earlier ones while the machine still
+// runs — and feeds the profiler, as in every experiment.  The traced system
+// is the experiment harness's (same clock, page policy, and trace buffer),
+// so the profile is the one `profile` experiments get.
 //
 // The built-in reconciliation gate cross-checks the profile against the
 // wrlstats parser counters — Σ block insts == parser.ifetches, Σ loads ==
