@@ -176,17 +176,24 @@ void BM_UntracedExecution(benchmark::State& state) {
 }
 BENCHMARK(BM_UntracedExecution);
 
-// Raw Step-dispatch throughput: a self-contained spin loop stepped directly,
-// with no run-loop bookkeeping, link step, or halt handling in the timing.
-void BM_MachineStepLoop(benchmark::State& state) {
-  MachineConfig config;
-  Machine machine(config);
-  // addiu t0, t0, 1; bne t0, zero, -2; nop — an endless counted spin in
-  // kseg0, entirely fetch + ALU + branch.
+// addiu t0, t0, 1; bne t0, zero, -2; nop — an endless counted spin in
+// kseg0, entirely fetch + ALU + branch.
+void LoadSpinLoop(Machine& machine) {
   machine.PhysWrite32(0x1000, 0x25080001);  // addiu $t0, $t0, 1
   machine.PhysWrite32(0x1004, 0x1500fffe);  // bne $t0, $zero, .-4
   machine.PhysWrite32(0x1008, 0x00000000);  // nop
   machine.SetPc(kKseg0 + 0x1000);
+}
+
+// Raw Step-dispatch throughput: the spin loop stepped directly, with no
+// run-loop bookkeeping, link step, or halt handling in the timing.  Run
+// calls Step per instruction only with predecode off, so this times the
+// machine WRL_FASTPATH=0 runs: every fast path off.
+void BM_MachineStepLoop(benchmark::State& state) {
+  MachineConfig config;
+  config.fastpath = FastPathConfig::AllOff();
+  Machine machine(config);
+  LoadSpinLoop(machine);
   for (auto _ : state) {
     for (int i = 0; i < 1024; ++i) {
       machine.Step();
@@ -196,6 +203,18 @@ void BM_MachineStepLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_MachineStepLoop);
+
+// The production dispatch loop on the same spin: Run executes it a page at
+// a time (FastPathConfig::predecode).
+void BM_MachineRunLoop(benchmark::State& state) {
+  Machine machine(MachineConfig{});
+  LoadSpinLoop(machine);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(machine.Run(1024).cycles);
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_MachineRunLoop);
 
 void BM_TraceParse(benchmark::State& state) {
   BareBuild build = BuildBareTraced(kBody);

@@ -291,24 +291,6 @@ bool IsLoad(Op op) {
 
 bool IsStore(Op op) { return op == Op::kSb || op == Op::kSh || op == Op::kSw; }
 
-unsigned MemAccessBytes(Op op) {
-  switch (op) {
-    case Op::kLb:
-    case Op::kLbu:
-    case Op::kSb:
-      return 1;
-    case Op::kLh:
-    case Op::kLhu:
-    case Op::kSh:
-      return 2;
-    case Op::kLw:
-    case Op::kSw:
-      return 4;
-    default:
-      return 0;
-  }
-}
-
 bool IsBranch(Op op) {
   switch (op) {
     case Op::kBeq:
@@ -335,19 +317,6 @@ bool EndsBasicBlock(Op op) {
 
 bool IsArithStall(Op op) {
   return op == Op::kMult || op == Op::kMultu || op == Op::kDiv || op == Op::kDivu;
-}
-
-unsigned ArithStallCycles(Op op) {
-  switch (op) {
-    case Op::kMult:
-    case Op::kMultu:
-      return 11;  // R3000 multiply latency.
-    case Op::kDiv:
-    case Op::kDivu:
-      return 34;  // R3000 divide latency.
-    default:
-      return 0;
-  }
 }
 
 uint32_t RegsRead(const Inst& inst) {

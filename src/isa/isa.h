@@ -164,8 +164,25 @@ Inst Decode(uint32_t word);
 
 bool IsLoad(Op op);
 bool IsStore(Op op);
-// Number of bytes accessed by a load/store; 0 for everything else.
-unsigned MemAccessBytes(Op op);
+// Number of bytes accessed by a load/store; 0 for everything else.  Inline:
+// the machine asks on every load and store.
+constexpr unsigned MemAccessBytes(Op op) {
+  switch (op) {
+    case Op::kLb:
+    case Op::kLbu:
+    case Op::kSb:
+      return 1;
+    case Op::kLh:
+    case Op::kLhu:
+    case Op::kSh:
+      return 2;
+    case Op::kLw:
+    case Op::kSw:
+      return 4;
+    default:
+      return 0;
+  }
+}
 // Conditional branches (PC-relative, 16-bit offset).
 bool IsBranch(Op op);
 // j / jal (26-bit region-absolute).
@@ -179,7 +196,19 @@ bool EndsBasicBlock(Op op);
 // mult/div family — the instructions that incur "arithmetic stalls".
 bool IsArithStall(Op op);
 // Latency in cycles of the multiply/divide unit for this op (0 if none).
-unsigned ArithStallCycles(Op op);
+// Inline: the machine asks on every mult and div.
+constexpr unsigned ArithStallCycles(Op op) {
+  switch (op) {
+    case Op::kMult:
+    case Op::kMultu:
+      return 11;  // R3000 multiply latency.
+    case Op::kDiv:
+    case Op::kDivu:
+      return 34;  // R3000 divide latency.
+    default:
+      return 0;
+  }
+}
 
 // Register read/write sets as 32-bit masks (bit n set = register n).
 uint32_t RegsRead(const Inst& inst);

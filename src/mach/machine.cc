@@ -63,7 +63,10 @@ void Machine::InvalidateDecodeRange(uint32_t paddr, size_t bytes) {
   uint32_t first = paddr >> kPageShift;
   uint64_t last = (static_cast<uint64_t>(paddr) + bytes - 1) >> kPageShift;
   for (uint64_t p = first; p <= last && p < decode_cache_.size(); ++p) {
-    decode_cache_[p].reset();
+    if (decode_cache_[p] != nullptr) {
+      decode_cache_[p].reset();
+      end_run_ = true;
+    }
   }
 }
 
@@ -130,6 +133,7 @@ void Machine::RaiseException(Exc code, uint32_t faulting_pc, bool in_delay, uint
   cycles_ += config_.exception_entry_cycles;
   // Exception entry is a mode transition (and may rewrite EntryHi above).
   FlushMicroTlb();
+  end_run_ = true;
 }
 
 Machine::Translation Machine::TranslateSlow(uint32_t vaddr, Access access, uint32_t faulting_pc,
@@ -250,7 +254,7 @@ void Machine::SyncIrqCause() {
   cop0_[kCop0Cause] = cause;
 }
 
-bool Machine::CheckInterrupts() {
+inline bool Machine::CheckInterrupts() {
   uint32_t status = cop0_[kCop0Status];
   if ((status & kStatusIEc) == 0) {
     return false;
@@ -286,6 +290,9 @@ uint32_t Machine::MmioRead(uint32_t offset) {
 }
 
 void Machine::MmioWrite(uint32_t offset, uint32_t value) {
+  // A device register write may halt, call the host, or move the device
+  // deadline and irq lines.
+  end_run_ = true;
   switch (offset) {
     case kDevConsolePutc:
       console_.PutChar(static_cast<char>(value));
@@ -350,43 +357,41 @@ void Machine::WaitMulDiv() {
   }
 }
 
-void Machine::Step() {
-  if (halted_) {
-    return;
-  }
+inline bool Machine::BeginFetch(Translation& ft) {
   // With event_devices off the deadline stays 0, so this fires on every
   // step — exactly the old per-instruction TickDevices.
   if (cycles_ >= device_deadline_) {
     TickDevices();
   }
   if (CheckInterrupts()) {
-    return;
+    return false;
   }
-
-  uint32_t cur = pc_;
-  bool delay = in_delay_;
-
-  Translation ft = Translate(cur, Access::kFetch, cur, delay);
+  ft = Translate(pc_, Access::kFetch, pc_, in_delay_);
   if (!ft.ok) {
-    return;
+    return false;
   }
-  if (ft.device || (cur & 3) != 0) {
-    RaiseException(Exc::kAdEL, cur, delay, cur, true, false);
-    return;
+  if (ft.device || (pc_ & 3) != 0) {
+    RaiseException(Exc::kAdEL, pc_, in_delay_, pc_, true, false);
+    return false;
   }
-  Inst inst;
-  if (fastpath_.predecode && (ft.paddr >> kPageShift) < decode_cache_.size()) [[likely]] {
-    uint32_t ppage = ft.paddr >> kPageShift;
-    DecodedPage* dp = decode_cache_[ppage] ? decode_cache_[ppage].get() : FillDecodedPage(ppage);
-    inst = dp->inst[(ft.paddr & (kPageBytes - 1)) >> 2];
-  } else {
-    // Slow path; also catches fetches beyond RAM (PhysRead32 faults).
-    inst = Decode(PhysRead32(ft.paddr));
+  return true;
+}
+
+inline const Machine::DecodedPage& Machine::DecodedPageAt(uint32_t paddr) {
+  uint32_t ppage = paddr >> kPageShift;
+  if (ppage >= decode_cache_.size()) [[unlikely]] {
+    PhysAccessFail("read", paddr);
   }
+  return decode_cache_[ppage] ? *decode_cache_[ppage] : *FillDecodedPage(ppage);
+}
+
+// Retire and Execute are forced inline so that RunPages's loop dispatches
+// straight into Execute's switch; Step gets its own copy.
+[[gnu::always_inline]] inline void Machine::Retire(Inst inst, uint32_t cur, bool delay,
+                                                   uint32_t paddr, bool cached, bool user) {
   if (timing_) {
-    cycles_ += ft.cached ? memsys_.Fetch(ft.paddr, cycles_) : memsys_.UncachedLoad(ft.paddr, cycles_);
+    cycles_ += cached ? memsys_.Fetch(paddr, cycles_) : memsys_.UncachedLoad(paddr, cycles_);
   }
-  bool user = user_mode();
   if (trace_hook_) {
     trace_hook_({RefEvent::kIfetch, cur, 4, user, cur});
   }
@@ -408,7 +413,61 @@ void Machine::Step() {
   Execute(inst, cur, delay);
 }
 
-void Machine::Execute(const Inst& inst, uint32_t cur, bool delay) {
+void Machine::Step() {
+  if (halted_) {
+    return;
+  }
+  Translation ft;
+  if (!BeginFetch(ft)) {
+    return;
+  }
+  Retire(Decode(PhysRead32(ft.paddr)), pc_, in_delay_, ft.paddr, ft.cached, user_mode());
+}
+
+// A run of instructions from one predecoded page starts with BeginFetch and
+// the page lookup; its later instructions only Retire.  A run ends, and the
+// next instruction gets the full prologue, at each point where the prologue
+// could answer differently:
+//   * the pc leaves the page or is misaligned: the fetch translation and
+//     the decoded page hold per page, and BeginFetch raises AdEL for a
+//     misaligned pc;
+//   * an exception (end_run_): entry moves the pc to a vector, switches to
+//     kernel mode and rewrites Status, EntryHi and Cause;
+//   * a cop0 write, i.e. mtc0, tlbr, tlbwi, tlbwr or rfe (end_run_): Status
+//     (mode, interrupt enables), Cause (software interrupts), EntryHi (the
+//     ASID) and the TLB are all the interrupt check and the fetch
+//     translation read besides the pc; mfc0 and tlbp change none of it;
+//   * a device register write (end_run_): it may halt, call the host, or
+//     move the irq lines and the device deadline;
+//   * the drop of any predecoded page by a store, DMA or host write
+//     (end_run_): the run reads its page by reference, and that may be the
+//     page just dropped;
+//   * cycles_ reaching the device deadline: only BeginFetch ticks the
+//     devices, and only a tick or a device register write changes the irq
+//     lines;
+//   * the budget.
+// DESIGN.md §8 says why ending at exception entry is belt-and-braces.
+void Machine::RunPages(uint64_t limit) {
+  while (!halted_ && instructions_ < limit) {
+    Translation ft;
+    if (!BeginFetch(ft)) {
+      continue;
+    }
+    const DecodedPage& page = DecodedPageAt(ft.paddr);
+    const uint32_t frame = ft.paddr & ~(kPageBytes - 1);
+    const uint32_t page_base = PageBase(pc_);
+    const bool user = user_mode();
+    end_run_ = false;
+    do {
+      const uint32_t offset = pc_ & (kPageBytes - 1);
+      Retire(page.inst[offset >> 2], pc_, in_delay_, frame | offset, ft.cached, user);
+      // Same page and word-aligned, or the run ends here.
+    } while (!end_run_ && (pc_ & (~(kPageBytes - 1) | 3)) == page_base &&
+             cycles_ < device_deadline_ && instructions_ < limit);
+  }
+}
+
+[[gnu::always_inline]] inline void Machine::Execute(const Inst& inst, uint32_t cur, bool delay) {
   auto rs = [&] { return gpr_[inst.rs]; };
   auto rt = [&] { return gpr_[inst.rt]; };
   auto write_rd = [&](uint32_t v) { set_gpr(inst.rd, v); };
@@ -746,15 +805,26 @@ void Machine::Execute(const Inst& inst, uint32_t cur, bool delay) {
         default:
           break;
       }
+      // Every cop0 write may change Status, Cause, EntryHi or the TLB: what
+      // the next fetch's interrupt check and translation read.
+      if (inst.op != Op::kMfc0 && inst.op != Op::kTlbp) {
+        end_run_ = true;
+      }
       return;
     }
   }
 }
 
 RunResult Machine::Run(uint64_t max_instructions) {
-  uint64_t limit = instructions_ + max_instructions;
-  while (!halted_ && instructions_ < limit) {
-    Step();
+  const uint64_t limit = max_instructions > UINT64_MAX - instructions_
+                             ? UINT64_MAX
+                             : instructions_ + max_instructions;
+  if (fastpath_.predecode) {
+    RunPages(limit);
+  } else {
+    while (!halted_ && instructions_ < limit) {
+      Step();
+    }
   }
   RunResult r;
   r.halted = halted_;

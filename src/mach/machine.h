@@ -83,6 +83,9 @@ struct RefEvent {
 struct FastPathConfig {
   // Cache Decode() results per physical page; invalidated on stores, DMA,
   // and image loads into the page (self-modifying code keeps working).
+  // Run then executes a page at a time (Machine::RunPages lists what ends a
+  // run).  With predecode off, Run calls Step, which decodes from memory,
+  // once per instruction.
   bool predecode = true;
   // Direct-mapped fetch and data translation tables (64 slots each,
   // indexed by VPN mod 64) in front of the 64-entry TLB scan, keyed on
@@ -120,8 +123,11 @@ class Machine {
   explicit Machine(const MachineConfig& config);
 
   // ---- Execution ----
+  // Executes one instruction, decoded from memory: the per-instruction
+  // reference that Run uses with predecode off.
   void Step();
-  // Runs until halt or the instruction budget is exhausted.
+  // Runs until halt or the instruction budget is exhausted.  The budget
+  // saturates: Run(UINT64_MAX) runs until halt.
   RunResult Run(uint64_t max_instructions);
   bool halted() const { return halted_; }
   uint32_t halt_code() const { return halt_code_; }
@@ -288,6 +294,21 @@ class Machine {
   Translation TranslateSlow(uint32_t vaddr, Access access, uint32_t faulting_pc, bool in_delay);
   void RaiseException(Exc code, uint32_t faulting_pc, bool in_delay, uint32_t badvaddr,
                       bool badvaddr_valid, bool utlb_vector);
+  // Step's prologue: ticks the devices once their deadline has passed, takes
+  // a pending interrupt, and translates the fetch at pc.  Returns false when
+  // an exception was raised instead, so no instruction retires.
+  bool BeginFetch(Translation& ft);
+  // The predecoded page holding `paddr`, decoding it on first use.  A fetch
+  // beyond RAM fails like PhysRead32.
+  const DecodedPage& DecodedPageAt(uint32_t paddr);
+  // Everything an instruction does once fetched and decoded: the timing
+  // fetch, the ifetch hook, the counters, the pc and delay-slot update, and
+  // Execute.  `inst` is a copy: Execute may drop the page it came from.
+  void Retire(Inst inst, uint32_t cur, bool delay, uint32_t paddr, bool cached, bool user);
+  // Run's loop with predecode on: one BeginFetch per run of instructions
+  // from one predecoded page.  Its definition lists the events that end a
+  // run and why each is exact.
+  void RunPages(uint64_t limit);
   void Execute(const Inst& inst, uint32_t cur, bool delay);
   bool CheckInterrupts();
   void TickDevices();
@@ -302,6 +323,7 @@ class Machine {
     uint32_t ppage = paddr >> kPageShift;
     if (ppage < decode_cache_.size() && decode_cache_[ppage] != nullptr) {
       decode_cache_[ppage].reset();
+      end_run_ = true;  // The page run may be executing out of it.
     }
   }
 
@@ -320,6 +342,9 @@ class Machine {
   bool timing_;
 
   std::vector<std::unique_ptr<DecodedPage>> decode_cache_;  // Indexed by phys page.
+  // Set by the events that end a page run early (RunPages lists them).
+  // Only RunPages reads and clears it.
+  bool end_run_ = false;
   MicroTlb micro_itlb_;
   MicroTlb micro_dtlb_;
   // Next cycle at which devices must be ticked.  0 when event_devices is

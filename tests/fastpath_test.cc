@@ -1,13 +1,18 @@
-// The fast-path contract (mach/machine.h FastPathConfig): predecode,
-// micro-TLB, and event-driven devices are pure optimizations.  With any of
-// them on or off, the machine must produce byte-identical architectural
-// results — every trace word, cycle count, and counter.  These tests hold
-// it to that, and poke the invalidation edges where each cache could go
-// stale: self-modifying code, DMA into predecoded text, TLB rewrites, ASID
-// switches, micro-TLB slot conflicts, and stores to clean pages.
+// The fast-path contract (mach/machine.h FastPathConfig): predecode (with
+// its page-at-a-time run loop), micro-TLB, and event-driven devices are pure
+// optimizations.  With any of them on or off, the machine must produce
+// byte-identical architectural results — every trace word, cycle count, and
+// counter.  These tests hold it to that, on every paper workload, and poke
+// the edges where each cache or run could go stale: self-modifying code,
+// DMA into predecoded text, TLB rewrites, ASID switches, micro-TLB slot
+// conflicts, stores to clean pages, and the events that must end a page
+// run (a store into the run's own page, an interrupt enabled mid-run, a
+// budget that ends mid-run, a misaligned jump within the page).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -117,31 +122,60 @@ TEST(FastPath, EachLayerAloneIsByteIdentical) {
   }
 }
 
-// The same contract on a paper workload whose translations the loop above
-// never stresses: under Mach two address spaces share the TLB, tlbwr
-// refills evict entries the micro-TLB may still hold, pages collide in
-// micro-TLB slots, and under tracing every memory reference alternates with
-// a store into the trace buffer.  Both systems of an experiment — measured
-// and traced — are built by the harness's own rules.
-TEST(FastPath, PaperWorkloadByteIdenticalToSlowPath) {
-  const WorkloadSpec workload = PaperWorkload("eqntott", 0.05);
+// The same contract on every paper workload, under both personalities,
+// for both systems of an experiment — measured and traced — built by the
+// harness's own rules.  These stress what the loop above never does: under
+// Mach two address spaces share the TLB, tlbwr refills evict entries the
+// micro-TLB may still hold, pages collide in micro-TLB slots; under tracing
+// every memory reference alternates with a store into the trace buffer, so
+// page runs end on every call to memtrace; the disk DMAs file data and
+// program text, and clock interrupts land inside runs.
+class PaperWorkloadFastPath
+    : public ::testing::TestWithParam<std::tuple<std::string, Personality>> {};
+
+TEST_P(PaperWorkloadFastPath, ByteIdenticalToSlowPath) {
+  const auto& [name, personality] = GetParam();
+  const WorkloadSpec workload = PaperWorkload(name, 0.01);
   ExperimentOptions options;
-  options.personality = Personality::kMach;
+  options.personality = personality;
+  // Far above what any of these runs retires, far below the harness's
+  // 3e9: a run loop that misses an event (say, a device deadline, so the
+  // idle loop never sees its disk interrupt) fails here in seconds rather
+  // than spinning for minutes.
+  constexpr uint64_t kBudget = 100'000'000;
   for (bool tracing : {false, true}) {
+    SCOPED_TRACE(tracing ? "traced system" : "measured system");
     SystemConfig config = ExperimentSystemConfig(workload, options, tracing);
     config.fastpath = FastPathConfig{};
-    TracedCapture fast = RunCapture(config, options.max_instructions);
+    TracedCapture fast = RunCapture(config, kBudget);
     config.fastpath = FastPathConfig::AllOff();
-    TracedCapture slow = RunCapture(config, options.max_instructions);
-    EXPECT_GT(slow.utlb_misses, 0u) << "tracing " << tracing;
+    TracedCapture slow = RunCapture(config, kBudget);
+    EXPECT_GT(slow.utlb_misses, 0u);
     EXPECT_EQ(tracing, !slow.trace_words.empty());
-    EXPECT_EQ(fast.cycles, slow.cycles) << "tracing " << tracing;
-    EXPECT_EQ(fast.instructions, slow.instructions) << "tracing " << tracing;
-    ASSERT_EQ(fast.trace_words.size(), slow.trace_words.size()) << "tracing " << tracing;
-    EXPECT_EQ(fast.trace_words, slow.trace_words) << "tracing " << tracing;
-    EXPECT_EQ(fast.counters_json, slow.counters_json) << "tracing " << tracing;
+    EXPECT_EQ(fast.cycles, slow.cycles);
+    EXPECT_EQ(fast.instructions, slow.instructions);
+    ASSERT_EQ(fast.trace_words.size(), slow.trace_words.size());
+    EXPECT_TRUE(fast.trace_words == slow.trace_words) << "same length, different words";
+    EXPECT_EQ(fast.counters_json, slow.counters_json);
   }
 }
+
+std::vector<std::string> WorkloadNames() {
+  std::vector<std::string> names;
+  for (const WorkloadSpec& w : PaperWorkloads(0.01)) {
+    names.push_back(w.name);
+  }
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, PaperWorkloadFastPath,
+    ::testing::Combine(::testing::ValuesIn(WorkloadNames()),
+                       ::testing::Values(Personality::kUltrix, Personality::kMach)),
+    [](const ::testing::TestParamInfo<PaperWorkloadFastPath::ParamType>& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) == Personality::kMach ? "_mach" : "_ultrix");
+    });
 
 // ---------------------------------------------------------------------------
 // Invalidation edges, run under both configurations.
@@ -154,15 +188,24 @@ std::unique_ptr<Machine> RunWithFastpath(const std::string& source, bool on,
 
 // For programs that lay out their own exception vectors (linked at kseg0
 // base so the UTLB/general handlers land at 0x80000000/0x80000080).
-std::unique_ptr<Machine> RunVectored(const std::string& source, bool on) {
-  MachineConfig config;
-  config.fastpath = on ? FastPathConfig{} : FastPathConfig::AllOff();
+Executable LinkVectored(const std::string& source) {
   ObjectFile obj = Assemble("t.s", source);
   LinkOptions options;
   options.text_base = kKseg0;
-  Executable exe = Link({obj}, options);
+  return Link({obj}, options);
+}
+
+std::unique_ptr<Machine> LoadVectored(const std::string& source, bool on) {
+  MachineConfig config;
+  config.timing = true;
+  config.fastpath = on ? FastPathConfig{} : FastPathConfig::AllOff();
   auto m = std::make_unique<Machine>(config);
-  LoadBare(*m, exe);
+  LoadBare(*m, LinkVectored(source));
+  return m;
+}
+
+std::unique_ptr<Machine> RunVectored(const std::string& source, bool on) {
+  auto m = LoadVectored(source, on);
   m->Run(1'000'000);
   EXPECT_TRUE(m->halted());
   return m;
@@ -444,6 +487,187 @@ spin:   b    spin
 TEST(FastPath, StoreToCleanPageAfterLoadRaisesMod) {
   EXPECT_EQ(RunVectored(kCleanPageStoreProgram, true)->halt_code(), 1u);
   EXPECT_EQ(RunVectored(kCleanPageStoreProgram, false)->halt_code(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Page-run edges.  With predecode on, Run executes a page at a time and
+// skips Step's prologue inside a run; each program below puts one of the
+// events that must end a run where skipping the prologue would show.  Every
+// one runs in a single page (the vectors included) and in timing mode, and
+// must match the per-instruction Step loop exactly.
+
+void ExpectSameMachine(const Machine& fast, const Machine& slow) {
+  EXPECT_EQ(fast.halted(), slow.halted());
+  EXPECT_EQ(fast.halt_code(), slow.halt_code());
+  EXPECT_EQ(fast.pc(), slow.pc());
+  EXPECT_EQ(fast.cycles(), slow.cycles());
+  EXPECT_EQ(fast.instructions(), slow.instructions());
+  EXPECT_EQ(fast.interrupts_taken(), slow.interrupts_taken());
+  for (unsigned r = 0; r < 32; ++r) {
+    EXPECT_EQ(fast.gpr(r), slow.gpr(r)) << "gpr " << r;
+  }
+  for (unsigned c = 0; c < 16; ++c) {
+    EXPECT_EQ(fast.cop0(c), slow.cop0(c)) << "cop0 " << c;
+  }
+}
+
+// A store rewrites the very next instruction of the run executing it.  The
+// store drops the page the run reads from, so the run must stop before its
+// next fetch: reading on would execute the stale decode (or, under ASan,
+// read a freed page).
+constexpr const char* kPatchNextProgram = R"(
+        .globl _start
+_start: li   $v0, 0
+        la   $t0, patch
+        li   $t1, 0x24420064     # addiu $v0, $v0, 100
+        sw   $t1, 0($t0)
+patch:  addiu $v0, $v0, 1        # replaced by the store just before it
+        li   $t9, 0xbfd00004
+        sw   $v0, 0($t9)         # halt(v0)
+        nop
+spin:   b    spin
+        nop
+)";
+
+TEST(FastPath, StoreIntoTheRunningPagePatchesTheNextInstruction) {
+  auto fast = RunWithFastpath(kPatchNextProgram, true);
+  auto slow = RunWithFastpath(kPatchNextProgram, false);
+  EXPECT_EQ(slow->halt_code(), 100u);
+  ExpectSameMachine(*fast, *slow);
+}
+
+// The clock ticks while interrupts are off, so its interrupt is already
+// pending when an mtc0 to Status enables it.  The interrupt must be taken
+// before the instruction after the mtc0, in the same page: EPC = `after`.
+// The 1000-cycle period puts the only earlier deadline inside the wait
+// loop, so nothing but the mtc0 can end the run there.
+constexpr const char* kEnablePendingIrqProgram = R"(
+        .globl _start
+        .globl after
+        .space 0x80
+gen:    mfc0 $v0, $epc
+        li   $t9, 0xbfd00000
+        sw   $zero, 0x14($t9)    # CLOCK_ACK
+        sw   $zero, 0x10($t9)    # stop the clock
+        sw   $v0, 4($t9)         # halt(EPC)
+        nop
+        .space 0x100
+_start: li   $t9, 0xbfd00000
+        li   $t0, 1000
+        sw   $t0, 0x10($t9)      # clock period; IEc is still 0
+        li   $t3, 400
+wait:   addiu $t3, $t3, -1       # the first tick goes pending here
+        bne  $t3, $zero, wait
+        nop
+        mfc0 $t1, $status
+        li   $t2, 0x8001         # IM7 | IEc
+        or   $t1, $t1, $t2
+        mtc0 $t1, $status        # enables the pending tick
+after:  addiu $s0, $s0, 1        # must not run before the interrupt
+        addiu $s0, $s0, 1
+        li   $t9, 0xbfd00004
+        sw   $s0, 0($t9)         # halt(2): reached only if no interrupt
+        nop
+spin:   b    spin
+        nop
+)";
+
+TEST(FastPath, MtcStatusTakesAPendingInterruptBeforeTheNextInstruction) {
+  auto fast = RunVectored(kEnablePendingIrqProgram, true);
+  auto slow = RunVectored(kEnablePendingIrqProgram, false);
+  const uint32_t after = LinkVectored(kEnablePendingIrqProgram).SymbolAddress("after");
+  EXPECT_EQ(slow->halt_code(), after);
+  EXPECT_EQ(slow->interrupts_taken(), 1u);
+  EXPECT_EQ(slow->gpr(kS0), 0u);
+  ExpectSameMachine(*fast, *slow);
+}
+
+// A loop with a syscall every iteration (the handler returns with jr+rfe)
+// and clock ticks with interrupts off: runs end on exceptions, cop0 writes
+// and device deadlines.  A budget that stops inside a run must stop on
+// exactly the same instruction: Run(1) N times equals Run(N), both ways.
+constexpr const char* kBudgetProgram = R"(
+        .globl _start
+        .space 0x80
+gen:    mfc0 $k0, $epc
+        addiu $k0, $k0, 4
+        addiu $s1, $s1, 1        # syscalls taken
+        jr   $k0
+        rfe
+        .space 0x100
+_start: li   $t9, 0xbfd00000
+        li   $t0, 37
+        sw   $t0, 0x10($t9)      # clock period; interrupts stay off
+        li   $s0, 0
+        li   $t0, 50
+loop:   addiu $s0, $s0, 3
+        syscall
+        addiu $t0, $t0, -1
+        bne  $t0, $zero, loop
+        nop
+        addu $v0, $s0, $s1       # halt(150 + 50)
+        li   $t9, 0xbfd00004
+        sw   $v0, 0($t9)
+        nop
+spin:   b    spin
+        nop
+)";
+
+TEST(FastPath, BudgetEndingMidRunStopsOnTheSameInstruction) {
+  for (uint64_t n : {1u, 2u, 7u, 13u, 64u, 301u, 100000u}) {
+    SCOPED_TRACE(n);
+    auto one_at_a_time = LoadVectored(kBudgetProgram, true);
+    for (uint64_t i = 0; i < n; ++i) {
+      one_at_a_time->Run(1);
+    }
+    auto fast = LoadVectored(kBudgetProgram, true);
+    fast->Run(n);
+    auto slow = LoadVectored(kBudgetProgram, false);
+    slow->Run(n);
+    ExpectSameMachine(*fast, *slow);
+    ExpectSameMachine(*one_at_a_time, *slow);
+    if (slow->halted()) {
+      EXPECT_EQ(slow->halt_code(), 200u);
+    } else {
+      EXPECT_EQ(slow->instructions(), n);
+    }
+  }
+}
+
+// A jr to a misaligned address in the same page: the run must end at the
+// pc change so the next fetch raises AdEL, as Step's prologue does, rather
+// than executing the aligned word below it.
+constexpr const char* kMisalignedJumpProgram = R"(
+        .globl _start
+        .globl target
+        .space 0x80
+gen:    mfc0 $k0, $cause
+        srl  $k0, $k0, 2
+        andi $v0, $k0, 31
+        li   $t9, 0xbfd00004
+        sw   $v0, 0($t9)         # halt(ExcCode): AdEL is 4
+        nop
+        .space 0x100
+_start: la   $t0, target
+        addiu $t0, $t0, 2
+        jr   $t0
+        nop
+target: li   $v0, 99             # reached only if the fetch did not fault
+        li   $t9, 0xbfd00004
+        sw   $v0, 0($t9)
+        nop
+spin:   b    spin
+        nop
+)";
+
+TEST(FastPath, MisalignedJumpWithinThePageRaisesAdEL) {
+  auto fast = RunVectored(kMisalignedJumpProgram, true);
+  auto slow = RunVectored(kMisalignedJumpProgram, false);
+  const uint32_t target = LinkVectored(kMisalignedJumpProgram).SymbolAddress("target");
+  EXPECT_EQ(slow->halt_code(), 4u);
+  EXPECT_EQ(slow->cop0(kCop0BadVAddr), target + 2);
+  EXPECT_EQ(slow->cop0(kCop0Epc), target + 2);
+  ExpectSameMachine(*fast, *slow);
 }
 
 }  // namespace

@@ -532,6 +532,34 @@ TEST(Machine, HostcallRoundTrip) {
   EXPECT_EQ(m.halt_code(), 110u);
 }
 
+// The budget saturates: after some instructions have retired, Run(UINT64_MAX)
+// still runs to halt instead of wrapping to a limit behind the count and
+// running nothing.  Both run loops (page runs and per-instruction Step).
+TEST(Machine, MaxBudgetAfterAPartialRunRunsToHalt) {
+  for (bool fastpath : {true, false}) {
+    SCOPED_TRACE(fastpath ? "fast path" : "slow path");
+    MachineConfig config;
+    config.fastpath = fastpath ? FastPathConfig{} : FastPathConfig::AllOff();
+    Machine m{config};
+    LoadBare(m, BuildBareProgram(Program(R"(
+        li   $v0, 0
+        li   $t0, 10
+loop:   addiu $v0, $v0, 3
+        addiu $t0, $t0, -1
+        bne  $t0, $zero, loop
+        nop
+        b    halt
+        nop
+)")));
+    RunResult first = m.Run(5);
+    EXPECT_FALSE(first.halted);
+    EXPECT_EQ(first.instructions, 5u);
+    RunResult rest = m.Run(UINT64_MAX);
+    EXPECT_TRUE(rest.halted);
+    EXPECT_EQ(rest.halt_code, 30u);
+  }
+}
+
 TEST(Machine, RandomRegisterStaysInUnwiredRange) {
   Tlb tlb(8);
   for (uint64_t count = 0; count < 1000; ++count) {
