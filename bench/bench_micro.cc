@@ -24,6 +24,7 @@
 #include "harness/replay_engine.h"
 #include "kernel/system_build.h"
 #include "memsys/memsys.h"
+#include "prof/prof.h"
 #include "sim/predictor.h"
 #include "sim/tlb_sim.h"
 #include "support/rng.h"
@@ -485,9 +486,11 @@ BENCHMARK(BM_StackDistance);
 // scale 0.05, traced and parsed by the harness's own set-up — built once,
 // in process, when the first analysis bench needs it (no checked-in
 // fixture).  The measured system supplies the page map and original text
-// images, as in RunExperiment.
+// images, as in RunExperiment; the traced system stays alive for the
+// profiler's block tables.
 struct SystemTrace {
   std::unique_ptr<SystemInstance> measured;
+  std::unique_ptr<SystemInstance> traced;
   PredictorConfig pconfig;
   std::vector<TraceRef> refs;
 };
@@ -501,13 +504,13 @@ SystemTrace BuildGccSystemTrace() {
   const ExperimentOptions options;
   trace.measured = BuildSystem(GccSystemConfig(false));
   trace.pconfig = ExperimentPredictorConfig(*trace.measured, options);
-  std::unique_ptr<SystemInstance> traced = BuildSystem(GccSystemConfig(true));
-  std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
+  trace.traced = BuildSystem(GccSystemConfig(true));
+  std::unique_ptr<TraceParser> parser = SystemTraceParser(*trace.traced);
   RefFnSink collect([&trace](const TraceRef& ref) { trace.refs.push_back(ref); });
   parser->SetBatchSink(&collect);
-  traced->SetTraceSink(
+  trace.traced->SetTraceSink(
       [&parser](const uint32_t* words, size_t count) { parser->Feed(words, count); });
-  traced->Run(options.max_instructions);
+  trace.traced->Run(options.max_instructions);
   parser->Finish();
   return trace;
 }
@@ -559,6 +562,42 @@ void BM_PredictorSim(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.refs.size()));
 }
 BENCHMARK(BM_PredictorSim);
+
+// The sweep engine as figure3-whatif runs it, over the same real trace:
+// the I-family {16-byte lines, 16-32 KB} and D-family {4-byte lines,
+// 16-32 KB} that absorb its geometry-only variants, and the 64-entry LRU
+// TLB curve.  Items are references.
+void BM_SweepSimTrace(benchmark::State& state) {
+  const SystemTrace& trace = GccSystemTrace();
+  SweepConfig config;
+  config.base = trace.pconfig.memsys;
+  config.page_map = trace.pconfig.page_map;
+  config.tlb_wired = trace.pconfig.tlb_wired;
+  config.icache.push_back({16, 16 * 1024, 32 * 1024});
+  config.dcache.push_back({4, 16 * 1024, 32 * 1024});
+  config.tlb_max_entries = 64;
+  for (auto _ : state) {
+    SweepEngine sweep(config);
+    sweep.OnRefBatch(trace.refs.data(), trace.refs.size());
+    benchmark::DoNotOptimize(sweep.Finish().icache.front().misses);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.refs.size()));
+}
+BENCHMARK(BM_SweepSimTrace);
+
+// The attribution profiler with the harness's spaces and default options
+// over the same real trace.  Items are references.
+void BM_ProfilerSim(benchmark::State& state) {
+  const SystemTrace& trace = GccSystemTrace();
+  for (auto _ : state) {
+    TraceProfiler profiler;
+    ProfileSystemSpaces(profiler, *trace.traced);
+    profiler.OnRefBatch(trace.refs.data(), trace.refs.size());
+    benchmark::DoNotOptimize(profiler.Finish().totals.block_entries);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.refs.size()));
+}
+BENCHMARK(BM_ProfilerSim);
 
 // The traced machine itself, on the system GccSystemTrace parses: user-mode
 // translation, the alternation between the program's pages and the trace

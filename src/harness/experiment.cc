@@ -541,14 +541,20 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     if (archive != nullptr) {
       // Every chunk is on disk; seal the directory footer.  A crash before
       // this point leaves a footerless archive the reader recovers by scan.
+      EventRecorder::Scope scope(events, "trace.archive_finalize", "trace");
       archive->Finalize();
     }
+    // The analysis tail, to the end of this block: flush the parser's last
+    // batch, then read each sink's result and its busy time on the tee.
+    EventRecorder::Scope finish_scope(events, "analysis.finish", "analysis");
     parser->Finish();
     result.parser_errors = parser->stats().validation_errors;
     if (profiler != nullptr) {
       result.profile = profiler->Finish();
+      result.profile_wall_us = tee.busy_us(profiler.get());
     }
     result.prediction = simulator->Finish();
+    result.prediction_wall_us = tee.busy_us(simulator.get());
     if (sweep_engine != nullptr) {
       result.sweep = sweep_engine->Finish();
       result.sweep.wall_us = tee.busy_us(sweep_engine.get());
@@ -606,21 +612,24 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   // ---- Registry snapshot across every layer of both runs ----
   // Must happen before the SystemInstances go out of scope: the registry
   // bindings point into them.
-  StatsRegistry registry;
-  measured->RegisterStats(registry, "measured.");
-  traced->RegisterStats(registry, "traced.");
-  parser->RegisterStats(registry, "parser.");
-  if (archive != nullptr) {
-    archive->RegisterStats(registry, "archive.");
+  {
+    EventRecorder::Scope scope(events, "stats.snapshot", "stats");
+    StatsRegistry registry;
+    measured->RegisterStats(registry, "measured.");
+    traced->RegisterStats(registry, "traced.");
+    parser->RegisterStats(registry, "parser.");
+    if (archive != nullptr) {
+      archive->RegisterStats(registry, "archive.");
+    }
+    simulator->RegisterStats(registry, "predicted.");
+    if (sweep_engine != nullptr) {
+      sweep_engine->RegisterStats(registry, "sweep.");
+    }
+    if (pipeline != nullptr) {
+      pipeline->RegisterStats(registry, "trace.pipeline.");
+    }
+    result.stats = registry.Snapshot();
   }
-  simulator->RegisterStats(registry, "predicted.");
-  if (sweep_engine != nullptr) {
-    sweep_engine->RegisterStats(registry, "sweep.");
-  }
-  if (pipeline != nullptr) {
-    pipeline->RegisterStats(registry, "trace.pipeline.");
-  }
-  result.stats = registry.Snapshot();
   // Fold the helper thread's run.measured phase back into the shared
   // timeline at its true wall offset.
   events->Absorb(measured_events.TakeEvents(), measured_epoch_us, /*depth_offset=*/1);

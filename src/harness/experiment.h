@@ -179,6 +179,12 @@ struct ExperimentResult {
   uint64_t run_wall_us = 0;
   uint64_t simulated_instructions = 0;
 
+  // Busy time on the analysis tee of the primary simulator and of the
+  // profiler (0 unless ExperimentOptions::profile).  Wall clock, like the
+  // sweep's and the replayed variants' wall_us below.
+  uint64_t prediction_wall_us = 0;
+  uint64_t profile_wall_us = 0;
+
   // One result per ReplayVariant, in option order.  A replayed variant's
   // wall_us is its simulator's busy time on the analysis tee.
   std::vector<ReplayVariantResult> replays;

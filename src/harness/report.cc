@@ -110,6 +110,7 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
   writer.KV("synthesized_refs", r.prediction.synthesized_refs);
   writer.KV("user_cpi", r.prediction.UserCpi());
   writer.KV("kernel_cpi", r.prediction.KernelCpi());
+  writer.KV("wall_us", r.prediction_wall_us);
   writer.EndObject();
 
   writer.Key("delta").BeginObject();
@@ -197,6 +198,7 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
   }
 
   if (r.profile.totals.refs > 0) {
+    writer.KV("profile_wall_us", r.profile_wall_us);
     writer.Key("profile");
     r.profile.WriteJson(writer, options.profile_top);
   }

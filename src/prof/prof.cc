@@ -16,15 +16,17 @@ TraceProfiler::TraceProfiler(ProfileOptions options) : options_(options) {
   while ((1u << page_shift_) != options_.page_bytes) {
     ++page_shift_;
   }
+  window_filter_.fill(kNoKey);
 }
 
 TraceProfiler::Space& TraceProfiler::SpaceFor(uint8_t pid) {
-  auto [it, inserted] = spaces_.try_emplace(pid);
-  if (inserted) {
-    it->second.name =
-        pid == kKernelPid ? "kernel" : StrFormat("pid%u", static_cast<unsigned>(pid));
+  if (Space* space = space_by_pid_[pid]) {
+    return *space;
   }
-  return it->second;
+  Space& space = spaces_[pid];
+  space.name = pid == kKernelPid ? "kernel" : StrFormat("pid%u", static_cast<unsigned>(pid));
+  space_by_pid_[pid] = &space;
+  return space;
 }
 
 const TraceProfiler::Space* TraceProfiler::FindSpace(uint8_t pid) const {
@@ -108,9 +110,14 @@ std::string TraceProfiler::SpaceName(uint8_t pid) const {
 }
 
 void TraceProfiler::TouchPage(Space& space, const TraceRef& ref) {
-  uint32_t page = (ref.addr >> page_shift_) << page_shift_;
-  PageProfile& tally = space.pages[page];
-  tally.page_addr = page;
+  const uint32_t page = (ref.addr >> page_shift_) << page_shift_;
+  PageMemo& memo = space.page_memo[MemoSlot(page >> page_shift_)];
+  if (memo.profile == nullptr || memo.page != page) {
+    PageProfile& entry = space.pages[page];
+    entry.page_addr = page;
+    memo = {page, &entry};
+  }
+  PageProfile& tally = *memo.profile;
   switch (ref.kind) {
     case TraceRef::kIfetch:
       ++tally.ifetches;
@@ -125,18 +132,23 @@ void TraceProfiler::TouchPage(Space& space, const TraceRef& ref) {
 }
 
 void TraceProfiler::TouchWorkingSet(uint8_t pid, uint32_t addr) {
-  uint64_t key = (static_cast<uint64_t>(pid) << 32) | (addr >> page_shift_);
-  window_pages_.insert(key);
+  const uint64_t key = (static_cast<uint64_t>(pid) << 32) | (addr >> page_shift_);
+  uint64_t& seen = window_filter_[MemoSlot(key)];
+  if (seen != key) {
+    window_pages_.insert(key);
+    seen = key;
+  }
   if (++window_fill_ == options_.window_refs) {
     working_set_.push_back(window_pages_.size());
     window_pages_.clear();
+    window_filter_.fill(kNoKey);
     window_fill_ = 0;
   }
 }
 
 void TraceProfiler::AdvanceCursor(Space& space, const TraceRef& ref) {
   Cursor& cursor = space.stack.back();
-  BlockTally& tally = space.tallies[cursor.leader];
+  BlockTally& tally = *cursor.tally;
   ++tally.insts;
   if (ref.idle) {
     ++tally.idle_insts;
@@ -184,13 +196,13 @@ void TraceProfiler::OnRef(const TraceRef& ref) {
       ++totals_.unattributed_insts;
       return;
     }
-    Cursor cursor;
-    cursor.info = it->second;
-    cursor.leader = ref.addr;
-    space.stack.push_back(cursor);
     BlockTally& tally = space.tallies[ref.addr];
     tally.info = it->second;
     ++tally.entries;
+    Cursor cursor;
+    cursor.info = it->second;
+    cursor.tally = &tally;
+    space.stack.push_back(cursor);
     ++totals_.block_entries;
     AdvanceCursor(space, ref);
     return;
@@ -207,7 +219,7 @@ void TraceProfiler::OnRef(const TraceRef& ref) {
     return;
   }
   Cursor& top = space.stack.back();
-  BlockTally& tally = space.tallies[top.leader];
+  BlockTally& tally = *top.tally;
   if (ref.kind == TraceRef::kLoad) {
     ++tally.loads;
   } else {

@@ -32,6 +32,7 @@
 #ifndef WRLTRACE_PROF_PROF_H_
 #define WRLTRACE_PROF_PROF_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -148,6 +149,9 @@ struct Profile {
 class TraceProfiler : public RefBatchSink {
  public:
   explicit TraceProfiler(ProfileOptions options = ProfileOptions());
+  // The lookup memos below point into this profiler's own tables.
+  TraceProfiler(const TraceProfiler&) = delete;
+  TraceProfiler& operator=(const TraceProfiler&) = delete;
 
   // Registers the block table for one address space (kKernelPid = kernel).
   // Spaces without a table accumulate only totals/pages as unattributed.
@@ -174,14 +178,6 @@ class TraceProfiler : public RefBatchSink {
   std::string SpaceName(uint8_t pid) const;
 
  private:
-  struct Cursor {
-    const TraceBlockInfo* info = nullptr;
-    uint32_t leader = 0;     // Original leader address (tally key).
-    uint32_t next_inst = 0;  // Next original instruction index expected.
-    uint32_t next_mem = 0;   // Next info->mem_ops entry awaiting data.
-    bool awaiting = false;   // An ifetched memory op awaits its data word.
-  };
-
   struct BlockTally {
     const TraceBlockInfo* info = nullptr;
     uint64_t entries = 0;
@@ -189,6 +185,31 @@ class TraceProfiler : public RefBatchSink {
     uint64_t loads = 0;
     uint64_t stores = 0;
     uint64_t idle_insts = 0;
+  };
+
+  struct Cursor {
+    const TraceBlockInfo* info = nullptr;
+    BlockTally* tally = nullptr;  // The block's tally in its space.
+    uint32_t next_inst = 0;  // Next original instruction index expected.
+    uint32_t next_mem = 0;   // Next info->mem_ops entry awaiting data.
+    bool awaiting = false;   // An ifetched memory op awaits its data word.
+  };
+
+  // Exact lookup memos.  Each one holds pointers to elements of a map
+  // that never erases them (the profiler never drops a space, tally or
+  // page), and element pointers of std::map and std::unordered_map survive
+  // insertion and rehash, so a memo hit names the element the map lookup
+  // would find.
+  static constexpr unsigned kMemoBits = 6;
+  static unsigned MemoSlot(uint64_t key) {
+    return static_cast<unsigned>((key * 0x9e3779b97f4a7c15ull) >> (64 - kMemoBits));
+  }
+  // Working-set keys are (pid << 32 | page number), far below this.
+  static constexpr uint64_t kNoKey = ~uint64_t{0};
+
+  struct PageMemo {
+    uint32_t page = 0;
+    PageProfile* profile = nullptr;  // nullptr = empty slot.
   };
 
   struct Space {
@@ -200,6 +221,8 @@ class TraceProfiler : public RefBatchSink {
     std::unordered_map<uint32_t, uint32_t> leader_keys;  // leader -> key addr.
     std::unordered_map<uint32_t, BlockTally> tallies;
     std::unordered_map<uint32_t, PageProfile> pages;
+    // Direct-mapped page -> pages entry memo.
+    std::array<PageMemo, 1u << kMemoBits> page_memo{};
     // Sorted lazily on first lookup (mutable: Finish() is const).
     mutable std::vector<std::pair<uint32_t, std::string>> symbols;
     mutable bool symbols_sorted = true;
@@ -221,11 +244,16 @@ class TraceProfiler : public RefBatchSink {
   uint32_t page_shift_ = 12;
   // std::map: Finish() iterates spaces in pid order for determinism.
   std::map<uint8_t, Space> spaces_;
+  // pid -> its element of spaces_ (nullptr until the space exists).
+  std::array<Space*, 256> space_by_pid_{};
   ProfileTotals totals_;
   // Working-set curve state: pages touched in the current window.  Pages
-  // from different spaces are distinct (key = page | pid<<32... packed in
-  // 64 bits).
+  // from different spaces are distinct (key = pid << 32 | page number).
   std::unordered_set<uint64_t> window_pages_;
+  // Direct-mapped keys inserted into window_pages_ in this window (kNoKey
+  // = empty); cleared when the window closes, so a hit is a key the set
+  // already holds.
+  std::array<uint64_t, 1u << kMemoBits> window_filter_;
   uint64_t window_fill_ = 0;
   std::vector<uint64_t> working_set_;
 };

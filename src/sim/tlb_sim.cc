@@ -4,18 +4,6 @@
 
 namespace wrl {
 
-std::optional<unsigned> TlbSimulator::Find(uint32_t vaddr, uint8_t asid) {
-  uint8_t& hint = hint_[HintSlot(vaddr)];
-  if (tlb_.entry(hint).Matches(vaddr >> 12, asid)) {
-    return hint;
-  }
-  std::optional<unsigned> index = tlb_.Lookup(vaddr, asid);
-  if (index) {
-    hint = static_cast<uint8_t>(*index);
-  }
-  return index;
-}
-
 void TlbSimulator::Refill(uint32_t vaddr, const TlbEntry& entry) {
   const unsigned slot = tlb_.Random(instruction_counter_);
   tlb_.entry(slot) = entry;

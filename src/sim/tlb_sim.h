@@ -86,8 +86,19 @@ class TlbSimulator : public RefBatchSink {
   static constexpr unsigned kHintBits = 10;
 
   // The matching entry for (vaddr, asid): the hinted entry when it matches,
-  // else the associative scan, whose hit becomes the slot's new hint.
-  std::optional<unsigned> Find(uint32_t vaddr, uint8_t asid);
+  // else the associative scan (out of line), whose hit becomes the slot's
+  // new hint.
+  std::optional<unsigned> Find(uint32_t vaddr, uint8_t asid) {
+    uint8_t& hint = hint_[HintSlot(vaddr)];
+    if (tlb_.entry(hint).Matches(vaddr >> 12, asid)) {
+      return hint;
+    }
+    std::optional<unsigned> index = tlb_.Lookup(vaddr, asid);
+    if (index) {
+      hint = static_cast<uint8_t>(*index);
+    }
+    return index;
+  }
   // Writes the entry a miss refills and hints it.
   void Refill(uint32_t vaddr, const TlbEntry& entry);
   static unsigned HintSlot(uint32_t vaddr) {

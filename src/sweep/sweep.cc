@@ -85,7 +85,7 @@ std::vector<uint32_t> CacheForest::FamilySizes() const {
 // ---- StackDistanceProfiler ---------------------------------------------
 
 namespace {
-// Small enough that every realistic trace exercises compaction, large
+// Small enough that a few thousand spills exercise compaction, large
 // enough that compaction cost (O(live keys) each) stays negligible.
 constexpr size_t kMinWindow = 4096;
 }  // namespace
@@ -108,8 +108,15 @@ uint64_t StackDistanceProfiler::FenwickPrefix(size_t pos) const {
   return static_cast<uint64_t>(sum);
 }
 
+void StackDistanceProfiler::Record(uint64_t distance) {
+  if (distance_counts_.size() < distance) {
+    distance_counts_.resize(distance, 0);
+  }
+  ++distance_counts_[distance - 1];
+}
+
 void StackDistanceProfiler::Compact() {
-  // Renumber live keys 0..live-1 in LRU order (ascending last-access time
+  // Renumber the tree's keys 0..live-1 in LRU order (ascending spill time
   // preserves every relative order, hence every future stack distance).
   std::vector<std::pair<uint32_t, uint64_t>> order;
   order.reserve(last_time_.size());
@@ -135,32 +142,59 @@ void StackDistanceProfiler::Compact() {
 
 uint64_t StackDistanceProfiler::Access(uint64_t key) {
   ++accesses_;
+  // A hit at array position p is stack distance p+1; moving the key to the
+  // front reorders nothing outside top_[0..p].
+  for (unsigned p = 0; p < top_size_; ++p) {
+    if (top_[p] == key) {
+      const uint64_t distance = p + 1;
+      for (; p > 0; --p) {
+        top_[p] = top_[p - 1];
+      }
+      top_[0] = key;
+      Record(distance);
+      return distance;
+    }
+  }
   uint64_t distance = 0;
+  std::unordered_map<uint64_t, uint32_t>::node_type node;
   auto it = last_time_.find(key);
   if (it == last_time_.end()) {
     ++cold_misses_;
   } else {
-    // Stack position = keys touched more recently than `key`, plus itself.
-    const uint64_t later = live_ - FenwickPrefix(it->second);
-    distance = later + 1;
-    if (distance_counts_.size() < distance) {
-      distance_counts_.resize(distance, 0);
-    }
-    ++distance_counts_[distance - 1];
+    // Stack position = the array's keys (all more recent), the tree keys
+    // that spilled after `key`, plus itself.
+    distance = top_size_ + (live_ - FenwickPrefix(it->second)) + 1;
+    Record(distance);
     FenwickAdd(it->second, -1);
     --live_;
-    // Erase before a possible Compact(): compaction rebuilds the tree from
-    // `last_time_`, and this key is about to get a fresh timestamp below —
-    // leaving the stale entry in place would double-mark it.
-    last_time_.erase(it);
+    // Out of the map before a possible Compact(), which rebuilds the tree
+    // from `last_time_`; the node is reused for the spill below.
+    node = last_time_.extract(it);
   }
-  if (time_ >= window_) {
-    Compact();
+  if (top_size_ < kTopOfStack) {
+    ++top_size_;  // The tree is still empty.
+  } else {
+    // The array's oldest key spills into the tree.  It is more recent than
+    // every key already there, so the next timestamp keeps the order exact.
+    if (time_ >= window_) {
+      Compact();
+    }
+    const uint32_t now = time_++;
+    const uint64_t spilled = top_[kTopOfStack - 1];
+    if (node) {
+      node.key() = spilled;
+      node.mapped() = now;
+      last_time_.insert(std::move(node));
+    } else {
+      last_time_.emplace(spilled, now);
+    }
+    FenwickAdd(now, 1);
+    ++live_;
   }
-  const uint32_t now = time_++;
-  last_time_[key] = now;
-  FenwickAdd(now, 1);
-  ++live_;
+  for (unsigned i = top_size_ - 1; i > 0; --i) {
+    top_[i] = top_[i - 1];
+  }
+  top_[0] = key;
   return distance;
 }
 

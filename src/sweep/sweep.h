@@ -41,6 +41,7 @@
 #ifndef WRLTRACE_SWEEP_SWEEP_H_
 #define WRLTRACE_SWEEP_SWEEP_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -68,25 +69,25 @@ class CacheForest {
   // write allocation, so they cannot change any member's contents.
   void Access(uint32_t paddr) {
     const uint32_t line = paddr >> line_shift_;
-    // Walk every level; nesting makes the hit set an up-set of levels, so
-    // the smallest hit level is the reference's threshold.
-    unsigned threshold = kMissEverywhere;
+    ++accesses_;
+    // Walk up from the smallest level, filling each level that misses.
+    // The first level that hits is the reference's threshold, and the walk
+    // stops there: by induction over accesses, every larger level already
+    // holds this line (a line held at level b is held at b+1, since any
+    // line that evicted it from b+1 would have evicted it from b too), so
+    // their fills would store what is already there.
     size_t offset = 0;
     for (unsigned level = 0; level < levels_; ++level) {
       const uint32_t index = line & ((1u << (min_bits_ + level)) - 1u);
       uint32_t& last = last_[offset + index];
-      if (last == line && threshold == kMissEverywhere) {
-        threshold = level;
+      if (last == line) {
+        ++hits_at_level_[level];
+        return;
       }
       last = line;
       offset += size_t{1} << (min_bits_ + level);
     }
-    ++accesses_;
-    if (threshold == kMissEverywhere) {
-      ++cold_or_conflict_everywhere_;
-    } else {
-      ++hits_at_level_[threshold];
-    }
+    ++cold_or_conflict_everywhere_;
   }
 
   // Exact miss count for the family member of `size_bytes` (must be in
@@ -101,7 +102,6 @@ class CacheForest {
   std::vector<uint32_t> FamilySizes() const;
 
  private:
-  static constexpr unsigned kMissEverywhere = 0xffffffffu;
   // Line addresses are paddr >> line_shift <= 2^30, far below the sentinel.
   static constexpr uint32_t kNoLine = 0xffffffffu;
 
@@ -121,9 +121,12 @@ class CacheForest {
 
 // Exact stack-distance (reuse-distance) profile over an arbitrary key
 // stream: one pass yields the miss count of a fully-associative LRU
-// structure of every capacity.  Distances are computed with a Fenwick
-// tree over last-access timestamps (compacted periodically so memory
-// stays proportional to the number of distinct keys, not stream length).
+// structure of every capacity.  The kTopOfStack most recent distinct keys
+// sit in a small array in MRU order, so a reuse that shallow costs a short
+// scan; deeper distances are computed with a Fenwick tree over the
+// timestamps at which keys left that array (compacted periodically so
+// memory stays proportional to the number of distinct keys, not stream
+// length).
 class StackDistanceProfiler {
  public:
   StackDistanceProfiler();
@@ -140,13 +143,26 @@ class StackDistanceProfiler {
   // distance_counts()[d] = references that hit at stack position d+1 (the
   // reuse-distance histogram; its length is the deepest reuse seen).
   const std::vector<uint64_t>& distance_counts() const { return distance_counts_; }
-  uint64_t distinct_keys() const { return last_time_.size(); }
+  uint64_t distinct_keys() const { return top_size_ + last_time_.size(); }
 
  private:
+  // Size of the top-of-stack array.  On the kuseg page streams of the
+  // Figure 3 Ultrix workloads at scale 0.1, at least 99.98% of accesses
+  // have a stack distance of at most 8 in 11 of the 12 workloads, and
+  // 93.4% in eqntott.
+  static constexpr unsigned kTopOfStack = 8;
+
+  void Record(uint64_t distance);
   void FenwickAdd(size_t pos, int delta);
   uint64_t FenwickPrefix(size_t pos) const;  // Sum of [0, pos].
   void Compact();
 
+  // The top of the stack, most recent first; deeper keys are in the tree.
+  // Keys enter the tree only as the array's oldest key spills, so every
+  // array key is more recent than every tree key.
+  std::array<uint64_t, kTopOfStack> top_{};
+  unsigned top_size_ = 0;
+  // Tree keys -> the timestamp at which each spilled.
   std::unordered_map<uint64_t, uint32_t> last_time_;
   std::vector<int32_t> fenwick_;  // 1-based; covers timestamps [0, window).
   size_t window_ = 0;

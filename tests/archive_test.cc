@@ -459,11 +459,14 @@ TEST(ArchiveExperiment, ReadsBackValidIdentityMetadata) {
 
 // Each malformed identity value must fail loudly, naming its key and
 // value, instead of silently becoming 0 or reaching an undefined
-// float-to-integer conversion.
+// float-to-integer conversion.  The archive is named after the test as
+// well as the key: tests that share a key may run at once in separate
+// processes.
 void ExpectRejected(const std::string& key, const std::string& value) {
   SCOPED_TRACE(key + "=" + value);
-  ArchiveReader archive =
-      ArchiveWithMeta("meta_" + key + ".wrl", {{"workload", "sed"}, {key, value}});
+  const std::string test = testing::UnitTest::GetInstance()->current_test_info()->name();
+  ArchiveReader archive = ArchiveWithMeta("meta_" + test + "_" + key + ".wrl",
+                                          {{"workload", "sed"}, {key, value}});
   try {
     ArchivedExperimentOptions(archive);
     ADD_FAILURE() << "accepted";

@@ -9,7 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
+#include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "harness/bare_runtime.h"
@@ -17,11 +22,15 @@
 #include "harness/replay_engine.h"
 #include "harness/report.h"
 #include "support/json.h"
+#include "support/rng.h"
 #include "trace/trace_log.h"
 #include "workloads/workloads.h"
 
 namespace wrl {
 namespace {
+
+// Its lookup memos point into its own tables.
+static_assert(!std::is_copy_constructible_v<TraceProfiler>);
 
 // ---- Synthetic streams -------------------------------------------------
 //
@@ -179,6 +188,95 @@ TEST(TraceProfiler, WorkingSetWindowsAndTail) {
   EXPECT_EQ(profile.working_set[2], 1u);
   EXPECT_EQ(profile.window_refs, 4u);
   EXPECT_EQ(profile.tail_refs, 2u);
+}
+
+// ---- Pages and the working-set curve against a brute-force recount ----
+
+// Profiles `refs` and checks the page heatmap against one std::map entry
+// per (pid, page) and the working-set curve against one std::set per
+// window, both recounted from the raw stream.
+void ExpectPagesAndWorkingSetMatchRecount(TraceProfiler& prof, const std::vector<TraceRef>& refs) {
+  prof.OnRefBatch(refs.data(), refs.size());
+  const Profile profile = prof.Finish();
+  const uint32_t page_mask = ~(prof.options().page_bytes - 1);
+  using Key = std::pair<uint8_t, uint32_t>;
+  std::map<Key, std::array<uint64_t, 3>> pages;
+  std::vector<uint64_t> working_set;
+  std::set<Key> window;
+  uint64_t fill = 0;
+  for (const TraceRef& r : refs) {
+    const Key key{r.pid, r.addr & page_mask};
+    ++pages[key][r.kind];
+    window.insert(key);
+    if (++fill == prof.options().window_refs) {
+      working_set.push_back(window.size());
+      window.clear();
+      fill = 0;
+    }
+  }
+  if (fill > 0) {
+    working_set.push_back(window.size());
+  }
+  std::map<Key, std::array<uint64_t, 3>> got;
+  for (const PageProfile& p : profile.pages) {
+    EXPECT_TRUE(got.emplace(Key{p.pid, p.page_addr},
+                            std::array<uint64_t, 3>{p.ifetches, p.loads, p.stores})
+                    .second);
+  }
+  EXPECT_EQ(got, pages);
+  EXPECT_EQ(profile.working_set, working_set);
+  EXPECT_EQ(profile.tail_refs, fill);
+  EXPECT_EQ(profile.totals.refs, refs.size());
+}
+
+TEST(TraceProfiler, PagesAndWorkingSetMatchRecountOnCollidingStream) {
+  // Four spaces taking turns every 1-4 references, each touching 300 pages
+  // spread over its address space: far more (pid, page) keys than the page
+  // memo or the working-set filter has slots, so both keep colliding, and
+  // 64-reference windows close hundreds of times.
+  ProfileOptions options;
+  options.window_refs = 64;
+  TraceProfiler prof(options);
+  const uint8_t pids[] = {1, 2, 3, kKernelPid};
+  Rng rng(31);
+  std::vector<TraceRef> refs;
+  while (refs.size() < 40000) {
+    const uint8_t pid = pids[rng.Below(4)];
+    for (uint32_t n = 1 + rng.Below(4); n > 0; --n) {
+      // A small hot set and a wide cold one, at page offsets that vary.
+      const uint32_t page = rng.Below(4) == 0 ? rng.Below(300) : rng.Below(6);
+      const uint32_t addr = page * 0x00013000u + 4 * rng.Below(1024);
+      const TraceRef::Kind kind = static_cast<TraceRef::Kind>(rng.Below(3));
+      refs.push_back({addr, kind, 4, pid, pid == kKernelPid, false});
+    }
+  }
+  ExpectPagesAndWorkingSetMatchRecount(prof, refs);
+}
+
+TEST(TraceProfiler, PagesAndWorkingSetMatchRecountOnMachSystemTrace) {
+  // A real system trace with two user spaces (the workload and the UNIX
+  // server) beside the kernel.
+  WorkloadSpec workload = PaperWorkload("eqntott", 0.02);
+  ExperimentOptions options;
+  options.personality = Personality::kMach;
+  std::unique_ptr<SystemInstance> traced =
+      BuildSystem(ExperimentSystemConfig(workload, options, true));
+  ASSERT_EQ(traced->user_spaces().size(), 2u);
+  std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
+  std::vector<TraceRef> refs;
+  RefFnSink collect([&refs](const TraceRef& r) { refs.push_back(r); });
+  parser->SetBatchSink(&collect);
+  traced->SetTraceSink(
+      [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); });
+  ASSERT_TRUE(traced->Run(options.max_instructions).halted);
+  parser->Finish();
+  ASSERT_EQ(parser->stats().validation_errors, 0u);
+
+  ProfileOptions profile_options;
+  profile_options.window_refs = 4096;
+  TraceProfiler prof(profile_options);
+  ProfileSystemSpaces(prof, *traced);
+  ExpectPagesAndWorkingSetMatchRecount(prof, refs);
 }
 
 TEST(TraceProfiler, PageBoundaryBlockSplitsHeatmap) {

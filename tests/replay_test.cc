@@ -5,6 +5,7 @@
 // Experiments price replay variants on the same live analysis tee as the
 // primary simulator.
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -13,8 +14,10 @@
 #include "harness/bare_runtime.h"
 #include "harness/experiment.h"
 #include "harness/replay_engine.h"
+#include "harness/report.h"
 #include "sim/predictor.h"
 #include "sim/tlb_sim.h"
+#include "support/json.h"
 #include "support/rng.h"
 #include "trace/parser.h"
 #include "trace/trace_log.h"
@@ -360,6 +363,40 @@ TEST(ReplayExperiment, SharedTeeMatchesSingleSinkRuns) {
     EXPECT_GT(shared.sweep.wall_us, 0u);
     EXPECT_GT(shared.sweep_mrefs_per_sec, 0.0);
   }
+}
+
+// Every analysis-side stretch of an experiment after the traced run is a
+// named phase of its timeline, and the report gives every sink on the tee
+// its busy time, so a report can split the parse's wall time by sink.
+TEST(ReplayExperiment, TimelineNamesTheAnalysisTailAndReportTimesEverySink) {
+  ExperimentOptions options;
+  options.profile = true;
+  options.sweep.tlb_max_entries = 64;
+  ReplayVariant slowmem;
+  slowmem.name = "slowmem";
+  slowmem.memsys.read_miss_penalty = 30;
+  options.replay_variants = {slowmem};
+  options.archive_path = testing::TempDir() + "timeline_phases.wrl";
+  const ExperimentResult result = RunExperiment(PaperWorkload("sed", 0.02), options);
+  std::remove(options.archive_path.c_str());
+
+  for (const char* phase : {"trace.archive_finalize", "analysis.finish", "stats.snapshot"}) {
+    size_t count = 0;
+    for (const TimelineEvent& e : result.timeline) {
+      count += e.name == phase && !e.instant;
+    }
+    EXPECT_EQ(count, 1u) << phase;
+  }
+  EXPECT_GT(result.prediction_wall_us, 0u);
+  EXPECT_GT(result.profile_wall_us, 0u);
+  EXPECT_GT(result.sweep.wall_us, 0u);
+  EXPECT_GT(result.replays.at(0).wall_us, 0u);
+
+  const JsonValue report = ParseJson(RunReportJson({result}, {}, RunReportOptions{}));
+  const JsonValue& experiment = report.At("experiments").array.at(0);
+  EXPECT_EQ(experiment.At("predicted").At("wall_us").number,
+            static_cast<double>(result.prediction_wall_us));
+  EXPECT_EQ(experiment.At("profile_wall_us").number, static_cast<double>(result.profile_wall_us));
 }
 
 }  // namespace

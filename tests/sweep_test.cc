@@ -6,6 +6,7 @@
 // and through every delivery mode the harness has (synchronous, pipelined,
 // streamed from a capture).  Degenerate families and non-power-of-two
 // geometries must be rejected loudly, not rounded.
+#include <iterator>
 #include <list>
 #include <map>
 #include <memory>
@@ -126,6 +127,70 @@ TEST(StackDistanceProfiler, MatchesNaiveLruStackWithCompaction) {
   EXPECT_EQ(profiler.cold_misses(), cold);
   EXPECT_EQ(profiler.distinct_keys(), stack.size());
   EXPECT_EQ(profiler.accesses(), 120000u);
+}
+
+TEST(StackDistanceProfiler, TopOfStackMatchesNaiveLruOnSkewedStream) {
+  // The shape of a real kuseg page stream: mostly distances 1-8 (the
+  // top-of-stack array), some just below it (9-16, the first tree
+  // positions), some deep reuses and some cold keys.  Every non-array
+  // access spills a key into the tree, often enough to compact it
+  // repeatedly.
+  StackDistanceProfiler profiler;
+  std::list<uint64_t> stack;  // Front = most recent.
+  std::vector<uint64_t> histogram;
+  Rng rng(23);
+  uint64_t next_key = 1000;
+  uint64_t cold = 0;
+  uint64_t spills = 0;
+  constexpr int kAccesses = 150000;
+  for (int i = 0; i < kAccesses; ++i) {
+    const uint32_t draw = rng.Below(100);
+    uint64_t want = 0;
+    if (draw < 80) {
+      want = 1 + rng.Below(8);
+    } else if (draw < 90) {
+      want = 9 + rng.Below(8);
+    } else if (draw < 99) {
+      want = 17 + rng.Below(2000);
+    }
+    if (want > stack.size()) {
+      want = 0;
+    }
+    uint64_t key;
+    if (want == 0) {
+      key = next_key++;
+      ++cold;
+    } else {
+      auto it = std::next(stack.begin(), static_cast<long>(want - 1));
+      key = *it;
+      stack.erase(it);
+      if (histogram.size() < want) {
+        histogram.resize(want, 0);
+      }
+      ++histogram[want - 1];
+    }
+    if ((want == 0 || want > 8) && stack.size() >= 8) {
+      ++spills;
+    }
+    stack.push_front(key);
+    ASSERT_EQ(profiler.Access(key), want) << "access " << i << " key " << key;
+    ASSERT_EQ(profiler.distinct_keys(), stack.size()) << "access " << i;
+  }
+  // Under 4096 keys, the tree's stamp window never outgrows 8192 (twice
+  // its keys, at least 4096), so this many spills fill it at least three
+  // times.
+  EXPECT_LT(stack.size(), 4096u);
+  EXPECT_GT(spills, 3u * 8192u);
+  EXPECT_EQ(profiler.cold_misses(), cold);
+  EXPECT_EQ(profiler.accesses(), static_cast<uint64_t>(kAccesses));
+  EXPECT_EQ(profiler.distance_counts(), histogram);
+  for (unsigned capacity = 0; capacity <= histogram.size() + 1; ++capacity) {
+    uint64_t misses = cold;
+    for (size_t d = capacity; d < histogram.size(); ++d) {
+      misses += histogram[d];
+    }
+    ASSERT_EQ(profiler.MissesAtCapacity(capacity), misses) << "capacity " << capacity;
+  }
 }
 
 TEST(StackDistanceProfiler, CapacityCurveMatchesDirectLruSimulation) {
