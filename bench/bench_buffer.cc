@@ -6,14 +6,13 @@
 //
 // --jobs N (or WRL_JOBS) runs the sweep points on a worker pool; rows,
 // metrics, and the extrapolation are printed in size order either way.
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
-#include <exception>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "kernel/system_build.h"
+#include "support/parallel.h"
 
 using namespace wrl;
 
@@ -56,42 +55,13 @@ int main(int argc, char** argv) {
   printf("%-10s %10s %14s %16s\n", "buffer", "switches", "traced instrs", "instrs/switch");
 
   // The sweep points are independent traced runs; with --jobs they go on a
-  // worker pool (claim-the-next-index), results landing in size order.
+  // worker pool, results landing in size order.
   std::vector<SweepPoint> points(sizes.size());
-  std::vector<std::exception_ptr> errors(sizes.size());
-  unsigned workers = jobs < 1 ? 1u : jobs;
-  if (workers > sizes.size()) {
-    workers = static_cast<unsigned>(sizes.size());
+  if (jobs > 1) {
+    fprintf(stderr, "  running %zu sweep points on %zu workers...\n", sizes.size(),
+            std::min<size_t>(jobs, sizes.size()));
   }
-  if (workers <= 1) {
-    for (size_t i = 0; i < sizes.size(); ++i) {
-      points[i] = RunPoint(w, sizes[i]);
-    }
-  } else {
-    fprintf(stderr, "  running %zu sweep points on %u workers...\n", sizes.size(), workers);
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-      pool.emplace_back([&] {
-        for (size_t i = next.fetch_add(1); i < sizes.size(); i = next.fetch_add(1)) {
-          try {
-            points[i] = RunPoint(w, sizes[i]);
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        }
-      });
-    }
-    for (std::thread& worker : pool) {
-      worker.join();
-    }
-    for (const std::exception_ptr& error : errors) {
-      if (error != nullptr) {
-        std::rethrow_exception(error);
-      }
-    }
-  }
+  RunIndexed(sizes.size(), jobs, [&](size_t i) { points[i] = RunPoint(w, sizes[i]); });
 
   std::map<std::string, double> metrics;
   double per_mb = 0;

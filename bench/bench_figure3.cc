@@ -6,11 +6,10 @@
 // Each workload's traced machine run also prices a what-if sweep
 // (half/quarter-size caches, a slower memory, more wired TLB entries): one
 // live parse of the trace feeds the primary prediction and every variant
-// side by side on the analysis tee.  The geometry-only variants (cache32k,
-// cache16k) are absorbed by ONE forest-simulation sweep with exact miss
-// counts, and only the non-sweepable ones (slowmem, wired16 — different
-// penalties / TLB wiring change the effective stream) get dedicated
-// simulators.
+// side by side on the analysis tee.  cache32k, cache16k and slowmem share
+// the primary's reference stream, so they are exact memory-system lanes of
+// the primary simulator; wired16's extra wired entries change the
+// synthesized-handler stream, so it walks its own.
 #include <cmath>
 #include <cstdio>
 
@@ -62,10 +61,7 @@ int main(int argc, char** argv) {
   EventRecorder events;
   ExperimentOptions base;
   base.replay_variants = SweepVariants();
-  // Absorb the geometry-only variants into the single-pass sweep engine;
-  // slowmem and wired16 get their own simulators on the tee (their
-  // penalties / wiring are not sweepable).  The sweep also exports the LRU
-  // TLB capacity curve.
+  // The single-pass sweep exports the LRU TLB capacity curve.
   base.sweep.enabled = true;
   base.sweep.tlb_max_entries = 64;
   std::vector<ExperimentResult> results =
@@ -86,7 +82,7 @@ int main(int argc, char** argv) {
 
   // The what-if sweep: predicted time for each what-if config, from the same
   // single parse as the primary prediction (one traced run per workload).
-  printf("\n=== What-if sweep (one parse; '*' = priced by the sweep pass) ===\n");
+  printf("\n=== What-if sweep (one parse) ===\n");
   printf("%-10s %10s", "workload", "primary");
   for (const ReplayVariant& v : base.replay_variants) {
     printf(" %10s", v.name.c_str());
@@ -97,8 +93,7 @@ int main(int argc, char** argv) {
   for (const ExperimentResult& r : results) {
     printf("%-10s %10.4f", r.workload.c_str(), r.PredictedSeconds(25e6));
     for (const ReplayVariantResult& v : r.replays) {
-      printf(" %9.4f%c", static_cast<double>(v.prediction.PredictedCycles()) / 25e6,
-             v.swept ? '*' : ' ');
+      printf(" %10.4f", static_cast<double>(v.prediction.PredictedCycles()) / 25e6);
     }
     printf("\n");
     if (r.sweep_ran && r.sweep_mrefs_per_sec > 0) {

@@ -563,14 +563,13 @@ void BM_PredictorSim(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictorSim);
 
-// The sweep engine as figure3-whatif runs it, over the same real trace:
-// the I-family {16-byte lines, 16-32 KB} and D-family {4-byte lines,
-// 16-32 KB} that absorb its geometry-only variants, and the 64-entry LRU
-// TLB curve.  Items are references.
+// The sweep engine over the same real trace, pricing the I-family
+// {16-byte lines, 16-32 KB} and D-family {4-byte lines, 16-32 KB} (the
+// geometries of figure3-whatif's cache variants) and the 64-entry LRU TLB
+// curve.  Items are references.
 void BM_SweepSimTrace(benchmark::State& state) {
   const SystemTrace& trace = GccSystemTrace();
   SweepConfig config;
-  config.base = trace.pconfig.memsys;
   config.page_map = trace.pconfig.page_map;
   config.tlb_wired = trace.pconfig.tlb_wired;
   config.icache.push_back({16, 16 * 1024, 32 * 1024});

@@ -15,6 +15,7 @@
 #include <type_traits>
 
 #include "support/error.h"
+#include "support/parallel.h"
 #include "support/strings.h"
 #include "trace/parser.h"
 
@@ -25,39 +26,6 @@ uint64_t WallNowUs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
                                    std::chrono::steady_clock::now().time_since_epoch())
                                    .count());
-}
-
-bool IsPow2(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-// A variant the sweep engine can price exactly: only the (power-of-two)
-// cache geometry differs from the primary configuration.  Anything that
-// perturbs the reference stream or the non-cache timing — TLB wiring,
-// page-map draws, miss penalties, write-buffer shape — needs its own
-// simulator.
-bool GeometryOnly(const ReplayVariant& v, const PredictorConfig& primary) {
-  const MemSysConfig& base = primary.memsys;
-  return v.tlb_wired == primary.tlb_wired && v.page_map_mult == 0 &&
-         v.memsys.read_miss_penalty == base.read_miss_penalty &&
-         v.memsys.uncached_penalty == base.uncached_penalty &&
-         v.memsys.wb_depth == base.wb_depth &&
-         v.memsys.wb_cycles_per_entry == base.wb_cycles_per_entry &&
-         IsPow2(v.memsys.icache.line_bytes) && IsPow2(v.memsys.icache.size_bytes) &&
-         IsPow2(v.memsys.dcache.line_bytes) && IsPow2(v.memsys.dcache.size_bytes) &&
-         v.memsys.icache.size_bytes >= v.memsys.icache.line_bytes &&
-         v.memsys.dcache.size_bytes >= v.memsys.dcache.line_bytes;
-}
-
-// Extends `families` so the family at `line` covers `size` (the forest
-// prices every power-of-two size in the range anyway).
-void CoverFamilyPoint(std::vector<CacheFamilySpec>& families, uint32_t line, uint32_t size) {
-  for (CacheFamilySpec& family : families) {
-    if (family.line_bytes == line) {
-      family.min_size_bytes = std::min(family.min_size_bytes, size);
-      family.max_size_bytes = std::max(family.max_size_bytes, size);
-      return;
-    }
-  }
-  families.push_back({line, size, size});
 }
 
 // Live progress heartbeat (stderr only, so reports are untouched): a
@@ -403,20 +371,21 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
 
   // ---- Predicted: the traced system driving the analysis program ----
   // One parser feeds one tee: the primary simulator, the profiler, the
-  // sweep engine, and a simulator per replayed variant.  The parser
-  // consumes the trace during the traced run: the traced system publishes
-  // each drain as one or more chunks, the earlier ones while the machine
-  // still runs (paper §3: the analysis program consumes the buffer in
-  // place), so no copy of the trace outlives its chunk.
+  // sweep engine, and a simulator per other reference stream the variants
+  // need.  The parser consumes the trace during the traced run: the traced
+  // system publishes each drain as one or more chunks, the earlier ones
+  // while the machine still runs (paper §3: the analysis program consumes
+  // the buffer in place), so no copy of the trace outlives its chunk.
   std::unique_ptr<SystemInstance> traced;
   std::unique_ptr<TraceParser> parser;
   TeeBatchSink tee;
   std::unique_ptr<TraceDrivenSimulator> simulator;
   std::unique_ptr<TraceProfiler> profiler;
   std::unique_ptr<SweepEngine> sweep_engine;
-  // One slot per caller variant: its own simulator when it replays, null
-  // when the sweep absorbs it.
-  std::vector<std::unique_ptr<TraceDrivenSimulator>> variant_sims(options.replay_variants.size());
+  // The simulators of the variants' streams other than the primary's, and
+  // each variant's (simulator, lane).
+  std::vector<std::unique_ptr<TraceDrivenSimulator>> variant_sims;
+  std::vector<std::pair<TraceDrivenSimulator*, size_t>> variant_lanes;
   // Durable capture tee (ExperimentOptions::archive_path): rides the chunk
   // consumer in every transport mode.  Declared before the pipeline so
   // unwinding joins the consumer thread before the writer is destroyed.
@@ -437,26 +406,23 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     const PredictorConfig pconfig = ExperimentPredictorConfig(*measured, options);
     simulator = ExperimentSimulator(*measured, pconfig);
 
-    // Partition the replay variants: with the sweep active, geometry-only
-    // variants are priced by the single-pass sweep engine; the rest get
-    // their own simulators.  The sweep engine's families are widened to
-    // cover every absorbed geometry, and its construction rejects
-    // non-power-of-two family specs with a diagnostic naming the size.
-    const bool sweep_active = options.sweep.Active();
-    SweepConfig sweep_config;
-    sweep_config.base = pconfig.memsys;
-    sweep_config.page_map = pconfig.page_map;
-    sweep_config.tlb_wired = pconfig.tlb_wired;
-    sweep_config.icache = options.sweep.icache;
-    sweep_config.dcache = options.sweep.dcache;
-    sweep_config.tlb_max_entries = options.sweep.tlb_max_entries;
-    for (size_t i = 0; i < options.replay_variants.size(); ++i) {
-      const ReplayVariant& v = options.replay_variants[i];
-      if (sweep_active && GeometryOnly(v, pconfig)) {
-        CoverFamilyPoint(sweep_config.icache, v.memsys.icache.line_bytes,
-                         v.memsys.icache.size_bytes);
-        CoverFamilyPoint(sweep_config.dcache, v.memsys.dcache.line_bytes,
-                         v.memsys.dcache.size_bytes);
+    // One event pass per reference stream, which the TLB wiring and the
+    // page map fix.  The primary's stream is (its wiring, the experiment's
+    // map); a variant whose stream already has a pass becomes a
+    // memory-system lane of it, and any other variant opens a pass of its
+    // own, with its memory system as lane 0.
+    struct Pass {
+      unsigned tlb_wired;
+      uint32_t page_map_mult;
+      TraceDrivenSimulator* sim;
+    };
+    std::vector<Pass> passes = {{pconfig.tlb_wired, 0, simulator.get()}};
+    for (const ReplayVariant& v : options.replay_variants) {
+      auto pass = std::find_if(passes.begin(), passes.end(), [&v](const Pass& p) {
+        return p.tlb_wired == v.tlb_wired && p.page_map_mult == v.page_map_mult;
+      });
+      if (pass != passes.end()) {
+        variant_lanes.push_back({pass->sim, pass->sim->AddMemorySystem(v.memsys)});
         continue;
       }
       PredictorConfig vconfig = pconfig;
@@ -465,9 +431,19 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
       if (v.page_map_mult != 0) {
         vconfig.page_map = measured->PageMap(v.page_map_mult);
       }
-      variant_sims[i] = ExperimentSimulator(*measured, vconfig);
+      variant_sims.push_back(ExperimentSimulator(*measured, vconfig));
+      passes.push_back({v.tlb_wired, v.page_map_mult, variant_sims.back().get()});
+      variant_lanes.push_back({variant_sims.back().get(), 0});
     }
-    if (sweep_active) {
+    if (options.sweep.Active()) {
+      // Its construction rejects non-power-of-two family specs with a
+      // diagnostic naming the size.
+      SweepConfig sweep_config;
+      sweep_config.page_map = pconfig.page_map;
+      sweep_config.tlb_wired = pconfig.tlb_wired;
+      sweep_config.icache = options.sweep.icache;
+      sweep_config.dcache = options.sweep.dcache;
+      sweep_config.tlb_max_entries = options.sweep.tlb_max_entries;
       sweep_engine = std::make_unique<SweepEngine>(sweep_config);
     }
 
@@ -567,24 +543,20 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
                                      static_cast<double>(result.sweep.wall_us);
       }
     }
-    // Variant results in the caller's order: swept variants carry exact
-    // miss counts from the shared pass and derived timing, replayed ones
-    // their own simulator's numbers.
+    // Variant results in the caller's order.  A pass's busy time is
+    // reported by the variant that opened it; a lane costs nothing apart
+    // from its pass.
+    for (const auto& sim : variant_sims) {
+      sim->Finish();
+    }
     for (size_t i = 0; i < options.replay_variants.size(); ++i) {
-      const ReplayVariant& v = options.replay_variants[i];
+      const auto [sim, lane] = variant_lanes[i];
       ReplayVariantResult vr;
-      vr.name = v.name;
-      if (TraceDrivenSimulator* sim = variant_sims[i].get()) {
-        vr.prediction = sim->Finish();
-        vr.tlb = sim->tlb().stats();
-        vr.refs = tee.refs();
-        vr.wall_us = tee.busy_us(sim);
-      } else {
-        vr.prediction = sweep_engine->DerivePrediction(result.prediction, v.memsys);
-        vr.tlb = sweep_engine->tlb_stats();
-        vr.refs = result.sweep.refs;
-        vr.swept = true;
-      }
+      vr.name = options.replay_variants[i].name;
+      vr.prediction = sim->prediction(lane);
+      vr.tlb = sim->tlb().stats();
+      vr.refs = tee.refs();
+      vr.wall_us = lane == 0 ? tee.busy_us(sim) : 0;
       result.replays.push_back(std::move(vr));
     }
     result.traced_machine_instructions = traced->machine().instructions();
@@ -648,53 +620,21 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
 
 std::vector<ExperimentResult> RunSuite(const std::vector<WorkloadSpec>& workloads,
                                        const ExperimentOptions& options) {
-  unsigned jobs = options.jobs == 0 ? 1 : options.jobs;
-  jobs = static_cast<unsigned>(
-      std::min<size_t>(jobs, workloads.empty() ? size_t{1} : workloads.size()));
   ProgressMeter progress(options.progress, workloads.size());
-  if (jobs <= 1) {
-    std::vector<ExperimentResult> results;
-    results.reserve(workloads.size());
-    for (const WorkloadSpec& w : workloads) {
-      results.push_back(RunExperiment(w, options));
-      progress.OnDone(results.back());
-    }
-    return results;
+  // On a worker pool each experiment records into a private event recorder
+  // (options.events is not thread-safe), and timelines are merged back in
+  // workload order, so reports are scheduling-independent.
+  const bool pooled = options.jobs > 1 && workloads.size() > 1;
+  ExperimentOptions task_options = options;
+  if (pooled) {
+    task_options.events = nullptr;
   }
-
-  // Worker pool: each worker claims the next unstarted workload and runs
-  // the whole experiment with a private event recorder (options.events is
-  // not thread-safe).  Results land in workload order regardless of which
-  // worker finishes first, and timelines are merged back in that same
-  // order, so reports are scheduling-independent.
   std::vector<ExperimentResult> results(workloads.size());
-  std::vector<std::exception_ptr> errors(workloads.size());
-  std::atomic<size_t> next{0};
-  ExperimentOptions worker_options = options;
-  worker_options.events = nullptr;
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (unsigned t = 0; t < jobs; ++t) {
-    pool.emplace_back([&] {
-      for (size_t i = next.fetch_add(1); i < workloads.size(); i = next.fetch_add(1)) {
-        try {
-          results[i] = RunExperiment(workloads[i], worker_options);
-          progress.OnDone(results[i]);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      }
-    });
-  }
-  for (std::thread& worker : pool) {
-    worker.join();
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error != nullptr) {
-      std::rethrow_exception(error);
-    }
-  }
-  if (options.events != nullptr) {
+  RunIndexed(workloads.size(), options.jobs, [&](size_t i) {
+    results[i] = RunExperiment(workloads[i], task_options);
+    progress.OnDone(results[i]);
+  });
+  if (pooled && options.events != nullptr) {
     for (ExperimentResult& r : results) {
       options.events->Absorb(std::move(r.timeline));
       r.timeline.clear();

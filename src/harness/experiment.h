@@ -30,10 +30,12 @@ namespace wrl {
 const char* PersonalityName(Personality personality);
 Personality PersonalityFromName(const std::string& name);
 
-// One extra analysis configuration of a what-if study: the variant's own
-// simulator, with its own cache geometry, TLB wiring, and page-map draw,
-// consumes the identical reference stream beside the primary one on the
-// analysis tee — no additional traced machine run.
+// One extra analysis configuration of a what-if study, priced from the
+// same live parse as the primary prediction — no additional traced
+// machine run.  Its TLB wiring and page-map draw fix the reference stream
+// it sees; its memory system is priced as a lane of the one simulator
+// that walks that stream (sim/predictor.h), so the result is exactly what
+// a dedicated simulator would report.
 struct ReplayVariant {
   std::string name;
   MemSysConfig memsys;
@@ -47,22 +49,19 @@ struct ReplayVariantResult {
   Prediction prediction;
   TlbSimStats tlb;
   uint64_t refs = 0;
+  // Busy time on the analysis tee of the simulator this variant's stream
+  // opened; 0 for a lane on a stream an earlier configuration opened (its
+  // cost is in that simulator's time).
   uint64_t wall_us = 0;
-  // Priced by the single-pass sweep engine instead of a dedicated replay
-  // (exact miss counts, derived timing — see DESIGN.md §13).
-  bool swept = false;
 };
 
 // Single-pass sweep configuration (src/sweep).  When active, one
-// SweepEngine pass rides the analysis tee and (a) prices the explicit cache
-// families and TLB curve below, and (b) absorbs every *geometry-only*
-// ReplayVariant (same penalties, write buffer, TLB wiring, and page map as
-// the primary; power-of-two cache geometry): those variants get exact miss
-// counts from the shared pass and derived timing instead of a dedicated
-// simulator.  Non-sweepable variants still get their own.
+// SweepEngine pass rides the analysis tee and prices the cache families
+// and the TLB curve below: exact miss counts for every family point, no
+// timing.
 struct SweepOptions {
-  // Activates the sweep even with no explicit families (it then covers
-  // only the geometry-only replay variants and/or the TLB curve).
+  // Activates the sweep even with no families or curve (it then still
+  // exports the TLB reuse-distance profile).
   bool enabled = false;
   std::vector<CacheFamilySpec> icache;
   std::vector<CacheFamilySpec> dcache;
@@ -121,10 +120,11 @@ struct ExperimentOptions {
   // reads it.
   static constexpr bool capture_replay = false;
   // Extra analysis configurations priced from the same live parse of the
-  // traced run: each gets its own simulator on the analysis tee (or, when
-  // only its cache geometry differs, a point of the sweep pass) — not
-  // another traced machine run.  RunSuite already parallelizes across
-  // workloads.
+  // traced run, not another traced machine run.  Variants that share a
+  // reference stream (TLB wiring and page map) share one simulator on the
+  // analysis tee, each as a memory-system lane; the primary's stream needs
+  // no simulator beyond the primary's.  RunSuite already parallelizes
+  // across workloads.
   std::vector<ReplayVariant> replay_variants;
   // Attribution profiling (src/prof): tee the reconstructed reference
   // stream into a TraceProfiler and return the finished Profile in
@@ -179,14 +179,14 @@ struct ExperimentResult {
   uint64_t run_wall_us = 0;
   uint64_t simulated_instructions = 0;
 
-  // Busy time on the analysis tee of the primary simulator and of the
-  // profiler (0 unless ExperimentOptions::profile).  Wall clock, like the
-  // sweep's and the replayed variants' wall_us below.
+  // Busy time on the analysis tee of the primary simulator (with every
+  // variant lane it prices) and of the profiler (0 unless
+  // ExperimentOptions::profile).  Wall clock, like the sweep's and the
+  // variants' wall_us below.
   uint64_t prediction_wall_us = 0;
   uint64_t profile_wall_us = 0;
 
-  // One result per ReplayVariant, in option order.  A replayed variant's
-  // wall_us is its simulator's busy time on the analysis tee.
+  // One result per ReplayVariant, in option order.
   std::vector<ReplayVariantResult> replays;
 
   // Single-pass sweep outputs (sweep_ran only when SweepOptions::Active()).

@@ -144,14 +144,13 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
       writer.KV("mem_stall_cycles", v.prediction.mem_stall_cycles);
       writer.KV("refs", v.refs);
       writer.KV("wall_us", v.wall_us);
-      writer.KV("swept", v.swept);
       writer.EndObject();
     }
     writer.EndArray();
   }
   if (r.sweep_ran) {
     // The single-pass sweep: every family point priced by one walk over
-    // the reference stream (exact miss counts; derived timing).
+    // the reference stream (exact miss counts).
     writer.Key("sweep").BeginObject();
     writer.KV("refs", r.sweep.refs);
     writer.KV("synthesized_refs", r.sweep.synthesized_refs);

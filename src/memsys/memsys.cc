@@ -1,7 +1,5 @@
 #include "memsys/memsys.h"
 
-#include <algorithm>
-
 #include "support/error.h"
 
 namespace wrl {
@@ -38,31 +36,6 @@ WriteBuffer::WriteBuffer(unsigned depth, unsigned cycles_per_entry)
     : depth_(depth), cycles_per_entry_(cycles_per_entry) {
   WRL_CHECK(depth_ > 0);
   ring_.assign(depth_, 0);
-}
-
-uint64_t WriteBuffer::Push(uint64_t now) {
-  // Drop entries that have already retired.
-  while (size_ > 0 && ring_[head_] <= now) {
-    head_ = head_ + 1 == depth_ ? 0 : head_ + 1;
-    --size_;
-  }
-  uint64_t stall = 0;
-  if (size_ >= depth_) {
-    stall = ring_[head_] - now;
-    head_ = head_ + 1 == depth_ ? 0 : head_ + 1;
-    --size_;
-  }
-  uint64_t issue = now + stall;
-  unsigned tail = head_ + size_;
-  if (tail >= depth_) {
-    tail -= depth_;
-  }
-  unsigned back = tail == 0 ? depth_ - 1 : tail - 1;
-  uint64_t retire =
-      (size_ == 0 ? issue : std::max(issue, ring_[back])) + cycles_per_entry_;
-  ring_[tail] = retire;
-  ++size_;
-  return stall;
 }
 
 void WriteBuffer::Reset() {

@@ -16,6 +16,7 @@
 #ifndef WRLTRACE_MEMSYS_MEMSYS_H_
 #define WRLTRACE_MEMSYS_MEMSYS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -89,7 +90,31 @@ class WriteBuffer {
   WriteBuffer(unsigned depth, unsigned cycles_per_entry);
 
   // Issues a store at time `now`; returns the number of stall cycles.
-  uint64_t Push(uint64_t now);
+  // Defined here, like the MemorySystem methods that call it, so every
+  // simulated store inlines it.
+  uint64_t Push(uint64_t now) {
+    // Drop entries that have already retired.
+    while (size_ > 0 && ring_[head_] <= now) {
+      head_ = head_ + 1 == depth_ ? 0 : head_ + 1;
+      --size_;
+    }
+    uint64_t stall = 0;
+    if (size_ >= depth_) {
+      stall = ring_[head_] - now;
+      head_ = head_ + 1 == depth_ ? 0 : head_ + 1;
+      --size_;
+    }
+    uint64_t issue = now + stall;
+    unsigned tail = head_ + size_;
+    if (tail >= depth_) {
+      tail -= depth_;
+    }
+    unsigned back = tail == 0 ? depth_ - 1 : tail - 1;
+    uint64_t retire = (size_ == 0 ? issue : std::max(issue, ring_[back])) + cycles_per_entry_;
+    ring_[tail] = retire;
+    ++size_;
+    return stall;
+  }
   void Reset();
 
  private:
@@ -118,6 +143,8 @@ struct MemSysStats {
   uint64_t wb_stall_cycles = 0;
   uint64_t uncached_reads = 0;
   uint64_t uncached_writes = 0;
+
+  bool operator==(const MemSysStats&) const = default;
 
   // Total memory-system stall cycles under `config` penalties.
   uint64_t StallCycles(const MemSysConfig& config) const {

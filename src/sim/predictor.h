@@ -17,6 +17,15 @@
 // pipeline overlap, no exception entry/exit cycles, approximate disk/idle
 // scaling, approximate page mapping under Mach's random policy, and TLB
 // replacement randomness.
+//
+// One simulator prices several memory systems at once.  Its event pass —
+// the instruction, idle and arithmetic counters, the TLB with its
+// synthesized handler references, and page translation — depends only on
+// the reference stream, which the TLB wiring and the page map fix.  Every
+// memory system that shares that stream is a *lane* of the pass, with its
+// own caches, write buffer, clock and user/kernel stall split, charged by
+// one routine per reference, so each lane's Prediction is exactly what a
+// simulator of its own would report.
 #ifndef WRLTRACE_SIM_PREDICTOR_H_
 #define WRLTRACE_SIM_PREDICTOR_H_
 
@@ -119,6 +128,8 @@ struct Prediction {
   uint64_t user_stall_cycles = 0;
   uint64_t kernel_stall_cycles = 0;
 
+  bool operator==(const Prediction&) const = default;
+
   double UserCpi() const {
     return user_instructions == 0
                ? 0
@@ -138,7 +149,8 @@ struct Prediction {
 };
 
 // Consumes the reconstructed reference stream (feed it as the parser's
-// batch sink, or per-ref through OnRef) and produces the prediction.
+// batch sink, or per-ref through OnRef) and produces the prediction of each
+// of its memory-system lanes.  Lane 0 is `config.memsys`.
 class TraceDrivenSimulator : public RefBatchSink {
  public:
   explicit TraceDrivenSimulator(const PredictorConfig& config);
@@ -148,48 +160,62 @@ class TraceDrivenSimulator : public RefBatchSink {
   // decoded once, here; the image must not change afterwards.
   void AddTextImage(const Executable& exe);
 
+  // Adds a memory-system lane priced on this simulator's stream and
+  // returns its index.  Call before the first reference; after it, this
+  // throws wrl::InternalError.
+  size_t AddMemorySystem(const MemSysConfig& memsys);
+
   void OnRef(const TraceRef& ref);
-  // Batched entry point: a tight loop over OnRef with the per-call sink
-  // indirection amortized away.  Identical arithmetic, identical results.
+  // Batched entry point: the same per-reference step in a tight loop, with
+  // the per-call sink indirection amortized away.  Identical results.
   void OnRefBatch(const TraceRef* refs, size_t count) override;
-  // Finalizes and returns the prediction.
+  // Finalizes and returns lane 0's prediction.
   Prediction Finish();
+  // Lane `lane`'s prediction, after Finish(): the event pass's counters
+  // with that lane's memory-system stalls.
+  Prediction prediction(size_t lane) const;
 
   const TlbSimulator& tlb() const { return tlb_; }
 
-  // Binds the running prediction counters, the analysis memory system
+  // Binds the running prediction counters of lane 0, its memory system
   // (under `<prefix>memsys.`), and the TLB simulator (under
   // `<prefix>tlbsim.`) into `registry`.  Snapshot after Finish() for final
   // values; the simulator must outlive snapshots of the registry.
   void RegisterStats(StatsRegistry& registry, const std::string& prefix = "predictor.");
 
  private:
-  // Receives the synthesized UTLB-handler batches from the TLB simulator
-  // and folds them into the cache simulation (counted, but not re-run
-  // through the TLB).  A nested adapter rather than the simulator itself:
-  // TraceDrivenSimulator's own OnRefBatch treats refs as main-stream.
-  class SynthSink : public RefBatchSink {
-   public:
-    explicit SynthSink(TraceDrivenSimulator* owner) : owner_(owner) {}
-    void OnRefBatch(const TraceRef* refs, size_t count) override;
+  // One memory system priced on the event pass's stream.
+  struct Lane {
+    explicit Lane(const MemSysConfig& config) : memsys(config) {}
 
-   private:
-    TraceDrivenSimulator* owner_;
+    MemorySystem memsys;
+    uint64_t now = 0;  // Simulated cycle time driving the write buffer.
+    uint64_t mem_stall_cycles = 0;
+    uint64_t user_stall_cycles = 0;
+    uint64_t kernel_stall_cycles = 0;
   };
 
-  void Access(const TraceRef& ref);
-  bool current_is_kernel_ = false;
+  // The per-reference step over a batch; kMoreLanes says whether lanes
+  // beyond lane 0 exist.
+  template <bool kMoreLanes>
+  void Walk(const TraceRef* refs, size_t count);
+  // Translates `ref` once and charges it to every lane, in the given mode.
+  template <bool kMoreLanes>
+  void Access(const TraceRef& ref, bool kernel);
   // Arithmetic-stall cycles of the original instruction at a word-aligned
   // text address (0 outside every registered image).
   unsigned ArithStallAt(uint32_t addr) const;
 
   PredictorConfig config_;
-  MemorySystem memsys_;
   TlbSimulator tlb_;
   PageTranslator translator_;
-  SynthSink synth_sink_{this};
-  Prediction result_;
-  uint64_t now_ = 0;  // Simulated cycle time driving the write buffer.
+  // The event pass's counters; the memory-system fields stay zero, since
+  // each lane keeps its own.
+  Prediction events_;
+  // Lane 0, a member so the single-lane case addresses it directly, and
+  // lanes 1 and up.
+  Lane lane0_;
+  std::vector<Lane> more_lanes_;
 
   struct Image {
     uint32_t base;

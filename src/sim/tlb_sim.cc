@@ -4,6 +4,15 @@
 
 namespace wrl {
 
+TlbSimulator::TlbSimulator(unsigned wired) : tlb_(wired) {
+  // The handler's fetches never change; a miss rewrites only its
+  // page-table load.
+  for (unsigned i = 0; i < kHandlerInstructions; ++i) {
+    handler_[i] = {kVecUtlbMiss + 4 * i, TraceRef::kIfetch, 4, kKernelPid, true, false};
+  }
+  handler_[kHandlerInstructions] = {kKseg2, TraceRef::kLoad, 4, kKernelPid, true, false};
+}
+
 void TlbSimulator::Refill(uint32_t vaddr, const TlbEntry& entry) {
   const unsigned slot = tlb_.Random(instruction_counter_);
   tlb_.entry(slot) = entry;
@@ -48,23 +57,10 @@ bool TlbSimulator::OnRef(const TraceRef& ref) {
   }
   ++stats_.utlb_misses;
   Refill(vaddr, {MakeEntryHi(vaddr, asid), MakeEntryLo(0, true, true, false)});
-  SynthesizeHandler({vaddr, ref.kind, 4, asid, false, false});
+  // The handler's linear page-table load: PTEBase + vpn*4.
+  handler_[kHandlerInstructions].addr =
+      kKseg2 + (static_cast<uint32_t>(asid) << 21) + ((vaddr >> 12) << 2);
   return true;
-}
-
-void TlbSimulator::SynthesizeHandler(const TraceRef& ref) {
-  if (synth_sink_ == nullptr) {
-    return;
-  }
-  // One batch per miss: thirteen fetches at the dedicated refill vector,
-  // then the linear page-table load in kseg2 (PTEBase + vpn*4).
-  TraceRef handler[kHandlerInstructions + 1];
-  for (unsigned i = 0; i < kHandlerInstructions; ++i) {
-    handler[i] = {kVecUtlbMiss + 4 * i, TraceRef::kIfetch, 4, kKernelPid, true, false};
-  }
-  uint32_t pte_addr = kKseg2 + (static_cast<uint32_t>(ref.pid) << 21) + ((ref.addr >> 12) << 2);
-  handler[kHandlerInstructions] = {pte_addr, TraceRef::kLoad, 4, kKernelPid, true, false};
-  synth_sink_->OnRefBatch(handler, kHandlerInstructions + 1);
 }
 
 }  // namespace wrl

@@ -6,7 +6,8 @@
 // *original* binary from the reconstructed reference stream, counts misses
 // (Table 3's predicted column), and synthesizes the handler's own
 // references — thirteen instruction fetches at the refill vector and one
-// page-table load in kseg2 — into the stream the cache simulation consumes.
+// page-table load in kseg2 — which its caller feeds to the cache simulation
+// ahead of the reference that missed.
 //
 // The simulated TLB mirrors the hardware: 64 fully-associative entries,
 // eight wired, ASID-tagged, random replacement driven by an instruction
@@ -45,6 +46,8 @@ struct TlbSimStats {
   uint64_t user_refs = 0;      // kuseg references (either mode).
   uint64_t utlb_misses = 0;    // kuseg misses (the Table 3 number).
   uint64_t ktlb_misses = 0;    // kseg2 misses (slow general-vector path).
+
+  bool operator==(const TlbSimStats&) const = default;
 };
 
 class TlbSimulator : public RefBatchSink {
@@ -53,17 +56,15 @@ class TlbSimulator : public RefBatchSink {
   // handler: counter maintenance + Context load + tlbwr + return).
   static constexpr unsigned kHandlerInstructions = 13;
 
-  explicit TlbSimulator(unsigned wired = 8) : tlb_(wired) {}
+  // References of one synthesized handler run: the fetches plus the
+  // page-table load.
+  static constexpr unsigned kHandlerRefs = kHandlerInstructions + 1;
 
-  // Synthesized handler references are reported here (for cache
-  // simulation): one OnRefBatch call per miss, carrying the whole
-  // handler — kHandlerInstructions fetches plus the page-table load — so
-  // the TLB→cache hand-off is batched and devirtualized like every other
-  // sink edge (no per-ref std::function on the hot path).
-  void SetSynthesizedSink(RefBatchSink* sink) { synth_sink_ = sink; }
+  explicit TlbSimulator(unsigned wired = 8);
 
   // Processes one reference from the parsed trace.  Returns true if the
-  // reference took a UTLB miss (and the handler was synthesized).
+  // reference took a UTLB miss, in which case handler() holds the
+  // synthesized handler until the next call.
   bool OnRef(const TraceRef& ref);
   // Batched entry point: tight loop over OnRef, identical results.
   void OnRefBatch(const TraceRef* refs, size_t count) override {
@@ -71,6 +72,10 @@ class TlbSimulator : public RefBatchSink {
       OnRef(refs[i]);
     }
   }
+
+  // The UTLB handler the last miss synthesized: kHandlerInstructions
+  // fetches at the refill vector, then the page-table load in kseg2.
+  const std::array<TraceRef, kHandlerRefs>& handler() const { return handler_; }
 
   const TlbSimStats& stats() const { return stats_; }
 
@@ -104,7 +109,6 @@ class TlbSimulator : public RefBatchSink {
   static unsigned HintSlot(uint32_t vaddr) {
     return ((vaddr >> 12) * 0x9e3779b1u) >> (32 - kHintBits);
   }
-  void SynthesizeHandler(const TraceRef& ref);
 
   Tlb tlb_;
   // Per VPN slot (Fibonacci hash of the VPN), the entry that last matched.
@@ -112,7 +116,7 @@ class TlbSimulator : public RefBatchSink {
   uint64_t instruction_counter_ = 0;
   uint8_t last_user_asid_ = 0;
   TlbSimStats stats_;
-  RefBatchSink* synth_sink_ = nullptr;
+  std::array<TraceRef, kHandlerRefs> handler_{};
 };
 
 }  // namespace wrl

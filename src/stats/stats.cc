@@ -30,16 +30,19 @@ std::string MissingName(std::string_view name) {
 
 }  // namespace
 
-void Histogram::Record(uint64_t sample) {
-  ++buckets_[BucketFor(sample)];
+void Histogram::Record(uint64_t sample, uint64_t n) {
+  if (n == 0) {
+    return;
+  }
+  buckets_[BucketFor(sample)] += n;
   if (count_ == 0 || sample < min_) {
     min_ = sample;
   }
   if (sample > max_) {
     max_ = sample;
   }
-  ++count_;
-  sum_ += sample;
+  count_ += n;
+  sum_ += sample * n;
 }
 
 unsigned Histogram::UsedBuckets() const {

@@ -80,7 +80,8 @@ class Histogram {
  public:
   static constexpr unsigned kBuckets = 65;  // Zero bucket + one per bit.
 
-  void Record(uint64_t sample);
+  // Records `n` samples of value `sample`.
+  void Record(uint64_t sample, uint64_t n = 1);
 
   uint64_t count() const { return count_; }
   uint64_t sum() const { return sum_; }

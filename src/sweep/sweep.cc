@@ -216,7 +216,6 @@ SweepEngine::SweepEngine(const SweepConfig& config)
   for (const CacheFamilySpec& spec : config.dcache) {
     dforests_.emplace_back(spec.line_bytes, spec.min_size_bytes, spec.max_size_bytes);
   }
-  tlb_.SetSynthesizedSink(&synth_sink_);
 }
 
 void SweepEngine::CacheAccess(const TraceRef& ref) {
@@ -248,13 +247,6 @@ void SweepEngine::CacheAccess(const TraceRef& ref) {
   }
 }
 
-void SweepEngine::OnSynthBatch(const TraceRef* refs, size_t count) {
-  synthesized_refs_ += count;
-  for (size_t i = 0; i < count; ++i) {
-    CacheAccess(refs[i]);
-  }
-}
-
 void SweepEngine::OnRef(const TraceRef& ref) {
   ++refs_;
   if (ref.kind == TraceRef::kIfetch) {
@@ -271,15 +263,17 @@ void SweepEngine::OnRef(const TraceRef& ref) {
       asid = last_user_asid_ == 0 ? 1 : last_user_asid_;
     }
     const uint64_t key = (static_cast<uint64_t>(asid) << 20) | (ref.addr >> kPageShift);
-    const uint64_t distance = tlb_stack_.Access(key);
-    if (distance != 0) {
-      reuse_hist_.Record(distance);
-    }
+    tlb_stack_.Access(key);
   }
   // Same ordering as TraceDrivenSimulator::OnRef: the TLB simulation first
-  // (synthesized handler refs enter the forests through OnSynthBatch,
-  // ahead of the triggering reference), then the reference itself.
-  tlb_.OnRef(ref);
+  // (a miss's synthesized handler enters the forests ahead of the
+  // triggering reference), then the reference itself.
+  if (tlb_.OnRef(ref)) {
+    synthesized_refs_ += TlbSimulator::kHandlerRefs;
+    for (const TraceRef& handler_ref : tlb_.handler()) {
+      CacheAccess(handler_ref);
+    }
+  }
   CacheAccess(ref);
 }
 
@@ -338,9 +332,9 @@ Prediction SweepEngine::DerivePrediction(const Prediction& primary,
   derived.memsys_stats.dcache_misses = dcache;
   const int64_t stall_delta = delta * static_cast<int64_t>(geometry.read_miss_penalty);
   // Uncached penalties and the write-buffer history are carried over from
-  // the primary run (DESIGN.md §13's one approximation); the miss counts
-  // above are exact.  The total can only underflow if the primary stalls
-  // were entirely cache misses and the family point has fewer — clamp.
+  // the primary run; the miss counts above are exact.  The total can only
+  // underflow if the primary stalls were entirely cache misses and the
+  // family point has fewer — clamp.
   const int64_t stalls = static_cast<int64_t>(primary.mem_stall_cycles) + stall_delta;
   derived.mem_stall_cycles = stalls < 0 ? 0 : static_cast<uint64_t>(stalls);
   const int64_t user = static_cast<int64_t>(primary.user_stall_cycles);
@@ -378,6 +372,11 @@ const SweepResult& SweepEngine::Finish() {
     for (unsigned c = 1; c <= config_.tlb_max_entries; ++c) {
       result_.tlb_lru_misses.push_back(tlb_stack_.MissesAtCapacity(c));
     }
+  }
+  // The reuse-distance histogram, one counted sample per distance.
+  const std::vector<uint64_t>& distances = tlb_stack_.distance_counts();
+  for (size_t d = 0; d < distances.size(); ++d) {
+    reuse_hist_.Record(d + 1, distances[d]);
   }
   result_.tlb_cold_misses = tlb_stack_.cold_misses();
   result_.tlb_refs = tlb_stack_.accesses();

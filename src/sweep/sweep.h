@@ -32,12 +32,10 @@
 // TlbSimulator (the family shares the TLB configuration; geometry changes
 // cannot perturb it) synthesizes the UTLB-handler references into the
 // cache stream *before* the triggering reference, as the per-config replay
-// does — so family-point miss counts are exact, not sampled.  Timing for a
-// family point is *derived* (cycles = primary + Δmisses × penalty,
-// write-buffer occupancy carried from the primary run — see
-// DerivePrediction), which is the one documented approximation: miss
-// counts are exact, stall cycles inherit the primary run's write-buffer
-// history.
+// does — so family-point miss counts are exact, not sampled.  The sweep
+// prices miss counts only.  A what-if configuration that needs time is a
+// memory-system lane of the TraceDrivenSimulator that walks its stream
+// (sim/predictor.h), which prices it exactly.
 #ifndef WRLTRACE_SWEEP_SWEEP_H_
 #define WRLTRACE_SWEEP_SWEEP_H_
 
@@ -184,10 +182,11 @@ struct CacheFamilySpec {
 };
 
 struct SweepConfig {
-  // The primary analysis configuration: penalties for derived timing, the
-  // page map and TLB wiring that fix the (shared) reference stream.  The
-  // page map must be pure, as PredictorConfig::page_map documents.
+  // Never read: it remains only for the wrlbench benchmark, which still
+  // sets it.
   MemSysConfig base;
+  // The page map and TLB wiring that fix the (shared) reference stream.
+  // The page map must be pure, as PredictorConfig::page_map documents.
   PageMapFn page_map;
   unsigned tlb_wired = 8;
   // Families priced for the I- and D-cache (each may hold several line
@@ -241,39 +240,22 @@ class SweepEngine : public RefBatchSink {
   bool CoversIcache(uint32_t line_bytes, uint32_t size_bytes) const;
   bool CoversDcache(uint32_t line_bytes, uint32_t size_bytes) const;
 
-  // Derived timing for a geometry family point: the primary replay's
+  // Approximate timing for a geometry family point: the primary replay's
   // Prediction with the cache miss counts swapped for the point's exact
   // counts and the memory-stall total rebuilt as
   //   stalls = primary stalls + (Δicache + Δdcache misses) × read penalty,
-  // i.e. uncached stalls and the write-buffer occupancy are carried from
-  // the primary run (the §13 approximation: misses exact, write-buffer
-  // history inherited).  The per-mode user/kernel stall split is likewise
-  // carried over unchanged.
+  // with uncached stalls and the write-buffer history carried from the
+  // primary run, and the stall delta split between user and kernel in the
+  // primary's proportion, which is not the point's real split.  It remains
+  // only for the wrlbench benchmark, which still calls it; exact timing
+  // comes from a memory-system lane (TraceDrivenSimulator::AddMemorySystem).
   Prediction DerivePrediction(const Prediction& primary, const MemSysConfig& geometry) const;
 
-  const TlbSimStats& tlb_stats() const { return tlb_.stats(); }
-
-  // Binds sweep counters and the reuse-distance histogram into `registry`;
-  // the engine must outlive snapshots.
+  // Binds sweep counters and the reuse-distance histogram (filled by
+  // Finish()) into `registry`; the engine must outlive snapshots.
   void RegisterStats(StatsRegistry& registry, const std::string& prefix = "sweep.");
 
  private:
-  // Synthesized UTLB-handler references arrive here as one batch per miss
-  // (the devirtualized TlbSimulator sink ABI) and enter the forests ahead
-  // of the triggering reference, exactly as TraceDrivenSimulator orders
-  // its cache accesses.
-  class SynthSink : public RefBatchSink {
-   public:
-    explicit SynthSink(SweepEngine* owner) : owner_(owner) {}
-    void OnRefBatch(const TraceRef* refs, size_t count) override {
-      owner_->OnSynthBatch(refs, count);
-    }
-
-   private:
-    SweepEngine* owner_;
-  };
-
-  void OnSynthBatch(const TraceRef* refs, size_t count);
   void CacheAccess(const TraceRef& ref);
   const CacheForest* FindForest(const std::vector<CacheForest>& forests, uint32_t line_bytes,
                                 uint32_t size_bytes) const;
@@ -281,7 +263,6 @@ class SweepEngine : public RefBatchSink {
   SweepConfig config_;
   TlbSimulator tlb_;
   PageTranslator translator_;
-  SynthSink synth_sink_{this};
   std::vector<CacheForest> iforests_;
   std::vector<CacheForest> dforests_;
   StackDistanceProfiler tlb_stack_;

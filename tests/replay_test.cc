@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,11 +16,14 @@
 #include "harness/experiment.h"
 #include "harness/replay_engine.h"
 #include "harness/report.h"
+#include "kernel/system_build.h"
 #include "sim/predictor.h"
 #include "sim/tlb_sim.h"
 #include "support/json.h"
 #include "support/rng.h"
+#include "support/strings.h"
 #include "trace/parser.h"
+#include "trace/trace_archive.h"
 #include "trace/trace_log.h"
 #include "workloads/workloads.h"
 
@@ -140,16 +144,37 @@ LiveOutcome RunLive(const BareBuild& build, const BareTraceRun& run) {
   return out;
 }
 
+// Every field of a prediction, for mismatch messages.
+std::string Fields(const Prediction& p) {
+  const MemSysStats& m = p.memsys_stats;
+  return StrFormat(
+      "insts %llu idle %llu mem %llu arith %llu io %.17g utlb %llu synth %llu user %llu "
+      "kernel %llu user_stall %llu kernel_stall %llu | fetches %llu imiss %llu reads %llu "
+      "dmiss %llu writes %llu wb %llu ureads %llu uwrites %llu",
+      static_cast<unsigned long long>(p.instructions),
+      static_cast<unsigned long long>(p.idle_instructions),
+      static_cast<unsigned long long>(p.mem_stall_cycles),
+      static_cast<unsigned long long>(p.arith_stall_cycles), p.io_stall_cycles,
+      static_cast<unsigned long long>(p.utlb_misses),
+      static_cast<unsigned long long>(p.synthesized_refs),
+      static_cast<unsigned long long>(p.user_instructions),
+      static_cast<unsigned long long>(p.kernel_instructions),
+      static_cast<unsigned long long>(p.user_stall_cycles),
+      static_cast<unsigned long long>(p.kernel_stall_cycles),
+      static_cast<unsigned long long>(m.inst_fetches),
+      static_cast<unsigned long long>(m.icache_misses),
+      static_cast<unsigned long long>(m.data_reads),
+      static_cast<unsigned long long>(m.dcache_misses),
+      static_cast<unsigned long long>(m.data_writes),
+      static_cast<unsigned long long>(m.wb_stall_cycles),
+      static_cast<unsigned long long>(m.uncached_reads),
+      static_cast<unsigned long long>(m.uncached_writes));
+}
+
+// Whole-prediction equality: every counter, the user/kernel stall split and
+// the memory-system statistics.
 void ExpectSamePrediction(const Prediction& a, const Prediction& b) {
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.idle_instructions, b.idle_instructions);
-  EXPECT_EQ(a.mem_stall_cycles, b.mem_stall_cycles);
-  EXPECT_EQ(a.arith_stall_cycles, b.arith_stall_cycles);
-  EXPECT_EQ(a.io_stall_cycles, b.io_stall_cycles);
-  EXPECT_EQ(a.utlb_misses, b.utlb_misses);
-  EXPECT_EQ(a.synthesized_refs, b.synthesized_refs);
-  EXPECT_EQ(a.user_instructions, b.user_instructions);
-  EXPECT_EQ(a.kernel_instructions, b.kernel_instructions);
+  EXPECT_TRUE(a == b) << Fields(a) << "\n  vs\n" << Fields(b);
 }
 
 TEST(ReplayEngine, BatchedReplayBitIdenticalToLive) {
@@ -303,12 +328,13 @@ TEST(ReplayExperiment, IdenticalVariantReproducesThePrimary) {
   ExpectSamePrediction(with_variant.replays[0].prediction, with_variant.prediction);
 }
 
-// The figure3-whatif shape, the one experiment where five sinks share the
-// analysis tee: a paper workload with the profiler, the sweep, a
-// geometry-only variant the sweep absorbs, and a slowmem variant with its
-// own simulator.  Each sink's output equals its output when it rides the
-// tee alone beside the primary simulator, in both transport modes, and
-// each sink reports its own busy time.
+// The figure3-whatif shape, the one experiment where several sinks share
+// the analysis tee: a paper workload with the profiler, the sweep, two
+// variants that are lanes of the primary simulator (a smaller cache and a
+// slower memory), and a variant whose TLB wiring gives it its own pass.
+// Each sink's output equals its output when it rides the tee alone beside
+// the primary simulator, in both transport modes, and each pass reports
+// its own busy time.
 TEST(ReplayExperiment, SharedTeeMatchesSingleSinkRuns) {
   const WorkloadSpec w = PaperWorkload("sed", 0.05);
   ReplayVariant geometry;
@@ -319,6 +345,10 @@ TEST(ReplayExperiment, SharedTeeMatchesSingleSinkRuns) {
   slowmem.name = "slowmem";
   slowmem.memsys.read_miss_penalty = 30;
   slowmem.memsys.uncached_penalty = 30;
+  ReplayVariant wired16;
+  wired16.name = "wired16";
+  wired16.tlb_wired = 16;
+  const std::vector<ReplayVariant> variants = {geometry, slowmem, wired16};
 
   ExperimentOptions single;
   single.pipeline = false;
@@ -327,20 +357,22 @@ TEST(ReplayExperiment, SharedTeeMatchesSingleSinkRuns) {
   profile_only.profile = true;
   const ExperimentResult profiled = RunExperiment(w, profile_only);
   ExperimentOptions sweep_only = single;
-  sweep_only.sweep.enabled = true;
+  sweep_only.sweep.icache.push_back({16, 8 * 1024, 32 * 1024});
   sweep_only.sweep.tlb_max_entries = 64;
-  sweep_only.replay_variants = {geometry};
   const ExperimentResult swept = RunExperiment(w, sweep_only);
-  ExperimentOptions slowmem_only = single;
-  slowmem_only.replay_variants = {slowmem};
-  const ExperimentResult slow = RunExperiment(w, slowmem_only);
+  std::vector<ExperimentResult> alone;
+  for (const ReplayVariant& v : variants) {
+    ExperimentOptions variant_only = single;
+    variant_only.replay_variants = {v};
+    alone.push_back(RunExperiment(w, variant_only));
+  }
 
   for (bool pipeline : {false, true}) {
     SCOPED_TRACE(pipeline ? "pipelined" : "synchronous");
     ExperimentOptions options = sweep_only;
     options.pipeline = pipeline;
     options.profile = true;
-    options.replay_variants = {geometry, slowmem};
+    options.replay_variants = variants;
     const ExperimentResult shared = RunExperiment(w, options);
     EXPECT_EQ(shared.parser_errors, 0u);
 
@@ -348,18 +380,28 @@ TEST(ReplayExperiment, SharedTeeMatchesSingleSinkRuns) {
     EXPECT_EQ(shared.profile.CanonicalJson(), profiled.profile.CanonicalJson());
     ASSERT_TRUE(shared.sweep_ran);
     EXPECT_EQ(shared.sweep.tlb_lru_misses, swept.sweep.tlb_lru_misses);
-    ASSERT_EQ(shared.replays.size(), 2u);
-    EXPECT_TRUE(shared.replays[0].swept);
-    ExpectSamePrediction(shared.replays[0].prediction, swept.replays[0].prediction);
-    EXPECT_FALSE(shared.replays[1].swept);
-    ExpectSamePrediction(shared.replays[1].prediction, slow.replays[0].prediction);
+    ASSERT_EQ(shared.sweep.icache.size(), swept.sweep.icache.size());
+    for (size_t i = 0; i < shared.sweep.icache.size(); ++i) {
+      EXPECT_EQ(shared.sweep.icache[i].misses, swept.sweep.icache[i].misses);
+    }
+    ASSERT_EQ(shared.replays.size(), variants.size());
+    for (size_t i = 0; i < variants.size(); ++i) {
+      SCOPED_TRACE(variants[i].name);
+      EXPECT_EQ(shared.replays[i].name, variants[i].name);
+      ExpectSamePrediction(shared.replays[i].prediction, alone[i].replays[0].prediction);
+      EXPECT_EQ(shared.replays[i].tlb, alone[i].replays[0].tlb);
+    }
 
     const uint64_t parser_refs = shared.stats.CounterValue("parser.refs");
     EXPECT_EQ(shared.profile.totals.refs, parser_refs);
     for (const ReplayVariantResult& v : shared.replays) {
       EXPECT_EQ(v.refs, parser_refs) << v.name;
     }
-    EXPECT_GT(shared.replays[1].wall_us, 0u);
+    // The lanes ride the primary's pass; wired16 walks its own.
+    EXPECT_EQ(shared.replays[0].wall_us, 0u);
+    EXPECT_EQ(shared.replays[1].wall_us, 0u);
+    EXPECT_GT(shared.replays[2].wall_us, 0u);
+    EXPECT_GT(shared.prediction_wall_us, 0u);
     EXPECT_GT(shared.sweep.wall_us, 0u);
     EXPECT_GT(shared.sweep_mrefs_per_sec, 0.0);
   }
@@ -375,7 +417,10 @@ TEST(ReplayExperiment, TimelineNamesTheAnalysisTailAndReportTimesEverySink) {
   ReplayVariant slowmem;
   slowmem.name = "slowmem";
   slowmem.memsys.read_miss_penalty = 30;
-  options.replay_variants = {slowmem};
+  ReplayVariant wired16;
+  wired16.name = "wired16";
+  wired16.tlb_wired = 16;
+  options.replay_variants = {slowmem, wired16};
   options.archive_path = testing::TempDir() + "timeline_phases.wrl";
   const ExperimentResult result = RunExperiment(PaperWorkload("sed", 0.02), options);
   std::remove(options.archive_path.c_str());
@@ -390,13 +435,116 @@ TEST(ReplayExperiment, TimelineNamesTheAnalysisTailAndReportTimesEverySink) {
   EXPECT_GT(result.prediction_wall_us, 0u);
   EXPECT_GT(result.profile_wall_us, 0u);
   EXPECT_GT(result.sweep.wall_us, 0u);
-  EXPECT_GT(result.replays.at(0).wall_us, 0u);
+  // slowmem is a lane of the primary's pass, whose time is the primary's.
+  EXPECT_EQ(result.replays.at(0).wall_us, 0u);
+  EXPECT_GT(result.replays.at(1).wall_us, 0u);
 
   const JsonValue report = ParseJson(RunReportJson({result}, {}, RunReportOptions{}));
   const JsonValue& experiment = report.At("experiments").array.at(0);
   EXPECT_EQ(experiment.At("predicted").At("wall_us").number,
             static_cast<double>(result.prediction_wall_us));
   EXPECT_EQ(experiment.At("profile_wall_us").number, static_cast<double>(result.profile_wall_us));
+  const JsonValue& replays = experiment.At("replays");
+  ASSERT_EQ(replays.array.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(replays.array[i].At("wall_us").number,
+              static_cast<double>(result.replays[i].wall_us));
+  }
+}
+
+// The lane oracle: every what-if variant of every workload × personality
+// pair is exactly what a simulator of its own reports.  The experiments
+// run as figure3-whatif runs them (the sweep with a 64-entry TLB curve, an
+// archive tee); each variant's dedicated simulator replays the archive.
+// The variants are figure3-whatif's four, one that changes every
+// memory-system parameter at once, a second wired16 variant with its own
+// memory system, which shares wired16's pass, and a page-map draw, which
+// opens a pass of its own.
+TEST(ReplayExperiment, EveryVariantMatchesADedicatedSimulator) {
+  std::vector<ReplayVariant> variants(7);
+  variants[0].name = "cache32k";
+  variants[0].memsys.icache.size_bytes = 32 * 1024;
+  variants[0].memsys.dcache.size_bytes = 32 * 1024;
+  variants[1].name = "cache16k";
+  variants[1].memsys.icache.size_bytes = 16 * 1024;
+  variants[1].memsys.dcache.size_bytes = 16 * 1024;
+  variants[2].name = "slowmem";
+  variants[2].memsys.read_miss_penalty = 30;
+  variants[2].memsys.uncached_penalty = 30;
+  variants[3].name = "wired16";
+  variants[3].tlb_wired = 16;
+  variants[4].name = "everything";
+  variants[4].memsys.icache = {8 * 1024, 32};
+  variants[4].memsys.dcache = {32 * 1024, 16};
+  variants[4].memsys.read_miss_penalty = 22;
+  variants[4].memsys.uncached_penalty = 27;
+  variants[4].memsys.wb_depth = 2;
+  variants[4].memsys.wb_cycles_per_entry = 9;
+  variants[5].name = "wired16small";
+  variants[5].tlb_wired = 16;
+  variants[5].memsys.icache.size_bytes = 4 * 1024;
+  variants[5].memsys.dcache = {8 * 1024, 8};
+  variants[5].memsys.wb_depth = 3;
+  variants[6].name = "remap";
+  variants[6].page_map_mult = 7;
+
+  const std::string path = testing::TempDir() + "lane_oracle.wrl";
+  for (Personality personality : {Personality::kUltrix, Personality::kMach}) {
+    for (const WorkloadSpec& w : PaperWorkloads(0.01)) {
+      SCOPED_TRACE(w.name + "/" + PersonalityName(personality));
+      ExperimentOptions options;
+      options.personality = personality;
+      options.sweep.enabled = true;
+      options.sweep.tlb_max_entries = 64;
+      options.replay_variants = variants;
+      options.archive_path = path;
+      const ExperimentResult result = RunExperiment(w, options);
+      ASSERT_EQ(result.parser_errors, 0u);
+      ASSERT_EQ(result.replays.size(), variants.size());
+      // wired16 and remap open the passes beyond the primary's; every
+      // other variant is a lane, whose time is its pass's.
+      for (size_t i = 0; i < variants.size(); ++i) {
+        EXPECT_EQ(result.replays[i].wall_us > 0, i == 3 || i == 6) << variants[i].name;
+      }
+
+      // Each variant on a simulator of its own, replayed from the archive
+      // with the capturing system's tables.
+      const std::unique_ptr<SystemInstance> measured =
+          BuildSystem(ExperimentSystemConfig(w, options, false));
+      const std::unique_ptr<SystemInstance> traced =
+          BuildSystem(ExperimentSystemConfig(w, options, true));
+      const PredictorConfig pconfig = ExperimentPredictorConfig(*measured, options);
+      ArchiveReader archive(path);
+      ReplaySource source;
+      source.log = &archive;
+      source.kernel_table = &traced->kernel_table();
+      for (const SystemInstance::UserSpace& space : traced->user_spaces()) {
+        source.user_tables.emplace_back(space.pid, space.table);
+      }
+      ReplayEngine engine(std::move(source));
+      std::vector<ReplayEngine::Config> configs;
+      for (const ReplayVariant& v : variants) {
+        PredictorConfig vconfig = pconfig;
+        vconfig.memsys = v.memsys;
+        vconfig.tlb_wired = v.tlb_wired;
+        if (v.page_map_mult != 0) {
+          vconfig.page_map = measured->PageMap(v.page_map_mult);
+        }
+        configs.push_back({v.name, [&measured, vconfig] {
+                             return ExperimentSimulator(*measured, vconfig);
+                           }});
+      }
+      const std::vector<ReplayEngine::Outcome> outcomes = engine.Run(configs);
+      ASSERT_EQ(engine.parser_stats().refs, result.stats.CounterValue("parser.refs"));
+      for (size_t i = 0; i < variants.size(); ++i) {
+        SCOPED_TRACE(variants[i].name);
+        auto* sim = static_cast<TraceDrivenSimulator*>(outcomes[i].sink.get());
+        ExpectSamePrediction(result.replays[i].prediction, sim->Finish());
+        EXPECT_EQ(result.replays[i].tlb, sim->tlb().stats());
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "sim/predictor.h"
 #include "sim/tlb_sim.h"
+#include "support/error.h"
 #include "support/rng.h"
 
 namespace wrl {
@@ -69,10 +70,8 @@ TEST(TlbSimulator, CapacityEvictions) {
 
 TEST(TlbSimulator, SynthesizesHandlerRefs) {
   TlbSimulator tlb;
-  std::vector<TraceRef> synth;
-  RefFnSink sink([&](const TraceRef& r) { synth.push_back(r); });
-  tlb.SetSynthesizedSink(&sink);
-  tlb.OnRef(UserLoad(0x00400000, 3));
+  ASSERT_TRUE(tlb.OnRef(UserLoad(0x00400000, 3)));
+  const auto& synth = tlb.handler();
   ASSERT_EQ(synth.size(), TlbSimulator::kHandlerInstructions + 1u);
   for (unsigned i = 0; i < TlbSimulator::kHandlerInstructions; ++i) {
     EXPECT_EQ(synth[i].kind, TraceRef::kIfetch);
@@ -142,16 +141,6 @@ class ScanningTlbReference {
   uint8_t last_user_asid_ = 0;
 };
 
-// Records each synthesized batch whole, so batch boundaries are compared
-// too.
-class BatchRecorder : public RefBatchSink {
- public:
-  void OnRefBatch(const TraceRef* refs, size_t count) override {
-    batches.emplace_back(refs, refs + count);
-  }
-  std::vector<std::vector<TraceRef>> batches;
-};
-
 bool SameRef(const TraceRef& a, const TraceRef& b) {
   return a.addr == b.addr && a.kind == b.kind && a.bytes == b.bytes && a.pid == b.pid &&
          a.kernel == b.kernel && a.idle == b.idle;
@@ -203,21 +192,25 @@ TEST(TlbSimulator, HintedLookupsMatchAnAlwaysScanningReference) {
   for (unsigned wired : {8u, 16u}) {
     SCOPED_TRACE(wired);
     TlbSimulator tlb(wired);
-    BatchRecorder synthesized;
-    tlb.SetSynthesizedSink(&synthesized);
+    // Each miss's synthesized handler, recorded whole.
+    std::vector<std::vector<TraceRef>> synthesized;
     ScanningTlbReference reference(wired);
     const std::vector<TraceRef> refs = SystemLikeStream(41 + wired, 200000);
     for (size_t i = 0; i < refs.size(); ++i) {
-      ASSERT_EQ(tlb.OnRef(refs[i]), reference.OnRef(refs[i])) << "reference " << i;
+      const bool missed = tlb.OnRef(refs[i]);
+      ASSERT_EQ(missed, reference.OnRef(refs[i])) << "reference " << i;
+      if (missed) {
+        synthesized.emplace_back(tlb.handler().begin(), tlb.handler().end());
+      }
     }
     EXPECT_EQ(tlb.stats().user_refs, reference.stats.user_refs);
     EXPECT_EQ(tlb.stats().utlb_misses, reference.stats.utlb_misses);
     EXPECT_EQ(tlb.stats().ktlb_misses, reference.stats.ktlb_misses);
-    ASSERT_EQ(synthesized.batches.size(), reference.batches.size());
-    for (size_t b = 0; b < synthesized.batches.size(); ++b) {
-      ASSERT_EQ(synthesized.batches[b].size(), reference.batches[b].size());
-      for (size_t r = 0; r < synthesized.batches[b].size(); ++r) {
-        ASSERT_TRUE(SameRef(synthesized.batches[b][r], reference.batches[b][r]))
+    ASSERT_EQ(synthesized.size(), reference.batches.size());
+    for (size_t b = 0; b < synthesized.size(); ++b) {
+      ASSERT_EQ(synthesized[b].size(), reference.batches[b].size());
+      for (size_t r = 0; r < synthesized[b].size(); ++r) {
+        ASSERT_TRUE(SameRef(synthesized[b][r], reference.batches[b][r]))
             << "batch " << b << " ref " << r;
       }
     }
@@ -337,6 +330,59 @@ TEST(Predictor, SynthesizedHandlerRefsAreSimulated) {
   EXPECT_EQ(p.utlb_misses, 1u);
   // The handler fetches hit the instruction cache path.
   EXPECT_GE(p.memsys_stats.inst_fetches, TlbSimulator::kHandlerInstructions);
+  // The handler is charged in the mode of the reference that missed: its
+  // cold misses are user stalls here, beside the load's own miss.
+  const MemSysConfig memsys;
+  EXPECT_GT(p.user_stall_cycles, memsys.read_miss_penalty);
+  EXPECT_EQ(p.kernel_stall_cycles, 0u);
+
+  // A kernel reference into a fresh kuseg page: its handler's misses are
+  // kernel stalls.
+  sim.OnRef({0x00800000, TraceRef::kLoad, 4, kKernelPid, true, false});
+  const Prediction k = sim.Finish();
+  EXPECT_EQ(k.utlb_misses, 2u);
+  EXPECT_EQ(k.user_stall_cycles, p.user_stall_cycles);
+  EXPECT_GT(k.kernel_stall_cycles, memsys.read_miss_penalty);
+}
+
+// Lanes are independent memory systems on one event pass: each lane's
+// prediction is what a simulator of its own reports, whatever the other
+// lanes price.  The stream mixes user and kernel modes, uncached kseg1
+// accesses, stores that fill the write buffer, and TLB misses.
+TEST(Predictor, LanesMatchDedicatedSimulators) {
+  PredictorConfig config;
+  config.page_map = [](uint32_t pid, uint32_t vpn) { return (vpn * 7 + pid) & 0xfffu; };
+  std::vector<MemSysConfig> memsys(4);
+  memsys[1].icache = {8 * 1024, 32};
+  memsys[1].dcache = {4 * 1024, 8};
+  memsys[2].read_miss_penalty = 40;
+  memsys[2].uncached_penalty = 3;
+  memsys[3].wb_depth = 1;
+  memsys[3].wb_cycles_per_entry = 12;
+  const std::vector<TraceRef> refs = SystemLikeStream(7, 100000);
+
+  config.memsys = memsys[0];
+  TraceDrivenSimulator lanes(config);
+  for (size_t i = 1; i < memsys.size(); ++i) {
+    EXPECT_EQ(lanes.AddMemorySystem(memsys[i]), i);
+  }
+  lanes.OnRefBatch(refs.data(), refs.size());
+  EXPECT_THROW(lanes.AddMemorySystem(memsys[0]), InternalError);
+  const Prediction primary = lanes.Finish();
+  EXPECT_TRUE(primary == lanes.prediction(0));
+  EXPECT_GT(primary.utlb_misses, 0u);
+  EXPECT_GT(primary.memsys_stats.uncached_reads, 0u);
+  for (size_t i = 0; i < memsys.size(); ++i) {
+    SCOPED_TRACE(i);
+    config.memsys = memsys[i];
+    TraceDrivenSimulator alone(config);
+    alone.OnRefBatch(refs.data(), refs.size());
+    const Prediction want = alone.Finish();
+    EXPECT_TRUE(lanes.prediction(i) == want);
+    EXPECT_EQ(lanes.prediction(i).user_stall_cycles, want.user_stall_cycles);
+    EXPECT_EQ(lanes.prediction(i).kernel_stall_cycles, want.kernel_stall_cycles);
+  }
+  EXPECT_GT(lanes.prediction(3).memsys_stats.wb_stall_cycles, 0u);
 }
 
 TEST(Predictor, KernelUserCpiSplit) {

@@ -1,6 +1,12 @@
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "support/error.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 #include "support/strings.h"
 
@@ -83,6 +89,76 @@ TEST(Rng, RoughlyUniform) {
   }
   for (int count : buckets) {
     EXPECT_NEAR(count, kSamples / 10, kSamples / 100);
+  }
+}
+
+TEST(RunIndexed, RunsEveryIndexOnceAtAnyJobCount) {
+  for (unsigned jobs : {0u, 1u, 2u, 4u, 9u}) {
+    SCOPED_TRACE(jobs);
+    std::vector<int> runs(37, 0);
+    RunIndexed(runs.size(), jobs, [&runs](size_t i) { ++runs[i]; });
+    EXPECT_EQ(runs, std::vector<int>(37, 1));
+  }
+  RunIndexed(0, 4, [](size_t) { FAIL() << "no task to run"; });
+}
+
+TEST(RunIndexed, OneJobRunsInlineInIndexOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  RunIndexed(5, 1, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+// The error rethrown is the lowest index's, even when a higher index fails
+// first, and it comes only after every started task has finished.
+TEST(RunIndexed, RethrowsTheLowestIndexErrorAfterStartedTasksFinish) {
+  for (unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE(jobs);
+    std::atomic<int> running{0};
+    int running_at_rethrow = -1;
+    try {
+      RunIndexed(8, jobs, [&](size_t i) {
+        ++running;
+        if (i == 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          --running;
+          throw Error("task 1");
+        }
+        --running;
+        if (i == 5) {
+          throw Error("task 5");
+        }
+      });
+      ADD_FAILURE() << "no error rethrown";
+    } catch (const Error& e) {
+      running_at_rethrow = running.load();
+      EXPECT_STREQ(e.what(), "task 1");
+    }
+    EXPECT_EQ(running_at_rethrow, 0);
+  }
+}
+
+// After a failure no further task starts.
+TEST(RunIndexed, StopsStartingTasksAfterAFailure) {
+  for (unsigned jobs : {1u, 2u}) {
+    SCOPED_TRACE(jobs);
+    std::atomic<size_t> started{0};
+    EXPECT_THROW(RunIndexed(1000, jobs,
+                            [&started](size_t i) {
+                              ++started;
+                              if (i == 0) {
+                                throw Error("first");
+                              }
+                              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                            }),
+                 Error);
+    EXPECT_LT(started.load(), 1000u);
+    if (jobs == 1) {
+      EXPECT_EQ(started.load(), 1u);
+    }
   }
 }
 

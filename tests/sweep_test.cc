@@ -18,14 +18,17 @@
 #include "harness/bare_runtime.h"
 #include "harness/experiment.h"
 #include "harness/replay_engine.h"
+#include "kernel/system_build.h"
 #include "memsys/memsys.h"
 #include "sim/predictor.h"
 #include "sim/tlb_sim.h"
+#include "stats/stats.h"
 #include "support/error.h"
 #include "support/rng.h"
 #include "sweep/sweep.h"
 #include "trace/parser.h"
 #include "trace/trace_log.h"
+#include "workloads/workloads.h"
 
 namespace wrl {
 namespace {
@@ -410,6 +413,72 @@ TEST(SweepEngine, TlbCurveMatchesExactLruReplays) {
   }
 }
 
+// The reuse-distance histogram the sweep exports, filled at Finish() from
+// the stack profiler's distance counts, is the histogram a per-reference
+// Record() of every nonzero stack distance builds, on a real system trace
+// whose TLB reuse reaches deep into the stack (eqntott).
+TEST(SweepEngine, ReuseHistogramMatchesPerReferenceRecordingOnSystemTrace) {
+  WorkloadSpec workload = PaperWorkload("eqntott", 0.02);
+  ExperimentOptions options;
+  std::unique_ptr<SystemInstance> traced =
+      BuildSystem(ExperimentSystemConfig(workload, options, true));
+  std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
+  std::vector<TraceRef> refs;
+  RefFnSink collect([&refs](const TraceRef& r) { refs.push_back(r); });
+  parser->SetBatchSink(&collect);
+  traced->SetTraceSink(
+      [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); });
+  ASSERT_TRUE(traced->Run(options.max_instructions).halted);
+  parser->Finish();
+  ASSERT_EQ(parser->stats().validation_errors, 0u);
+
+  SweepEngine sweep(SweepConfig{});
+  sweep.OnRefBatch(refs.data(), refs.size());
+  sweep.Finish();
+  StatsRegistry registry;
+  sweep.RegisterStats(registry, "sweep.");
+
+  // Per reference, keyed as the sweep keys its stack.
+  Histogram per_ref;
+  StackDistanceProfiler stack;
+  uint8_t last_user_asid = 0;
+  uint64_t deep = 0;
+  for (const TraceRef& ref : refs) {
+    if (!InKuseg(ref.addr)) {
+      continue;
+    }
+    uint8_t asid;
+    if (ref.pid != kKernelPid) {
+      asid = ref.pid;
+      last_user_asid = ref.pid;
+    } else {
+      asid = last_user_asid == 0 ? 1 : last_user_asid;
+    }
+    const uint64_t distance =
+        stack.Access((static_cast<uint64_t>(asid) << 20) | (ref.addr >> kPageShift));
+    if (distance != 0) {
+      per_ref.Record(distance);
+    }
+    deep += distance > 8;
+  }
+  ASSERT_GT(deep, 1000u);
+  StatsRegistry oracle;
+  oracle.AddHistogram("sweep.tlb_reuse_distance", &per_ref);
+
+  const StatsSnapshot got_snapshot = registry.Snapshot();
+  const StatsSnapshot want_snapshot = oracle.Snapshot();
+  const StatValue* got = got_snapshot.Find("sweep.tlb_reuse_distance");
+  const StatValue* want = want_snapshot.Find("sweep.tlb_reuse_distance");
+  ASSERT_NE(got, nullptr);
+  ASSERT_NE(want, nullptr);
+  EXPECT_GT(want->hist_count, 0u);
+  EXPECT_EQ(got->hist_count, want->hist_count);
+  EXPECT_EQ(got->hist_sum, want->hist_sum);
+  EXPECT_EQ(got->hist_min, want->hist_min);
+  EXPECT_EQ(got->hist_max, want->hist_max);
+  EXPECT_EQ(got->hist_buckets, want->hist_buckets);
+}
+
 // ---- The memoized page-map translation ---------------------------------
 
 // The analysis translation with no memo: every kuseg reference calls the
@@ -440,12 +509,15 @@ class UnmemoizedCacheReference : public RefBatchSink {
     for (const CacheFamilySpec& spec : sweep.dcache) {
       dforests.emplace_back(spec.line_bytes, spec.min_size_bytes, spec.max_size_bytes);
     }
-    tlb_.SetSynthesizedSink(&synth_);
   }
 
   void OnRefBatch(const TraceRef* refs, size_t count) override {
     for (size_t i = 0; i < count; ++i) {
-      tlb_.OnRef(refs[i]);
+      if (tlb_.OnRef(refs[i])) {
+        for (const TraceRef& handler_ref : tlb_.handler()) {
+          Access(handler_ref);
+        }
+      }
       Access(refs[i]);
     }
   }
@@ -482,7 +554,6 @@ class UnmemoizedCacheReference : public RefBatchSink {
 
   PageMapFn page_map_;
   TlbSimulator tlb_;
-  RefFnSink synth_{[this](const TraceRef& ref) { Access(ref); }};
   uint64_t now_ = 0;
 };
 
@@ -637,9 +708,13 @@ TEST(SweepExperiment, LiveSweepReportsItsBusyTime) {
   EXPECT_GT(result.sweep_mrefs_per_sec, 0.0);
 }
 
-// ---- Geometry-only replay variants are absorbed by the sweep -----------
+// ---- Cache variants are lanes of the primary, beside the sweep ---------
 
-TEST(SweepExperiment, GeometryOnlyVariantsAreSweptWithExactMissCounts) {
+// The sweep prices miss counts only; a cache variant is a memory-system
+// lane of the primary simulator.  Riding beside the sweep changes neither
+// the variants nor the primary, and a cache variant's miss counts are the
+// sweep's at its geometry.
+TEST(SweepExperiment, CacheVariantsAreExactLanesBesideTheSweep) {
   WorkloadSpec w = UnitWorkload();
 
   ReplayVariant geometry;
@@ -650,42 +725,44 @@ TEST(SweepExperiment, GeometryOnlyVariantsAreSweptWithExactMissCounts) {
   slowmem.name = "slowmem";
   slowmem.memsys.read_miss_penalty = 30;
 
-  // Without the sweep: two dedicated replays — the ground truth.
   ExperimentOptions plain;
   plain.replay_variants = {geometry, slowmem};
   ExperimentResult truth = RunExperiment(w, plain);
   ASSERT_EQ(truth.replays.size(), 2u);
-  EXPECT_FALSE(truth.replays[0].swept);
-  EXPECT_FALSE(truth.replays[1].swept);
 
-  // With the sweep: the geometry-only variant is priced by the one pass
-  // (exact miss counts, derived timing); slowmem still replays and stays
-  // bit-identical to its dedicated replay above.
-  ExperimentOptions swept;
+  ExperimentOptions swept = SweepOptionsBase();
   swept.replay_variants = {geometry, slowmem};
-  swept.sweep.enabled = true;
   ExperimentResult result = RunExperiment(w, swept);
   ASSERT_TRUE(result.sweep_ran);
   ASSERT_EQ(result.replays.size(), 2u);
-  EXPECT_EQ(result.replays[0].name, "cache8k");
-  EXPECT_TRUE(result.replays[0].swept);
-  EXPECT_EQ(result.replays[1].name, "slowmem");
-  EXPECT_FALSE(result.replays[1].swept);
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(truth.replays[i].name);
+    EXPECT_EQ(result.replays[i].name, truth.replays[i].name);
+    EXPECT_TRUE(result.replays[i].prediction == truth.replays[i].prediction);
+    EXPECT_EQ(result.replays[i].tlb, truth.replays[i].tlb);
+  }
+  EXPECT_TRUE(result.prediction == truth.prediction);
+  // slowmem changes only penalties: the primary's misses at a higher price.
+  const MemSysStats& slow = result.replays[1].prediction.memsys_stats;
+  EXPECT_EQ(slow.icache_misses, result.prediction.memsys_stats.icache_misses);
+  EXPECT_EQ(slow.dcache_misses, result.prediction.memsys_stats.dcache_misses);
+  EXPECT_GT(result.replays[1].prediction.mem_stall_cycles, result.prediction.mem_stall_cycles);
 
-  EXPECT_EQ(result.replays[0].prediction.memsys_stats.icache_misses,
-            truth.replays[0].prediction.memsys_stats.icache_misses);
-  EXPECT_EQ(result.replays[0].prediction.memsys_stats.dcache_misses,
-            truth.replays[0].prediction.memsys_stats.dcache_misses);
-  EXPECT_EQ(result.replays[0].prediction.utlb_misses, truth.replays[0].prediction.utlb_misses);
-
-  EXPECT_EQ(result.replays[1].prediction.memsys_stats.icache_misses,
-            truth.replays[1].prediction.memsys_stats.icache_misses);
-  EXPECT_EQ(result.replays[1].prediction.mem_stall_cycles,
-            truth.replays[1].prediction.mem_stall_cycles);
-
-  // The primary prediction is untouched by the sweep riding alongside.
-  EXPECT_EQ(result.prediction.mem_stall_cycles, truth.prediction.mem_stall_cycles);
-  EXPECT_EQ(result.prediction.utlb_misses, truth.prediction.utlb_misses);
+  const MemSysStats& lane = result.replays[0].prediction.memsys_stats;
+  size_t matched = 0;
+  for (const SweepCachePoint& p : result.sweep.icache) {
+    if (p.line_bytes == 16 && p.size_bytes == 8 * 1024) {
+      EXPECT_EQ(p.misses, lane.icache_misses);
+      ++matched;
+    }
+  }
+  for (const SweepCachePoint& p : result.sweep.dcache) {
+    if (p.line_bytes == 4 && p.size_bytes == 8 * 1024) {
+      EXPECT_EQ(p.misses, lane.dcache_misses);
+      ++matched;
+    }
+  }
+  EXPECT_EQ(matched, 2u);
 }
 
 TEST(SweepExperiment, RejectsNonPowerOfTwoFamilyLoudly) {

@@ -24,7 +24,6 @@
 //     "totals": {"targets": N, "errors": N, "warnings": N, ...}
 //   }
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -44,6 +43,7 @@
 #include "stats/stats.h"
 #include "support/error.h"
 #include "support/json.h"
+#include "support/parallel.h"
 #include "support/strings.h"
 #include "trace/abi.h"
 #include "trace/support_asm.h"
@@ -102,45 +102,7 @@ TargetResult ObjectTarget(const ObjectFile& orig, const InstrumentResult& res,
 // Runs every task, optionally on a worker pool; results keep task order.
 std::vector<TargetReport> RunTasks(const std::vector<Task>& tasks, unsigned jobs) {
   std::vector<TargetResult> results(tasks.size());
-  std::vector<std::exception_ptr> errors(tasks.size());
-  if (jobs <= 1) {
-    for (size_t t = 0; t < tasks.size(); ++t) {
-      try {
-        results[t] = tasks[t].run();
-      } catch (...) {
-        errors[t] = std::current_exception();
-      }
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    auto worker = [&]() {
-      for (;;) {
-        const size_t t = next.fetch_add(1);
-        if (t >= tasks.size()) {
-          return;
-        }
-        try {
-          results[t] = tasks[t].run();
-        } catch (...) {
-          errors[t] = std::current_exception();
-        }
-      }
-    };
-    const unsigned n = static_cast<unsigned>(std::min<size_t>(jobs, tasks.size()));
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (unsigned k = 0; k < n; ++k) {
-      threads.emplace_back(worker);
-    }
-    for (std::thread& th : threads) {
-      th.join();
-    }
-  }
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    if (errors[t]) {
-      std::rethrow_exception(errors[t]);
-    }
-  }
+  RunIndexed(tasks.size(), jobs, [&](size_t t) { results[t] = tasks[t].run(); });
   std::vector<TargetReport> out;
   out.reserve(tasks.size());
   for (size_t t = 0; t < tasks.size(); ++t) {
