@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
 
     auto untraced = BuildSystem(base);
     {
-      events.SetCycleSource(
-          [m = &untraced->machine()]() -> uint64_t { return m->cycles(); });
+      EventRecorder::CycleScope cycles(
+          &events, [m = &untraced->machine()]() -> uint64_t { return m->cycles(); });
       EventRecorder::Scope scope(&events, std::string("run.untraced:") + name, "run");
       untraced->Run(3'000'000'000ull);
     }
@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
     auto traced = BuildSystem(traced_cfg);
     traced->SetTraceSink([](const uint32_t*, size_t) {});
     {
-      events.SetCycleSource(
-          [m = &traced->machine()]() -> uint64_t { return m->cycles(); });
+      EventRecorder::CycleScope cycles(
+          &events, [m = &traced->machine()]() -> uint64_t { return m->cycles(); });
       EventRecorder::Scope scope(&events, std::string("run.traced:") + name, "run");
       traced->Run(3'000'000'000ull);
     }
@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
   printf("\nmean dilation: %.1fx (the paper's systems: about fifteen; the clock is\n",
          sum / count);
   printf("scaled to 1/15th rate to compensate, as in 4.1)\n");
-  events.SetCycleSource(nullptr);
   metrics["dilation_mean"] = sum / count;
   MaybeWriteMetricsReport(argc, argv, "bench_dilation", scale, metrics, &events);
   return 0;

@@ -217,16 +217,70 @@ void BM_MachineRunLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineRunLoop);
 
+// The trace of a small real system run — gcc under Ultrix at scale 0.05,
+// traced and parsed by the harness's own set-up — built once, in process,
+// when the first trace-layer or analysis bench needs it (no checked-in
+// fixture): the chunks the traced system published, in order, and the
+// reference stream the parser reconstructed from them.  The measured
+// system supplies the page map and original text images, as in
+// RunExperiment; the traced system stays alive for its block tables.
+struct SystemTrace {
+  std::unique_ptr<SystemInstance> measured;
+  std::unique_ptr<SystemInstance> traced;
+  PredictorConfig pconfig;
+  std::vector<std::vector<uint32_t>> chunks;
+  uint64_t words = 0;
+  std::vector<TraceRef> refs;
+};
+
+SystemConfig GccSystemConfig(bool tracing) {
+  return ExperimentSystemConfig(PaperWorkload("gcc", 0.05), ExperimentOptions{}, tracing);
+}
+
+SystemTrace BuildGccSystemTrace() {
+  SystemTrace trace;
+  const ExperimentOptions options;
+  trace.measured = BuildSystem(GccSystemConfig(false));
+  trace.pconfig = ExperimentPredictorConfig(*trace.measured, options);
+  trace.traced = BuildSystem(GccSystemConfig(true));
+  std::unique_ptr<TraceParser> parser = SystemTraceParser(*trace.traced);
+  RefFnSink collect([&trace](const TraceRef& ref) { trace.refs.push_back(ref); });
+  parser->SetBatchSink(&collect);
+  trace.traced->SetTraceSink([&trace, &parser](const uint32_t* words, size_t count) {
+    trace.chunks.emplace_back(words, words + count);
+    trace.words += count;
+    parser->Feed(words, count);
+  });
+  trace.traced->Run(options.max_instructions);
+  parser->Finish();
+  return trace;
+}
+
+const SystemTrace& GccSystemTrace() {
+  static const SystemTrace trace = BuildGccSystemTrace();
+  return trace;
+}
+
+// Appends a trace's chunks, in order, to a TraceLog or an archive.
+template <typename Store>
+void AppendChunks(const SystemTrace& trace, Store& store) {
+  for (const std::vector<uint32_t>& chunk : trace.chunks) {
+    store.Append(chunk.data(), chunk.size());
+  }
+}
+
+// The trace layer over the gcc trace: the parser alone, no sink
+// downstream.  Items are references.
 void BM_TraceParse(benchmark::State& state) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
+  const SystemTrace& trace = GccSystemTrace();
   uint64_t refs = 0;
   for (auto _ : state) {
-    TraceParser parser(&build.table);
-    parser.SetInitialContext(kKernelPid);
-    parser.Feed(run.trace_words);
-    parser.Finish();
-    refs += parser.stats().refs;
+    std::unique_ptr<TraceParser> parser = SystemTraceParser(*trace.traced);
+    for (const std::vector<uint32_t>& chunk : trace.chunks) {
+      parser->Feed(chunk.data(), chunk.size());
+    }
+    parser->Finish();
+    refs += parser->stats().refs;
   }
   state.SetItemsProcessed(static_cast<int64_t>(refs));
 }
@@ -280,81 +334,65 @@ void BM_TraceTableLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceTableLookup);
 
-// Batched delivery of a real trace's references: pack the traced run's
-// words into a TraceLog, collect the reconstructed stream once through a
-// ReplayEngine config, then time a fresh TLB simulator consuming it in
-// kRefBatchCapacity batches.
+// A replay of the gcc trace from a TraceLog through ReplayEngine into a
+// TlbSimulator: decode, parse and batched delivery, as `wrltrace replay`
+// runs it.  Items are references delivered.
 void BM_ReplayBatched(benchmark::State& state) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
+  const SystemTrace& trace = GccSystemTrace();
   TraceLog log;
-  log.Append(run.trace_words.data(), run.trace_words.size());
+  AppendChunks(trace, log);
   ReplaySource source;
   source.log = &log;
-  source.kernel_table = &build.table;
-  ReplayEngine engine(std::move(source));
-  std::vector<TraceRef> refs;
-  auto collect = [&refs] {
-    return std::make_unique<RefFnSink>([&refs](const TraceRef& r) { refs.push_back(r); });
-  };
-  engine.Run({{"collect", collect}});
-  if (refs.empty()) {
-    state.SkipWithError("the replay delivered no references");
-    return;
+  source.kernel_table = &trace.traced->kernel_table();
+  for (const SystemInstance::UserSpace& space : trace.traced->user_spaces()) {
+    source.user_tables.emplace_back(space.pid, space.table);
   }
+  ReplayEngine engine(std::move(source));
+  const std::vector<ReplayEngine::Config> configs = {
+      {"tlb", [] { return std::make_unique<TlbSimulator>(); }}};
   uint64_t delivered = 0;
   for (auto _ : state) {
-    TlbSimulator tlb;
-    for (size_t off = 0; off < refs.size(); off += kRefBatchCapacity) {
-      size_t count = std::min(kRefBatchCapacity, refs.size() - off);
-      tlb.OnRefBatch(refs.data() + off, count);
+    std::vector<ReplayEngine::Outcome> outcomes = engine.Run(configs);
+    if (outcomes[0].refs != trace.refs.size()) {
+      state.SkipWithError("the replay did not deliver the live parse's references");
+      break;
     }
-    delivered += refs.size();
-    benchmark::DoNotOptimize(tlb.stats().utlb_misses);
+    delivered += outcomes[0].refs;
+    benchmark::DoNotOptimize(static_cast<TlbSimulator&>(*outcomes[0].sink).stats().utlb_misses);
   }
   state.SetItemsProcessed(static_cast<int64_t>(delivered));
 }
 BENCHMARK(BM_ReplayBatched);
 
-// The pipelined trace transport end to end: a real trace pushed through the
-// SPSC ring in drain-sized chunks while the consumer thread runs the parser.
-// Items are trace words, so this tracks the transport's sustainable drain
+// The pipelined trace transport end to end: the gcc trace's chunks pushed
+// through the SPSC ring while the consumer thread runs the parser.  Items
+// are trace words, so this tracks the transport's sustainable drain
 // bandwidth (ring copy + handoff + parse), the quantity that bounds how far
-// the traced machine can outrun the analysis.
+// the traced machine can outrun the analysis.  Timed in real time: the
+// parse runs on the consumer thread, outside the timing thread's CPU time.
 void BM_PipelineDrain(benchmark::State& state) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
-  const std::vector<uint32_t>& words = run.trace_words;
-  constexpr size_t kChunkWords = 2048;
+  const SystemTrace& trace = GccSystemTrace();
   uint64_t pushed = 0;
   for (auto _ : state) {
-    TraceParser parser(&build.table);
-    parser.SetInitialContext(kKernelPid);
-    TracePipeline pipeline([&parser](const uint32_t* w, size_t n) { parser.Feed(w, n); });
-    for (size_t off = 0; off < words.size(); off += kChunkWords) {
-      size_t count = std::min(kChunkWords, words.size() - off);
-      pipeline.Produce(words.data() + off, count);
+    std::unique_ptr<TraceParser> parser = SystemTraceParser(*trace.traced);
+    TracePipeline pipeline([&parser](const uint32_t* w, size_t n) { parser->Feed(w, n); });
+    for (const std::vector<uint32_t>& chunk : trace.chunks) {
+      pipeline.Produce(chunk.data(), chunk.size());
     }
     pipeline.Finish();
-    parser.Finish();
-    pushed += words.size();
-    benchmark::DoNotOptimize(parser.stats().refs);
+    parser->Finish();
+    pushed += trace.words;
+    benchmark::DoNotOptimize(parser->stats().refs);
   }
   state.SetItemsProcessed(static_cast<int64_t>(pushed));
 }
-BENCHMARK(BM_PipelineDrain);
+BENCHMARK(BM_PipelineDrain)->UseRealTime();
 
-// Raw TraceLog unpack throughput: varint+delta decode of a packed multi-chunk
+// Raw TraceLog unpack throughput: varint+delta decode of the packed gcc
 // capture into trace words, the per-chunk work every TraceLog replay does.
 void BM_TraceLogDecode(benchmark::State& state) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
   TraceLog log;
-  constexpr size_t kChunkWords = 2048;
-  for (size_t off = 0; off < run.trace_words.size(); off += kChunkWords) {
-    size_t count = std::min(kChunkWords, run.trace_words.size() - off);
-    log.Append(run.trace_words.data() + off, count);
-  }
+  AppendChunks(GccSystemTrace(), log);
   uint64_t decoded = 0;
   for (auto _ : state) {
     uint64_t words = 0;
@@ -372,23 +410,17 @@ std::string BenchArchivePath(const char* tag) {
   return StrFormat("/tmp/wrl_bench_%s_%d.wrl", tag, static_cast<int>(getpid()));
 }
 
-// Full archive write path on a real trace: delta+varint chunk encode, CRC,
+// Full archive write path on the gcc trace: delta+varint chunk encode, CRC,
 // and the per-chunk flush to disk.  Items are trace words persisted, so this
 // tracks the sustainable tee bandwidth RunExperiment's archive_path adds to
 // a live capture.
 void BM_ArchiveWrite(benchmark::State& state) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
-  const std::vector<uint32_t>& words = run.trace_words;
-  constexpr size_t kChunkWords = 2048;
+  const SystemTrace& trace = GccSystemTrace();
   std::string path = BenchArchivePath("write");
   uint64_t written = 0;
   for (auto _ : state) {
-    ArchiveWriter writer(path, {{"workload", "bench"}});
-    for (size_t off = 0; off < words.size(); off += kChunkWords) {
-      size_t count = std::min(kChunkWords, words.size() - off);
-      writer.Append(words.data() + off, count);
-    }
+    ArchiveWriter writer(path, {{"workload", "gcc"}});
+    AppendChunks(trace, writer);
     writer.Finalize();
     written += writer.words();
     benchmark::DoNotOptimize(writer.bytes_written());
@@ -403,16 +435,10 @@ BENCHMARK(BM_ArchiveWrite);
 // replay does.  Directly comparable to BM_TraceLogDecode; the
 // delta is the cost of checksumming and untrusted-input bounds checks.
 void BM_ArchiveDecode(benchmark::State& state) {
-  BareBuild build = BuildBareTraced(kBody);
-  BareTraceRun run = RunBareTraced(build);
-  constexpr size_t kChunkWords = 2048;
   std::string path = BenchArchivePath("decode");
   {
-    ArchiveWriter writer(path, {{"workload", "bench"}});
-    for (size_t off = 0; off < run.trace_words.size(); off += kChunkWords) {
-      size_t count = std::min(kChunkWords, run.trace_words.size() - off);
-      writer.Append(run.trace_words.data() + off, count);
-    }
+    ArchiveWriter writer(path, {{"workload", "gcc"}});
+    AppendChunks(GccSystemTrace(), writer);
     writer.Finalize();
   }
   ArchiveReader reader(path);
@@ -481,44 +507,6 @@ void BM_StackDistance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(keys.size()));
 }
 BENCHMARK(BM_StackDistance);
-
-// The reference stream of a small real system run — gcc under Ultrix at
-// scale 0.05, traced and parsed by the harness's own set-up — built once,
-// in process, when the first analysis bench needs it (no checked-in
-// fixture).  The measured system supplies the page map and original text
-// images, as in RunExperiment; the traced system stays alive for the
-// profiler's block tables.
-struct SystemTrace {
-  std::unique_ptr<SystemInstance> measured;
-  std::unique_ptr<SystemInstance> traced;
-  PredictorConfig pconfig;
-  std::vector<TraceRef> refs;
-};
-
-SystemConfig GccSystemConfig(bool tracing) {
-  return ExperimentSystemConfig(PaperWorkload("gcc", 0.05), ExperimentOptions{}, tracing);
-}
-
-SystemTrace BuildGccSystemTrace() {
-  SystemTrace trace;
-  const ExperimentOptions options;
-  trace.measured = BuildSystem(GccSystemConfig(false));
-  trace.pconfig = ExperimentPredictorConfig(*trace.measured, options);
-  trace.traced = BuildSystem(GccSystemConfig(true));
-  std::unique_ptr<TraceParser> parser = SystemTraceParser(*trace.traced);
-  RefFnSink collect([&trace](const TraceRef& ref) { trace.refs.push_back(ref); });
-  parser->SetBatchSink(&collect);
-  trace.traced->SetTraceSink(
-      [&parser](const uint32_t* words, size_t count) { parser->Feed(words, count); });
-  trace.traced->Run(options.max_instructions);
-  parser->Finish();
-  return trace;
-}
-
-const SystemTrace& GccSystemTrace() {
-  static const SystemTrace trace = BuildGccSystemTrace();
-  return trace;
-}
 
 // The TLB simulator over a real trace, where nearly every lookup hits.
 void BM_TlbSim(benchmark::State& state) {

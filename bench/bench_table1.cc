@@ -2,9 +2,9 @@
 // dynamic behavior of our reconstructions (instruction counts and simulated
 // execution times on the uninstrumented Ultrix system).
 //
-// --jobs N (or WRL_JOBS) runs the workloads on a worker pool; rows, metrics,
-// and the timeline are emitted in workload order either way (per-worker
-// event recorders are absorbed deterministically).
+// --jobs N (or WRL_JOBS) runs the workloads on a worker pool; rows and
+// metrics are emitted in workload order either way, and each worker records
+// its runs on a timeline track of its own.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -30,13 +30,13 @@ Row RunWorkload(const WorkloadSpec& w, EventRecorder* events) {
   config.program_name = w.name;
   config.files = w.files;
   auto sys = BuildSystem(config);
-  events->SetCycleSource([m = &sys->machine()]() -> uint64_t { return m->cycles(); });
   RunResult r;
   {
+    EventRecorder::CycleScope cycles(events,
+                                     [m = &sys->machine()]() -> uint64_t { return m->cycles(); });
     EventRecorder::Scope scope(events, "run:" + w.name, "run");
     r = sys->Run(3'000'000'000ull);
   }
-  events->SetCycleSource(nullptr);
   row.halted = r.halted;
   row.user_instructions = sys->machine().user_instructions();
   row.seconds = static_cast<double>(sys->ProcessCycles(1)) / 25e6;
@@ -55,20 +55,11 @@ int main(int argc, char** argv) {
   const std::vector<WorkloadSpec> workloads = PaperWorkloads(scale);
   std::vector<Row> rows(workloads.size());
 
-  // With --jobs the workloads go on a worker pool, each recording into a
-  // private recorder whose timeline is absorbed in workload order.
-  const bool pooled = jobs > 1 && workloads.size() > 1;
-  if (pooled) {
+  if (jobs > 1 && workloads.size() > 1) {
     fprintf(stderr, "  running %zu workloads on %zu workers...\n", workloads.size(),
             std::min<size_t>(jobs, workloads.size()));
   }
-  std::vector<EventRecorder> recorders(pooled ? workloads.size() : 0);
-  RunIndexed(workloads.size(), jobs, [&](size_t i) {
-    rows[i] = RunWorkload(workloads[i], pooled ? &recorders[i] : &events);
-  });
-  for (EventRecorder& recorder : recorders) {
-    events.Absorb(recorder.TakeEvents());
-  }
+  RunIndexed(workloads.size(), jobs, [&](size_t i) { rows[i] = RunWorkload(workloads[i], &events); });
 
   std::map<std::string, double> metrics;
   for (size_t i = 0; i < workloads.size(); ++i) {

@@ -14,12 +14,9 @@ int main(int argc, char** argv) {
   double hz = 25e6;
   printf("=== Table 2: Run Times, measured and predicted, in seconds (scale %.2f) ===\n", scale);
   EventRecorder events;
-  ExperimentOptions base;
-  base.progress = BenchProgress(argc, argv);
   std::vector<ExperimentResult> ultrix =
-      RunPersonalitySuite(Personality::kUltrix, scale, &events, jobs, base);
-  std::vector<ExperimentResult> mach =
-      RunPersonalitySuite(Personality::kMach, scale, &events, jobs, base);
+      RunPersonalitySuite(Personality::kUltrix, scale, &events, jobs);
+  std::vector<ExperimentResult> mach = RunPersonalitySuite(Personality::kMach, scale, &events, jobs);
 
   printf("%-10s | %21s | %21s\n", "", "Ultrix", "Mach 3.0");
   printf("%-10s | %10s %10s | %10s %10s\n", "workload", "measured", "predicted", "measured",

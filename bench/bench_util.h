@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -56,18 +55,6 @@ inline unsigned BenchJobs(int argc, char** argv) {
   return jobs < 1 ? 1u : static_cast<unsigned>(jobs);
 }
 
-// Live progress heartbeat: --progress (default off; RunSuite also honours
-// WRL_PROGRESS=1).  The heartbeat writes only to stderr, so reports are
-// unaffected.
-inline bool BenchProgress(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--progress") == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // Report destination: --json=PATH, --json PATH, or WRL_JSON env.  Empty
 // when no machine-readable report was requested.
 inline std::string BenchJsonPath(int argc, char** argv) {
@@ -88,7 +75,7 @@ inline std::string BenchJsonPath(int argc, char** argv) {
 
 // Runs the full paper-workload suite for one personality on `jobs`
 // workers, then prints each result's warnings.  `options` carries any extra
-// experiment options (replay variants, sweep, progress, ...);
+// experiment options (replay variants, sweep, profile, ...);
 // personality/events/jobs are overwritten from the explicit arguments.
 inline std::vector<ExperimentResult> RunPersonalitySuite(Personality personality, double scale,
                                                          EventRecorder* events, unsigned jobs,

@@ -118,23 +118,21 @@ int main(int argc, char** argv) {
   sys->SetTraceSink([&log](const uint32_t* words, size_t n) { log.Append(words, n); });
 
   // The measured (uninstrumented) system is independent of the sweep, so
-  // its run overlaps the traced run on a helper thread, recording into a
-  // private recorder that is absorbed after the join.
+  // its run overlaps the traced run on a helper thread, recording on a
+  // timeline track of its own.
   SystemConfig untraced = config;
   untraced.tracing = false;
   untraced.clock_period = 200000;
   untraced.events = nullptr;
   auto measured = BuildSystem(untraced);
-  EventRecorder measured_events;
-  const uint64_t measured_epoch_us = events.ElapsedUs();
   std::exception_ptr measured_exc;
   // Declared after everything the helper touches, so any exit joins it
   // first.
   std::jthread measured_thread([&] {
     try {
-      measured_events.SetCycleSource(
-          [m = &measured->machine()]() -> uint64_t { return m->cycles(); });
-      EventRecorder::Scope scope(&measured_events, "run.measured:" + w.name, "run");
+      EventRecorder::CycleScope cycles(
+          &events, [m = &measured->machine()]() -> uint64_t { return m->cycles(); });
+      EventRecorder::Scope scope(&events, "run.measured:" + w.name, "run");
       measured->Run(3'000'000'000ull);
     } catch (...) {
       measured_exc = std::current_exception();
@@ -144,18 +142,17 @@ int main(int argc, char** argv) {
   RunResult r;
   uint64_t traced_wall_us = 0;
   {
-    events.SetCycleSource([m = &sys->machine()]() -> uint64_t { return m->cycles(); });
+    EventRecorder::CycleScope cycles(&events,
+                                     [m = &sys->machine()]() -> uint64_t { return m->cycles(); });
     EventRecorder::Scope scope(&events, "run.traced:" + w.name, "run");
-    uint64_t wall0 = events.ElapsedUs();
+    uint64_t wall0 = EventRecorder::NowUs();
     r = sys->Run(3'000'000'000ull);
-    traced_wall_us = events.ElapsedUs() - wall0;
+    traced_wall_us = EventRecorder::NowUs() - wall0;
   }
   measured_thread.join();
   if (measured_exc != nullptr) {
     std::rethrow_exception(measured_exc);
   }
-  events.Absorb(measured_events.TakeEvents(), measured_epoch_us);
-  events.SetCycleSource(nullptr);
   if (!r.halted) {
     printf("did not halt!\n");
     return 1;

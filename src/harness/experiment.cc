@@ -1,16 +1,9 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <limits>
-#include <mutex>
 #include <thread>
 #include <type_traits>
 
@@ -21,128 +14,6 @@
 
 namespace wrl {
 namespace {
-
-uint64_t WallNowUs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
-
-// Live progress heartbeat (stderr only, so reports are untouched): a
-// monitor thread prints workloads done, aggregate parse throughput, the
-// suite-so-far sim.mips, and a naive ETA every two seconds.  Workers feed
-// it through atomics; enabled by ExperimentOptions::progress or, the one
-// place it is read, WRL_PROGRESS=1 in the environment.
-class ProgressMeter {
- public:
-  ProgressMeter(bool enabled, size_t total) : total_(total) {
-    const char* env = std::getenv("WRL_PROGRESS");
-    enabled_ = (enabled || (env != nullptr && std::strcmp(env, "0") != 0)) && total_ > 0;
-    if (!enabled_) {
-      return;
-    }
-    start_us_ = WallNowUs();
-    monitor_ = std::thread([this] {
-      std::unique_lock<std::mutex> lock(mutex_);
-      while (!stop_) {
-        cv_.wait_for(lock, kInterval);
-        if (stop_) {
-          break;
-        }
-        Emit();
-      }
-    });
-  }
-
-  ~ProgressMeter() {
-    if (!monitor_.joinable()) {
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    monitor_.join();
-    Emit();  // Final line, so even sub-interval suites report once.
-  }
-
-  void OnDone(const ExperimentResult& result) {
-    if (!enabled_) {
-      return;
-    }
-    done_.fetch_add(1);
-    if (result.stats.Has("parser.refs")) {
-      refs_.fetch_add(result.stats.CounterValue("parser.refs"));
-    }
-    sim_insts_.fetch_add(result.simulated_instructions);
-    run_wall_us_.fetch_add(result.run_wall_us);
-    if (result.sweep_ran) {
-      // Sweep passes are reported on their own — one pass prices many
-      // family points, so folding them into the replay/ref totals would
-      // misstate both.
-      sweep_passes_.fetch_add(1);
-      sweep_points_.fetch_add(result.sweep.family_points);
-      sweep_point_refs_.fetch_add(result.sweep.family_points * result.sweep.refs);
-      sweep_wall_us_.fetch_add(result.sweep.wall_us);
-    }
-  }
-
- private:
-  void Emit() const {
-    uint64_t done = done_.load();
-    uint64_t elapsed_us = WallNowUs() - start_us_;
-    double elapsed_s = static_cast<double>(elapsed_us) * 1e-6;
-    double mrefs =
-        elapsed_s > 0 ? static_cast<double>(refs_.load()) / elapsed_s / 1e6 : 0.0;
-    uint64_t wall = run_wall_us_.load();
-    double mips =
-        wall > 0 ? static_cast<double>(sim_insts_.load()) / static_cast<double>(wall) : 0.0;
-    char eta[32];
-    if (done == 0 || done >= total_) {
-      std::snprintf(eta, sizeof eta, "--");
-    } else {
-      double eta_s = elapsed_s * static_cast<double>(total_ - done) / static_cast<double>(done);
-      std::snprintf(eta, sizeof eta, "%.0fs", eta_s);
-    }
-    char sweep[64];
-    uint64_t passes = sweep_passes_.load();
-    if (passes == 0) {
-      sweep[0] = '\0';
-    } else {
-      // Per-family-point throughput: the equivalent replay rate the sweep
-      // passes delivered (points × refs per second of sweep wall time).
-      uint64_t sweep_wall = sweep_wall_us_.load();
-      double point_mrefs =
-          sweep_wall > 0
-              ? static_cast<double>(sweep_point_refs_.load()) / static_cast<double>(sweep_wall)
-              : 0.0;
-      std::snprintf(sweep, sizeof sweep, " | sweep %llu pass(es), %llu pts @ %.0f Mrefs/s",
-                    static_cast<unsigned long long>(passes),
-                    static_cast<unsigned long long>(sweep_points_.load()), point_mrefs);
-    }
-    std::fprintf(stderr, "[wrl] %llu/%zu workloads | %.1f Mrefs/s | sim %.1f mips%s | eta %s\n",
-                 static_cast<unsigned long long>(done), total_, mrefs, mips, sweep, eta);
-  }
-
-  static constexpr std::chrono::milliseconds kInterval{2000};
-
-  size_t total_;
-  bool enabled_ = false;
-  uint64_t start_us_ = 0;
-  std::atomic<uint64_t> done_{0};
-  std::atomic<uint64_t> refs_{0};
-  std::atomic<uint64_t> sim_insts_{0};
-  std::atomic<uint64_t> run_wall_us_{0};
-  std::atomic<uint64_t> sweep_passes_{0};
-  std::atomic<uint64_t> sweep_points_{0};
-  std::atomic<uint64_t> sweep_point_refs_{0};
-  std::atomic<uint64_t> sweep_wall_us_{0};
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread monitor_;
-};
 
 // A dilation the traced clock's uint32_t truncation defines.
 bool ParseDilation(const std::string& text, double& dilation) {
@@ -302,17 +173,14 @@ std::vector<std::string> ExperimentResult::Warnings() const {
   return warnings;
 }
 
-ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOptions& options) {
+namespace {
+
+// The body of RunExperiment, inside its experiment phase on `events`.
+ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOptions& options,
+                                EventRecorder* events) {
   ExperimentResult result;
   result.workload = workload.name;
   result.personality = options.personality;
-
-  // Timeline: a private recorder unless the caller shares one for the suite.
-  // The experiment phase is opened/closed manually so the completed event is
-  // harvestable into result.timeline; a thrown Error abandons the recorder.
-  EventRecorder local_events;
-  EventRecorder* events = options.events != nullptr ? options.events : &local_events;
-  events->Begin("experiment:" + workload.name, "experiment");
 
   // ---- Measured: the uninstrumented system with the hardware timer ----
   // Built on this thread: the traced side only needs the measured *build*
@@ -333,11 +201,7 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   measured->machine().SetIdleRange(idle_lo, idle_hi);
 
   // The helper runs the measured system and fills the measured-side result
-  // fields.  It records into a private recorder (EventRecorder is not
-  // thread-safe), absorbed into the shared timeline at its wall offset
-  // after the join.
-  EventRecorder measured_events;
-  const uint64_t measured_epoch_us = events->ElapsedUs();
+  // fields; its run.measured phase lands on the helper's own track.
   uint64_t measured_run_wall_us = 0;
   std::exception_ptr measured_exc;
   // Declared after everything the helper touches, so every exit path —
@@ -345,15 +209,15 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   // destroyed.
   std::jthread measured_thread([&] {
     try {
-      measured_events.SetCycleSource(
-          [machine = &measured->machine()] { return machine->cycles(); });
+      EventRecorder::CycleScope cycles(events,
+                                       [machine = &measured->machine()] { return machine->cycles(); });
       RunResult mr;
-      uint64_t wall0 = WallNowUs();
+      uint64_t wall0 = EventRecorder::NowUs();
       {
-        EventRecorder::Scope scope(&measured_events, "run.measured", "run");
+        EventRecorder::Scope scope(events, "run.measured", "run");
         mr = measured->Run(options.max_instructions);
       }
-      measured_run_wall_us = WallNowUs() - wall0;
+      measured_run_wall_us = EventRecorder::NowUs() - wall0;
       if (!mr.halted) {
         throw Error(StrFormat("measured run of '%s' did not halt (pc=0x%08x)",
                               workload.name.c_str(), measured->machine().pc()));
@@ -392,13 +256,7 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
   std::unique_ptr<ArchiveWriter> archive;
   // Pipelined transport state.  Declared after every component the consumer
   // thread touches (parser, tee and its sinks, archive), so stack unwinding
-  // joins the consumer before any of them is destroyed.  Pipelined, the
-  // parser runs on the consumer thread, so it records its Feed phases into
-  // a private recorder (no cycle source — the traced machine's cycle
-  // counter belongs to the producer thread) that is absorbed into the
-  // shared timeline after the pipeline drains.
-  std::unique_ptr<EventRecorder> consumer_events;
-  uint64_t consumer_epoch_us = 0;
+  // joins the consumer before any of them is destroyed.
   std::unique_ptr<TracePipeline> pipeline;
   uint64_t traced_run_wall_us = 0;
   std::exception_ptr traced_exc;
@@ -463,13 +321,10 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     }
     parser = SystemTraceParser(*traced);
     parser->SetBatchSink(&tee);
-    if (options.pipeline) {
-      consumer_events = std::make_unique<EventRecorder>();
-      consumer_epoch_us = events->ElapsedUs();
-      parser->SetEventRecorder(consumer_events.get());
-    } else {
-      parser->SetEventRecorder(events);
-    }
+    // Pipelined, the parser's Feed phases land on the consumer thread's
+    // track, which has no cycle source: the traced machine's cycle counter
+    // belongs to this thread.
+    parser->SetEventRecorder(events);
 
     // The chunk consumer: the parser, behind the archive tee when there is
     // one.  Synchronously it runs inside each sink call; pipelined it runs
@@ -495,14 +350,15 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
       traced->SetTraceSink(std::move(consume));
     }
 
-    events->SetCycleSource([machine = &traced->machine()] { return machine->cycles(); });
+    EventRecorder::CycleScope cycles(events,
+                                     [machine = &traced->machine()] { return machine->cycles(); });
     RunResult tr;
-    uint64_t wall0 = WallNowUs();
+    uint64_t wall0 = EventRecorder::NowUs();
     {
       EventRecorder::Scope scope(events, "run.traced", "run");
       tr = traced->Run(options.max_instructions);
     }
-    traced_run_wall_us = WallNowUs() - wall0;
+    traced_run_wall_us = EventRecorder::NowUs() - wall0;
     if (!tr.halted) {
       throw Error(StrFormat("traced run of '%s' did not halt (pc=0x%08x)", workload.name.c_str(),
                             traced->machine().pc()));
@@ -602,16 +458,20 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
     }
     result.stats = registry.Snapshot();
   }
-  // Fold the helper thread's run.measured phase back into the shared
-  // timeline at its true wall offset.
-  events->Absorb(measured_events.TakeEvents(), measured_epoch_us, /*depth_offset=*/1);
-  if (consumer_events != nullptr) {
-    // Fold the consumer thread's parser phases back in at their true wall
-    // offset (nested under the experiment scope, like the measured half).
-    events->Absorb(consumer_events->TakeEvents(), consumer_epoch_us, /*depth_offset=*/1);
+  return result;
+}
+
+}  // namespace
+
+ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOptions& options) {
+  // Timeline: a private recorder unless the caller shares one.
+  EventRecorder local_events;
+  EventRecorder* events = options.events != nullptr ? options.events : &local_events;
+  ExperimentResult result;
+  {
+    EventRecorder::Scope scope(events, "experiment:" + workload.name, "experiment");
+    result = RunBothSystems(workload, options, events);
   }
-  events->End();  // experiment:<name>
-  events->SetCycleSource(nullptr);
   if (events == &local_events) {
     result.timeline = local_events.TakeEvents();
   }
@@ -620,26 +480,9 @@ ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOpt
 
 std::vector<ExperimentResult> RunSuite(const std::vector<WorkloadSpec>& workloads,
                                        const ExperimentOptions& options) {
-  ProgressMeter progress(options.progress, workloads.size());
-  // On a worker pool each experiment records into a private event recorder
-  // (options.events is not thread-safe), and timelines are merged back in
-  // workload order, so reports are scheduling-independent.
-  const bool pooled = options.jobs > 1 && workloads.size() > 1;
-  ExperimentOptions task_options = options;
-  if (pooled) {
-    task_options.events = nullptr;
-  }
   std::vector<ExperimentResult> results(workloads.size());
-  RunIndexed(workloads.size(), options.jobs, [&](size_t i) {
-    results[i] = RunExperiment(workloads[i], task_options);
-    progress.OnDone(results[i]);
-  });
-  if (pooled && options.events != nullptr) {
-    for (ExperimentResult& r : results) {
-      options.events->Absorb(std::move(r.timeline));
-      r.timeline.clear();
-    }
-  }
+  RunIndexed(workloads.size(), options.jobs,
+             [&](size_t i) { results[i] = RunExperiment(workloads[i], options); });
   return results;
 }
 

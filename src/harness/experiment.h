@@ -87,14 +87,16 @@ struct ExperimentOptions {
   bool scavenge = ScavengeEnabled();
   uint64_t max_instructions = 3'000'000'000;
   // Optional shared timeline: build/run/analysis phases and trace drains
-  // are recorded here.  When null the experiment records into a private
-  // recorder and moves the events into ExperimentResult::timeline.
+  // are recorded here, each on the track of the thread that ran it (the
+  // caller's, the measured run's helper, the pipeline's consumer).  When
+  // null the experiment records into a private recorder and moves the
+  // events into ExperimentResult::timeline.
   EventRecorder* events = nullptr;
   // Worker threads for RunSuite (1 = serial).  Workers run whole
-  // experiments with private event recorders; results and (when `events`
-  // is shared) timelines are merged back in workload order, so reports are
-  // independent of scheduling.  With jobs > 1 each merged experiment's
-  // event wall clock restarts at that experiment's start.
+  // experiments; results come back in workload order, so everything but
+  // the timeline is independent of scheduling.  Every worker records into
+  // `events` (or its experiment's private timeline) on a track of its own,
+  // against the one process-wide clock.
   unsigned jobs = 1;
   // The parser always hands references to the analysis in batches; this
   // constant remains only for callers that still read it.
@@ -146,11 +148,6 @@ struct ExperimentOptions {
   // trace_buf_bytes, scavenge, max_instructions) — e.g. a tool's workload
   // scale, so `wrltrace replay` can rebuild the capturing system.
   ArchiveMeta archive_meta;
-  // Live progress heartbeat: RunSuite emits a stderr line every two
-  // seconds (workloads done, refs/sec, sim.mips, ETA).  WRL_PROGRESS=1 in
-  // the environment forces it on.  Reports are unaffected — the heartbeat
-  // writes only to stderr.
-  bool progress = false;
 };
 
 struct ExperimentResult {
@@ -203,8 +200,9 @@ struct ExperimentResult {
   // Full registry snapshot across both runs: `measured.*` and `traced.*`
   // system counters, `parser.*`, and `predicted.*` analysis counters.
   StatsSnapshot stats;
-  // The experiment's phase timeline (empty when ExperimentOptions::events
-  // supplied a shared recorder — the caller owns the events then).
+  // The experiment's phase timeline, one track per thread (empty when
+  // ExperimentOptions::events supplied a shared recorder — the caller owns
+  // the events then).
   std::vector<TimelineEvent> timeline;
 
   double MeasuredSeconds(double hz) const { return static_cast<double>(measured_cycles) / hz; }
@@ -277,7 +275,8 @@ ExperimentOptions ArchivedExperimentOptions(const ArchiveReader& archive,
 // run's error is the one thrown.
 ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOptions& options);
 
-// Runs the full Table 2 / Table 3 suite for one personality.
+// Runs the full Table 2 / Table 3 suite for one personality: RunExperiment
+// over `workloads` on `options.jobs` workers (support/parallel.h).
 std::vector<ExperimentResult> RunSuite(const std::vector<WorkloadSpec>& workloads,
                                        const ExperimentOptions& options);
 

@@ -254,7 +254,8 @@ std::string RunReportJson(const std::vector<ExperimentResult>& results,
   writer.EndObject();
 
   // The timeline: the shared recorder's events plus any per-experiment
-  // private timelines, concatenated.
+  // private timelines, concatenated; every recorder stamps the one
+  // process-wide clock and thread tracks, so no offsets are needed.
   writer.Key("traceEvents").BeginArray();
   WriteChromeTraceEvents(writer, events);
   for (const ExperimentResult& r : results) {

@@ -146,10 +146,11 @@ struct MemSysStats {
 
   bool operator==(const MemSysStats&) const = default;
 
-  // Total memory-system stall cycles under `config` penalties.
+  // Total memory-system stall cycles under `config` penalties: what
+  // MemorySystem charged for these accesses.
   uint64_t StallCycles(const MemSysConfig& config) const {
-    return (icache_misses + dcache_misses + uncached_reads) * config.read_miss_penalty +
-           wb_stall_cycles;
+    return (icache_misses + dcache_misses) * config.read_miss_penalty +
+           uncached_reads * config.uncached_penalty + wb_stall_cycles;
   }
 };
 

@@ -1,7 +1,5 @@
 #include "sim/tlb_sim.h"
 
-#include "mach/address_space.h"
-
 namespace wrl {
 
 TlbSimulator::TlbSimulator(unsigned wired) : tlb_(wired) {
@@ -19,39 +17,15 @@ void TlbSimulator::Refill(uint32_t vaddr, const TlbEntry& entry) {
   hint_[HintSlot(vaddr)] = static_cast<uint8_t>(slot);
 }
 
-bool TlbSimulator::OnRef(const TraceRef& ref) {
-  if (ref.kind == TraceRef::kIfetch) {
-    ++instruction_counter_;
-  }
-  uint32_t vaddr = ref.addr;
-  if (InKseg0(vaddr) || InKseg1(vaddr)) {
-    return false;  // Unmapped segments never touch the TLB.
-  }
-  uint8_t asid = (ref.pid == kKernelPid) ? 0 : ref.pid;
-  if (InKseg2(vaddr)) {
-    // Mapped kernel segment: global entries.
-    if (!Find(vaddr, asid)) {
+bool TlbSimulator::OnHintMiss(uint32_t vaddr, uint8_t asid, bool kseg2) {
+  const std::optional<unsigned> index = Find(vaddr, asid);
+  if (kseg2) {
+    if (!index) {
       ++stats_.ktlb_misses;
       Refill(vaddr, {MakeEntryHi(vaddr, asid), MakeEntryLo(vaddr & 0x0ffff000u, true, true, true)});
     }
     return false;
   }
-  // kuseg: the user segment (the kernel also reaches user buffers here).
-  // The ASID must be the *owning* process's — for kernel references we use
-  // the current process context recorded in the trace; kernel refs carry
-  // pid of the interrupted user where known.  Our parser tags kernel refs
-  // with kKernelPid, so attribute them to ASID of the last user context via
-  // the pid embedded in the reference when not kernel.
-  ++stats_.user_refs;
-  if (ref.pid != kKernelPid) {
-    asid = ref.pid;
-  } else {
-    asid = last_user_asid_ == 0 ? 1 : last_user_asid_;
-  }
-  if (ref.pid != kKernelPid) {
-    last_user_asid_ = ref.pid;
-  }
-  auto index = Find(vaddr, asid);
   if (index && tlb_.entry(*index).valid()) {
     return false;
   }

@@ -36,6 +36,7 @@
 #include <optional>
 #include <string>
 
+#include "mach/address_space.h"
 #include "mach/tlb.h"
 #include "stats/stats.h"
 #include "trace/parser.h"
@@ -64,8 +65,40 @@ class TlbSimulator : public RefBatchSink {
 
   // Processes one reference from the parsed trace.  Returns true if the
   // reference took a UTLB miss, in which case handler() holds the
-  // synthesized handler until the next call.
-  bool OnRef(const TraceRef& ref);
+  // synthesized handler until the next call.  Inline up to a hinted hit,
+  // the common case; the rest is OnHintMiss.
+  bool OnRef(const TraceRef& ref) {
+    if (ref.kind == TraceRef::kIfetch) {
+      ++instruction_counter_;
+    }
+    const uint32_t vaddr = ref.addr;
+    if (InKseg0(vaddr) || InKseg1(vaddr)) {
+      return false;  // Unmapped segments never touch the TLB.
+    }
+    const bool kseg2 = InKseg2(vaddr);
+    uint8_t asid;
+    if (kseg2) {
+      // Mapped kernel segment: global entries.
+      asid = ref.pid == kKernelPid ? 0 : ref.pid;
+    } else {
+      // kuseg: the user segment (the kernel also reaches user buffers
+      // here).  The ASID must be the *owning* process's: a user reference
+      // carries its pid, and the parser tags kernel references with
+      // kKernelPid, so those take the ASID of the last user context.
+      ++stats_.user_refs;
+      if (ref.pid != kKernelPid) {
+        asid = ref.pid;
+        last_user_asid_ = ref.pid;
+      } else {
+        asid = last_user_asid_ == 0 ? 1 : last_user_asid_;
+      }
+    }
+    const TlbEntry& hinted = tlb_.entry(hint_[HintSlot(vaddr)]);
+    if (hinted.Matches(vaddr >> 12, asid) && (kseg2 || hinted.valid())) {
+      return false;
+    }
+    return OnHintMiss(vaddr, asid, kseg2);
+  }
   // Batched entry point: tight loop over OnRef, identical results.
   void OnRefBatch(const TraceRef* refs, size_t count) override {
     for (size_t i = 0; i < count; ++i) {
@@ -104,6 +137,9 @@ class TlbSimulator : public RefBatchSink {
     }
     return index;
   }
+  // OnRef past a failed hint: the scan, and on a miss the refill (and for
+  // kuseg the synthesized handler).
+  bool OnHintMiss(uint32_t vaddr, uint8_t asid, bool kseg2);
   // Writes the entry a miss refills and hints it.
   void Refill(uint32_t vaddr, const TlbEntry& entry);
   static unsigned HintSlot(uint32_t vaddr) {

@@ -1,75 +1,107 @@
 #include "stats/events.h"
 
+#include <atomic>
+#include <chrono>
+
 #include "support/error.h"
 #include "support/json.h"
 
 namespace wrl {
+namespace {
 
-EventRecorder::EventRecorder() : epoch_(std::chrono::steady_clock::now()) {}
+// The calling thread's track number, the same in every recorder: assigned
+// on the thread's first event and never reused.
+uint32_t CurrentTid() {
+  static std::atomic<uint32_t> next{1};
+  thread_local const uint32_t tid = next.fetch_add(1, std::memory_order_relaxed);
+  return tid;
+}
 
-uint64_t EventRecorder::NowUs() const {
+}  // namespace
+
+uint64_t EventRecorder::NowUs() {
+  static const std::chrono::steady_clock::time_point epoch = std::chrono::steady_clock::now();
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                   std::chrono::steady_clock::now() - epoch_)
+                                   std::chrono::steady_clock::now() - epoch)
                                    .count());
 }
 
-void EventRecorder::Begin(std::string name, std::string category) {
+EventRecorder::Track& EventRecorder::CallerTrack() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return tracks_[CurrentTid()];
+}
+
+TimelineEvent EventRecorder::Stamp(const Track& track, std::string name, std::string category) {
   TimelineEvent event;
   event.name = std::move(name);
   event.category = std::move(category);
   event.wall_start_us = NowUs();
-  event.cycle_start = NowCycles();
-  event.depth = static_cast<int>(open_.size());
-  open_.push_back(std::move(event));
+  event.cycle_start = track.cycle_source ? track.cycle_source() : 0;
+  event.tid = CurrentTid();
+  event.depth = static_cast<int>(track.open.size());
+  return event;
+}
+
+void EventRecorder::Append(TimelineEvent event) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  events_.push_back(std::move(event));
+}
+
+std::function<uint64_t()> EventRecorder::ExchangeCycleSource(std::function<uint64_t()> source) {
+  std::swap(CallerTrack().cycle_source, source);
+  return source;
+}
+
+void EventRecorder::SetCycleSource(std::function<uint64_t()> source) {
+  ExchangeCycleSource(std::move(source));
+}
+
+void EventRecorder::Begin(std::string name, std::string category) {
+  Track& track = CallerTrack();
+  track.open.push_back(Stamp(track, std::move(name), std::move(category)));
 }
 
 void EventRecorder::End() {
-  WRL_CHECK_MSG(!open_.empty(), "EventRecorder::End() without a matching Begin()");
-  TimelineEvent event = std::move(open_.back());
-  open_.pop_back();
-  uint64_t now_us = NowUs();
-  uint64_t now_cycles = NowCycles();
+  Track& track = CallerTrack();
+  WRL_CHECK_MSG(!track.open.empty(), "EventRecorder::End() without a matching Begin()");
+  TimelineEvent event = std::move(track.open.back());
+  track.open.pop_back();
+  const uint64_t now_us = NowUs();
+  const uint64_t now_cycles = track.cycle_source ? track.cycle_source() : 0;
   event.wall_dur_us = now_us - event.wall_start_us;
-  // The cycle source may have been swapped for a fresh machine mid-phase;
-  // clamp instead of wrapping.
+  // The thread's cycle source may have changed mid-phase (a CycleScope
+  // opened or closed inside it); clamp instead of wrapping.
   event.cycle_dur = now_cycles >= event.cycle_start ? now_cycles - event.cycle_start : 0;
-  events_.push_back(std::move(event));
+  Append(std::move(event));
 }
 
 void EventRecorder::Instant(std::string name, std::string category) {
-  TimelineEvent event;
-  event.name = std::move(name);
-  event.category = std::move(category);
-  event.wall_start_us = NowUs();
-  event.cycle_start = NowCycles();
-  event.depth = static_cast<int>(open_.size());
+  TimelineEvent event = Stamp(CallerTrack(), std::move(name), std::move(category));
   event.instant = true;
-  events_.push_back(std::move(event));
+  Append(std::move(event));
 }
 
 void EventRecorder::Instant(std::string name, std::string category, std::string arg_name,
                             uint64_t arg) {
-  Instant(std::move(name), std::move(category));
-  TimelineEvent& event = events_.back();
+  TimelineEvent event = Stamp(CallerTrack(), std::move(name), std::move(category));
+  event.instant = true;
   event.has_arg = true;
   event.arg_name = std::move(arg_name);
   event.arg = arg;
+  Append(std::move(event));
+}
+
+size_t EventRecorder::open_scopes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = tracks_.find(CurrentTid());
+  return it == tracks_.end() ? 0 : it->second.open.size();
 }
 
 std::vector<TimelineEvent> EventRecorder::TakeEvents() {
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<TimelineEvent> taken = std::move(events_);
   events_.clear();
   return taken;
-}
-
-void EventRecorder::Absorb(std::vector<TimelineEvent> events, uint64_t wall_offset_us,
-                           int depth_offset) {
-  events_.reserve(events_.size() + events.size());
-  for (TimelineEvent& event : events) {
-    event.wall_start_us += wall_offset_us;
-    event.depth += depth_offset;
-    events_.push_back(std::move(event));
-  }
 }
 
 void WriteChromeTraceEvents(JsonWriter& writer, const std::vector<TimelineEvent>& events) {
@@ -85,7 +117,7 @@ void WriteChromeTraceEvents(JsonWriter& writer, const std::vector<TimelineEvent>
       writer.KV("s", "t");  // Thread-scoped instant.
     }
     writer.KV("pid", 1);
-    writer.KV("tid", 1);
+    writer.KV("tid", event.tid);
     writer.Key("args").BeginObject();
     writer.KV("cycle_start", event.cycle_start);
     if (!event.instant) {
@@ -100,6 +132,7 @@ void WriteChromeTraceEvents(JsonWriter& writer, const std::vector<TimelineEvent>
 }
 
 void EventRecorder::WriteChromeTrace(JsonWriter& writer) const {
+  std::lock_guard<std::mutex> lock(mutex_);
   writer.BeginArray();
   WriteChromeTraceEvents(writer, events_);
   writer.EndArray();

@@ -294,14 +294,6 @@ const CacheForest* SweepEngine::FindForest(const std::vector<CacheForest>& fores
   return nullptr;
 }
 
-bool SweepEngine::CoversIcache(uint32_t line_bytes, uint32_t size_bytes) const {
-  return FindForest(iforests_, line_bytes, size_bytes) != nullptr;
-}
-
-bool SweepEngine::CoversDcache(uint32_t line_bytes, uint32_t size_bytes) const {
-  return FindForest(dforests_, line_bytes, size_bytes) != nullptr;
-}
-
 uint64_t SweepEngine::IcacheMisses(uint32_t line_bytes, uint32_t size_bytes) const {
   const CacheForest* forest = FindForest(iforests_, line_bytes, size_bytes);
   if (forest == nullptr) {

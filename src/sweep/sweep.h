@@ -237,8 +237,6 @@ class SweepEngine : public RefBatchSink {
   // geometry is not covered by any family.
   uint64_t IcacheMisses(uint32_t line_bytes, uint32_t size_bytes) const;
   uint64_t DcacheMisses(uint32_t line_bytes, uint32_t size_bytes) const;
-  bool CoversIcache(uint32_t line_bytes, uint32_t size_bytes) const;
-  bool CoversDcache(uint32_t line_bytes, uint32_t size_bytes) const;
 
   // Approximate timing for a geometry family point: the primary replay's
   // Prediction with the cache miss counts swapped for the point's exact

@@ -10,6 +10,7 @@
 
 #include "support/error.h"
 #include "support/json.h"
+#include "support/strings.h"
 #include "trace/chunk_codec.h"
 
 namespace wrl {
@@ -84,9 +85,7 @@ uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
 // ArchiveWriter
 // ---------------------------------------------------------------------------
 
-ArchiveWriter::ArchiveWriter(const std::string& path, const ArchiveMeta& meta,
-                             const Options& options)
-    : path_(path), packed_(options.packed) {
+ArchiveWriter::ArchiveWriter(const std::string& path, const ArchiveMeta& meta) : path_(path) {
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
     throw Error("archive: cannot create '" + path + "': " + std::strerror(errno));
@@ -96,7 +95,7 @@ ArchiveWriter::ArchiveWriter(const std::string& path, const ArchiveMeta& meta,
   header.reserve(kHeaderBytes + meta_json.size());
   header.insert(header.end(), kFileMagic, kFileMagic + 4);
   PutU32(header, kArchiveVersion);
-  PutU32(header, packed_ ? kFlagPacked : 0u);
+  PutU32(header, kFlagPacked);
   PutU32(header, static_cast<uint32_t>(meta_json.size()));
   PutU32(header,
          Crc32(reinterpret_cast<const uint8_t*>(meta_json.data()), meta_json.size()));
@@ -126,14 +125,7 @@ void ArchiveWriter::WriteBytes(const void* data, size_t size) {
 void ArchiveWriter::Append(const uint32_t* words, size_t count) {
   WRL_CHECK_MSG(!finalized_, "ArchiveWriter::Append after Finalize");
   scratch_.clear();
-  if (packed_) {
-    codec::EncodeChunk(words, count, scratch_);
-  } else {
-    scratch_.reserve(count * 4);
-    for (size_t i = 0; i < count; ++i) {
-      PutU32(scratch_, words[i]);
-    }
-  }
+  codec::EncodeChunk(words, count, scratch_);
   DirEntry entry;
   entry.offset = bytes_written_;
   entry.payload_bytes = static_cast<uint32_t>(scratch_.size());
@@ -240,7 +232,12 @@ ArchiveReader::ArchiveReader(const std::string& path) : path_(path) {
     throw Error("archive: '" + path + "' is wrltrace version " + std::to_string(version) +
                 "; this build reads version " + std::to_string(kArchiveVersion));
   }
-  packed_ = (ReadU32(head + 8) & kFlagPacked) != 0;
+  const uint32_t flags = ReadU32(head + 8);
+  if (flags != kFlagPacked) {
+    throw Error(StrFormat("archive: '%s' has header flags 0x%08x; this build reads only packed "
+                          "payloads (flags 0x%08x)",
+                          path.c_str(), flags, kFlagPacked));
+  }
   const uint32_t meta_bytes = ReadU32(head + 12);
   if (kHeaderBytes + static_cast<uint64_t>(meta_bytes) > file_bytes_) {
     throw Error("archive: '" + path + "' truncated inside identity metadata");
@@ -397,16 +394,6 @@ void ArchiveReader::DecodeChunk(size_t index, std::vector<uint32_t>& out) const 
   }
   out.clear();
   out.reserve(entry.word_count);
-  if (!packed_) {
-    if (entry.payload_bytes != entry.word_count * 4) {
-      throw Error("archive: '" + path_ + "' chunk " + std::to_string(index) +
-                  " raw payload size disagrees with its word count");
-    }
-    for (uint32_t i = 0; i < entry.word_count; ++i) {
-      out.push_back(ReadU32(payload + static_cast<size_t>(i) * 4));
-    }
-    return;
-  }
   if (!codec::DecodeChunkBounded(payload, entry.payload_bytes, entry.word_count, out)) {
     throw Error("archive: '" + path_ + "' chunk " + std::to_string(index) +
                 " payload is malformed (does not decode to its framed word count)");
@@ -456,14 +443,8 @@ bool ArchiveReader::Verify(std::vector<std::string>* findings) const {
     }
     buffer.clear();
     buffer.reserve(entry.word_count);
-    if (packed_) {
-      if (!codec::DecodeChunkBounded(payload, entry.payload_bytes, entry.word_count,
-                                     buffer)) {
-        out.push_back("chunk " + std::to_string(i) + ": payload does not decode cleanly");
-      }
-    } else if (entry.payload_bytes != entry.word_count * 4) {
-      out.push_back("chunk " + std::to_string(i) +
-                    ": raw payload size disagrees with its word count");
+    if (!codec::DecodeChunkBounded(payload, entry.payload_bytes, entry.word_count, buffer)) {
+      out.push_back("chunk " + std::to_string(i) + ": payload does not decode cleanly");
     }
   }
   return out.size() == before;

@@ -7,6 +7,7 @@
 //
 //   header   "wrlt" | version u32 | flags u32 | meta_bytes u32 |
 //            meta_crc u32 | header_crc u32
+//            (flags is exactly 1: packed payloads, the only kind)
 //   metadata meta_bytes of compact JSON: a flat object of string values
 //            carrying the capture's identity (workload, scale, personality,
 //            clock period, dilation, epoxie/scavenge settings, ...) —
@@ -32,7 +33,8 @@
 // is *recovered*, not rejected: the reader scans forward validating each
 // chunk's framing CRC and payload CRC, keeps every chunk up to the last
 // valid one, and surfaces a loud degraded-capture diagnostic.  Only a wrong
-// magic or unknown version is a hard failure.  Every CRC is IEEE CRC-32.
+// magic, an unknown version or header flags other than packed are hard
+// failures.  Every CRC is IEEE CRC-32.
 #ifndef WRLTRACE_TRACE_TRACE_ARCHIVE_H_
 #define WRLTRACE_TRACE_TRACE_ARCHIVE_H_
 
@@ -63,13 +65,7 @@ constexpr uint32_t kArchiveVersion = 1;
 // I/O failure.
 class ArchiveWriter {
  public:
-  struct Options {
-    bool packed = true;  // Delta/varint payloads; false stores raw words.
-  };
-
-  ArchiveWriter(const std::string& path, const ArchiveMeta& meta, const Options& options);
-  ArchiveWriter(const std::string& path, const ArchiveMeta& meta)
-      : ArchiveWriter(path, meta, Options()) {}
+  ArchiveWriter(const std::string& path, const ArchiveMeta& meta);
   ~ArchiveWriter();
   ArchiveWriter(const ArchiveWriter&) = delete;
   ArchiveWriter& operator=(const ArchiveWriter&) = delete;
@@ -108,7 +104,6 @@ class ArchiveWriter {
 
   std::string path_;
   std::FILE* file_ = nullptr;
-  bool packed_;
   bool finalized_ = false;
   std::vector<DirEntry> directory_;
   std::vector<uint8_t> scratch_;  // Reused payload encode buffer.
@@ -124,8 +119,8 @@ class ArchiveWriter {
 // references.
 class ArchiveReader : public TraceChunkSource {
  public:
-  // Opens and indexes the archive.  Wrong magic or unknown version throws
-  // wrl::Error; a missing/torn footer or torn trailing chunk triggers the
+  // Opens and indexes the archive.  Wrong magic, unknown version or header
+  // flags other than packed throw wrl::Error; a missing/torn footer or torn trailing chunk triggers the
   // recovery scan instead — the readable prefix is served and degraded()
   // reports true with diagnostics().
   explicit ArchiveReader(const std::string& path);
@@ -139,7 +134,6 @@ class ArchiveReader : public TraceChunkSource {
   void DecodeChunk(size_t index, std::vector<uint32_t>& out) const override;
 
   const std::string& path() const { return path_; }
-  bool packed() const { return packed_; }
   uint64_t file_bytes() const { return file_bytes_; }
   // Sum of coded chunk payload bytes (the compressed capture proper).
   uint64_t payload_bytes() const { return payload_bytes_; }
@@ -177,7 +171,6 @@ class ArchiveReader : public TraceChunkSource {
   std::string path_;
   void* map_ = nullptr;
   uint64_t file_bytes_ = 0;
-  bool packed_ = true;
   bool degraded_ = false;
   uint64_t words_ = 0;
   uint64_t payload_bytes_ = 0;

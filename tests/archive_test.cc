@@ -18,6 +18,7 @@
 #include "kernel/system_build.h"
 #include "sim/predictor.h"
 #include "support/error.h"
+#include "support/strings.h"
 #include "trace/chunk_codec.h"
 #include "trace/trace_archive.h"
 #include "trace/trace_log.h"
@@ -53,11 +54,8 @@ ArchiveMeta TestMeta() {
 }
 
 void WriteTestArchive(const std::string& path,
-                      const std::vector<std::vector<uint32_t>>& chunks, bool packed = true,
-                      bool finalize = true) {
-  ArchiveWriter::Options options;
-  options.packed = packed;
-  ArchiveWriter writer(path, TestMeta(), options);
+                      const std::vector<std::vector<uint32_t>>& chunks, bool finalize = true) {
+  ArchiveWriter writer(path, TestMeta());
   for (const auto& chunk : chunks) {
     writer.Append(chunk);
   }
@@ -114,7 +112,6 @@ TEST(ArchiveRoundTrip, WriterReaderBitIdentical) {
 
   ArchiveReader archive(path);
   EXPECT_FALSE(archive.degraded());
-  EXPECT_TRUE(archive.packed());
   ASSERT_EQ(archive.chunk_count(), chunks.size());
   EXPECT_EQ(archive.word_count(), 7u * 523u);
   EXPECT_EQ(archive.MetaValue("workload"), "synthetic");
@@ -132,18 +129,6 @@ TEST(ArchiveRoundTrip, WriterReaderBitIdentical) {
   std::vector<std::string> findings;
   EXPECT_TRUE(archive.Verify(&findings));
   EXPECT_TRUE(findings.empty());
-}
-
-TEST(ArchiveRoundTrip, RawPayloadMode) {
-  const std::string path = TempPath("raw.wrl");
-  auto chunks = SyntheticChunks(3, 97);
-  WriteTestArchive(path, chunks, /*packed=*/false);
-
-  ArchiveReader archive(path);
-  EXPECT_FALSE(archive.packed());
-  EXPECT_EQ(archive.payload_bytes(), 3u * 97u * 4u);
-  EXPECT_EQ(archive.Words(), AllWords(chunks));
-  EXPECT_TRUE(archive.Verify());
 }
 
 TEST(ArchiveRoundTrip, EmptyArchive) {
@@ -176,7 +161,7 @@ TEST(ArchiveRoundTrip, PayloadsShareTheTraceLogCodec) {
 TEST(ArchiveCorruption, UnfinalizedWriterIsRecoverable) {
   const std::string path = TempPath("unfinalized.wrl");
   auto chunks = SyntheticChunks(4, 211);
-  WriteTestArchive(path, chunks, /*packed=*/true, /*finalize=*/false);
+  WriteTestArchive(path, chunks, /*finalize=*/false);
 
   ArchiveReader archive(path);
   EXPECT_TRUE(archive.degraded());
@@ -322,6 +307,34 @@ TEST(ArchiveCorruption, UnknownVersionIsAHardError) {
   }
 }
 
+// Header flags other than exactly "packed" are rejected with the path and
+// the flags: raw payloads (flags 0), which no writer produces any more, and
+// any unknown bit beside the packed one.
+TEST(ArchiveCorruption, FlagsOtherThanPackedAreAHardError) {
+  for (uint32_t flags : {0u, 1u | (1u << 7)}) {
+    const std::string path = TempPath("badflags.wrl");
+    WriteTestArchive(path, SyntheticChunks(1, 10));
+    std::string bytes = ReadFileBytes(path);
+    for (int i = 0; i < 4; ++i) {
+      bytes[8 + i] = static_cast<char>(flags >> (8 * i));
+    }
+    // A valid header CRC, so only the flags trip.
+    uint32_t crc = Crc32(reinterpret_cast<const uint8_t*>(bytes.data()), 20);
+    for (int i = 0; i < 4; ++i) {
+      bytes[20 + i] = static_cast<char>(crc >> (8 * i));
+    }
+    WriteFileBytes(path, bytes);
+    try {
+      ArchiveReader archive(path);
+      ADD_FAILURE() << "flags " << flags << " accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find(StrFormat("flags 0x%08x", flags)), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(ArchiveCorruption, TruncatedHeaderIsAHardError) {
   const std::string path = TempPath("shortheader.wrl");
   WriteTestArchive(path, SyntheticChunks(1, 10));
@@ -433,7 +446,7 @@ TEST(ArchiveExperiment, TeeReplaysToTheLiveAnalysisCountersBitForBit) {
 ArchiveReader ArchiveWithMeta(const std::string& name, const ArchiveMeta& meta) {
   const std::string path = TempPath(name);
   {
-    ArchiveWriter writer(path, meta, ArchiveWriter::Options{});
+    ArchiveWriter writer(path, meta);
     writer.Append(std::vector<uint32_t>{0x80001000, 0x80001004});
     writer.Finalize();
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "stats/stats.h"
+
 namespace wrl {
 namespace {
 
@@ -123,6 +125,38 @@ TEST(MemorySystem, StallCyclesFormula) {
   ms.UncachedLoad(0x2000, 0);
   const MemSysStats& s = ms.stats();
   EXPECT_EQ(s.StallCycles(config), 3u * config.read_miss_penalty + s.wb_stall_cycles);
+}
+
+// The stall_cycles gauge is the sum of the stalls the model charged, with
+// the read-miss and uncached penalties apart.
+TEST(MemorySystem, StallCyclesGaugeMatchesChargedStalls) {
+  MemSysConfig config;
+  config.icache = {64, 16};
+  config.dcache = {64, 4};
+  config.read_miss_penalty = 15;
+  config.uncached_penalty = 40;
+  config.wb_depth = 1;
+  MemorySystem ms(config);
+  uint64_t charged = 0;
+  uint64_t now = 0;
+  auto charge = [&](uint64_t stall) {
+    charged += stall;
+    now += 1 + stall;
+  };
+  for (uint32_t i = 0; i < 8; ++i) {
+    charge(ms.Fetch(i * 64, now));
+    charge(ms.Load(0x1000 + i * 4, now));
+    charge(ms.UncachedLoad(0x2000, now));
+    charge(ms.Store(0x3000, now));
+    charge(ms.UncachedStore(0x4000, now));
+  }
+  EXPECT_GT(ms.stats().uncached_reads, 0u);
+  EXPECT_GT(ms.stats().wb_stall_cycles, 0u);
+  EXPECT_EQ(ms.stats().StallCycles(config), charged);
+  StatsRegistry registry;
+  ms.RegisterStats(registry, "memsys.");
+  EXPECT_DOUBLE_EQ(registry.Snapshot().GaugeValue("memsys.stall_cycles"),
+                   static_cast<double>(charged));
 }
 
 TEST(MemorySystem, ResetClearsEverything) {

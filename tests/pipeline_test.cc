@@ -6,9 +6,13 @@
 // the consumer is slow, count its stalls/starves, and shut down cleanly
 // when the consumer chain throws mid-stream.  The measured run overlapping
 // the traced half must surface its own failure from the helper thread.
+// Every thread of an experiment or a pooled suite records its phases on a
+// timeline track of its own, and every track is well nested.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,8 +20,10 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "stats/events.h"
 #include "stats/stats.h"
 #include "support/error.h"
+#include "tests/test_util.h"
 #include "trace/chunk_ring.h"
 #include "workloads/workloads.h"
 
@@ -344,6 +350,105 @@ TEST(OverlappedExperiment, MeasuredRunFailureSurfacesFromTheHelperThread) {
     EXPECT_NE(std::string(e.what()).find("measured run of 'unit' did not halt"),
               std::string::npos)
         << e.what();
+  }
+}
+
+// The tracks a timeline's complete events of each name were recorded on.
+std::map<std::string, std::set<uint32_t>> PhaseTracks(const std::vector<TimelineEvent>& events) {
+  std::map<std::string, std::set<uint32_t>> tracks;
+  for (const TimelineEvent& e : events) {
+    if (!e.instant) {
+      tracks[e.name].insert(e.tid);
+    }
+  }
+  return tracks;
+}
+
+// The calling thread's track number.
+uint32_t CallerTid() {
+  EventRecorder probe;
+  probe.Instant("probe");
+  return probe.events().at(0).tid;
+}
+
+// A pipelined experiment runs on three threads: the measured run on its
+// helper, the parser on the consumer, everything else on the caller.  Each
+// records on a track of its own, and every track nests properly.
+TEST(PipelinedExperiment, EveryThreadRecordsAWellNestedTrackOfItsOwn) {
+  const std::pair<const char*, Personality> runs[] = {{"sed", Personality::kUltrix},
+                                                      {"eqntott", Personality::kMach}};
+  for (const auto& [name, personality] : runs) {
+    SCOPED_TRACE(name);
+    ExperimentOptions options;
+    options.pipeline = true;
+    options.personality = personality;
+    const ExperimentResult result = RunExperiment(PaperWorkload(name, 0.02), options);
+    EXPECT_EQ(ImproperlyNestedPairs(result.timeline), 0u);
+
+    auto tracks = PhaseTracks(result.timeline);
+    const std::set<uint32_t> caller = {CallerTid()};
+    EXPECT_EQ(tracks["experiment:" + std::string(name)], caller);
+    for (const char* phase : {"build.measured", "build.traced", "trace.pipeline_wait",
+                              "analysis.finish", "stats.snapshot"}) {
+      EXPECT_EQ(tracks[phase], caller) << phase;
+    }
+    for (const char* phase : {"run.measured", "run.traced", "parser.feed"}) {
+      ASSERT_EQ(tracks[phase].size(), 1u) << phase;
+    }
+    const std::set<uint32_t> threads = {*tracks["run.measured"].begin(),
+                                        *tracks["run.traced"].begin(),
+                                        *tracks["parser.feed"].begin()};
+    EXPECT_EQ(threads.size(), 3u);
+  }
+}
+
+// Pooled suite workers share one recorder, each on its own tracks: every
+// experiment's phases appear exactly once, inside its experiment phase on
+// its worker's track, and every track nests properly.
+TEST(ExperimentSuite, PooledWorkersShareOneWellNestedTimeline) {
+  const std::vector<WorkloadSpec> workloads = {PaperWorkload("sed", 0.02),
+                                               PaperWorkload("egrep", 0.02),
+                                               PaperWorkload("eqntott", 0.02),
+                                               PaperWorkload("compress", 0.02)};
+  EventRecorder events;
+  ExperimentOptions options;
+  options.events = &events;
+  options.jobs = 2;
+  const std::vector<ExperimentResult> results = RunSuite(workloads, options);
+  ASSERT_EQ(results.size(), workloads.size());
+  const std::vector<TimelineEvent>& timeline = events.events();
+  EXPECT_EQ(ImproperlyNestedPairs(timeline), 0u);
+
+  auto count = [&timeline](const std::string& name) {
+    size_t n = 0;
+    for (const TimelineEvent& e : timeline) {
+      n += !e.instant && e.name == name;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("run.measured"), workloads.size());
+  for (const ExperimentResult& r : results) {
+    SCOPED_TRACE(r.workload);
+    EXPECT_TRUE(r.timeline.empty());
+    ASSERT_EQ(count("experiment:" + r.workload), 1u);
+    const TimelineEvent* experiment = nullptr;
+    for (const TimelineEvent& e : timeline) {
+      if (e.name == "experiment:" + r.workload) {
+        experiment = &e;
+      }
+    }
+    const uint64_t end = experiment->wall_start_us + experiment->wall_dur_us;
+    std::map<std::string, size_t> inside;
+    for (const TimelineEvent& e : timeline) {
+      if (!e.instant && e.tid == experiment->tid && e.depth == 1 &&
+          e.wall_start_us >= experiment->wall_start_us && e.wall_start_us + e.wall_dur_us <= end) {
+        ++inside[e.name];
+      }
+    }
+    for (const char* phase :
+         {"build.measured", "build.traced", "run.traced", "analysis.finish", "stats.snapshot"}) {
+      EXPECT_EQ(inside[phase], 1u) << phase;
+    }
   }
 }
 

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <thread>
+
 #include "stats/events.h"
 #include "support/error.h"
 #include "support/json.h"
@@ -173,6 +178,106 @@ TEST(EventRecorder, ChromeTraceJsonIsWellFormed) {
   EXPECT_EQ(events.array[1].At("name").string, "build");
   EXPECT_EQ(events.array[1].At("ph").string, "X");
   EXPECT_TRUE(events.array[1].Has("dur"));
+}
+
+// Two threads record nested scopes and instants into one recorder at once.
+// Each lands on a track of its own with its own nesting depth, and every
+// track is well nested.
+TEST(EventRecorder, ThreadsRecordOnTracksOfTheirOwn) {
+  EventRecorder recorder;
+  constexpr int kRounds = 200;
+  auto record = [&recorder](const std::string& tag) {
+    for (int i = 0; i < kRounds; ++i) {
+      EventRecorder::Scope outer(&recorder, tag + ".outer");
+      EventRecorder::Scope inner(&recorder, tag + ".inner");
+      recorder.Instant(tag + ".tick", "event", "i", static_cast<uint64_t>(i));
+    }
+    EXPECT_EQ(recorder.open_scopes(), 0u);
+  };
+  std::thread a(record, "a");
+  std::thread b(record, "b");
+  a.join();
+  b.join();
+
+  std::map<std::string, std::set<uint32_t>> tids;
+  std::map<std::string, size_t> counts;
+  for (const TimelineEvent& e : recorder.events()) {
+    tids[e.name].insert(e.tid);
+    ++counts[e.name];
+    const bool outer = e.name.ends_with(".outer");
+    EXPECT_EQ(e.depth, outer ? 0 : e.instant ? 2 : 1) << e.name;
+  }
+  ASSERT_EQ(counts.size(), 6u);
+  for (const auto& [name, count] : counts) {
+    EXPECT_EQ(count, static_cast<size_t>(kRounds)) << name;
+    EXPECT_EQ(tids[name].size(), 1u) << name;
+  }
+  EXPECT_EQ(tids["a.outer"], tids["a.tick"]);
+  EXPECT_EQ(tids["b.outer"], tids["b.inner"]);
+  EXPECT_NE(*tids["a.outer"].begin(), *tids["b.outer"].begin());
+  EXPECT_EQ(ImproperlyNestedPairs(recorder.events()), 0u);
+
+  // The rendered report carries each thread's track as its Chrome tid.
+  JsonValue v = ParseJson(recorder.ChromeTraceJson());
+  std::set<double> rendered;
+  for (const JsonValue& e : v.At("traceEvents").array) {
+    rendered.insert(e.At("tid").number);
+  }
+  EXPECT_EQ(rendered, (std::set<double>{static_cast<double>(*tids["a.outer"].begin()),
+                                         static_cast<double>(*tids["b.outer"].begin())}));
+}
+
+// A thread's track number and the wall clock are the same in every
+// recorder, so timelines concatenate without offsets.
+TEST(EventRecorder, RecordersShareTracksAndClock) {
+  EventRecorder first;
+  EventRecorder second;
+  { EventRecorder::Scope scope(&first, "first"); }
+  { EventRecorder::Scope scope(&second, "second"); }
+  const TimelineEvent& a = first.events().at(0);
+  const TimelineEvent& b = second.events().at(0);
+  EXPECT_EQ(a.tid, b.tid);
+  EXPECT_LE(a.wall_start_us + a.wall_dur_us, b.wall_start_us);
+  EXPECT_LE(b.wall_start_us + b.wall_dur_us, EventRecorder::NowUs());
+}
+
+// A scoped cycle source stamps only the events its thread records inside
+// the scope, and is gone once the scope ends, whether it ends normally or
+// unwinds through an exception; a nested scope restores the outer source.
+TEST(EventRecorder, ScopedCycleSourceEndsWithItsScope) {
+  EventRecorder recorder;
+  {
+    EventRecorder::CycleScope outer(&recorder, [] { return uint64_t{42}; });
+    recorder.Instant("outer");
+    {
+      EventRecorder::CycleScope inner(&recorder, [] { return uint64_t{7}; });
+      recorder.Instant("inner");
+    }
+    recorder.Instant("outer.again");
+    std::thread([&recorder] { recorder.Instant("other.thread"); }).join();
+  }
+  recorder.Instant("after");
+  try {
+    EventRecorder::CycleScope doomed(&recorder, [] { return uint64_t{99}; });
+    EventRecorder::Scope scope(&recorder, "doomed");
+    throw Error("unwind");
+  } catch (const Error&) {
+  }
+  recorder.Instant("after.throw");
+  EXPECT_EQ(recorder.open_scopes(), 0u);
+  { EventRecorder::CycleScope noop(nullptr, [] { return uint64_t{1}; }); }
+
+  std::map<std::string, uint64_t> cycles;
+  for (const TimelineEvent& e : recorder.events()) {
+    cycles[e.name] = e.cycle_start;
+  }
+  EXPECT_EQ(cycles, (std::map<std::string, uint64_t>{{"outer", 42},
+                                                     {"inner", 7},
+                                                     {"outer.again", 42},
+                                                     {"other.thread", 0},
+                                                     {"after", 0},
+                                                     {"doomed", 99},
+                                                     {"after.throw", 0}}));
 }
 
 // Regression: the registry snapshot of a run machine agrees with the

@@ -1,13 +1,15 @@
 // Shared helpers for wrltrace tests: assemble/link tiny kernel-mode
-// programs and run them bare on the machine.
+// programs and run them bare on the machine, and check event timelines.
 #ifndef WRLTRACE_TESTS_TEST_UTIL_H_
 #define WRLTRACE_TESTS_TEST_UTIL_H_
 
 #include <string_view>
+#include <vector>
 
 #include "asm/assembler.h"
 #include "mach/machine.h"
 #include "obj/object_file.h"
+#include "stats/events.h"
 
 namespace wrl {
 
@@ -38,6 +40,28 @@ inline std::unique_ptr<Machine> RunBareProgram(std::string_view source,
   LoadBare(*machine, exe);
   machine->Run(max_instructions);
   return machine;
+}
+
+// Pairs of complete events on one track that overlap without one holding
+// the other; a well-formed timeline has none.
+inline size_t ImproperlyNestedPairs(const std::vector<TimelineEvent>& events) {
+  size_t pairs = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    for (size_t j = i + 1; j < events.size(); ++j) {
+      const TimelineEvent& a = events[i];
+      const TimelineEvent& b = events[j];
+      if (a.instant || b.instant || a.tid != b.tid) {
+        continue;
+      }
+      const uint64_t a_end = a.wall_start_us + a.wall_dur_us;
+      const uint64_t b_end = b.wall_start_us + b.wall_dur_us;
+      const bool disjoint = a_end <= b.wall_start_us || b_end <= a.wall_start_us;
+      const bool a_holds_b = a.wall_start_us <= b.wall_start_us && b_end <= a_end;
+      const bool b_holds_a = b.wall_start_us <= a.wall_start_us && a_end <= b_end;
+      pairs += !disjoint && !a_holds_b && !b_holds_a;
+    }
+  }
+  return pairs;
 }
 
 }  // namespace wrl

@@ -26,6 +26,27 @@ def load(path):
         return json.load(f)
 
 
+def assert_tracks_nest(events):
+    """On each Chrome track (pid, tid), complete events are pairwise
+    disjoint or nested: a thread's phases form one well-formed stack."""
+    tracks = {}
+    for e in events:
+        if e["ph"] == "X":
+            tracks.setdefault((e["pid"], e["tid"]), []).append(
+                (e["ts"], -(e["ts"] + e["dur"]), e["name"]))
+    for (_, tid), spans in tracks.items():
+        spans.sort()  # By start, the longer of two equal starts first.
+        enclosing = []  # (end, name) of the spans holding the current one.
+        for start, neg_end, name in spans:
+            end = -neg_end
+            while enclosing and enclosing[-1][0] <= start:
+                enclosing.pop()
+            assert not enclosing or end <= enclosing[-1][0], \
+                f"tid {tid}: '{name}' overlaps '{enclosing[-1][1]}' without nesting"
+            enclosing.append((end, name))
+    return len(tracks)
+
+
 def check_wrlstats(path, args):
     """The tlb_study wrlstats/1 report: counters, metrics, timeline."""
     report = load(path)
@@ -51,9 +72,20 @@ def check_wrlstats(path, args):
     assert metrics["traced_machine_runs"] == 1, metrics["traced_machine_runs"]
     assert metrics["tracelog.compression_ratio"] > 1.0
     assert metrics["replay.speedup_vs_live"] >= 5.0, metrics["replay.speedup_vs_live"]
-    assert report["traceEvents"], "empty event timeline"
+    events = report["traceEvents"]
+    assert events, "empty event timeline"
+    tracks = assert_tracks_nest(events)
+    # The measured run overlaps the traced run on a helper thread, so the
+    # two phases must sit on different tracks.
+    def run_tids(prefix):
+        return {e["tid"] for e in events
+                if e["ph"] == "X" and e["name"].startswith(prefix)}
+    measured, traced = run_tids("run.measured:"), run_tids("run.traced:")
+    assert measured and traced, (measured, traced)
+    assert measured.isdisjoint(traced), \
+        f"run.measured and run.traced share tid(s) {sorted(measured & traced)}"
     print(f"report OK: {len(counters)} counters, "
-          f"{len(report['traceEvents'])} timeline events, "
+          f"{len(events)} timeline events on {tracks} tracks, "
           f"{metrics['tracelog.compression_ratio']:.2f}x capture, "
           f"replay {metrics['replay.speedup_vs_live']:.1f}x live")
 

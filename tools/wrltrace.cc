@@ -242,8 +242,7 @@ int CmdInfo(int argc, char** argv) {
     return 2;
   }
   ArchiveReader archive(path);
-  std::printf("%s: wrltrace/%u, %s payloads%s\n", path.c_str(), kArchiveVersion,
-              archive.packed() ? "packed" : "raw",
+  std::printf("%s: wrltrace/%u, packed payloads%s\n", path.c_str(), kArchiveVersion,
               archive.degraded() ? " [DEGRADED: recovered by scan]" : "");
   std::printf("  %zu chunks, %llu words, %llu file bytes, %llu payload bytes "
               "(%.2fx compression)\n",
@@ -261,7 +260,7 @@ int CmdInfo(int argc, char** argv) {
     writer.KV("schema", "wrltrace-info/1");
     writer.KV("path", path);
     writer.KV("version", kArchiveVersion);
-    writer.KV("packed", archive.packed());
+    writer.KV("packed", true);  // The reader accepts no other payloads.
     writer.KV("degraded", archive.degraded());
     writer.KV("chunks", static_cast<uint64_t>(archive.chunk_count()));
     writer.KV("words", archive.word_count());
