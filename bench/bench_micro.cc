@@ -413,7 +413,8 @@ std::string BenchArchivePath(const char* tag) {
 // Full archive write path on the gcc trace: delta+varint chunk encode, CRC,
 // and the per-chunk flush to disk.  Items are trace words persisted, so this
 // tracks the sustainable tee bandwidth RunExperiment's archive_path adds to
-// a live capture.
+// a live capture.  Timed on real time: each pass ends in Finalize()'s
+// fsync, which CPU time does not see.
 void BM_ArchiveWrite(benchmark::State& state) {
   const SystemTrace& trace = GccSystemTrace();
   std::string path = BenchArchivePath("write");
@@ -428,7 +429,7 @@ void BM_ArchiveWrite(benchmark::State& state) {
   std::remove(path.c_str());
   state.SetItemsProcessed(static_cast<int64_t>(written));
 }
-BENCHMARK(BM_ArchiveWrite);
+BENCHMARK(BM_ArchiveWrite)->UseRealTime();
 
 // Archive decode throughput off the mmap'd file: per-chunk CRC check plus
 // the bounded varint+delta decode — the per-chunk work every archive
@@ -591,10 +592,14 @@ BENCHMARK(BM_ProfilerSim);
 // buffer that memtrace's stores cause, UTLB refills, and the drain.  None
 // of the bare-program machine benches touches user-mode translation.  The
 // build is outside the timed region; items are simulated instructions.
+// `host_share` is the share of bbtrace and memtrace entries the machine ran
+// as host intrinsics rather than interpreting them.
 void BM_TracedSystemRun(benchmark::State& state) {
   const SystemConfig config = GccSystemConfig(true);
   const uint64_t max_instructions = ExperimentOptions{}.max_instructions;
   uint64_t instructions = 0;
+  uint64_t entries = 0;
+  uint64_t host = 0;
   for (auto _ : state) {
     state.PauseTiming();
     std::unique_ptr<SystemInstance> traced = BuildSystem(config);
@@ -607,10 +612,15 @@ void BM_TracedSystemRun(benchmark::State& state) {
     instructions += run.instructions;
     benchmark::DoNotOptimize(run.cycles);
     state.PauseTiming();
+    const TraceRoutineCounts& routines = traced->machine().trace_routine_counts();
+    entries += routines.entries[0] + routines.entries[1];
+    host += routines.host[0] + routines.host[1];
     traced.reset();
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<int64_t>(instructions));
+  state.counters["host_share"] =
+      entries > 0 ? static_cast<double>(host) / static_cast<double>(entries) : 0.0;
 }
 BENCHMARK(BM_TracedSystemRun);
 
@@ -670,9 +680,9 @@ int main(int argc, char** argv) {
       }
       metrics["micro." + name + ".real_ns"] = run.GetAdjustedRealTime();
       metrics["micro." + name + ".cpu_ns"] = run.GetAdjustedCPUTime();
-      auto items = run.counters.find("items_per_second");
-      if (items != run.counters.end()) {
-        metrics["micro." + name + ".items_per_second"] = items->second;
+      // items_per_second, and any counter of the bench's own.
+      for (const auto& [counter, value] : run.counters) {
+        metrics["micro." + name + "." + counter] = value;
       }
     }
     try {

@@ -183,6 +183,8 @@ BareBuild BuildBareTraced(std::string_view body_source, const BareBuildOptions& 
 
 BareTraceRun RunBareTraced(const BareBuild& build, uint64_t max_instructions) {
   auto machine = BootBare(build.instrumented);
+  RegisterTraceRoutines(*machine, build.instrumented,
+                        [](uint32_t vaddr) { return vaddr - kKseg0; });
   BareTraceRun result;
   result.run = machine->Run(max_instructions);
   if (!result.run.halted || machine->halt_code() != 0) {

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <exception>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <type_traits>
 
@@ -178,6 +179,17 @@ namespace {
 // The body of RunExperiment, inside its experiment phase on `events`.
 ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOptions& options,
                                 EventRecorder* events) {
+  // The teardown phase opens after the registry snapshot, and closes here,
+  // declared first so it is destroyed last: after every local below, the
+  // pipeline's join and both systems included.
+  struct TeardownPhase {
+    EventRecorder* events = nullptr;
+    ~TeardownPhase() {
+      if (events != nullptr) {
+        events->End();
+      }
+    }
+  } teardown;
   ExperimentResult result;
   result.workload = workload.name;
   result.personality = options.personality;
@@ -197,6 +209,11 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
     EventRecorder::Scope scope(events, "build.measured", "build");
     measured = build(false);
   }
+  // The set-up between the two builds: the helper's start, the primary
+  // simulator, the variants' passes and the sweep engine.  Closed before
+  // build.traced, or at exit when that build is never reached.
+  std::optional<EventRecorder::Scope> analysis_setup;
+  analysis_setup.emplace(events, "analysis.setup", "analysis");
   auto [idle_lo, idle_hi] = measured->IdleRange();
   measured->machine().SetIdleRange(idle_lo, idle_hi);
 
@@ -305,49 +322,55 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
       sweep_engine = std::make_unique<SweepEngine>(sweep_config);
     }
 
+    analysis_setup.reset();
     {
       EventRecorder::Scope scope(events, "build.traced", "build");
       traced = build(true);
     }
-    if (options.profile) {
-      profiler = std::make_unique<TraceProfiler>(options.profile_options);
-      ProfileSystemSpaces(*profiler, *traced);
-    }
-    tee.Add(simulator.get());
-    tee.Add(profiler.get());
-    tee.Add(sweep_engine.get());
-    for (const auto& sim : variant_sims) {
-      tee.Add(sim.get());
-    }
-    parser = SystemTraceParser(*traced);
-    parser->SetBatchSink(&tee);
-    // Pipelined, the parser's Feed phases land on the consumer thread's
-    // track, which has no cycle source: the traced machine's cycle counter
-    // belongs to this thread.
-    parser->SetEventRecorder(events);
+    {
+      // The profiler's tables, the parser, the archive writer, and the
+      // pipeline with its consumer thread.
+      EventRecorder::Scope scope(events, "trace.setup", "trace");
+      if (options.profile) {
+        profiler = std::make_unique<TraceProfiler>(options.profile_options);
+        ProfileSystemSpaces(*profiler, *traced);
+      }
+      tee.Add(simulator.get());
+      tee.Add(profiler.get());
+      tee.Add(sweep_engine.get());
+      for (const auto& sim : variant_sims) {
+        tee.Add(sim.get());
+      }
+      parser = SystemTraceParser(*traced);
+      parser->SetBatchSink(&tee);
+      // Pipelined, the parser's Feed phases land on the consumer thread's
+      // track, which has no cycle source: the traced machine's cycle
+      // counter belongs to this thread.
+      parser->SetEventRecorder(events);
 
-    // The chunk consumer: the parser, behind the archive tee when there is
-    // one.  Synchronously it runs inside each sink call; pipelined it runs
-    // on the consumer thread while the machine simulates ahead.  Either way
-    // it sees the identical chunk sequence and boundaries.
-    std::function<void(const uint32_t*, size_t)> consume =
-        [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); };
-    if (!options.archive_path.empty()) {
-      archive = std::make_unique<ArchiveWriter>(options.archive_path,
-                                                ExperimentArchiveMeta(workload, options));
-      consume = [w = archive.get(),
-                 inner = std::move(consume)](const uint32_t* words, size_t count) {
-        w->Append(words, count);
-        inner(words, count);
-      };
-    }
-    if (options.pipeline) {
-      pipeline = std::make_unique<TracePipeline>(std::move(consume));
-      traced->SetTraceSink([p = pipeline.get()](const uint32_t* words, size_t count) {
-        p->Produce(words, count);
-      });
-    } else {
-      traced->SetTraceSink(std::move(consume));
+      // The chunk consumer: the parser, behind the archive tee when there
+      // is one.  Synchronously it runs inside each sink call; pipelined it
+      // runs on the consumer thread while the machine simulates ahead.
+      // Either way it sees the identical chunk sequence and boundaries.
+      std::function<void(const uint32_t*, size_t)> consume =
+          [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); };
+      if (!options.archive_path.empty()) {
+        archive = std::make_unique<ArchiveWriter>(options.archive_path,
+                                                  ExperimentArchiveMeta(workload, options));
+        consume = [w = archive.get(),
+                   inner = std::move(consume)](const uint32_t* words, size_t count) {
+          w->Append(words, count);
+          inner(words, count);
+        };
+      }
+      if (options.pipeline) {
+        pipeline = std::make_unique<TracePipeline>(std::move(consume));
+        traced->SetTraceSink([p = pipeline.get()](const uint32_t* words, size_t count) {
+          p->Produce(words, count);
+        });
+      } else {
+        traced->SetTraceSink(std::move(consume));
+      }
     }
 
     EventRecorder::CycleScope cycles(events,
@@ -457,6 +480,10 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
       pipeline->RegisterStats(registry, "trace.pipeline.");
     }
     result.stats = registry.Snapshot();
+  }
+  if (events != nullptr) {
+    events->Begin("teardown", "teardown");
+    teardown.events = events;
   }
   return result;
 }

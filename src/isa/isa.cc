@@ -560,6 +560,7 @@ std::string Disassemble(const Inst& inst, uint32_t pc) {
     case Op::kTlbwr: return "tlbwr";
     case Op::kTlbp: return "tlbp";
     case Op::kRfe: return "rfe";
+    case Op::kTraceEntry: return DisassembleWord(inst.raw, pc);
   }
   return StrFormat(".word 0x%08x", inst.raw);
 }

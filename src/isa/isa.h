@@ -127,6 +127,10 @@ enum class Op : uint8_t {
   kTlbwr,
   kTlbp,
   kRfe,
+  // Never decoded from a word: the machine marks a registered trace-routine
+  // entry with it in its predecoded pages (Machine::RegisterTraceRoutine).
+  // `raw` keeps the entry's own word.
+  kTraceEntry,
 };
 
 // COP0 register indices (R3000 assignments).

@@ -737,6 +737,10 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
     if (config.tracing) {
       Put32(params, e + 36, mapped.SymbolAddress("bbtrace_bump"));
       Put32(params, e + 40, mapped.SymbolAddress("memtrace_bump"));
+      // No later host write touches the process's frames.
+      RegisterTraceRoutines(m, mapped, [&](uint32_t vaddr) {
+        return (frame_for(vaddr >> kPageShift) << kPageShift) | (vaddr & (kPageBytes - 1));
+      });
     }
     sys.layouts_.push_back(layout);
   };
@@ -777,6 +781,8 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
 
   // ---- Tracing transport ----
   if (config.tracing) {
+    // After the last host write to simulated memory, which would drop them.
+    RegisterTraceRoutines(m, sys.kernel_exe_, [](uint32_t vaddr) { return vaddr - kKseg0; });
     sys.ktrace_ptr_addr_ = sys.kernel_exe_.SymbolAddress("ktrace_ptr") - kKseg0;
     sys.ktrace_base_ = trace_buf_phys;
     SystemInstance* sys_ptr = &sys;

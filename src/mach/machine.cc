@@ -43,6 +43,11 @@ Machine::Machine(const MachineConfig& config)
   if (fastpath_.event_devices) {
     UpdateDeviceDeadline();
   }
+  const MemSysConfig& mem = config.memsys;
+  const uint64_t read_stall = std::max(mem.read_miss_penalty, mem.uncached_penalty);
+  const uint64_t data_stall =
+      std::max(read_stall, uint64_t{mem.wb_depth} * mem.wb_cycles_per_entry);
+  worst_instruction_cycles_ = 1 + read_stall + data_stall;
 }
 
 void Machine::PhysAccessFail(const char* op, uint32_t paddr) const {
@@ -136,38 +141,43 @@ void Machine::RaiseException(Exc code, uint32_t faulting_pc, bool in_delay, uint
   end_run_ = true;
 }
 
+Machine::TlbFault Machine::TlbTranslate(uint32_t vaddr, Access access, Translation& out) {
+  const uint8_t asid = CurrentAsid();
+  auto index = tlb_.Lookup(vaddr, asid);
+  if (!index) {
+    return TlbFault::kRefill;
+  }
+  const TlbEntry& e = tlb_.entry(*index);
+  if (!e.valid()) {
+    return TlbFault::kInvalid;
+  }
+  if (access == Access::kStore && !e.dirty()) {
+    return TlbFault::kClean;
+  }
+  out = {true, (e.pfn() << kPageShift) | (vaddr & (kPageBytes - 1)), !e.uncached(), false};
+  if (fastpath_.micro_tlb) {
+    (access == Access::kFetch ? micro_itlb_ : micro_dtlb_).For(vaddr) = {
+        MicroTlbKey(vaddr, asid, user_mode()), e.pfn() << kPageShift, out.cached, e.dirty()};
+  }
+  return TlbFault::kNone;
+}
+
 Machine::Translation Machine::TranslateSlow(uint32_t vaddr, Access access, uint32_t faulting_pc,
                                             bool in_delay) {
   Translation t;
   bool user = user_mode();
   bool store = access == Access::kStore;
-  MicroTlb& micro = access == Access::kFetch ? micro_itlb_ : micro_dtlb_;
-  if (InKuseg(vaddr)) {
-    uint8_t asid = CurrentAsid();
-    auto index = tlb_.Lookup(vaddr, asid);
-    if (!index) {
-      // kuseg refill goes through the dedicated UTLB vector — unless the
-      // CPU is already in kernel mode *handling* something at the general
-      // vector; R3000 kernels keep the UTLB path valid in that case too, so
-      // we always use the dedicated vector for kuseg misses.
-      RaiseException(store ? Exc::kTlbS : Exc::kTlbL, faulting_pc, in_delay, vaddr, true, true);
-      return t;
-    }
-    const TlbEntry& e = tlb_.entry(*index);
-    if (!e.valid()) {
-      RaiseException(store ? Exc::kTlbS : Exc::kTlbL, faulting_pc, in_delay, vaddr, true, false);
-      return t;
-    }
-    if (store && !e.dirty()) {
-      RaiseException(Exc::kMod, faulting_pc, in_delay, vaddr, true, false);
-      return t;
-    }
-    t.ok = true;
-    t.paddr = (e.pfn() << 12) | (vaddr & 0xfff);
-    t.cached = !e.uncached();
-    if (fastpath_.micro_tlb) {
-      micro.For(vaddr) = {MicroTlbKey(vaddr, asid, user), e.pfn() << kPageShift, t.cached,
-                          e.dirty()};
+  if (InKuseg(vaddr) || (!user && InKseg2(vaddr))) {
+    const TlbFault fault = TlbTranslate(vaddr, access, t);
+    if (fault != TlbFault::kNone) {
+      // A kuseg refill goes through the dedicated UTLB vector — even when
+      // the CPU is already in kernel mode handling something at the
+      // general vector, since R3000 kernels keep the UTLB path valid then
+      // too.  A kseg2 miss takes the general vector: the paper's slow KTLB
+      // path.
+      RaiseException(fault == TlbFault::kClean ? Exc::kMod : store ? Exc::kTlbS : Exc::kTlbL,
+                     faulting_pc, in_delay, vaddr, true,
+                     fault == TlbFault::kRefill && InKuseg(vaddr));
     }
     return t;
   }
@@ -175,34 +185,11 @@ Machine::Translation Machine::TranslateSlow(uint32_t vaddr, Access access, uint3
     RaiseException(store ? Exc::kAdES : Exc::kAdEL, faulting_pc, in_delay, vaddr, true, false);
     return t;
   }
-  // Kernel kseg0 never gets here: Translate maps it inline.
-  if (InKseg1(vaddr)) {
-    t.ok = true;
-    t.paddr = vaddr - kKseg1;
-    t.cached = false;
-    t.device = (t.paddr >= kDevicePhysBase && t.paddr < kDevicePhysBase + kDeviceBytes);
-    return t;
-  }
-  // kseg2: mapped kernel segment; misses use the *general* vector (the
-  // paper's slow KTLB path).
-  uint8_t asid = CurrentAsid();
-  auto index = tlb_.Lookup(vaddr, asid);
-  if (!index || !tlb_.entry(*index).valid()) {
-    RaiseException(store ? Exc::kTlbS : Exc::kTlbL, faulting_pc, in_delay, vaddr, true, false);
-    return t;
-  }
-  const TlbEntry& e = tlb_.entry(*index);
-  if (store && !e.dirty()) {
-    RaiseException(Exc::kMod, faulting_pc, in_delay, vaddr, true, false);
-    return t;
-  }
+  // Kernel kseg0 never gets here (Translate maps it inline): this is kseg1.
   t.ok = true;
-  t.paddr = (e.pfn() << 12) | (vaddr & 0xfff);
-  t.cached = !e.uncached();
-  if (fastpath_.micro_tlb) {
-    micro.For(vaddr) = {MicroTlbKey(vaddr, asid, user), e.pfn() << kPageShift, t.cached,
-                        e.dirty()};
-  }
+  t.paddr = vaddr - kKseg1;
+  t.cached = false;
+  t.device = (t.paddr >= kDevicePhysBase && t.paddr < kDevicePhysBase + kDeviceBytes);
   return t;
 }
 
@@ -448,6 +435,7 @@ void Machine::Step() {
 //   * the budget.
 // DESIGN.md §8 says why ending at exception entry is belt-and-braces.
 void Machine::RunPages(uint64_t limit) {
+  run_limit_ = limit;
   while (!halted_ && instructions_ < limit) {
     Translation ft;
     if (!BeginFetch(ft)) {
@@ -464,6 +452,15 @@ void Machine::RunPages(uint64_t limit) {
       // Same page and word-aligned, or the run ends here.
     } while (!end_run_ && (pc_ & (~(kPageBytes - 1) | 3)) == page_base &&
              cycles_ < device_deadline_ && instructions_ < limit);
+  }
+}
+
+// A registered trace routine's entry: Retire has fetched and counted it
+// like any instruction.  Out of line, so the dispatch loop of a machine
+// that never meets one keeps its size.
+[[gnu::noinline]] void Machine::ExecuteTraceEntry(const Inst& inst, uint32_t cur, bool delay) {
+  if (!RunTraceRoutine(inst, cur, delay)) {
+    Execute(Decode(inst.raw), cur, delay);
   }
 }
 
@@ -724,6 +721,9 @@ void Machine::RunPages(uint64_t limit) {
       }
       return;
     }
+    case Op::kTraceEntry:
+      ExecuteTraceEntry(inst, cur, delay);
+      return;
 
     // --- Traps ---
     case Op::kSyscall:
@@ -842,13 +842,22 @@ void Machine::RegisterStats(StatsRegistry& registry, const std::string& prefix) 
   registry.AddCounter(prefix + "idle_instructions", &idle_instructions_);
   registry.AddCounter(prefix + "arith_stall_cycles", &arith_stall_cycles_);
   registry.AddCounter(prefix + "utlb_miss_exceptions", &utlb_miss_exceptions_);
-  registry.AddCounter(prefix + "exc.interrupts", &exception_counts_[static_cast<unsigned>(Exc::kInt)]);
-  registry.AddCounter(prefix + "exc.tlb_mod", &exception_counts_[static_cast<unsigned>(Exc::kMod)]);
-  registry.AddCounter(prefix + "exc.tlb_load", &exception_counts_[static_cast<unsigned>(Exc::kTlbL)]);
-  registry.AddCounter(prefix + "exc.tlb_store", &exception_counts_[static_cast<unsigned>(Exc::kTlbS)]);
-  registry.AddCounter(prefix + "exc.addr_error",
-                      &exception_counts_[static_cast<unsigned>(Exc::kAdEL)]);
-  registry.AddCounter(prefix + "exc.syscalls", &exception_counts_[static_cast<unsigned>(Exc::kSys)]);
+  // One counter per exception code the machine raises.
+  static constexpr std::pair<Exc, const char*> kExcNames[] = {
+      {Exc::kInt, "interrupts"},
+      {Exc::kMod, "tlb_mod"},
+      {Exc::kTlbL, "tlb_load"},
+      {Exc::kTlbS, "tlb_store"},
+      {Exc::kAdEL, "addr_error_load"},
+      {Exc::kAdES, "addr_error_store"},
+      {Exc::kSys, "syscalls"},
+      {Exc::kBp, "breaks"},
+      {Exc::kRI, "reserved_instruction"},
+      {Exc::kOv, "overflow"},
+  };
+  for (const auto& [code, name] : kExcNames) {
+    registry.AddCounter(prefix + "exc." + name, &exception_counts_[static_cast<unsigned>(code)]);
+  }
   if (timing_) {
     memsys_.RegisterStats(registry, prefix + "memsys.");
   }

@@ -111,6 +111,17 @@ struct MachineConfig {
   FastPathConfig fastpath;
 };
 
+// The trace-collection routines of trace/support_asm.h, which the machine
+// runs as exact host intrinsics once registered (RegisterTraceRoutine).
+enum class TraceRoutine : uint8_t { kBbtrace = 0, kMemtrace = 1 };
+
+// Per TraceRoutine: how often a registered entry was reached in a page run,
+// and how often the host step ran the routine instead of the interpreter.
+struct TraceRoutineCounts {
+  uint64_t entries[2] = {0, 0};
+  uint64_t host[2] = {0, 0};
+};
+
 struct RunResult {
   bool halted = false;
   uint32_t halt_code = 0;
@@ -177,6 +188,25 @@ class Machine {
   // Places an executable's text/data at fixed physical addresses and zeroes
   // its bss.  `vaddr_to_paddr` maps the image's virtual bases.
   void LoadImage(const Executable& exe, std::function<uint32_t(uint32_t)> vaddr_to_paddr);
+
+  // ---- Trace-routine intrinsics ----
+  // Registers the `routine` linked at virtual `vaddr`, whose text the
+  // machine holds at physical `paddr`: whenever a page run reaches that
+  // entry at that address, one host step reproduces every effect of
+  // interpreting the routine (registers, memory, each fetch and data access
+  // through the memory system, every counter), or, when a precheck fails,
+  // the routine is interpreted from its entry.  DESIGN.md §8 lists the
+  // prechecks.  Throws InternalError, naming the first differing address,
+  // unless the text matches the modeled routine word for word.  The
+  // registration lives in the entry's predecoded page, so any write to that
+  // page (store, DMA, PhysWrite, LoadImage, InvalidateDecodeRange) drops
+  // it.  A no-op with predecode off, and for a routine that straddles a
+  // page.
+  void RegisterTraceRoutine(TraceRoutine routine, uint32_t vaddr, uint32_t paddr);
+  // Entries reached and taken by the host step since construction.  A
+  // plain accessor: the registry (RegisterStats) must read the same with
+  // the host path off.
+  const TraceRoutineCounts& trace_routine_counts() const { return routine_counts_; }
 
   // ---- Devices ----
   Console& console() { return console_; }
@@ -292,6 +322,12 @@ class Machine {
   // (and micro-TLB fills), refill and Mod exceptions, kseg1 and the device
   // page, kseg2, address errors.  Never called for kernel kseg0.
   Translation TranslateSlow(uint32_t vaddr, Access access, uint32_t faulting_pc, bool in_delay);
+  // The TLB's answer to a kuseg or kernel kseg2 access, raising nothing.
+  // kNone sets `out` and fills the micro-TLB slot; the others name the
+  // exception TranslateSlow raises: kRefill when no entry matches,
+  // kInvalid for an invalid one, kClean for a store to a clean page.
+  enum class TlbFault : uint8_t { kNone, kRefill, kInvalid, kClean };
+  TlbFault TlbTranslate(uint32_t vaddr, Access access, Translation& out);
   void RaiseException(Exc code, uint32_t faulting_pc, bool in_delay, uint32_t badvaddr,
                       bool badvaddr_valid, bool utlb_vector);
   // Step's prologue: ticks the devices once their deadline has passed, takes
@@ -310,6 +346,18 @@ class Machine {
   // run and why each is exact.
   void RunPages(uint64_t limit);
   void Execute(const Inst& inst, uint32_t cur, bool delay);
+  // Execute for Op::kTraceEntry: the host step, or else the entry's word.
+  void ExecuteTraceEntry(const Inst& inst, uint32_t cur, bool delay);
+  // The host step of a registered trace routine whose entry (`entry`, the
+  // page's Op::kTraceEntry at `cur`) has retired up to its store.  Returns
+  // false, with no side effect, when a precheck fails: the caller then
+  // interprets the entry's own word.
+  bool RunTraceRoutine(const Inst& entry, uint32_t cur, bool delay);
+  // Translates a word access as Translate would, but never raises: false
+  // where Translate would raise or reach a device, and for a word outside
+  // RAM or a store into a predecoded page.  A TLB hit fills the micro-TLB
+  // slot as TranslateSlow does, which is invisible.
+  bool ProbeWord(uint32_t vaddr, Access access, Translation& out);
   bool CheckInterrupts();
   void TickDevices();
   // Recomputes the next cycle at which TickDevices can change device state.
@@ -382,6 +430,14 @@ class Machine {
   uint32_t idle_hi_ = 0;
   Counter idle_instructions_;
   uint64_t cycle_latch_hi_ = 0;
+
+  // The instruction budget of the current Run (RunTraceRoutine reads it).
+  uint64_t run_limit_ = 0;
+  // A bound on the cycles one instruction can take, fetch and data access
+  // included: 1 + F + D, with F the worst read stall and D the worst data
+  // stall (see RunTraceRoutine).
+  uint64_t worst_instruction_cycles_ = 0;
+  TraceRoutineCounts routine_counts_;
 };
 
 }  // namespace wrl

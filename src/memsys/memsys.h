@@ -183,6 +183,9 @@ class MemorySystem {
     stats_.wb_stall_cycles += stall;
     return stall;
   }
+  // Counts `count` fetches that hit without a lookup: each reads the line
+  // the previous fetch read, with no I-cache access between them.
+  void CountFetchHits(uint64_t count) { stats_.inst_fetches += count; }
   uint64_t UncachedLoad(uint32_t /*paddr*/, uint64_t /*now*/) {
     ++stats_.uncached_reads;
     return config_.uncached_penalty;

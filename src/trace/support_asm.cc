@@ -1,12 +1,19 @@
 #include "trace/support_asm.h"
 
 #include "isa/isa.h"
+#include "mach/machine.h"
+#include "obj/object_file.h"
 #include "support/strings.h"
 #include "trace/abi.h"
 
 namespace wrl {
 
 std::string TraceSupportAsm() {
+  // The machine runs these routines as host intrinsics and checks every
+  // registered image against its model of them (support_asm.h states the
+  // layout it assumes): an edit here needs the same edit to
+  // src/mach/trace_routines.cc, or registration throws, naming the first
+  // word that differs.
   std::string out;
   // Register aliases, fixed by the ABI: xreg1=$t8 (ptr), xreg2=$t9
   // (scratch), xreg3=$t7 (bookkeeping base).
@@ -103,6 +110,15 @@ memtrace_bump:                     # same mid-pair window as bbtrace_bump
 )",
                    kBkTmpInstr, kBkTmpRa, kBkSavedRa);
   return out;
+}
+
+void RegisterTraceRoutines(Machine& machine, const Executable& exe,
+                           const std::function<uint32_t(uint32_t)>& vaddr_to_paddr) {
+  for (auto [routine, name] : {std::pair{TraceRoutine::kBbtrace, "bbtrace"},
+                               std::pair{TraceRoutine::kMemtrace, "memtrace"}}) {
+    const uint32_t vaddr = exe.SymbolAddress(name);
+    machine.RegisterTraceRoutine(routine, vaddr, vaddr_to_paddr(vaddr));
+  }
 }
 
 }  // namespace wrl

@@ -36,6 +36,7 @@ struct TracedCapture {
   uint64_t instructions = 0;
   uint64_t utlb_misses = 0;
   std::string counters_json;
+  TraceRoutineCounts routines;
 };
 
 TracedCapture RunCapture(const SystemConfig& config, uint64_t max_instructions) {
@@ -51,6 +52,7 @@ TracedCapture RunCapture(const SystemConfig& config, uint64_t max_instructions) 
   capture.cycles = sys->machine().cycles();
   capture.instructions = sys->machine().instructions();
   capture.utlb_misses = sys->machine().utlb_miss_exceptions();
+  capture.routines = sys->machine().trace_routine_counts();
 
   StatsRegistry registry;
   sys->RegisterStats(registry, "sys.");
@@ -124,7 +126,8 @@ TEST(FastPath, EachLayerAloneIsByteIdentical) {
 
 // The same contract on every paper workload, under both personalities,
 // for both systems of an experiment — measured and traced — built by the
-// harness's own rules.  These stress what the loop above never does: under
+// harness's own rules, with the traced system's bbtrace and memtrace run
+// as host intrinsics (trace_routine_test pokes their edges).  These stress what the loop above never does: under
 // Mach two address spaces share the TLB, tlbwr refills evict entries the
 // micro-TLB may still hold, pages collide in micro-TLB slots; under tracing
 // every memory reference alternates with a store into the trace buffer, so
@@ -157,6 +160,20 @@ TEST_P(PaperWorkloadFastPath, ByteIdenticalToSlowPath) {
     ASSERT_EQ(fast.trace_words.size(), slow.trace_words.size());
     EXPECT_TRUE(fast.trace_words == slow.trace_words) << "same length, different words";
     EXPECT_EQ(fast.counters_json, slow.counters_json);
+    if (tracing) {
+      // Not vacuous: the host step ran nearly every bbtrace and memtrace,
+      // and the entries it saw account for nearly every trace word (each
+      // call writes one; markers and the suspended kernel's scratch words
+      // are the difference).
+      const TraceRoutineCounts& r = fast.routines;
+      for (int kind = 0; kind < 2; ++kind) {
+        SCOPED_TRACE(kind == 0 ? "bbtrace" : "memtrace");
+        EXPECT_GT(r.entries[kind], 0u);
+        EXPECT_GE(static_cast<double>(r.host[kind]), 0.99 * static_cast<double>(r.entries[kind]));
+      }
+      EXPECT_GE(static_cast<double>(r.entries[0] + r.entries[1]),
+                0.95 * static_cast<double>(fast.trace_words.size()));
+    }
   }
 }
 

@@ -307,6 +307,89 @@ spin:   b    spin
             machine->utlb_miss_exceptions());
 }
 
+// Every exception code the machine raises has its own registry counter,
+// equal to the accessor: the program raises each code at least once.
+TEST(StatsIntegration, EveryExceptionCodeReachesTheRegistry) {
+  ObjectFile obj = Assemble("exc.s", R"(
+        .globl _start
+        .globl ri
+utlb:   mfc0 $k0, $epc           # TLB refill: skip the access
+        addiu $k0, $k0, 4
+        jr   $k0
+        rfe
+        .align 128
+gen:    mfc0 $k0, $cause
+        andi $k0, $k0, 0x7c
+        bne  $k0, $zero, skip
+        nop
+        li   $k1, 0xbfd00000     # an interrupt: stop and ack the clock
+        sw   $zero, 0x10($k1)
+        sw   $zero, 0x14($k1)
+        mfc0 $k0, $epc
+        jr   $k0
+        rfe
+skip:   mfc0 $k0, $epc           # anything else: skip the instruction
+        addiu $k0, $k0, 4
+        jr   $k0
+        rfe
+        .align 512
+_start: li   $t1, 0xbfd00000
+        li   $t0, 50
+        sw   $t0, 0x10($t1)      # clock period 50
+        li   $t0, 0x8001         # IM7 | IEc
+        mtc0 $t0, $status
+        li   $t2, 100
+wait:   addiu $t2, $t2, -1       # Int
+        bne  $t2, $zero, wait
+        nop
+        mtc0 $zero, $status
+        mtc0 $zero, $entryhi     # user page 0 -> pfn 0x100, valid, clean
+        li   $t1, 0x00100200
+        mtc0 $t1, $entrylo
+        mtc0 $zero, $index
+        tlbwi
+        sw   $zero, 0x10($zero)  # Mod
+        li   $t2, 0x5000
+        lw   $t3, 0($t2)         # TLBL
+        sw   $t3, 0($t2)         # TLBS
+        li   $t2, 0x80100001
+        lw   $t3, 0($t2)         # AdEL
+        sw   $t3, 0($t2)         # AdES
+        syscall                  # Sys
+        break 1                  # Bp
+ri:     nop                      # RI: patched to an invalid word
+        li   $t4, 0x7fffffff
+        add  $t5, $t4, $t4       # Ov
+        li   $t9, 0xbfd00004
+        sw   $zero, 0($t9)
+spin:   b    spin
+        nop
+)");
+  LinkOptions options;
+  options.text_base = kKseg0;
+  const Executable exe = Link({obj}, options);
+  Machine machine(MachineConfig{});
+  LoadBare(machine, exe);
+  machine.PhysWrite32(exe.SymbolAddress("ri") - kKseg0, 0xfc000000);  // Opcode 0x3f.
+  machine.Run(100'000);
+  ASSERT_TRUE(machine.halted());
+  StatsRegistry registry;
+  machine.RegisterStats(registry);
+  StatsSnapshot snap = registry.Snapshot();
+  const std::pair<Exc, const char*> codes[] = {
+      {Exc::kInt, "interrupts"},          {Exc::kMod, "tlb_mod"},
+      {Exc::kTlbL, "tlb_load"},           {Exc::kTlbS, "tlb_store"},
+      {Exc::kAdEL, "addr_error_load"},    {Exc::kAdES, "addr_error_store"},
+      {Exc::kSys, "syscalls"},            {Exc::kBp, "breaks"},
+      {Exc::kRI, "reserved_instruction"}, {Exc::kOv, "overflow"},
+  };
+  for (const auto& [code, name] : codes) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(machine.exception_count(code), 1u);
+    EXPECT_EQ(snap.CounterValue(std::string("machine.exc.") + name), machine.exception_count(code));
+  }
+}
+
 // Same agreement check for the trace parser over a synthetic stream.
 TEST(StatsIntegration, ParserStatsAgreeWithSnapshot) {
   TraceInfoTable table;

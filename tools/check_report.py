@@ -3,7 +3,7 @@
 
 One entry point for every JSON document the CI smoke jobs assert over:
 
-    check_report.py wrlstats         report.json      # tlb_study full report
+    check_report.py wrlstats         report.json      # tlb_study or a suite bench
     check_report.py wrlverify        wrlverify.json
     check_report.py replay-sweep     BENCH_replay_sweep.json
     check_report.py sweep-smoke      sweep_smoke.json
@@ -47,11 +47,43 @@ def assert_tracks_nest(events):
     return len(tracks)
 
 
+# The phases RunExperiment records on the caller's track, inside each
+# experiment phase, in order; with the pipeline, trace.pipeline_wait follows
+# run.traced, and with an archive, trace.archive_finalize.
+EXPERIMENT_PHASES = ("build.measured", "analysis.setup", "build.traced", "trace.setup",
+                     "run.traced", "analysis.finish", "stats.snapshot", "teardown")
+
+
+def assert_experiment_phases(events):
+    """Every experiment phase holds each of EXPERIMENT_PHASES once, on its
+    own track, so no stretch of an experiment goes unnamed."""
+    spans = [e for e in events if e["ph"] == "X"]
+    experiments = [e for e in spans if e["name"].startswith("experiment:")]
+    for x in experiments:
+        end = x["ts"] + x["dur"]
+        inside = [e["name"].split(":")[0] for e in spans
+                  if e is not x and e["tid"] == x["tid"] and
+                  x["ts"] <= e["ts"] and e["ts"] + e["dur"] <= end]
+        for phase in EXPERIMENT_PHASES:
+            assert inside.count(phase) == 1, \
+                f"{x['name']}: phase '{phase}' appears {inside.count(phase)} times on its track"
+    return len(experiments)
+
+
 def check_wrlstats(path, args):
-    """The tlb_study wrlstats/1 report: counters, metrics, timeline."""
+    """A wrlstats/1 run report: its timeline, and for tlb_study's report
+    the counters and metrics as well."""
     report = load(path)
     assert report["schema"] == "wrlstats/1", report.get("schema")
-    assert report["tool"] == "tlb_study"
+    events = report["traceEvents"]
+    assert events, "empty event timeline"
+    tracks = assert_tracks_nest(events)
+    experiments = assert_experiment_phases(events)
+    if report["tool"] != "tlb_study":
+        assert experiments, f"{report['tool']}: no experiment phases in the timeline"
+        print(f"report OK: {report['tool']}, {experiments} experiments, "
+              f"{len(events)} timeline events on {tracks} tracks")
+        return
     counters = report["counters"]
     for key in (
         "measured.machine.cycles",
@@ -72,9 +104,6 @@ def check_wrlstats(path, args):
     assert metrics["traced_machine_runs"] == 1, metrics["traced_machine_runs"]
     assert metrics["tracelog.compression_ratio"] > 1.0
     assert metrics["replay.speedup_vs_live"] >= 5.0, metrics["replay.speedup_vs_live"]
-    events = report["traceEvents"]
-    assert events, "empty event timeline"
-    tracks = assert_tracks_nest(events)
     # The measured run overlaps the traced run on a helper thread, so the
     # two phases must sit on different tracks.
     def run_tids(prefix):
