@@ -4,14 +4,13 @@
 // continuous execution").  We sweep the buffer size and report the
 // instructions-per-switch ratio, which should scale linearly.
 //
-// --jobs N (or WRL_JOBS) runs the sweep points on a worker pool; rows,
+// --jobs N runs the sweep points on a worker pool; rows,
 // metrics, and the extrapolation are printed in size order either way.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "kernel/system_build.h"
 #include "support/parallel.h"
 
 using namespace wrl;
@@ -28,16 +27,11 @@ struct SweepPoint {
 SweepPoint RunPoint(const WorkloadSpec& w, uint32_t kb) {
   SweepPoint point;
   point.kb = kb;
-  SystemConfig config;
-  config.tracing = true;
-  config.clock_period = 200000 * 15;
-  config.trace_buf_bytes = kb * 1024;
-  config.program_source = w.source;
-  config.program_name = w.name;
-  config.files = w.files;
-  auto sys = BuildSystem(config);
+  ExperimentOptions options;
+  options.trace_buf_bytes = kb * 1024;
+  auto sys = BuildSystem(ExperimentSystemConfig(w, options, true));
   sys->SetTraceSink([](const uint32_t*, size_t) {});
-  RunResult r = sys->Run(3'000'000'000ull);
+  RunResult r = sys->Run(options.max_instructions);
   point.halted = r.halted;
   point.switches = sys->AnalysisSwitches();
   point.instructions = sys->machine().instructions();

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "kernel/system_build.h"
 
 using namespace wrl;
 
@@ -16,33 +15,26 @@ int main(int argc, char** argv) {
   const char* names[] = {"sed", "egrep", "espresso", "lisp", "fpppp", "liv"};
   EventRecorder events;
   std::map<std::string, double> metrics;
+  const ExperimentOptions options;
   double sum = 0;
   int count = 0;
   for (const char* name : names) {
     WorkloadSpec w = PaperWorkload(name, scale);
-    SystemConfig base;
-    base.program_source = w.source;
-    base.program_name = w.name;
-    base.files = w.files;
-
-    auto untraced = BuildSystem(base);
+    auto untraced = BuildSystem(ExperimentSystemConfig(w, options, false));
     {
       EventRecorder::CycleScope cycles(
           &events, [m = &untraced->machine()]() -> uint64_t { return m->cycles(); });
       EventRecorder::Scope scope(&events, std::string("run.untraced:") + name, "run");
-      untraced->Run(3'000'000'000ull);
+      untraced->Run(options.max_instructions);
     }
 
-    SystemConfig traced_cfg = base;
-    traced_cfg.tracing = true;
-    traced_cfg.clock_period = base.clock_period * 15;
-    auto traced = BuildSystem(traced_cfg);
+    auto traced = BuildSystem(ExperimentSystemConfig(w, options, true));
     traced->SetTraceSink([](const uint32_t*, size_t) {});
     {
       EventRecorder::CycleScope cycles(
           &events, [m = &traced->machine()]() -> uint64_t { return m->cycles(); });
       EventRecorder::Scope scope(&events, std::string("run.traced:") + name, "run");
-      traced->Run(3'000'000'000ull);
+      traced->Run(options.max_instructions);
     }
 
     double dilation = static_cast<double>(traced->ProcessCycles(1)) /

@@ -91,9 +91,9 @@ int main(int argc, char** argv) {
   double sweep_mrefs_sum = 0;
   unsigned sweep_runs = 0;
   for (const ExperimentResult& r : results) {
-    printf("%-10s %10.4f", r.workload.c_str(), r.PredictedSeconds(25e6));
+    printf("%-10s %10.4f", r.workload.c_str(), r.PredictedSeconds());
     for (const ReplayVariantResult& v : r.replays) {
-      printf(" %10.4f", static_cast<double>(v.prediction.PredictedCycles()) / 25e6);
+      printf(" %10.4f", static_cast<double>(v.prediction.PredictedCycles()) / kClockHz);
     }
     printf("\n");
     if (r.sweep_ran && r.sweep_mrefs_per_sec > 0) {

@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives of the tracing
 // toolchain: assembly, instrumentation, trace parsing, and the simulators.
 //
-// Like every other bench, --json=PATH (or WRL_JSON) writes a wrlstats/1
+// Like every other bench, --json PATH writes a wrlstats/1
 // metrics report: micro.<benchmark>.real_ns / .cpu_ns per benchmark, plus
 // .items_per_second where the bench reports throughput — the BENCH_*.json
 // perf-trajectory record wrlbench_diff consumes.
@@ -188,11 +188,11 @@ void LoadSpinLoop(Machine& machine) {
 
 // Raw Step-dispatch throughput: the spin loop stepped directly, with no
 // run-loop bookkeeping, link step, or halt handling in the timing.  Run
-// calls Step per instruction only with predecode off, so this times the
-// machine WRL_FASTPATH=0 runs: every fast path off.
+// calls Step per instruction only with the fast path off, so this times the
+// machine WRL_FASTPATH=0 runs.
 void BM_MachineStepLoop(benchmark::State& state) {
   MachineConfig config;
-  config.fastpath = FastPathConfig::AllOff();
+  config.fastpath = false;
   Machine machine(config);
   LoadSpinLoop(machine);
   for (auto _ : state) {
@@ -206,7 +206,7 @@ void BM_MachineStepLoop(benchmark::State& state) {
 BENCHMARK(BM_MachineStepLoop);
 
 // The production dispatch loop on the same spin: Run executes it a page at
-// a time (FastPathConfig::predecode).
+// a time (MachineConfig::fastpath).
 void BM_MachineRunLoop(benchmark::State& state) {
   Machine machine(MachineConfig{});
   LoadSpinLoop(machine);
@@ -286,20 +286,43 @@ void BM_TraceParse(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceParse);
 
+// The memory system alone on the gcc trace's references: each ifetch,
+// load and store through one MemorySystem, at the physical address the
+// primary simulator gives it.  The addresses are translated once, outside
+// the timed loop; the clock advances a cycle per ifetch plus every stall.
+// Items are references.
 void BM_CacheSim(benchmark::State& state) {
-  MemorySystem ms(MemSysConfig{});
-  Rng rng(42);
-  std::vector<uint32_t> addrs(4096);
-  for (auto& a : addrs) {
-    a = rng.Below(1u << 22) & ~3u;
+  const SystemTrace& trace = GccSystemTrace();
+  struct Access {
+    uint32_t paddr;
+    TraceRef::Kind kind;
+    bool uncached;
+  };
+  PageTranslator translator(trace.pconfig.page_map);
+  std::vector<Access> accesses;
+  accesses.reserve(trace.refs.size());
+  for (const TraceRef& ref : trace.refs) {
+    accesses.push_back({translator.Translate(ref), ref.kind, InKseg1(ref.addr)});
   }
+  MemorySystem ms(MemSysConfig{});
   uint64_t now = 0;
   for (auto _ : state) {
-    for (uint32_t a : addrs) {
-      now += 1 + ms.Load(a, now);
+    for (const Access& a : accesses) {
+      switch (a.kind) {
+        case TraceRef::kIfetch:
+          now += 1 + (a.uncached ? ms.UncachedLoad(a.paddr, now) : ms.Fetch(a.paddr, now));
+          break;
+        case TraceRef::kLoad:
+          now += a.uncached ? ms.UncachedLoad(a.paddr, now) : ms.Load(a.paddr, now);
+          break;
+        case TraceRef::kStore:
+          now += a.uncached ? ms.UncachedStore(a.paddr, now) : ms.Store(a.paddr, now);
+          break;
+      }
     }
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(addrs.size()));
+  benchmark::DoNotOptimize(now);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(accesses.size()));
 }
 BENCHMARK(BM_CacheSim);
 

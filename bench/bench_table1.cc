@@ -2,7 +2,7 @@
 // dynamic behavior of our reconstructions (instruction counts and simulated
 // execution times on the uninstrumented Ultrix system).
 //
-// --jobs N (or WRL_JOBS) runs the workloads on a worker pool; rows and
+// --jobs N runs the workloads on a worker pool; rows and
 // metrics are emitted in workload order either way, and each worker records
 // its runs on a timeline track of its own.
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "kernel/system_build.h"
 #include "support/parallel.h"
 
 using namespace wrl;
@@ -25,21 +24,18 @@ struct Row {
 
 Row RunWorkload(const WorkloadSpec& w, EventRecorder* events) {
   Row row;
-  SystemConfig config;
-  config.program_source = w.source;
-  config.program_name = w.name;
-  config.files = w.files;
-  auto sys = BuildSystem(config);
+  const ExperimentOptions options;
+  auto sys = BuildSystem(ExperimentSystemConfig(w, options, false));
   RunResult r;
   {
     EventRecorder::CycleScope cycles(events,
                                      [m = &sys->machine()]() -> uint64_t { return m->cycles(); });
     EventRecorder::Scope scope(events, "run:" + w.name, "run");
-    r = sys->Run(3'000'000'000ull);
+    r = sys->Run(options.max_instructions);
   }
   row.halted = r.halted;
   row.user_instructions = sys->machine().user_instructions();
-  row.seconds = static_cast<double>(sys->ProcessCycles(1)) / 25e6;
+  row.seconds = static_cast<double>(sys->ProcessCycles(1)) / kClockHz;
   return row;
 }
 

@@ -11,7 +11,6 @@ using namespace wrl;
 int main(int argc, char** argv) {
   double scale = BenchScale(argc, argv);
   unsigned jobs = BenchJobs(argc, argv);
-  double hz = 25e6;
   printf("=== Table 2: Run Times, measured and predicted, in seconds (scale %.2f) ===\n", scale);
   EventRecorder events;
   std::vector<ExperimentResult> ultrix =
@@ -24,8 +23,8 @@ int main(int argc, char** argv) {
   printf("-----------+-----------------------+----------------------\n");
   for (size_t i = 0; i < ultrix.size(); ++i) {
     printf("%-10s | %10.4f %10.4f | %10.4f %10.4f\n", ultrix[i].workload.c_str(),
-           ultrix[i].MeasuredSeconds(hz), ultrix[i].PredictedSeconds(hz),
-           mach[i].MeasuredSeconds(hz), mach[i].PredictedSeconds(hz));
+           ultrix[i].MeasuredSeconds(), ultrix[i].PredictedSeconds(), mach[i].MeasuredSeconds(),
+           mach[i].PredictedSeconds());
   }
   printf("\n(parser validation errors: ");
   uint64_t errors = 0;

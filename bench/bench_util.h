@@ -1,4 +1,4 @@
-// Shared plumbing for the experiment benches: scale handling, the --json
+// Shared plumbing for the experiment benches: flag parsing, the --json
 // report emitter, and suite running with loud warning surfacing.
 #ifndef WRLTRACE_BENCH_BENCH_UTIL_H_
 #define WRLTRACE_BENCH_BENCH_UTIL_H_
@@ -7,67 +7,83 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "stats/events.h"
 #include "support/error.h"
+#include "support/strings.h"
 #include "workloads/workloads.h"
 
 namespace wrl {
 
-// Workload scale for bench runs: --scale=X or WRL_SCALE env, falling back
-// to `fallback` when neither is given.
+// The value of flag `name` at argv[i], given as `name=V` or as `name V`
+// (then i steps past V); nullptr when argv[i] is not that flag or V is
+// missing.
+inline const char* BenchFlagValue(int argc, char** argv, int& i, std::string_view name) {
+  const std::string_view arg = argv[i];
+  if (arg.size() > name.size() && arg.substr(0, name.size()) == name && arg[name.size()] == '=') {
+    return argv[i] + name.size() + 1;
+  }
+  if (arg == name && i + 1 < argc) {
+    return argv[++i];
+  }
+  return nullptr;
+}
+
+// A bench's numeric flags take well-formed values in range only, as the
+// tools' do: anything else exits 2 with this usage line.
+[[noreturn]] inline void BenchUsage(char** argv) {
+  const std::string_view path = argv[0];
+  const std::string_view name = path.substr(path.rfind('/') + 1);
+  fprintf(stderr,
+          "usage: %.*s [--scale X] [--jobs N] [--json PATH]\n"
+          "  X is a number in [0, 1024], N a count\n",
+          static_cast<int>(name.size()), name.data());
+  std::exit(2);
+}
+
+// Workload scale for bench runs: --scale X, or `fallback` when it is not
+// given or 0.
 inline double BenchScaleOr(int argc, char** argv, double fallback) {
   double scale = fallback;
-  if (const char* env = std::getenv("WRL_SCALE")) {
-    scale = std::atof(env);
-  }
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::atof(arg.c_str() + 8);
+    if (const char* value = BenchFlagValue(argc, argv, i, "--scale")) {
+      if (!ParseWorkloadScale(value, scale)) {
+        BenchUsage(argv);
+      }
     }
   }
-  return scale <= 0 ? fallback : scale;
+  return scale == 0 ? fallback : scale;
 }
 
 // The standard bench default: 0.2, chosen so the full two-personality suite
 // completes in a few minutes.
 inline double BenchScale(int argc, char** argv) { return BenchScaleOr(argc, argv, 0.2); }
 
-// Worker threads for suite runs: --jobs=N, --jobs N, or WRL_JOBS env
-// (default 1 = serial).  Results and reports are identical either way.
+// Worker threads for suite runs: --jobs N (default 1 = serial; 0 also
+// means 1).  Results and reports are identical either way.
 inline unsigned BenchJobs(int argc, char** argv) {
-  long jobs = 1;
-  if (const char* env = std::getenv("WRL_JOBS")) {
-    jobs = std::atol(env);
-  }
+  unsigned jobs = 1;
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = std::atol(arg.c_str() + 7);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::atol(argv[i + 1]);
+    if (const char* value = BenchFlagValue(argc, argv, i, "--jobs")) {
+      if (!ParseDecimal(value, jobs)) {
+        BenchUsage(argv);
+      }
     }
   }
-  return jobs < 1 ? 1u : static_cast<unsigned>(jobs);
+  return jobs == 0 ? 1u : jobs;
 }
 
-// Report destination: --json=PATH, --json PATH, or WRL_JSON env.  Empty
-// when no machine-readable report was requested.
+// Report destination: --json PATH.  Empty when no machine-readable report
+// was requested.
 inline std::string BenchJsonPath(int argc, char** argv) {
   std::string path;
-  if (const char* env = std::getenv("WRL_JSON")) {
-    path = env;
-  }
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      path = arg.substr(7);
-    } else if (arg == "--json" && i + 1 < argc) {
-      path = argv[i + 1];
+    if (const char* value = BenchFlagValue(argc, argv, i, "--json")) {
+      path = value;
     }
   }
   return path;

@@ -6,8 +6,9 @@
 //   $ ./build/examples/system_trace [ultrix|mach]
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
-#include "kernel/system_build.h"
+#include "harness/experiment.h"
 #include "trace/parser.h"
 
 using namespace wrl;
@@ -16,19 +17,16 @@ int main(int argc, char** argv) {
   Personality personality =
       (argc > 1 && std::strcmp(argv[1], "mach") == 0) ? Personality::kMach : Personality::kUltrix;
 
-  SystemConfig config;
-  config.personality = personality;
-  config.tracing = true;
-  config.clock_period = 200000 * 15;  // 1/15th rate (paper §4.1).
-  if (personality == Personality::kMach) {
-    config.policy = PagePolicy::kScrambled;
-  }
+  // A checksum of one file, traced at 1/15th the clock rate (paper §4.1) as
+  // every experiment is.
+  WorkloadSpec checksum;
+  checksum.name = "checksum";
   std::vector<uint8_t> content(24000);
   for (size_t i = 0; i < content.size(); ++i) {
     content[i] = static_cast<uint8_t>('A' + (i % 23));
   }
-  config.files = {{"input", content, 0}};
-  config.program_source = R"(
+  checksum.files = {{"input", content, 0}};
+  checksum.source = R"(
         .globl main
 main:
         addiu $sp, $sp, -12
@@ -64,25 +62,22 @@ buf:    .space 24576
 
   printf("booting the traced %s system...\n",
          personality == Personality::kMach ? "Mach 3.0 (microkernel + UNIX server)" : "Ultrix");
-  auto sys = BuildSystem(config);
+  ExperimentOptions options;
+  options.personality = personality;
+  auto sys = BuildSystem(ExperimentSystemConfig(checksum, options, true));
 
-  TraceParser parser(&sys->kernel_table());
-  for (const SystemInstance::UserSpace& space : sys->user_spaces()) {
-    parser.SetUserTable(space.pid, space.table);
-  }
-  parser.SetInitialContext(kKernelPid);
-
+  std::unique_ptr<TraceParser> parser = SystemTraceParser(*sys);
   uint64_t kernel_entries = 0;
-  parser.SetMetaSink([&](MarkerCode code, uint32_t /*operand*/) {
+  parser->SetMetaSink([&](MarkerCode code, uint32_t /*operand*/) {
     if (code == kMarkKernelEnter) {
       ++kernel_entries;
     }
   });
-  sys->SetTraceSink([&parser](const uint32_t* w, size_t n) { parser.Feed(w, n); });
+  sys->SetTraceSink([&parser](const uint32_t* w, size_t n) { parser->Feed(w, n); });
 
-  RunResult r = sys->Run(2'000'000'000ull);
-  parser.Finish();
-  const TraceParserStats& s = parser.stats();
+  RunResult r = sys->Run(options.max_instructions);
+  parser->Finish();
+  const TraceParserStats& s = parser->stats();
 
   printf("halted: %s, workload exit code %u (checksum)\n", r.halted ? "yes" : "NO",
          sys->ProcessExitCode(1));

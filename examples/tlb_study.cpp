@@ -10,7 +10,7 @@
 // parse, instead of K replays.  The measured (uninstrumented) run overlaps
 // the traced run on a helper thread.
 //
-//   $ ./build/examples/tlb_study [--scale=S] [--sweep-sizes=8,64,...]
+//   $ ./build/examples/tlb_study [--scale S] [--sweep-sizes 8,64,...]
 //                                [--check] [--json report.json]
 //
 // --check replays every cache family point through an independent
@@ -55,27 +55,30 @@ constexpr uint32_t kCacheFamilyMax = 512 * 1024;
 constexpr uint32_t kIcacheLine = 16;
 constexpr uint32_t kDcacheLine = 4;
 
-// --sweep-sizes=8,16,... (default: the classic curve).
+// The largest TLB the curve prices: far beyond any real TLB, and small
+// enough that the curve's arrays stay small.
+constexpr unsigned kMaxSweepEntries = 65536;
+
+// --sweep-sizes 8,16,... (default: the classic curve).  Each size is a
+// count in [1, kMaxSweepEntries]; anything else exits 2 with the usage line.
 std::vector<unsigned> SweepSizes(int argc, char** argv) {
   std::string spec = "8,16,32,64,128,256";
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--sweep-sizes=", 0) == 0) {
-      spec = arg.substr(14);
+    if (const char* value = BenchFlagValue(argc, argv, i, "--sweep-sizes")) {
+      spec = value;
     }
   }
   std::vector<unsigned> sizes;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
+  for (std::string_view field : SplitFields(spec, ",")) {
+    unsigned value = 0;
+    if (!ParseDecimal(field, value) || value == 0 || value > kMaxSweepEntries) {
+      fprintf(stderr,
+              "usage: tlb_study [--scale X] [--sweep-sizes N,...] [--check] [--json PATH]\n"
+              "  X is a number in [0, 1024], each N a count in [1, %u]\n",
+              kMaxSweepEntries);
+      std::exit(2);
     }
-    unsigned value = static_cast<unsigned>(std::atoi(spec.substr(pos, comma - pos).c_str()));
-    if (value > 0) {
-      sizes.push_back(value);
-    }
-    pos = comma + 1;
+    sizes.push_back(value);
   }
   return sizes;
 }
@@ -103,14 +106,9 @@ int main(int argc, char** argv) {
          w.name.c_str());
 
   EventRecorder events;
-  SystemConfig config;
-  config.tracing = true;
-  config.clock_period = 200000 * 15;
-  config.program_source = w.source;
-  config.program_name = w.name;
-  config.files = w.files;
-  config.events = &events;
-  auto sys = BuildSystem(config);
+  ExperimentOptions options;
+  options.events = &events;
+  auto sys = BuildSystem(ExperimentSystemConfig(w, options, true));
 
   // Capture once: the trace's chunks land in the packed TraceLog; nothing
   // is parsed while the machine runs.
@@ -120,11 +118,7 @@ int main(int argc, char** argv) {
   // The measured (uninstrumented) system is independent of the sweep, so
   // its run overlaps the traced run on a helper thread, recording on a
   // timeline track of its own.
-  SystemConfig untraced = config;
-  untraced.tracing = false;
-  untraced.clock_period = 200000;
-  untraced.events = nullptr;
-  auto measured = BuildSystem(untraced);
+  auto measured = BuildSystem(ExperimentSystemConfig(w, ExperimentOptions{}, false));
   std::exception_ptr measured_exc;
   // Declared after everything the helper touches, so any exit joins it
   // first.
@@ -133,7 +127,7 @@ int main(int argc, char** argv) {
       EventRecorder::CycleScope cycles(
           &events, [m = &measured->machine()]() -> uint64_t { return m->cycles(); });
       EventRecorder::Scope scope(&events, "run.measured:" + w.name, "run");
-      measured->Run(3'000'000'000ull);
+      measured->Run(options.max_instructions);
     } catch (...) {
       measured_exc = std::current_exception();
     }
@@ -146,7 +140,7 @@ int main(int argc, char** argv) {
                                      [m = &sys->machine()]() -> uint64_t { return m->cycles(); });
     EventRecorder::Scope scope(&events, "run.traced:" + w.name, "run");
     uint64_t wall0 = EventRecorder::NowUs();
-    r = sys->Run(3'000'000'000ull);
+    r = sys->Run(options.max_instructions);
     traced_wall_us = EventRecorder::NowUs() - wall0;
   }
   measured_thread.join();
@@ -305,7 +299,7 @@ int main(int argc, char** argv) {
     writer.KV("schema", "wrlstats/1");
     writer.KV("tool", "tlb_study");
     writer.KV("scale", scale);
-    writer.KV("clock_hz", 25e6);
+    writer.KV("clock_hz", kClockHz);
     writer.Key("metrics").BeginObject();
     writer.KV("eqntott.measured_cycles", static_cast<double>(measured->machine().cycles()));
     writer.KV("eqntott.measured_utlb_misses", static_cast<double>(measured->UtlbMissCount()));

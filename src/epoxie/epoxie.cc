@@ -220,7 +220,7 @@ class Instrumenter {
     hi.offset = static_cast<uint32_t>(out_.size()) * 4;
     hi.section = SectionId::kText;
     hi.type = RelocType::kHi16;
-    hi.symbol = config_.bookkeeping_symbol;
+    hi.symbol = kBookkeepingSymbol;
     new_relocs_.push_back(hi);
     Emit(EncodeIType(Op::kLui, 0, kAt, 0));
     Relocation lo = hi;
@@ -338,7 +338,7 @@ class Instrumenter {
     if (pack_in_slot) {
       // The common case of Figure 2: jal memtrace with the real memory
       // instruction in the delay slot.
-      EmitJalTo(config_.memtrace_symbol);
+      EmitJalTo(kMemtraceSymbol);
       EmitOriginal(index);
       return;
     }
@@ -358,7 +358,7 @@ class Instrumenter {
                              static_cast<uint16_t>(kBkShadow0 + 4 * StolenIndex(x))));
           }
         }
-        EmitJalTo(config_.memtrace_symbol);
+        EmitJalTo(kMemtraceSymbol);
         Emit(MakeSurrogate(inst, (*map)[inst.rs]));
         EmitSubstituted(index, *map);
         uint32_t writes = RegsWritten(inst) & touched;
@@ -379,7 +379,7 @@ class Instrumenter {
       EmitLoadBk();
       Emit(EncodeIType(Op::kLw, kAt, kAt,
                        static_cast<uint16_t>(kBkShadow0 + 4 * StolenIndex(inst.rs))));
-      EmitJalTo(config_.memtrace_symbol);
+      EmitJalTo(kMemtraceSymbol);
       Emit(MakeSurrogate(inst, kAt));
       EmitWindow(index, touched);
       if (writes_ra) {
@@ -389,7 +389,7 @@ class Instrumenter {
     }
     // Surrogate form: jal memtrace; addiu zero, base, off; then the real
     // instruction (optionally in a window).
-    EmitJalTo(config_.memtrace_symbol);
+    EmitJalTo(kMemtraceSymbol);
     Emit(MakeSurrogate(inst));
     if (touched != 0) {
       std::optional<RegMap> map = FindScavengeMap(index, touched);
@@ -462,7 +462,7 @@ class Instrumenter {
         Fail(index + 1, "delay-slot memory op based on a stolen register");
       }
       // Hoist the trace call above the CTI; the slot keeps the real op.
-      EmitJalTo(config_.memtrace_symbol);
+      EmitJalTo(kMemtraceSymbol);
       Emit(MakeSurrogate(slot));
     }
     EmitOriginal(index);
@@ -518,7 +518,7 @@ class Instrumenter {
     } else {
       ++result_.elided_ra_saves;
     }
-    EmitJalTo(config_.bbtrace_symbol);
+    EmitJalTo(kBbtraceSymbol);
     Emit(EncodeIType(Op::kOri, kZero, kZero, static_cast<uint16_t>(n_trace_words)));
   }
 
@@ -545,7 +545,7 @@ class Instrumenter {
     Emit(EncodeIType(Op::kLw, kAt, kXreg2, static_cast<uint16_t>(kBkInstCount)));
     Emit(EncodeIType(Op::kAddiu, kXreg2, kXreg2, static_cast<uint16_t>(block.end - block.start)));
     Emit(EncodeIType(Op::kSw, kAt, kXreg2, static_cast<uint16_t>(kBkInstCount)));
-    EmitJalTo(config_.bbtrace_symbol);
+    EmitJalTo(kBbtraceSymbol);
     Emit(EncodeIType(Op::kOri, kZero, kZero, static_cast<uint16_t>(n_trace_words)));
   }
 

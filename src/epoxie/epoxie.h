@@ -58,17 +58,18 @@ inline bool ScavengeEnabled() {
   return env == nullptr || std::strcmp(env, "0") != 0;
 }
 
+// Symbol naming the bookkeeping area in the traced address space.  The
+// link environment binds it: user links provide an absolute symbol at the
+// fixed per-process page (kUserBkBase); kernel links define it in kseg0
+// data.  Epoxie references it through hi16/lo16 relocations, so the
+// correction is — like everything else — static.
+inline constexpr const char* kBookkeepingSymbol = "bk_area";
+// Names of the support routines the instrumented code calls.
+inline constexpr const char* kBbtraceSymbol = "bbtrace";
+inline constexpr const char* kMemtraceSymbol = "memtrace";
+
 struct EpoxieConfig {
   InstrumentMode mode = InstrumentMode::kEpoxie;
-  // Symbol naming the bookkeeping area in the traced address space.  The
-  // link environment binds it: user links provide an absolute symbol at the
-  // fixed per-process page (kUserBkBase); kernel links define it in kseg0
-  // data.  Epoxie references it through hi16/lo16 relocations, so the
-  // correction is — like everything else — static.
-  std::string bookkeeping_symbol = "bk_area";
-  // Names of the support routines the instrumented code calls.
-  std::string bbtrace_symbol = "bbtrace";
-  std::string memtrace_symbol = "memtrace";
   // Register scavenging (epoxie mode only): run interprocedural liveness
   // over the input and (a) elide the header `sw ra` save where `$ra` is
   // provably dead at the block leader, (b) redirect shadow windows through

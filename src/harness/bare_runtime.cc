@@ -83,8 +83,9 @@ _start:
 constexpr uint32_t kBareBkAddr = 0x81000000;            // Bookkeeping area.
 constexpr uint32_t kBareEndPtrAddr = kBareBkAddr + 0x100;  // Final-pointer slot.
 constexpr uint32_t kBareBufferAddr = 0x81010000;        // Trace buffer.
+constexpr uint32_t kBareBufferBytes = 8u << 20;
 
-std::string TracedRuntimeAsm(uint32_t buffer_bytes) {
+std::string TracedRuntimeAsm() {
   std::string out = kVectors;
   out += R"(
         .globl _start
@@ -100,7 +101,7 @@ _start:
         sw   $t8, %u($t7)        # BUF_START
 )",
                    kBkBufStart);
-  // LIMIT = buffer + (buffer_bytes - slack); the displacement exceeds an
+  // LIMIT = buffer + (kBareBufferBytes - slack); the displacement exceeds an
   // addiu immediate, so materialize it with li + addu.
   out += StrFormat(R"(
         la   $t9, trace_buffer
@@ -116,7 +117,7 @@ _start:
         sw   $zero, 0($t9)       # halt(0)
         nop
 )",
-                   buffer_bytes - kTraceSlackBytes, kBkLimit);
+                   kBareBufferBytes - kTraceSlackBytes, kBkLimit);
   return out;
 }
 
@@ -171,7 +172,7 @@ BareBuild BuildBareTraced(std::string_view body_source, const BareBuildOptions& 
   epoxie_config.mode = options.mode;
   epoxie_config.scavenge = options.scavenge;
   build.instrument_result = Instrument(body, epoxie_config);
-  ObjectFile traced_runtime = Assemble("truntime.s", TracedRuntimeAsm(options.trace_buffer_bytes));
+  ObjectFile traced_runtime = Assemble("truntime.s", TracedRuntimeAsm());
   AddBareAbsSymbols(traced_runtime);
   ObjectFile support = Assemble("support.s", TraceSupportAsm());
   build.instrumented = LinkBare({traced_runtime, support, build.instrument_result.object});

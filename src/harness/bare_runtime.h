@@ -45,8 +45,6 @@ struct BareBuild {
 
 struct BareBuildOptions {
   InstrumentMode mode = InstrumentMode::kEpoxie;
-  uint32_t trace_buffer_bytes = 8u << 20;
-  uint64_t max_instructions = 50'000'000;
   // Liveness-driven scavenging in epoxie (header `sw ra` elision, shadow
   // windows through dead scratch registers).  The reconstructed reference
   // stream is bit-identical either way; only text growth changes.

@@ -66,6 +66,7 @@ SystemConfig ExperimentSystemConfig(const WorkloadSpec& workload, const Experime
   config.files = workload.files;
   config.trace_buf_bytes = options.trace_buf_bytes;
   config.scavenge = options.scavenge;
+  config.events = options.events;
   if (options.personality == Personality::kMach) {
     config.policy = PagePolicy::kScrambled;
     config.policy_mult = 9;
@@ -176,9 +177,9 @@ std::vector<std::string> ExperimentResult::Warnings() const {
 
 namespace {
 
-// The body of RunExperiment, inside its experiment phase on `events`.
-ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOptions& options,
-                                EventRecorder* events) {
+// The body of RunExperiment, inside its experiment phase.
+ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOptions& options) {
+  EventRecorder* const events = options.events;
   // The teardown phase opens after the registry snapshot, and closes here,
   // declared first so it is destroyed last: after every local below, the
   // pipeline's join and both systems included.
@@ -200,9 +201,7 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
   // once BuildSystem returns, so the measured *run* overlaps the whole
   // traced half on a helper thread.
   auto build = [&](bool tracing) {
-    SystemConfig config = ExperimentSystemConfig(workload, options, tracing);
-    config.events = events;
-    return BuildSystem(config);
+    return BuildSystem(ExperimentSystemConfig(workload, options, tracing));
   };
   std::unique_ptr<SystemInstance> measured;
   {
@@ -491,18 +490,8 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
 }  // namespace
 
 ExperimentResult RunExperiment(const WorkloadSpec& workload, const ExperimentOptions& options) {
-  // Timeline: a private recorder unless the caller shares one.
-  EventRecorder local_events;
-  EventRecorder* events = options.events != nullptr ? options.events : &local_events;
-  ExperimentResult result;
-  {
-    EventRecorder::Scope scope(events, "experiment:" + workload.name, "experiment");
-    result = RunBothSystems(workload, options, events);
-  }
-  if (events == &local_events) {
-    result.timeline = local_events.TakeEvents();
-  }
-  return result;
+  EventRecorder::Scope scope(options.events, "experiment:" + workload.name, "experiment");
+  return RunBothSystems(workload, options);
 }
 
 std::vector<ExperimentResult> RunSuite(const std::vector<WorkloadSpec>& workloads,

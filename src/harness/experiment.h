@@ -30,6 +30,10 @@ namespace wrl {
 const char* PersonalityName(Personality personality);
 Personality PersonalityFromName(const std::string& name);
 
+// The simulated machine's clock rate (the DECstation 5000/200's 25 MHz),
+// which renders cycles as seconds in tables and reports.
+constexpr double kClockHz = 25e6;
+
 // One extra analysis configuration of a what-if study, priced from the
 // same live parse as the primary prediction — no additional traced
 // machine run.  Its TLB wiring and page-map draw fix the reference stream
@@ -39,7 +43,7 @@ Personality PersonalityFromName(const std::string& name);
 struct ReplayVariant {
   std::string name;
   MemSysConfig memsys;
-  unsigned tlb_wired = 8;
+  unsigned tlb_wired = Tlb::kWired;
   // Page-map permutation multiplier override (0 = the experiment's map).
   uint32_t page_map_mult = 0;
 };
@@ -86,17 +90,15 @@ struct ExperimentOptions {
   // traced.epoxie.* dilation metrics derived from it — changes.
   bool scavenge = ScavengeEnabled();
   uint64_t max_instructions = 3'000'000'000;
-  // Optional shared timeline: build/run/analysis phases and trace drains
-  // are recorded here, each on the track of the thread that ran it (the
-  // caller's, the measured run's helper, the pipeline's consumer).  When
-  // null the experiment records into a private recorder and moves the
-  // events into ExperimentResult::timeline.
+  // Optional timeline: build/run/analysis phases and trace drains are
+  // recorded here, each on the track of the thread that ran it (the
+  // caller's, the measured run's helper, the pipeline's consumer).  Null
+  // records nothing.
   EventRecorder* events = nullptr;
   // Worker threads for RunSuite (1 = serial).  Workers run whole
   // experiments; results come back in workload order, so everything but
   // the timeline is independent of scheduling.  Every worker records into
-  // `events` (or its experiment's private timeline) on a track of its own,
-  // against the one process-wide clock.
+  // `events` on a track of its own, against the one process-wide clock.
   unsigned jobs = 1;
   // The parser always hands references to the analysis in batches; this
   // constant remains only for callers that still read it.
@@ -200,13 +202,9 @@ struct ExperimentResult {
   // Full registry snapshot across both runs: `measured.*` and `traced.*`
   // system counters, `parser.*`, and `predicted.*` analysis counters.
   StatsSnapshot stats;
-  // The experiment's phase timeline, one track per thread (empty when
-  // ExperimentOptions::events supplied a shared recorder — the caller owns
-  // the events then).
-  std::vector<TimelineEvent> timeline;
 
-  double MeasuredSeconds(double hz) const { return static_cast<double>(measured_cycles) / hz; }
-  double PredictedSeconds(double hz) const { return prediction.PredictedCycles() / hz; }
+  double MeasuredSeconds() const { return static_cast<double>(measured_cycles) / kClockHz; }
+  double PredictedSeconds() const { return prediction.PredictedCycles() / kClockHz; }
   // A degenerate prediction: the analysis produced no cycles for a workload
   // the hardware measurably ran — the error percentage is meaningless.
   bool DegeneratePrediction() const {
@@ -232,7 +230,9 @@ struct ExperimentResult {
 // `wrltrace` and `wrlprof` reproduce the harness's systems bit for bit.
 
 // The measured (untraced) or traced system of an experiment: the traced
-// clock runs at 1/dilation the rate (paper §4.1); Mach scrambles its pages.
+// clock runs at 1/dilation the rate (paper §4.1); Mach scrambles its pages;
+// trace drains land on `options.events`.  Outside the kernel's own tests,
+// every measured or traced system is built from this config.
 SystemConfig ExperimentSystemConfig(const WorkloadSpec& workload, const ExperimentOptions& options,
                                     bool tracing);
 

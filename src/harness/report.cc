@@ -16,12 +16,11 @@ std::string MetricKey(const ExperimentResult& result, const char* leaf) {
 }
 
 // The flat perf-trajectory record: one double per headline number.
-std::map<std::string, double> FlatMetrics(const std::vector<ExperimentResult>& results,
-                                          const RunReportOptions& options) {
+std::map<std::string, double> FlatMetrics(const std::vector<ExperimentResult>& results) {
   std::map<std::string, double> metrics;
   for (const ExperimentResult& r : results) {
-    metrics[MetricKey(r, "measured_seconds")] = r.MeasuredSeconds(options.clock_hz);
-    metrics[MetricKey(r, "predicted_seconds")] = r.PredictedSeconds(options.clock_hz);
+    metrics[MetricKey(r, "measured_seconds")] = r.MeasuredSeconds();
+    metrics[MetricKey(r, "predicted_seconds")] = r.PredictedSeconds();
     metrics[MetricKey(r, "time_error_percent")] = r.TimeErrorPercent();
     metrics[MetricKey(r, "measured_utlb_misses")] = static_cast<double>(r.measured_utlb);
     metrics[MetricKey(r, "predicted_utlb_misses")] =
@@ -30,7 +29,7 @@ std::map<std::string, double> FlatMetrics(const std::vector<ExperimentResult>& r
     metrics[MetricKey(r, "parser_errors")] = static_cast<double>(r.parser_errors);
     for (const ReplayVariantResult& v : r.replays) {
       metrics[MetricKey(r, ("replay." + v.name + ".predicted_seconds").c_str())] =
-          static_cast<double>(v.prediction.PredictedCycles()) / options.clock_hz;
+          static_cast<double>(v.prediction.PredictedCycles()) / kClockHz;
       metrics[MetricKey(r, ("replay." + v.name + ".predicted_utlb_misses").c_str())] =
           static_cast<double>(v.prediction.utlb_misses);
     }
@@ -91,7 +90,7 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
 
   writer.Key("measured").BeginObject();
   writer.KV("cycles", r.measured_cycles);
-  writer.KV("seconds", r.MeasuredSeconds(options.clock_hz));
+  writer.KV("seconds", r.MeasuredSeconds());
   writer.KV("utlb_misses", r.measured_utlb);
   writer.KV("idle_instructions", r.measured_idle_instructions);
   writer.KV("tlb_dropins", r.measured_tlbdropins);
@@ -100,7 +99,7 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
 
   writer.Key("predicted").BeginObject();
   writer.KV("cycles", r.prediction.PredictedCycles());
-  writer.KV("seconds", r.PredictedSeconds(options.clock_hz));
+  writer.KV("seconds", r.PredictedSeconds());
   writer.KV("utlb_misses", r.prediction.utlb_misses);
   writer.KV("instructions", r.prediction.instructions);
   writer.KV("idle_instructions", r.prediction.idle_instructions);
@@ -138,7 +137,7 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
       writer.KV("name", v.name);
       writer.KV("predicted_cycles", v.prediction.PredictedCycles());
       writer.KV("predicted_seconds",
-                static_cast<double>(v.prediction.PredictedCycles()) / options.clock_hz);
+                static_cast<double>(v.prediction.PredictedCycles()) / kClockHz);
       writer.KV("predicted_utlb_misses", v.prediction.utlb_misses);
       writer.KV("instructions", v.prediction.instructions);
       writer.KV("mem_stall_cycles", v.prediction.mem_stall_cycles);
@@ -234,9 +233,9 @@ std::string RunReportJson(const std::vector<ExperimentResult>& results,
   JsonWriter writer;
   writer.BeginObject();
   WriteHeader(writer, options.tool, options.scale);
-  writer.KV("clock_hz", options.clock_hz);
+  writer.KV("clock_hz", kClockHz);
 
-  WriteMetricsObject(writer, FlatMetrics(results, options));
+  WriteMetricsObject(writer, FlatMetrics(results));
 
   writer.Key("experiments").BeginArray();
   for (const ExperimentResult& r : results) {
@@ -253,14 +252,8 @@ std::string RunReportJson(const std::vector<ExperimentResult>& results,
   writer.KV("parser_errors", total_errors);
   writer.EndObject();
 
-  // The timeline: the shared recorder's events plus any per-experiment
-  // private timelines, concatenated; every recorder stamps the one
-  // process-wide clock and thread tracks, so no offsets are needed.
   writer.Key("traceEvents").BeginArray();
   WriteChromeTraceEvents(writer, events);
-  for (const ExperimentResult& r : results) {
-    WriteChromeTraceEvents(writer, r.timeline);
-  }
   writer.EndArray();
   writer.EndObject();
   return writer.TakeString();

@@ -23,9 +23,8 @@
 namespace wrl {
 
 struct RunReportOptions {
-  std::string tool;        // Emitting binary ("bench_table2", "tlb_study", ...).
-  double clock_hz = 25e6;  // For rendering cycles as seconds.
-  double scale = 0;        // Workload scale; 0 = not applicable.
+  std::string tool;  // Emitting binary ("bench_table2", "tlb_study", ...).
+  double scale = 0;  // Workload scale; 0 = not applicable.
   // Entries kept per profile table (blocks/symbols/pages) when experiments
   // carry an attribution profile; 0 = everything.
   size_t profile_top = 20;

@@ -44,6 +44,8 @@ constexpr uint32_t kUserTextBase = 0x00400000;        // Original binaries.
 constexpr uint32_t kUserTracedTextBase = 0x10000000;  // Instrumented binaries.
 constexpr uint32_t kUserStackTop = 0x7fd00000;
 constexpr uint32_t kUserStackPages = 16;
+// Each process's heap limit past its bss.
+constexpr uint32_t kUserHeapBytes = 8u << 20;
 // kUserTraceBufBase / kUserBkBase come from trace/abi.h.
 
 // Per-process linear page tables in kseg2: PTEBase(p) = kseg2 + p * 2 MB.
@@ -105,6 +107,9 @@ constexpr uint32_t kBootMagic = 0x424f4f54;
 constexpr uint32_t kBootHeaderBytes = 64;
 constexpr uint32_t kBootProcStride = 64;
 constexpr uint32_t kMaxProcs = 8;
+// The analysis cost per drained trace word (boot parameter +52): the host
+// charges it to the traced machine at each drain.
+constexpr uint32_t kAnalysisCyclesPerWord = 20;
 
 // Offsets within the kernel-written stats block:
 //   +0   magic 0x53544154 "STAT"

@@ -605,13 +605,12 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
   auto build_process = [&](uint32_t pid, const Executable& mapped, const Executable& orig) {
     SystemInstance::ProcLayout layout;
     // Slices within the process's frame region: data+heap, stack, trace,
-    // text.  Frame = slice base + (vpn - slice vpn0), permuted for the
-    // scrambled policy.
+    // text.  TranslateUserPage maps each page into its slice.
     uint32_t data_vpn0 = orig.data_base >> kPageShift;
     // The initial break is 8-aligned so sbrk hands out aligned regions.
     uint32_t heap_start = (orig.bss_base + orig.bss_size + 7) & ~7u;
     uint32_t data_pages =
-        PagesFor(heap_start + config.heap_bytes - orig.data_base);
+        PagesFor(heap_start + kUserHeapBytes - orig.data_base);
     // The scrambled permutation needs gcd(mult, pages) == 1.
     while (config.policy == PagePolicy::kScrambled &&
            Gcd(config.policy_mult, data_pages) != 1) {
@@ -637,39 +636,9 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
     next_frame += layout.region_pages;
     WRL_CHECK_MSG((next_frame << kPageShift) <= kOsPhysBytes, "out of user frames");
 
-    auto frame_for = [&](uint32_t vpn) -> uint32_t {
-      uint32_t slice_base;
-      uint32_t index;
-      uint32_t slice_pages;
-      if (vpn >= text_vpn0 && vpn < text_vpn0 + text_pages) {
-        slice_base = layout.text_slice_page;
-        index = vpn - text_vpn0;
-        slice_pages = text_pages;
-      } else if (vpn == (kUserBkBase >> kPageShift)) {
-        // The bookkeeping page rides in the last slot of the trace slice.
-        slice_base = layout.trace_slice_page;
-        index = trace_pages - 1;
-        slice_pages = trace_pages;
-      } else if (vpn >= trace_vpn0 && vpn < trace_vpn0 + trace_pages - 1) {
-        slice_base = layout.trace_slice_page;
-        index = vpn - trace_vpn0;
-        slice_pages = trace_pages;
-      } else if (vpn >= stack_vpn0 && vpn < stack_vpn0 + kUserStackPages) {
-        slice_base = layout.stack_slice_page;
-        index = vpn - stack_vpn0;
-        slice_pages = kUserStackPages;
-      } else {
-        WRL_CHECK(vpn >= data_vpn0 && vpn < data_vpn0 + data_pages);
-        slice_base = layout.data_slice_page;
-        index = vpn - data_vpn0;
-        slice_pages = data_pages;
-      }
-      if (config.policy == PagePolicy::kScrambled) {
-        index = static_cast<uint32_t>((static_cast<uint64_t>(index) * config.policy_mult) %
-                                      slice_pages);
-      }
-      return layout.region_base_page + slice_base + index;
-    };
+    // Pushed first: every premapped page and trace routine lands where
+    // TranslateUserPage, the page map the predictor reads, puts it.
+    sys.layouts_.push_back(layout);
 
     // Page content assembly.
     auto page_bytes = [&](uint32_t vpn) -> std::vector<uint8_t> {
@@ -698,7 +667,7 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
 
     uint32_t premap_start = static_cast<uint32_t>(mappings.size());
     auto premap = [&](uint32_t vpn, bool writable) {
-      uint32_t pfn = frame_for(vpn);
+      uint32_t pfn = sys.TranslateUserPage(pid, vpn);
       mappings.emplace_back(vpn | (writable ? (1u << 24) : 0), pfn);
       std::vector<uint8_t> content = page_bytes(vpn);
       uint32_t paddr = static_cast<uint32_t>(static_cast<size_t>(pfn) << kPageShift);
@@ -739,10 +708,10 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
       Put32(params, e + 40, mapped.SymbolAddress("memtrace_bump"));
       // No later host write touches the process's frames.
       RegisterTraceRoutines(m, mapped, [&](uint32_t vaddr) {
-        return (frame_for(vaddr >> kPageShift) << kPageShift) | (vaddr & (kPageBytes - 1));
+        return (sys.TranslateUserPage(pid, vaddr >> kPageShift) << kPageShift) |
+               (vaddr & (kPageBytes - 1));
       });
     }
-    sys.layouts_.push_back(layout);
   };
 
   build_process(1, sys.workload_exe_, sys.workload_orig_);
@@ -767,7 +736,7 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
   Put32(params, 44, kPtPoolPages);
   uint32_t mapping_phys = kBootParamsPhys + 0x8000;
   Put32(params, 48, mapping_phys);
-  Put32(params, 52, config.analysis_cycles_per_word);
+  Put32(params, 52, kAnalysisCyclesPerWord);
 
   m.PhysWrite(kBootParamsPhys, params);
   std::vector<uint8_t> map_bytes(mappings.size() * 8);
@@ -789,8 +758,7 @@ std::unique_ptr<SystemInstance> BuildSystem(const SystemConfig& config) {
     m.set_hostcall_handler([sys_ptr](uint32_t value) -> uint32_t {
       if (value == 1) {
         sys_ptr->DrainTrace();
-        return static_cast<uint32_t>(sys_ptr->config_.analysis_cycles_per_word) *
-               static_cast<uint32_t>(sys_ptr->last_drain_words_);
+        return kAnalysisCyclesPerWord * static_cast<uint32_t>(sys_ptr->last_drain_words_);
       }
       return 0;
     });

@@ -49,7 +49,6 @@ struct SystemConfig {
   PagePolicy policy = PagePolicy::kLinear;
   uint32_t policy_mult = 9;  // Odd multiplier for the scrambled permutation.
   uint32_t trace_buf_bytes = 8u << 20;
-  uint32_t analysis_cycles_per_word = 20;
   // Liveness-driven scavenging in epoxie (header `sw ra` elision, shadow
   // windows through dead scratch registers).  The reconstructed reference
   // stream and every prediction are bit-identical either way; only the
@@ -60,11 +59,10 @@ struct SystemConfig {
   std::string program_source;
   std::string program_name = "workload";
   std::vector<DiskFile> files;
-  uint32_t heap_bytes = 8u << 20;  // Heap limit past bss.
   DiskConfig disk;
-  // Simulation fast-path layers for the underlying machine (architectural
-  // results are identical for any setting; see FastPathConfig).
-  FastPathConfig fastpath;
+  // The underlying machine's simulation fast path (architectural results
+  // are identical either way; see MachineConfig::fastpath).
+  bool fastpath = true;
   // Optional timeline: trace drains (mode switches) become instant events.
   EventRecorder* events = nullptr;
 };

@@ -11,36 +11,29 @@ namespace wrl {
 
 namespace {
 
-// `WRL_FASTPATH=0` forces every fast-path layer off, so a rebuilt-free A/B
-// run (or a bisection of a suspected fast-path bug) is always one
-// environment variable away.
-FastPathConfig ResolveFastPath(const FastPathConfig& configured) {
+// `WRL_FASTPATH=0` turns the fast path off, so a rebuild-free A/B run (or a
+// bisection of a suspected fast-path bug) is always one environment
+// variable away.
+bool ResolveFastPath(bool configured) {
   const char* env = std::getenv("WRL_FASTPATH");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') {
-    return FastPathConfig::AllOff();
-  }
-  return configured;
+  return configured && !(env != nullptr && env[0] == '0' && env[1] == '\0');
 }
 
 }  // namespace
 
 Machine::Machine(const MachineConfig& config)
-    : config_(config),
-      fastpath_(ResolveFastPath(config.fastpath)),
+    : fastpath_(ResolveFastPath(config.fastpath)),
       phys_(config.phys_bytes),
-      tlb_(config.tlb_wired),
       memsys_(config.memsys),
       timing_(config.timing),
       disk_(config.disk) {
   WRL_CHECK(config.phys_bytes % kPageBytes == 0);
   WRL_CHECK_MSG(config.phys_bytes <= kDevicePhysBase, "RAM would shadow the device page");
   cop0_[kCop0Prid] = 0x0230;  // R3000-ish.
-  if (fastpath_.predecode) {
+  // With the fast path off, device_deadline_ == 0 makes the per-step
+  // deadline test always fire: TickDevices on every instruction.
+  if (fastpath_) {
     decode_cache_.resize(config.phys_bytes / kPageBytes);
-  }
-  // device_deadline_ == 0 makes the per-step deadline test always fire, which
-  // *is* the slow path: TickDevices on every instruction.
-  if (fastpath_.event_devices) {
     UpdateDeviceDeadline();
   }
   const MemSysConfig& mem = config.memsys;
@@ -135,7 +128,7 @@ void Machine::RaiseException(Exc code, uint32_t faulting_pc, bool in_delay, uint
   pc_ = utlb_vector ? kVecUtlbMiss : kVecGeneral;
   next_pc_ = pc_ + 4;
   in_delay_ = false;
-  cycles_ += config_.exception_entry_cycles;
+  cycles_ += kExceptionEntryCycles;
   // Exception entry is a mode transition (and may rewrite EntryHi above).
   FlushMicroTlb();
   end_run_ = true;
@@ -155,7 +148,7 @@ Machine::TlbFault Machine::TlbTranslate(uint32_t vaddr, Access access, Translati
     return TlbFault::kClean;
   }
   out = {true, (e.pfn() << kPageShift) | (vaddr & (kPageBytes - 1)), !e.uncached(), false};
-  if (fastpath_.micro_tlb) {
+  if (fastpath_) {
     (access == Access::kFetch ? micro_itlb_ : micro_dtlb_).For(vaddr) = {
         MicroTlbKey(vaddr, asid, user_mode()), e.pfn() << kPageShift, out.cached, e.dirty()};
   }
@@ -211,7 +204,7 @@ void Machine::TickDevices() {
   cause &= ~(0xfcu << 8);  // Hardware IP bits 15:10 (IP2..IP7).
   cause |= ip << 8;
   cop0_[kCop0Cause] = cause;
-  if (fastpath_.event_devices) {
+  if (fastpath_) {
     UpdateDeviceDeadline();
   }
 }
@@ -294,7 +287,7 @@ void Machine::MmioWrite(uint32_t offset, uint32_t value) {
     case kDevClockPeriod:
     case kDevClockAck:
       clock_.WriteReg(offset, value, cycles_);
-      if (fastpath_.event_devices) {
+      if (fastpath_) {
         // Do NOT tick here — that could advance device time earlier than the
         // slow path would.  Refresh the IP bits from the (possibly acked)
         // irq lines and recompute when the models next need attention.
@@ -308,7 +301,7 @@ void Machine::MmioWrite(uint32_t offset, uint32_t value) {
     case kDevDiskCmd:
     case kDevDiskAck:
       disk_.WriteReg(offset, value, cycles_);
-      if (fastpath_.event_devices) {
+      if (fastpath_) {
         SyncIrqCause();
         UpdateDeviceDeadline();
       }
@@ -345,8 +338,8 @@ void Machine::WaitMulDiv() {
 }
 
 inline bool Machine::BeginFetch(Translation& ft) {
-  // With event_devices off the deadline stays 0, so this fires on every
-  // step — exactly the old per-instruction TickDevices.
+  // With the fast path off the deadline stays 0, so this fires on every
+  // step: the per-instruction TickDevices.
   if (cycles_ >= device_deadline_) {
     TickDevices();
   }
@@ -760,7 +753,7 @@ void Machine::RunPages(uint64_t limit) {
             // ASID or mode may have changed.
             FlushMicroTlb();
           }
-          if (reg == kCop0Cause && fastpath_.event_devices) {
+          if (reg == kCop0Cause && fastpath_) {
             // The slow path rewrites the hardware IP bits from the irq
             // lines on the very next step; mirror that immediately.
             SyncIrqCause();
@@ -819,7 +812,7 @@ RunResult Machine::Run(uint64_t max_instructions) {
   const uint64_t limit = max_instructions > UINT64_MAX - instructions_
                              ? UINT64_MAX
                              : instructions_ + max_instructions;
-  if (fastpath_.predecode) {
+  if (fastpath_) {
     RunPages(limit);
   } else {
     while (!halted_ && instructions_ < limit) {

@@ -75,40 +75,33 @@ struct RefEvent {
   uint32_t pc;  // The instruction performing the reference (== vaddr for fetches).
 };
 
-// The layered simulation fast path.  Every layer is a pure optimization:
-// with any combination of flags, the architectural state sequence, every
-// counter, and every trace word are byte-identical to the all-off slow
-// path (tests/fastpath_test.cc holds the machine to that).  `WRL_FASTPATH=0`
-// in the environment forces everything off, for A/B runs without a rebuild.
-struct FastPathConfig {
-  // Cache Decode() results per physical page; invalidated on stores, DMA,
-  // and image loads into the page (self-modifying code keeps working).
-  // Run then executes a page at a time (Machine::RunPages lists what ends a
-  // run).  With predecode off, Run calls Step, which decodes from memory,
-  // once per instruction.
-  bool predecode = true;
-  // Direct-mapped fetch and data translation tables (64 slots each,
-  // indexed by VPN mod 64) in front of the 64-entry TLB scan, keyed on
-  // (VPN, ASID, user-mode); both flushed on tlbwi/tlbwr, EntryHi and
-  // Status writes, rfe, and exception entry.
-  bool micro_tlb = true;
-  // Tick device models only when the cycle counter crosses the next
-  // computed deadline (clock tick or disk completion) instead of on every
-  // instruction.
-  bool event_devices = true;
-
-  static FastPathConfig AllOff() { return FastPathConfig{false, false, false}; }
-};
+// Hardware cost of entering an exception handler (flush + vector fetch),
+// which the trace-driven predictor knowingly does not model.
+constexpr unsigned kExceptionEntryCycles = 10;
 
 struct MachineConfig {
   uint32_t phys_bytes = 64u << 20;
   bool timing = false;
   MemSysConfig memsys;
   DiskConfig disk;
-  unsigned tlb_wired = 8;
-  // Hardware cost of entering an exception handler (flush + vector fetch).
-  unsigned exception_entry_cycles = 10;
-  FastPathConfig fastpath;
+  // The simulation fast path: a pure optimization.  With it on or off, the
+  // architectural state sequence, every counter, and every trace word are
+  // byte-identical (tests/fastpath_test.cc holds the machine to that).  On,
+  // the machine
+  //   * caches Decode() results per physical page, invalidated on stores,
+  //     DMA, and image loads into the page (self-modifying code keeps
+  //     working), and runs a page at a time (Machine::RunPages lists what
+  //     ends a run), with registered trace routines as host steps;
+  //   * keeps direct-mapped fetch and data translation tables (64 slots
+  //     each, indexed by VPN mod 64) in front of the 64-entry TLB scan,
+  //     keyed on (VPN, ASID, user-mode); both flushed on tlbwi/tlbwr,
+  //     EntryHi and Status writes, rfe, and exception entry;
+  //   * ticks the device models only when the cycle counter crosses the
+  //     next computed deadline (clock tick or disk completion).
+  // Off, Run calls Step, which decodes from memory, scans the TLB, and ticks
+  // the devices once per instruction.  `WRL_FASTPATH=0` in the environment
+  // turns it off, for A/B runs without a rebuild.
+  bool fastpath = true;
 };
 
 // The trace-collection routines of trace/support_asm.h, which the machine
@@ -135,7 +128,7 @@ class Machine {
 
   // ---- Execution ----
   // Executes one instruction, decoded from memory: the per-instruction
-  // reference that Run uses with predecode off.
+  // reference that Run uses with the fast path off.
   void Step();
   // Runs until halt or the instruction budget is exhausted.  The budget
   // saturates: Run(UINT64_MAX) runs until halt.
@@ -200,8 +193,8 @@ class Machine {
   // unless the text matches the modeled routine word for word.  The
   // registration lives in the entry's predecoded page, so any write to that
   // page (store, DMA, PhysWrite, LoadImage, InvalidateDecodeRange) drops
-  // it.  A no-op with predecode off, and for a routine that straddles a
-  // page.
+  // it.  A no-op with the fast path off, and for a routine that straddles
+  // a page.
   void RegisterTraceRoutine(TraceRoutine routine, uint32_t vaddr, uint32_t paddr);
   // Entries reached and taken by the host step since construction.  A
   // plain accessor: the registry (RegisterStats) must read the same with
@@ -247,9 +240,6 @@ class Machine {
     idle_hi_ = hi;
   }
   uint64_t idle_instructions() const { return idle_instructions_; }
-
-  // Active fast-path layers (config, possibly overridden by WRL_FASTPATH=0).
-  const FastPathConfig& fastpath() const { return fastpath_; }
 
  private:
   enum class Access : uint8_t { kFetch, kLoad, kStore };
@@ -308,7 +298,7 @@ class Machine {
     if (!user && InKseg0(vaddr)) {
       return {true, vaddr - kKseg0, true, false};
     }
-    if (fastpath_.micro_tlb) {
+    if (fastpath_) {
       const MicroTlb::Slot& slot =
           (access == Access::kFetch ? micro_itlb_ : micro_dtlb_).For(vaddr);
       if (slot.key == MicroTlbKey(vaddr, CurrentAsid(), user) &&
@@ -341,7 +331,7 @@ class Machine {
   // fetch, the ifetch hook, the counters, the pc and delay-slot update, and
   // Execute.  `inst` is a copy: Execute may drop the page it came from.
   void Retire(Inst inst, uint32_t cur, bool delay, uint32_t paddr, bool cached, bool user);
-  // Run's loop with predecode on: one BeginFetch per run of instructions
+  // Run's loop with the fast path on: one BeginFetch per run of instructions
   // from one predecoded page.  Its definition lists the events that end a
   // run and why each is exact.
   void RunPages(uint64_t limit);
@@ -382,8 +372,8 @@ class Machine {
   void UncountInstruction(uint32_t cur, bool was_user);
   [[noreturn]] void PhysAccessFail(const char* op, uint32_t paddr) const;
 
-  MachineConfig config_;
-  FastPathConfig fastpath_;
+  // MachineConfig::fastpath, unless WRL_FASTPATH=0 turned it off.
+  bool fastpath_;
   PhysMem phys_;
   Tlb tlb_;
   MemorySystem memsys_;
@@ -395,8 +385,8 @@ class Machine {
   bool end_run_ = false;
   MicroTlb micro_itlb_;
   MicroTlb micro_dtlb_;
-  // Next cycle at which devices must be ticked.  0 when event_devices is
-  // off (tick every step, the slow path); kNoDeadline when nothing pends.
+  // Next cycle at which devices must be ticked.  0 with the fast path off
+  // (tick every step); kNoDeadline when nothing pends.
   static constexpr uint64_t kNoDeadline = ~uint64_t{0};
   uint64_t device_deadline_ = 0;
 

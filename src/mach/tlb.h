@@ -45,8 +45,10 @@ inline uint32_t MakeEntryLo(uint32_t paddr, bool dirty, bool valid, bool global,
 class Tlb {
  public:
   static constexpr unsigned kEntries = 64;
+  // Entries below this index are wired: tlbwr never replaces them.
+  static constexpr unsigned kWired = 8;
 
-  explicit Tlb(unsigned wired = 8) : wired_(wired) { Reset(); }
+  explicit Tlb(unsigned wired = kWired) : wired_(wired) { Reset(); }
 
   // Associative lookup (TlbEntry::Matches).  Returns the first matching
   // entry's index, or nullopt.

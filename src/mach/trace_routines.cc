@@ -225,7 +225,7 @@ void Machine::RegisterTraceRoutine(TraceRoutine routine, uint32_t vaddr, uint32_
     out = {true, vaddr - kKseg0, true, false};
   } else if (InKuseg(vaddr) || (!user && InKseg2(vaddr))) {
     const MicroTlb::Slot& slot = (access == Access::kFetch ? micro_itlb_ : micro_dtlb_).For(vaddr);
-    if (fastpath_.micro_tlb && slot.key == MicroTlbKey(vaddr, CurrentAsid(), user) &&
+    if (slot.key == MicroTlbKey(vaddr, CurrentAsid(), user) &&
         (access != Access::kStore || slot.writable)) {
       out = {true, slot.frame | (vaddr & (kPageBytes - 1)), slot.cached, false};
     } else if (TlbTranslate(vaddr, access, out) != TlbFault::kNone) {

@@ -110,7 +110,7 @@ struct PredictorConfig {
   // no matter when or how often it is called.  PageTranslator memoizes it.
   PageMapFn page_map;
   // Wired entries of the simulated TLB (replay sweeps vary this).
-  unsigned tlb_wired = 8;
+  unsigned tlb_wired = Tlb::kWired;
 };
 
 struct Prediction {

@@ -61,7 +61,7 @@ class TlbSimulator : public RefBatchSink {
   // page-table load.
   static constexpr unsigned kHandlerRefs = kHandlerInstructions + 1;
 
-  explicit TlbSimulator(unsigned wired = 8);
+  explicit TlbSimulator(unsigned wired = Tlb::kWired);
 
   // Processes one reference from the parsed trace.  Returns true if the
   // reference took a UTLB miss, in which case handler() holds the

@@ -97,13 +97,6 @@ size_t EventRecorder::open_scopes() const {
   return it == tracks_.end() ? 0 : it->second.open.size();
 }
 
-std::vector<TimelineEvent> EventRecorder::TakeEvents() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TimelineEvent> taken = std::move(events_);
-  events_.clear();
-  return taken;
-}
-
 void WriteChromeTraceEvents(JsonWriter& writer, const std::vector<TimelineEvent>& events) {
   for (const TimelineEvent& event : events) {
     writer.BeginObject();

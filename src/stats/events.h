@@ -71,7 +71,6 @@ class EventRecorder {
   // Completed events of every track, in completion order (instants
   // interleaved).  Read them only while no other thread records.
   const std::vector<TimelineEvent>& events() const { return events_; }
-  std::vector<TimelineEvent> TakeEvents();
 
   // Microseconds on the process-wide clock every recorder stamps.
   static uint64_t NowUs();

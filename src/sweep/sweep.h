@@ -188,7 +188,7 @@ struct SweepConfig {
   // The page map and TLB wiring that fix the (shared) reference stream.
   // The page map must be pure, as PredictorConfig::page_map documents.
   PageMapFn page_map;
-  unsigned tlb_wired = 8;
+  unsigned tlb_wired = Tlb::kWired;
   // Families priced for the I- and D-cache (each may hold several line
   // sizes; every family is walked in the same single pass).
   std::vector<CacheFamilySpec> icache;

@@ -500,21 +500,21 @@ class ObjectVerifier {
     if (in.op == Op::kJal) {
       const Relocation* r = SoleReloc(q, RelocType::kJump26);
       if (r != nullptr &&
-          (r->symbol == opt_.epoxie.bbtrace_symbol || r->symbol == opt_.epoxie.memtrace_symbol)) {
+          (r->symbol == kBbtraceSymbol || r->symbol == kMemtraceSymbol)) {
         return WordClass::kTraceCall;
       }
       return WordClass::kProgram;
     }
     if (in.op == Op::kLui && in.rt == kAt) {
       const Relocation* r = SoleReloc(q, RelocType::kHi16);
-      if (r != nullptr && r->symbol == opt_.epoxie.bookkeeping_symbol) {
+      if (r != nullptr && r->symbol == kBookkeepingSymbol) {
         return WordClass::kBkLui;
       }
       return WordClass::kProgram;
     }
     if (in.op == Op::kOri && in.rt == kAt && in.rs == kAt) {
       const Relocation* r = SoleReloc(q, RelocType::kLo16);
-      if (r != nullptr && r->symbol == opt_.epoxie.bookkeeping_symbol) {
+      if (r != nullptr && r->symbol == kBookkeepingSymbol) {
         return WordClass::kBkOri;
       }
       return WordClass::kProgram;
@@ -775,10 +775,10 @@ class ObjectVerifier {
     }
     const Relocation* jal = SoleReloc(p, RelocType::kJump26);
     if (iinsts_[p].op != Op::kJal || jal == nullptr ||
-        jal->symbol != opt_.epoxie.bbtrace_symbol) {
+        jal->symbol != kBbtraceSymbol) {
       Err(VerifyPass::kShape, p, static_cast<int32_t>(bi),
           StrFormat("block header word %u is not 'jal %s'", p - q_,
-                    opt_.epoxie.bbtrace_symbol.c_str()));
+                    kBbtraceSymbol));
       return false;
     }
     ++p;
@@ -950,7 +950,7 @@ class ObjectVerifier {
       WordClass cls = Classify(q_, &stolen);
       if (cls == WordClass::kTraceCall) {
         const std::string& sym = TraceCallSymbol(q_);
-        if (sym == opt_.epoxie.bbtrace_symbol) {
+        if (sym == kBbtraceSymbol) {
           Err(VerifyPass::kShape, q_, bn, "bbtrace call outside a block header");
           return false;
         }

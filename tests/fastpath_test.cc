@@ -1,9 +1,10 @@
-// The fast-path contract (mach/machine.h FastPathConfig): predecode (with
-// its page-at-a-time run loop), micro-TLB, and event-driven devices are pure
-// optimizations.  With any of them on or off, the machine must produce
-// byte-identical architectural results — every trace word, cycle count, and
-// counter.  These tests hold it to that, on every paper workload, and poke
-// the edges where each cache or run could go stale: self-modifying code,
+// The fast-path contract (mach/machine.h MachineConfig::fastpath): predecode
+// (with its page-at-a-time run loop and the trace-routine host steps),
+// micro-TLB, and event-driven devices are one pure optimization.  On or
+// off, the machine must produce byte-identical architectural results —
+// every trace word, cycle count, and counter.  These tests hold it to that,
+// on every paper workload, and poke the edges where each cache or run could
+// go stale: self-modifying code,
 // DMA into predecoded text, TLB rewrites, ASID switches, micro-TLB slot
 // conflicts, stores to clean pages, and the events that must end a page
 // run (a store into the run's own page, an interrupt enabled mid-run, a
@@ -26,9 +27,9 @@ namespace wrl {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Whole-system determinism: a traced workload run with all fast paths on
+// Whole-system determinism: a traced workload run with the fast path on
 // must be byte-identical — trace words, cycles, and the full counter
-// registry — to the all-off slow path.
+// registry — to the slow path.
 
 struct TracedCapture {
   std::vector<uint32_t> trace_words;
@@ -62,7 +63,7 @@ TracedCapture RunCapture(const SystemConfig& config, uint64_t max_instructions) 
   return capture;
 }
 
-TracedCapture RunTracedWith(const FastPathConfig& fastpath) {
+TracedCapture RunTracedWith(bool fastpath) {
   SystemConfig config;
   config.tracing = true;
   config.clock_period = 200000 * 15;
@@ -100,28 +101,13 @@ table:  .space 256
 }
 
 TEST(FastPath, TracedSystemByteIdenticalToSlowPath) {
-  TracedCapture fast = RunTracedWith(FastPathConfig{});
-  TracedCapture slow = RunTracedWith(FastPathConfig::AllOff());
+  TracedCapture fast = RunTracedWith(true);
+  TracedCapture slow = RunTracedWith(false);
   EXPECT_EQ(fast.cycles, slow.cycles);
   EXPECT_EQ(fast.instructions, slow.instructions);
   ASSERT_EQ(fast.trace_words.size(), slow.trace_words.size());
   EXPECT_EQ(fast.trace_words, slow.trace_words);
   EXPECT_EQ(fast.counters_json, slow.counters_json);
-}
-
-// Each layer individually must also be invisible.
-TEST(FastPath, EachLayerAloneIsByteIdentical) {
-  TracedCapture slow = RunTracedWith(FastPathConfig::AllOff());
-  for (int layer = 0; layer < 3; ++layer) {
-    FastPathConfig one = FastPathConfig::AllOff();
-    one.predecode = layer == 0;
-    one.micro_tlb = layer == 1;
-    one.event_devices = layer == 2;
-    TracedCapture run = RunTracedWith(one);
-    EXPECT_EQ(run.cycles, slow.cycles) << "layer " << layer;
-    EXPECT_EQ(run.trace_words, slow.trace_words) << "layer " << layer;
-    EXPECT_EQ(run.counters_json, slow.counters_json) << "layer " << layer;
-  }
 }
 
 // The same contract on every paper workload, under both personalities,
@@ -149,9 +135,8 @@ TEST_P(PaperWorkloadFastPath, ByteIdenticalToSlowPath) {
   for (bool tracing : {false, true}) {
     SCOPED_TRACE(tracing ? "traced system" : "measured system");
     SystemConfig config = ExperimentSystemConfig(workload, options, tracing);
-    config.fastpath = FastPathConfig{};
     TracedCapture fast = RunCapture(config, kBudget);
-    config.fastpath = FastPathConfig::AllOff();
+    config.fastpath = false;
     TracedCapture slow = RunCapture(config, kBudget);
     EXPECT_GT(slow.utlb_misses, 0u);
     EXPECT_EQ(tracing, !slow.trace_words.empty());
@@ -199,7 +184,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 std::unique_ptr<Machine> RunWithFastpath(const std::string& source, bool on,
                                          MachineConfig config = {}) {
-  config.fastpath = on ? FastPathConfig{} : FastPathConfig::AllOff();
+  config.fastpath = on;
   return RunBareProgram(source, 1'000'000, config);
 }
 
@@ -215,7 +200,7 @@ Executable LinkVectored(const std::string& source) {
 std::unique_ptr<Machine> LoadVectored(const std::string& source, bool on) {
   MachineConfig config;
   config.timing = true;
-  config.fastpath = on ? FastPathConfig{} : FastPathConfig::AllOff();
+  config.fastpath = on;
   auto m = std::make_unique<Machine>(config);
   LoadBare(*m, LinkVectored(source));
   return m;
@@ -258,7 +243,7 @@ TEST(FastPath, SelfModifyingCodeRedecodes) {
 // Disk DMA into a predecoded text page must invalidate the cached decode.
 uint32_t RunDmaOverwrite(bool fastpath_on) {
   MachineConfig config;
-  config.fastpath = fastpath_on ? FastPathConfig{} : FastPathConfig::AllOff();
+  config.fastpath = fastpath_on;
   config.disk.seek_cycles = 500;
   config.disk.per_sector_cycles = 100;
   Machine m{config};
@@ -507,7 +492,7 @@ TEST(FastPath, StoreToCleanPageAfterLoadRaisesMod) {
 }
 
 // ---------------------------------------------------------------------------
-// Page-run edges.  With predecode on, Run executes a page at a time and
+// Page-run edges.  With the fast path on, Run executes a page at a time and
 // skips Step's prologue inside a run; each program below puts one of the
 // events that must end a run where skipping the prologue would show.  Every
 // one runs in a single page (the vectors included) and in timing mode, and

@@ -539,7 +539,7 @@ TEST(Machine, MaxBudgetAfterAPartialRunRunsToHalt) {
   for (bool fastpath : {true, false}) {
     SCOPED_TRACE(fastpath ? "fast path" : "slow path");
     MachineConfig config;
-    config.fastpath = fastpath ? FastPathConfig{} : FastPathConfig::AllOff();
+    config.fastpath = fastpath;
     Machine m{config};
     LoadBare(m, BuildBareProgram(Program(R"(
         li   $v0, 0

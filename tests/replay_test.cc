@@ -411,7 +411,9 @@ TEST(ReplayExperiment, SharedTeeMatchesSingleSinkRuns) {
 // named phase of its timeline, and the report gives every sink on the tee
 // its busy time, so a report can split the parse's wall time by sink.
 TEST(ReplayExperiment, TimelineNamesTheAnalysisTailAndReportTimesEverySink) {
+  EventRecorder events;
   ExperimentOptions options;
+  options.events = &events;
   options.profile = true;
   options.sweep.tlb_max_entries = 64;
   ReplayVariant slowmem;
@@ -427,7 +429,7 @@ TEST(ReplayExperiment, TimelineNamesTheAnalysisTailAndReportTimesEverySink) {
 
   for (const char* phase : {"trace.archive_finalize", "analysis.finish", "stats.snapshot"}) {
     size_t count = 0;
-    for (const TimelineEvent& e : result.timeline) {
+    for (const TimelineEvent& e : events.events()) {
       count += e.name == phase && !e.instant;
     }
     EXPECT_EQ(count, 1u) << phase;

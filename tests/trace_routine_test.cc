@@ -104,7 +104,7 @@ Executable LinkWithSupport(const std::string& body) {
 std::unique_ptr<Machine> Boot(const Executable& exe, bool fast) {
   MachineConfig config;
   config.timing = true;
-  config.fastpath = fast ? FastPathConfig{} : FastPathConfig::AllOff();
+  config.fastpath = fast;
   auto m = std::make_unique<Machine>(config);
   LoadBare(*m, exe);
   RegisterTraceRoutines(*m, exe, [](uint32_t vaddr) { return vaddr - kKseg0; });

@@ -187,7 +187,7 @@ buf:    .word 0
 )");
   // The store packs into the memtrace delay slot; corrupt its offset so the
   // slot no longer holds the block's next memory instruction.
-  uint32_t call = FindCall(b, b.config.memtrace_symbol);
+  uint32_t call = FindCall(b, kMemtraceSymbol);
   uint32_t delay = call + 4;
   ASSERT_EQ(b.res.object.TextWord(delay), EncodeIType(Op::kSw, kT0, kZero, 0));
   b.res.object.SetTextWord(delay, EncodeIType(Op::kSw, kT0, kZero, 8));

@@ -4,8 +4,15 @@
 // measured-vs-predicted experiment runs for a sample of workloads.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <tuple>
+
 #include "harness/experiment.h"
 #include "kernel/system_build.h"
+#include "mach/address_space.h"
+#include "mach/tlb.h"
+#include "support/strings.h"
 #include "workloads/workloads.h"
 
 namespace wrl {
@@ -65,6 +72,51 @@ INSTANTIATE_TEST_SUITE_P(AllTwelve, WorkloadRuns,
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+// Paper §4.2's page map, checked against the kernel rather than the
+// predictor: in both systems of every experiment, every valid kuseg TLB
+// entry (its ASID is the pid) names the frame TranslateUserPage, the map
+// the predictor reads, gives that page.  The loader premaps through that
+// map, but the kernel places heap pages by its own rule, and refills the
+// TLB from its own tables.  The TLB is read every 20,000 instructions.
+class WorkloadPageMap : public ::testing::TestWithParam<std::tuple<std::string, Personality>> {};
+
+TEST_P(WorkloadPageMap, TlbEntriesNameTheTranslatedFrame) {
+  const auto& [name, personality] = GetParam();
+  ExperimentOptions options;
+  options.personality = personality;
+  const WorkloadSpec workload = PaperWorkload(name, kScale);
+  for (bool tracing : {false, true}) {
+    SCOPED_TRACE(tracing ? "traced system" : "measured system");
+    auto sys = BuildSystem(ExperimentSystemConfig(workload, options, tracing));
+    std::set<std::tuple<uint32_t, uint32_t, uint32_t>> checked;  // (pid, vpn, pfn)
+    RunResult r;
+    do {
+      r = sys->Run(20'000);
+      for (unsigned i = 0; i < Tlb::kEntries; ++i) {
+        const TlbEntry& e = sys->machine().tlb().entry(i);
+        if (!e.valid() || !InKuseg(e.vpn() << kPageShift) ||
+            !checked.insert({e.asid(), e.vpn(), e.pfn()}).second) {
+          continue;
+        }
+        ASSERT_EQ(e.pfn(), sys->TranslateUserPage(e.asid(), e.vpn()))
+            << "pid " << unsigned{e.asid()} << " page " << Hex32(e.vpn() << kPageShift);
+      }
+    } while (!r.halted && r.instructions < kBudget);
+    ASSERT_TRUE(r.halted);
+    EXPECT_GT(checked.size(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, WorkloadPageMap,
+    ::testing::Combine(::testing::Values("sed", "egrep", "yacc", "gcc", "compress", "espresso",
+                                         "lisp", "eqntott", "fpppp", "doduc", "liv", "tomcatv"),
+                       ::testing::Values(Personality::kUltrix, Personality::kMach)),
+    [](const ::testing::TestParamInfo<WorkloadPageMap::ParamType>& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) == Personality::kMach ? "_mach" : "_ultrix");
+    });
 
 TEST(Experiment, SedEndToEnd) {
   // The full §5 methodology on one workload: measured vs predicted with no
