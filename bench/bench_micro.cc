@@ -326,34 +326,47 @@ void BM_CacheSim(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheSim);
 
-// The parser's innermost dependency: one hash lookup per block key.  Built
-// with AddObject (reserve + bulk insert), probed with the realistic mix of
-// hits and misses the key-validation path sees.
+// The parser's innermost dependency: one dense-index probe per block key.
+// The keys are the gcc trace's own, in trace order, each looked up in the
+// table of the context that recorded it.  The fixture finds them by feeding
+// the trace a word at a time: a word that starts a block is a key, and the
+// references it rebuilds name its context.  Items are keys.
 void BM_TraceTableLookup(benchmark::State& state) {
-  std::vector<BlockStatic> blocks(4096);
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    blocks[i].key_offset = static_cast<uint32_t>(i * 32 + 8);
-    blocks[i].orig_offset = static_cast<uint32_t>(i * 16);
-    blocks[i].num_insts = 4;
-    blocks[i].mem_ops = {{1, false, 4}};
+  const SystemTrace& trace = GccSystemTrace();
+  std::map<uint8_t, const TraceInfoTable*> tables = {
+      {kKernelPid, &trace.traced->kernel_table()}};
+  for (const SystemInstance::UserSpace& space : trace.traced->user_spaces()) {
+    tables[space.pid] = space.table;
   }
-  TraceInfoTable table;
-  table.AddObject(blocks, 0x00500000, 0x00400000);
-  Rng rng(3);
-  std::vector<uint32_t> keys(4096);
-  for (auto& key : keys) {
-    // Three-quarters hits, one quarter misses (the defensive path).
-    uint32_t i = rng.Below(static_cast<uint32_t>(blocks.size()));
-    key = 0x00500000 + i * 32 + 8 + (rng.Below(4) == 0 ? 4 : 0);
+  struct Lookup {
+    const TraceInfoTable* table;
+    uint32_t key;
+  };
+  std::vector<Lookup> lookups;
+  std::unique_ptr<TraceParser> parser = SystemTraceParser(*trace.traced);
+  TraceRef last{};
+  RefFnSink watch([&last](const TraceRef& ref) { last = ref; });
+  parser->SetBatchSink(&watch, 1);
+  for (const std::vector<uint32_t>& chunk : trace.chunks) {
+    for (uint32_t word : chunk) {
+      const uint64_t blocks = parser->stats().blocks;
+      parser->Feed(&word, 1);
+      if (parser->stats().blocks != blocks) {
+        lookups.push_back({tables.at(last.pid), word});
+      }
+    }
   }
   uint64_t found = 0;
   for (auto _ : state) {
-    for (uint32_t key : keys) {
-      found += table.Find(key) != nullptr;
+    for (const Lookup& lookup : lookups) {
+      found += lookup.table->Find(lookup.key) != nullptr;
     }
   }
   benchmark::DoNotOptimize(found);
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(keys.size()));
+  if (found != static_cast<uint64_t>(state.iterations()) * lookups.size()) {
+    state.SkipWithError("a key of the trace was not found in its context's table");
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(lookups.size()));
 }
 BENCHMARK(BM_TraceTableLookup);
 

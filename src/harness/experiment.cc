@@ -403,6 +403,7 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
     EventRecorder::Scope finish_scope(events, "analysis.finish", "analysis");
     parser->Finish();
     result.parser_errors = parser->stats().validation_errors;
+    result.parse_wall_us = parser->busy_us() - tee.busy_us();
     if (profiler != nullptr) {
       result.profile = profiler->Finish();
       result.profile_wall_us = tee.busy_us(profiler.get());

@@ -184,6 +184,9 @@ struct ExperimentResult {
   // variants' wall_us below.
   uint64_t prediction_wall_us = 0;
   uint64_t profile_wall_us = 0;
+  // The parser's self time: its wall time in Feed and Finish less every
+  // sink's busy time on the tee.
+  uint64_t parse_wall_us = 0;
 
   // One result per ReplayVariant, in option order.
   std::vector<ReplayVariantResult> replays;

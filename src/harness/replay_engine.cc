@@ -33,17 +33,7 @@ std::vector<ReplayEngine::Outcome> ReplayEngine::Run(const std::vector<Config>& 
 }
 
 void ReplayEngine::RegisterParserStats(StatsRegistry& registry, const std::string& prefix) {
-  registry.AddCounter(prefix + "words", &parser_stats_.words);
-  registry.AddCounter(prefix + "blocks", &parser_stats_.blocks);
-  registry.AddCounter(prefix + "refs", &parser_stats_.refs);
-  registry.AddCounter(prefix + "ifetches", &parser_stats_.ifetches);
-  registry.AddCounter(prefix + "loads", &parser_stats_.loads);
-  registry.AddCounter(prefix + "stores", &parser_stats_.stores);
-  registry.AddCounter(prefix + "kernel_ifetches", &parser_stats_.kernel_ifetches);
-  registry.AddCounter(prefix + "user_ifetches", &parser_stats_.user_ifetches);
-  registry.AddCounter(prefix + "idle_instructions", &parser_stats_.idle_instructions);
-  registry.AddCounter(prefix + "markers", &parser_stats_.markers);
-  registry.AddCounter(prefix + "validation_errors", &parser_stats_.validation_errors);
+  BindParserStats(registry, prefix, &parser_stats_);
 }
 
 }  // namespace wrl

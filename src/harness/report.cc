@@ -128,6 +128,7 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
   writer.KV("parser_errors", r.parser_errors);
   writer.KV("analysis_switches", r.analysis_switches);
   writer.KV("traced_machine_instructions", r.traced_machine_instructions);
+  writer.KV("parse_wall_us", r.parse_wall_us);
   writer.EndObject();
 
   if (!r.replays.empty()) {

@@ -1,6 +1,8 @@
 #include "trace/parser.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "mach/address_space.h"
 #include "support/error.h"
@@ -8,14 +10,40 @@
 
 namespace wrl {
 
+namespace {
+
+// Fetches a run writes at a time (TraceParser::EmitFetches).
+constexpr size_t kRunGroup = 4;
+
+}  // namespace
+
+void TraceInfoTable::Cover(uint32_t key) {
+  uint32_t base = key;
+  uint32_t last = key;
+  if (!index_.empty()) {
+    base = std::min(base, key_base_);
+    last = std::max(last, key_base_ + static_cast<uint32_t>(4 * (index_.size() - 1)));
+  }
+  WRL_CHECK_MSG(last - base < kMaxKeySpanBytes,
+                StrFormat("trace keys 0x%08x..0x%08x span more than %u bytes", base, last,
+                          kMaxKeySpanBytes));
+  if (!index_.empty() && base < key_base_) {
+    index_.insert(index_.begin(), (key_base_ - base) / 4, nullptr);
+  }
+  key_base_ = base;
+  index_.resize((last - base) / 4 + 1, nullptr);
+}
+
 void TraceInfoTable::Add(uint32_t key_addr, TraceBlockInfo info) {
-  WRL_CHECK_MSG(blocks_.emplace(key_addr, std::move(info)).second,
-                StrFormat("duplicate trace key 0x%08x", key_addr));
+  WRL_CHECK_MSG(key_addr % 4 == 0, StrFormat("trace key 0x%08x is not word-aligned", key_addr));
+  WRL_CHECK_MSG(Find(key_addr) == nullptr, StrFormat("duplicate trace key 0x%08x", key_addr));
+  Cover(key_addr);
+  entries_.push_back({key_addr, std::move(info)});
+  index_[(key_addr - key_base_) / 4] = &entries_.back().info;
 }
 
 void TraceInfoTable::AddObject(const std::vector<BlockStatic>& blocks,
                                uint32_t instrumented_text_base, uint32_t original_text_base) {
-  blocks_.reserve(blocks_.size() + blocks.size());
   for (const BlockStatic& b : blocks) {
     TraceBlockInfo info;
     info.orig_addr = original_text_base + b.orig_offset;
@@ -25,11 +53,6 @@ void TraceInfoTable::AddObject(const std::vector<BlockStatic>& blocks,
     info.mem_ops = b.mem_ops;
     Add(instrumented_text_base + b.key_offset, std::move(info));
   }
-}
-
-const TraceBlockInfo* TraceInfoTable::Find(uint32_t key_addr) const {
-  auto it = blocks_.find(key_addr);
-  return it == blocks_.end() ? nullptr : &it->second;
 }
 
 void TeeBatchSink::OnRefBatch(const TraceRef* refs, size_t count) {
@@ -54,18 +77,46 @@ uint64_t TeeBatchSink::busy_us(const RefBatchSink* sink) const {
   return 0;
 }
 
-TraceParser::TraceParser(const TraceInfoTable* kernel_table) : kernel_table_(kernel_table) {}
+uint64_t TeeBatchSink::busy_us() const {
+  uint64_t busy_ns = 0;
+  for (const Entry& entry : sinks_) {
+    busy_ns += entry.busy_ns;
+  }
+  return busy_ns / 1000;
+}
+
+void BindParserStats(StatsRegistry& registry, const std::string& prefix,
+                     TraceParserStats* stats) {
+  registry.AddCounter(prefix + "words", &stats->words);
+  registry.AddCounter(prefix + "blocks", &stats->blocks);
+  registry.AddCounter(prefix + "refs", &stats->refs);
+  registry.AddCounter(prefix + "ifetches", &stats->ifetches);
+  registry.AddCounter(prefix + "loads", &stats->loads);
+  registry.AddCounter(prefix + "stores", &stats->stores);
+  registry.AddCounter(prefix + "kernel_ifetches", &stats->kernel_ifetches);
+  registry.AddCounter(prefix + "user_ifetches", &stats->user_ifetches);
+  registry.AddCounter(prefix + "idle_instructions", &stats->idle_instructions);
+  registry.AddCounter(prefix + "markers", &stats->markers);
+  registry.AddCounter(prefix + "validation_errors", &stats->validation_errors);
+}
+
+TraceParser::TraceParser(const TraceInfoTable* kernel_table)
+    : kernel_table_(kernel_table), table_(kernel_table) {}
 
 void TraceParser::SetUserTable(uint8_t pid, const TraceInfoTable* table) {
   user_tables_[pid] = table;
+  SwitchTo(pid_);
 }
 
-const TraceInfoTable* TraceParser::CurrentTable() const {
-  if (pid_ == kKernelPid) {
-    return kernel_table_;
-  }
-  auto it = user_tables_.find(pid_);
-  return it == user_tables_.end() ? nullptr : it->second;
+void TraceParser::SwitchTo(uint8_t pid) {
+  pid_ = pid;
+  table_ = pid == kKernelPid ? kernel_table_ : user_tables_[pid];
+}
+
+void TraceParser::Restore(const Context& ctx) {
+  SwitchTo(ctx.pid);
+  cursor_ = ctx.cursor;
+  idle_ = ctx.idle;
 }
 
 void TraceParser::RecordError(const std::string& message) {
@@ -75,66 +126,103 @@ void TraceParser::RecordError(const std::string& message) {
   }
 }
 
-void TraceParser::EmitRef(const TraceRef& ref) {
-  ++stats_.refs;
-  switch (ref.kind) {
-    case TraceRef::kIfetch:
-      ++stats_.ifetches;
-      if (ref.kernel) {
-        ++stats_.kernel_ifetches;
-      } else {
-        ++stats_.user_ifetches;
-      }
-      if (ref.idle) {
-        ++stats_.idle_instructions;
-      }
-      break;
-    case TraceRef::kLoad:
-      ++stats_.loads;
-      break;
-    case TraceRef::kStore:
-      ++stats_.stores;
-      break;
+void TraceParser::SetBatchSink(RefBatchSink* sink, size_t capacity) {
+  FlushBatch();
+  batch_sink_ = sink;
+  batch_capacity_ = capacity == 0 ? 1 : capacity;
+  batch_.resize(batch_capacity_ + kRunGroup - 1);
+}
+
+void TraceParser::FlushBatch() {
+  if (batch_sink_ == nullptr || batch_fill_ == 0) {
+    return;
   }
+  batch_sink_->OnRefBatch(batch_.data(), batch_fill_);
+  batch_fill_ = 0;
+}
+
+[[gnu::always_inline]] inline void TraceParser::EmitRef(const TraceRef& ref) {
+  ++stats_.refs;
+  ++(ref.kind == TraceRef::kStore ? stats_.stores : stats_.loads);
   if (batch_sink_ != nullptr) {
-    batch_.push_back(ref);
-    if (batch_.size() >= batch_capacity_) {
+    batch_[batch_fill_++] = ref;
+    if (batch_fill_ == batch_capacity_) {
       FlushBatch();
     }
   }
 }
 
-void TraceParser::SetBatchSink(RefBatchSink* sink, size_t capacity) {
-  FlushBatch();
-  batch_sink_ = sink;
-  batch_capacity_ = capacity == 0 ? 1 : capacity;
-  batch_.reserve(batch_capacity_);
-}
-
-void TraceParser::FlushBatch() {
-  if (batch_sink_ == nullptr || batch_.empty()) {
+[[gnu::always_inline]] inline void TraceParser::EmitFetches(uint32_t first_addr, uint32_t count) {
+  const bool kernel = pid_ == kKernelPid;
+  // The run's addresses ascend from first_addr; unless they wrap past 2^32,
+  // all of them lie in kernel space exactly when the first one does.
+  if (kernel &&
+      (first_addr < kKseg0 || uint64_t{first_addr} + 4 * uint64_t{count - 1} > UINT32_MAX)) {
+    for (uint32_t i = 0; i < count; ++i) {
+      const uint32_t addr = first_addr + 4 * i;
+      if (addr < kKseg0) {
+        RecordError(StrFormat("kernel instruction address 0x%08x outside kernel space", addr));
+      }
+    }
+  }
+  stats_.refs += count;
+  stats_.ifetches += count;
+  (kernel ? stats_.kernel_ifetches : stats_.user_ifetches) += count;
+  if (idle_) {
+    stats_.idle_instructions += count;
+  }
+  if (batch_sink_ == nullptr) {
     return;
   }
-  batch_sink_->OnRefBatch(batch_.data(), batch_.size());
-  batch_.clear();
-}
-
-void TraceParser::EmitFetches() {
-  const TraceBlockInfo& info = *cursor_.info;
-  bool kernel = pid_ == kKernelPid;
-  while (cursor_.next_inst < info.num_insts) {
-    uint32_t addr = info.orig_addr + 4 * cursor_.next_inst;
-    if (kernel && addr < kKseg0) {
-      RecordError(StrFormat("kernel instruction address 0x%08x outside kernel space", addr));
+  // Every fetch of the run is this reference at the next address.  Its
+  // bytes are packed once, so the loop stores them and the address.
+  const TraceRef fetch{0, TraceRef::kIfetch, 4, pid_, kernel, idle_};
+  uint64_t fetch_bytes;
+  std::memcpy(&fetch_bytes, &fetch, sizeof(fetch));
+  uint32_t addr = first_addr;
+  while (count > 0) {
+    const size_t n = std::min<size_t>(count, batch_capacity_ - batch_fill_);
+    TraceRef* out = batch_.data() + batch_fill_;
+    // Whole groups of kRunGroup, the last one running on into the slack
+    // past the run (and the batch), so that most runs take the loop once
+    // and its exit is predictable.  Slots past the run are overwritten by
+    // later references or never delivered.
+    for (size_t i = 0; i < n; i += kRunGroup) {
+      for (size_t j = i; j < i + kRunGroup; ++j) {
+        std::memcpy(&out[j], &fetch_bytes, sizeof(fetch_bytes));
+        out[j].addr = addr + 4 * static_cast<uint32_t>(j);
+      }
     }
-    EmitRef({addr, TraceRef::kIfetch, 4, pid_, kernel, idle_});
-    ++cursor_.next_inst;
-    if (cursor_.next_mem < info.mem_ops.size() &&
-        cursor_.next_inst - 1 == info.mem_ops[cursor_.next_mem].index) {
-      return;  // Await this memory op's data word.
+    addr += 4 * static_cast<uint32_t>(n);
+    batch_fill_ += n;
+    count -= static_cast<uint32_t>(n);
+    if (batch_fill_ == batch_capacity_) {
+      FlushBatch();
     }
   }
-  // Block complete.
+}
+
+[[gnu::always_inline]] inline void TraceParser::EmitRun() {
+  const TraceBlockInfo& info = *cursor_.info;
+  const uint32_t first = cursor_.next_inst;
+  // The run ends at the next memory op's instruction, if the block reaches
+  // it from here; an op out of order or past the block never gets data.
+  uint32_t end = info.num_insts;
+  bool awaits_data = false;
+  if (cursor_.next_mem < info.mem_ops.size()) {
+    const uint32_t op_index = info.mem_ops[cursor_.next_mem].index;
+    if (op_index >= first && op_index < end) {
+      end = op_index + 1;
+      awaits_data = true;
+    }
+  }
+  if (end > first) {
+    EmitFetches(info.orig_addr + 4 * first, end - first);
+  }
+  if (awaits_data) {
+    cursor_.next_inst = end;
+    return;
+  }
   if (cursor_.next_mem != info.mem_ops.size()) {
     RecordError(StrFormat("block 0x%08x completed with %zu of %zu memory ops", info.orig_addr,
                           static_cast<size_t>(cursor_.next_mem), info.mem_ops.size()));
@@ -142,19 +230,12 @@ void TraceParser::EmitFetches() {
   cursor_ = BlockCursor{};
 }
 
-void TraceParser::HandleKey(uint32_t word) {
-  if (cursor_.active()) {
-    RecordError(StrFormat("new block key 0x%08x while block 0x%08x still expects %zu data words",
-                          word, cursor_.info->orig_addr,
-                          cursor_.info->mem_ops.size() - cursor_.next_mem));
-    cursor_ = BlockCursor{};
-  }
-  const TraceInfoTable* table = CurrentTable();
-  if (table == nullptr) {
+[[gnu::always_inline]] inline void TraceParser::HandleKey(uint32_t word) {
+  if (table_ == nullptr) {
     RecordError(StrFormat("trace from context %u with no lookup table", pid_));
     return;
   }
-  const TraceBlockInfo* info = table->Find(word);
+  const TraceBlockInfo* info = table_->Find(word);
   if (info == nullptr) {
     RecordError(StrFormat("key 0x%08x is not a valid basic block for context %u", word, pid_));
     return;
@@ -166,19 +247,16 @@ void TraceParser::HandleKey(uint32_t word) {
   if (info->flags & kBlockIdleStop) {
     idle_ = false;
   }
-  cursor_.info = info;
-  cursor_.next_inst = 0;
-  cursor_.next_mem = 0;
-  EmitFetches();
+  cursor_ = {info, 0, 0};
+  EmitRun();
 }
 
-void TraceParser::HandleData(uint32_t word) {
-  const TraceBlockInfo& info = *cursor_.info;
-  const MemOpStatic& op = info.mem_ops[cursor_.next_mem];
+[[gnu::always_inline]] inline void TraceParser::HandleData(uint32_t word) {
+  const MemOpStatic& op = cursor_.info->mem_ops[cursor_.next_mem];
   EmitRef({word, op.is_store ? TraceRef::kStore : TraceRef::kLoad, op.bytes, pid_,
            pid_ == kKernelPid, idle_});
   ++cursor_.next_mem;
-  EmitFetches();
+  EmitRun();
 }
 
 void TraceParser::HandleMarker(uint32_t word) {
@@ -210,7 +288,7 @@ void TraceParser::HandleOperand(uint32_t word) {
         suspended_users_[pid_] = ctx;
         last_suspended_user_ = pid_;
       }
-      pid_ = kKernelPid;
+      SwitchTo(kKernelPid);
       cursor_ = BlockCursor{};
       idle_ = false;
       break;
@@ -227,12 +305,9 @@ void TraceParser::HandleOperand(uint32_t word) {
           // *untraced* UTLB handler, which is invisible to the trace — the
           // suspended context is really the user that missed.  Resume the
           // most recently suspended user context.
-          if (last_suspended_user_ != kKernelPid &&
-              suspended_users_.count(last_suspended_user_) != 0) {
-            auto it = suspended_users_.find(last_suspended_user_);
-            pid_ = it->second.pid;
-            cursor_ = it->second.cursor;
-            idle_ = it->second.idle;
+          auto it = suspended_users_.find(last_suspended_user_);
+          if (last_suspended_user_ != kKernelPid && it != suspended_users_.end()) {
+            Restore(it->second);
             suspended_users_.erase(it);
             last_suspended_user_ = kKernelPid;
           } else {
@@ -240,22 +315,15 @@ void TraceParser::HandleOperand(uint32_t word) {
           }
           break;
         }
-        Context ctx = kernel_stack_.back();
+        Restore(kernel_stack_.back());
         kernel_stack_.pop_back();
-        pid_ = ctx.pid;
-        cursor_ = ctx.cursor;
-        idle_ = ctx.idle;
       } else {
         auto it = suspended_users_.find(pid);
         if (it == suspended_users_.end()) {
           // First-ever entry to this process: fresh context.
-          pid_ = pid;
-          cursor_ = BlockCursor{};
-          idle_ = false;
+          Restore({pid, BlockCursor{}, false});
         } else {
-          pid_ = it->second.pid;
-          cursor_ = it->second.cursor;
-          idle_ = it->second.idle;
+          Restore(it->second);
           suspended_users_.erase(it);
         }
       }
@@ -270,26 +338,34 @@ void TraceParser::HandleOperand(uint32_t word) {
 }
 
 void TraceParser::Feed(const uint32_t* words, size_t count) {
-  EventRecorder::Scope scope(events_, "parser.feed", "parser");
-  if (events_ != nullptr) {
-    events_->Instant("parser.feed_words", "parser", "words", count);
-  }
-  for (size_t i = 0; i < count; ++i) {
-    uint32_t word = words[i];
-    ++stats_.words;
-    if (expecting_operand_) {
-      HandleOperand(word);
-    } else if (IsMarkerWord(word)) {
-      HandleMarker(word);
-    } else if (cursor_.active()) {
-      HandleData(word);
-    } else {
-      HandleKey(word);
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
+  {
+    EventRecorder::Scope scope(events_, "parser.feed", "parser");
+    if (events_ != nullptr) {
+      events_->Instant("parser.feed_words", "parser", "words", count);
+    }
+    stats_.words += count;
+    for (size_t i = 0; i < count; ++i) {
+      const uint32_t word = words[i];
+      if (expecting_operand_) [[unlikely]] {
+        HandleOperand(word);
+      } else if (IsMarkerWord(word)) [[unlikely]] {
+        HandleMarker(word);
+      } else if (cursor_.active()) {
+        HandleData(word);
+      } else {
+        HandleKey(word);
+      }
     }
   }
+  busy_ns_ += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
 }
 
 void TraceParser::Finish() {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
   FlushBatch();
   if (expecting_operand_) {
     RecordError("trace ends inside a marker");
@@ -297,20 +373,8 @@ void TraceParser::Finish() {
   if (cursor_.active()) {
     RecordError(StrFormat("trace ends with block 0x%08x in flight", cursor_.info->orig_addr));
   }
-}
-
-void TraceParser::RegisterStats(StatsRegistry& registry, const std::string& prefix) {
-  registry.AddCounter(prefix + "words", &stats_.words);
-  registry.AddCounter(prefix + "blocks", &stats_.blocks);
-  registry.AddCounter(prefix + "refs", &stats_.refs);
-  registry.AddCounter(prefix + "ifetches", &stats_.ifetches);
-  registry.AddCounter(prefix + "loads", &stats_.loads);
-  registry.AddCounter(prefix + "stores", &stats_.stores);
-  registry.AddCounter(prefix + "kernel_ifetches", &stats_.kernel_ifetches);
-  registry.AddCounter(prefix + "user_ifetches", &stats_.user_ifetches);
-  registry.AddCounter(prefix + "idle_instructions", &stats_.idle_instructions);
-  registry.AddCounter(prefix + "markers", &stats_.markers);
-  registry.AddCounter(prefix + "validation_errors", &stats_.validation_errors);
+  busy_ns_ += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
 }
 
 }  // namespace wrl

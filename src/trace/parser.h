@@ -23,7 +23,9 @@
 #ifndef WRLTRACE_TRACE_PARSER_H_
 #define WRLTRACE_TRACE_PARSER_H_
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -51,22 +53,60 @@ struct TraceBlockInfo {
 };
 
 // The per-address-space lookup table ("static information about the binary
-// image", §3.2).
+// image", §3.2).  Keys are the word-aligned return addresses bbtrace
+// records, so the table indexes them densely: one slot per word of the
+// span from its lowest key to its highest, which is the instrumented text
+// the table describes.
 class TraceInfoTable {
  public:
+  // One block and the key it is found under.
+  struct Entry {
+    uint32_t key;
+    TraceBlockInfo info;
+  };
+
+  // The index points into the table's own entries, which a move carries
+  // along and a copy would not.
+  TraceInfoTable() = default;
+  TraceInfoTable(const TraceInfoTable&) = delete;
+  TraceInfoTable& operator=(const TraceInfoTable&) = delete;
+  TraceInfoTable(TraceInfoTable&&) noexcept = default;
+  TraceInfoTable& operator=(TraceInfoTable&&) noexcept = default;
+
+  // Rejects a duplicate or misaligned key, and a key that would stretch
+  // the span past kMaxKeySpanBytes.
   void Add(uint32_t key_addr, TraceBlockInfo info);
   // Registers every block of an instrumented object, given where that
   // object's text landed in the instrumented and original links.
   void AddObject(const std::vector<BlockStatic>& blocks, uint32_t instrumented_text_base,
                  uint32_t original_text_base);
-  const TraceBlockInfo* Find(uint32_t key_addr) const;
-  size_t size() const { return blocks_.size(); }
-  // Full table, for consumers (e.g. the profiler) that index blocks by
-  // original leader address rather than by key.
-  const std::unordered_map<uint32_t, TraceBlockInfo>& blocks() const { return blocks_; }
+  // The block keyed at `key_addr`, or null.  Safe for any word: the offset
+  // from the lowest key is unsigned, so a word below the span wraps past
+  // its end, and a misaligned word is never a key.
+  const TraceBlockInfo* Find(uint32_t key_addr) const {
+    const uint32_t offset = key_addr - key_base_;
+    if ((offset & 3) != 0 || offset / 4 >= index_.size()) {
+      return nullptr;
+    }
+    return index_[offset / 4];
+  }
+  size_t size() const { return entries_.size(); }
+  // Every block with its key, in the order added, for consumers (e.g. the
+  // profiler) that index blocks by original leader address rather than by
+  // key.
+  const std::deque<Entry>& blocks() const { return entries_; }
+
+  // The widest key span a table accepts: far above any image this
+  // toolchain links, far below what would make the index a burden.
+  static constexpr uint32_t kMaxKeySpanBytes = 16u << 20;
 
  private:
-  std::unordered_map<uint32_t, TraceBlockInfo> blocks_;
+  // Widens the index to cover `key`.
+  void Cover(uint32_t key);
+
+  std::deque<Entry> entries_;  // A deque, so index_ pointers survive Add.
+  uint32_t key_base_ = 0;      // The lowest key; index_[0] is its slot.
+  std::vector<const TraceBlockInfo*> index_;
 };
 
 // One reconstructed reference, packed into 8 bytes: the 32-bit address
@@ -141,6 +181,8 @@ class TeeBatchSink : public RefBatchSink {
   // Host wall microseconds `sink` spent consuming batches (0 for a sink the
   // tee does not hold).
   uint64_t busy_us(const RefBatchSink* sink) const;
+  // Host wall microseconds every sink together spent consuming batches.
+  uint64_t busy_us() const;
 
  private:
   struct Entry {
@@ -165,6 +207,16 @@ struct TraceParserStats {
   uint64_t validation_errors = 0;
 };
 
+// Binds every field of `*stats` into `registry` under `prefix`; `*stats`
+// must outlive snapshots of the registry.  Every registration of parser
+// counters goes through here, so none can miss a field.
+void BindParserStats(StatsRegistry& registry, const std::string& prefix,
+                     TraceParserStats* stats);
+
+// Rebuilds the reference stream a block at a time: the table of the current
+// context is resolved when the context changes, a key costs one dense-index
+// probe, and each run of instruction fetches up to the block's next memory
+// operation is written straight into the batch and counted once.
 class TraceParser {
  public:
   // `kernel_table` may be null for user-only traces.
@@ -181,7 +233,7 @@ class TraceParser {
     meta_sink_ = std::move(sink);
   }
   // The parser starts in user context for `pid` (kKernelPid for kernel).
-  void SetInitialContext(uint8_t pid) { pid_ = pid; }
+  void SetInitialContext(uint8_t pid) { SwitchTo(pid); }
 
   void Feed(const uint32_t* words, size_t count);
   void Feed(const std::vector<uint32_t>& words) { Feed(words.data(), words.size()); }
@@ -190,10 +242,15 @@ class TraceParser {
 
   const TraceParserStats& stats() const { return stats_; }
   const std::vector<std::string>& errors() const { return errors_; }
+  // Host wall microseconds spent in Feed() and Finish(), the batch sink's
+  // time included.
+  uint64_t busy_us() const { return busy_ns_ / 1000; }
 
   // Binds every field of `stats()` into `registry`; the parser must outlive
   // snapshots of the registry.
-  void RegisterStats(StatsRegistry& registry, const std::string& prefix = "parser.");
+  void RegisterStats(StatsRegistry& registry, const std::string& prefix = "parser.") {
+    BindParserStats(registry, prefix, &stats_);
+  }
   // Optional timeline: each Feed() batch becomes a scoped phase.
   void SetEventRecorder(EventRecorder* events) { events_ = events; }
 
@@ -215,16 +272,22 @@ class TraceParser {
   void HandleOperand(uint32_t word);
   void HandleKey(uint32_t word);
   void HandleData(uint32_t word);
-  void EmitFetches();  // Advances the cursor to the next data dependency.
+  // Emits the block's fetches up to its next memory operation, or to its
+  // end, which retires the cursor.
+  void EmitRun();
+  void EmitFetches(uint32_t first_addr, uint32_t count);
   void EmitRef(const TraceRef& ref);
   void RecordError(const std::string& message);
-  const TraceInfoTable* CurrentTable() const;
+  // Makes `pid` the current context and resolves its table.
+  void SwitchTo(uint8_t pid);
+  void Restore(const Context& ctx);
 
   const TraceInfoTable* kernel_table_;
-  std::unordered_map<uint8_t, const TraceInfoTable*> user_tables_;
+  std::array<const TraceInfoTable*, 256> user_tables_{};
 
-  // Current context.
+  // Current context, and the table its keys resolve in.
   uint8_t pid_ = kKernelPid;
+  const TraceInfoTable* table_ = nullptr;
   BlockCursor cursor_;
   bool idle_ = false;
 
@@ -238,10 +301,15 @@ class TraceParser {
   MarkerCode pending_marker_ = kMarkTraceOn;
 
   RefBatchSink* batch_sink_ = nullptr;
-  size_t batch_capacity_ = kRefBatchCapacity;
+  // The batch: its first batch_fill_ of batch_capacity_ slots hold
+  // references not yet delivered, and a few slots of slack follow, which a
+  // run's last group of fetches may overrun (EmitFetches).
   std::vector<TraceRef> batch_;
+  size_t batch_fill_ = 0;
+  size_t batch_capacity_ = kRefBatchCapacity;
   std::function<void(MarkerCode, uint32_t)> meta_sink_;
   EventRecorder* events_ = nullptr;
+  uint64_t busy_ns_ = 0;
   TraceParserStats stats_;
   std::vector<std::string> errors_;
 };

@@ -7,22 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/parser_tables.h"
 #include "trace/parser.h"
 
 namespace wrl {
 namespace {
-
-constexpr uint32_t kKeyA = 0x10000010;  // 2 instrs, no mem ops.
-constexpr uint32_t kKeyB = 0x10000040;  // 3 instrs, load@1.
-constexpr uint32_t kKeyC = 0x10000080;  // 4 instrs, store@0, load@2.
-
-TraceInfoTable MakeTable() {
-  TraceInfoTable table;
-  table.Add(kKeyA, {0x00400000, 2, 0, {}, 0});
-  table.Add(kKeyB, {0x00400100, 3, 0, {{1, false, 4}}, 0});
-  table.Add(kKeyC, {0x00400200, 4, 0, {{0, true, 4}, {2, false, 1}}, 0});
-  return table;
-}
 
 // Batch sink that records every delivered ref and the batch sizes.
 class RecordingSink : public RefBatchSink {
@@ -44,7 +33,7 @@ struct Outcome {
 // Parses `words` through the batched path with a deliberately tiny batch so
 // corrupt words land on batch boundaries too.
 Outcome ParseBatched(const std::vector<uint32_t>& words, size_t capacity = 3) {
-  static TraceInfoTable table = MakeTable();
+  static TraceInfoTable table = MakeUserBlockTable();
   Outcome out;
   TraceParser parser(&table);
   parser.SetUserTable(1, &table);
@@ -103,7 +92,7 @@ TEST(ParserDefense, FinishMidBlockCountsError) {
 }
 
 TEST(ParserDefense, FinishFlushesPartialBatch) {
-  static TraceInfoTable table = MakeTable();
+  static TraceInfoTable table = MakeUserBlockTable();
   TraceParser parser(&table);
   parser.SetUserTable(1, &table);
   parser.SetInitialContext(1);

@@ -6,29 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "support/error.h"
+#include "tests/parser_tables.h"
 
 namespace wrl {
 namespace {
-
-constexpr uint32_t kKeyA = 0x10000010;  // Block with 2 instrs, no mem ops.
-constexpr uint32_t kKeyB = 0x10000040;  // Block with 3 instrs, load@1.
-constexpr uint32_t kKeyC = 0x10000080;  // Block with 4 instrs, store@0, load@2.
-constexpr uint32_t kKeyIdle = 0x10000100;  // Idle-start block, 2 instrs.
-constexpr uint32_t kKeyStop = 0x10000140;  // Idle-stop block, 1 instr.
-constexpr uint32_t kKeyKA = 0x10000180;    // Kernel block, 2 instrs.
-constexpr uint32_t kKeyKB = 0x100001c0;    // Kernel block, 3 instrs, load@1.
-
-TraceInfoTable MakeTable() {
-  TraceInfoTable table;
-  table.Add(kKeyA, {0x00400000, 2, 0, {}, 0});
-  table.Add(kKeyB, {0x00400100, 3, 0, {{1, false, 4}}, 0});
-  table.Add(kKeyC, {0x00400200, 4, 0, {{0, true, 4}, {2, false, 1}}, 0});
-  table.Add(kKeyIdle, {0x80002000, 2, kBlockIdleStart, {}, 0});
-  table.Add(kKeyStop, {0x80002100, 1, kBlockIdleStop, {}, 0});
-  table.Add(kKeyKA, {0x80003000, 2, 0, {}, 0});
-  table.Add(kKeyKB, {0x80003100, 3, 0, {{1, false, 4}}, 0});
-  return table;
-}
 
 struct Collected {
   std::vector<TraceRef> refs;
@@ -53,7 +34,7 @@ Collected Parse(const TraceInfoTable& table, const std::vector<uint32_t>& words,
 }
 
 TEST(TraceParser, DatalessBlockEmitsFetches) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   Collected c = Parse(table, {kKeyA});
   ASSERT_TRUE(c.errors.empty()) << c.errors.front();
   ASSERT_EQ(c.refs.size(), 2u);
@@ -63,7 +44,7 @@ TEST(TraceParser, DatalessBlockEmitsFetches) {
 }
 
 TEST(TraceParser, MemOpsInterleaveAtStaticPositions) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   Collected c = Parse(table, {kKeyC, 0x00500000, 0x00500010});
   ASSERT_TRUE(c.errors.empty()) << c.errors.front();
   // Expected order: fetch0, store, fetch1, fetch2, load, fetch3.
@@ -80,7 +61,7 @@ TEST(TraceParser, MemOpsInterleaveAtStaticPositions) {
 }
 
 TEST(TraceParser, KernelEnterSuspendsPartialBlock) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   // Block B's load is interrupted by a kernel section, then completes.
   std::vector<uint32_t> words = {
       kKeyB,
@@ -102,7 +83,7 @@ TEST(TraceParser, KernelEnterSuspendsPartialBlock) {
 }
 
 TEST(TraceParser, NestedKernelSectionsStack) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   std::vector<uint32_t> words = {
       MakeMarker(kMarkKernelEnter), (1u << 8) | 8,    // user 1 -> kernel
       kKeyKB,                                         // kernel block, awaiting data
@@ -122,7 +103,7 @@ TEST(TraceParser, NestedKernelSectionsStack) {
 }
 
 TEST(TraceParser, ContextSwitchSeparatesProcesses) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   std::vector<uint32_t> words = {
       MakeMarker(kMarkKernelEnter), (1u << 8) | 0,
       MakeMarker(kMarkContextSwitch), 2,
@@ -140,7 +121,7 @@ TEST(TraceParser, ContextSwitchSeparatesProcesses) {
 }
 
 TEST(TraceParser, IdleFlagsDriveCounting) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   std::vector<uint32_t> words = {kKeyIdle, kKeyIdle, kKeyStop, kKeyIdle};
   Collected c = Parse(table, words, kKernelPid, &table);
   ASSERT_TRUE(c.errors.empty()) << c.errors.front();
@@ -150,7 +131,7 @@ TEST(TraceParser, IdleFlagsDriveCounting) {
 }
 
 TEST(TraceParser, IdleStateSuspendsAcrossKernelNesting) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   std::vector<uint32_t> words = {
       kKeyIdle,                             // idle on (2 idle instrs)
       MakeMarker(kMarkKernelEnter), 0xff08, // nested handler
@@ -164,13 +145,13 @@ TEST(TraceParser, IdleStateSuspendsAcrossKernelNesting) {
 }
 
 TEST(TraceParser, UnknownKeyIsFlagged) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   Collected c = Parse(table, {0x12345678});
   EXPECT_EQ(c.stats.validation_errors, 1u);
 }
 
 TEST(TraceParser, MissingDataWordIsFlagged) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   // B's data word was dropped: the following key is consumed as its data
   // (that one word is inherently indistinguishable), and the stream then
   // desynchronizes at the next word — which the membership check catches.
@@ -179,26 +160,25 @@ TEST(TraceParser, MissingDataWordIsFlagged) {
 }
 
 TEST(TraceParser, TruncatedBlockFlaggedAtFinish) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   Collected c = Parse(table, {kKeyB});
   EXPECT_GE(c.stats.validation_errors, 1u);
 }
 
 TEST(TraceParser, TruncatedMarkerFlaggedAtFinish) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   Collected c = Parse(table, {MakeMarker(kMarkKernelEnter)});
   EXPECT_GE(c.stats.validation_errors, 1u);
 }
 
 TEST(TraceParser, KernelFetchOutsideKernelSpaceFlagged) {
-  TraceInfoTable table;
-  table.Add(0x80001000, {0x00400000, 1, 0, {}, 0});  // Kernel block at a user address.
-  Collected c = Parse(table, {0x80001000}, kKernelPid, &table);
+  TraceInfoTable table = MakeKernelAtUserTable();
+  Collected c = Parse(table, {kKeyKernelAtUser}, kKernelPid, &table);
   EXPECT_GE(c.stats.validation_errors, 1u);
 }
 
 TEST(TraceParser, IncrementalFeedMatchesBatch) {
-  TraceInfoTable table = MakeTable();
+  TraceInfoTable table = MakeMixedTable();
   std::vector<uint32_t> words = {kKeyC, 0x00500000, MakeMarker(kMarkKernelEnter),
                                  (1u << 8) | 0,    kKeyA,      MakeMarker(kMarkKernelExit),
                                  1,                0x00500010, kKeyA};

@@ -9,6 +9,7 @@ One entry point for every JSON document the CI smoke jobs assert over:
     check_report.py sweep-smoke      sweep_smoke.json
     check_report.py wrlprof          wrlprof.json --folded wrlprof.folded
     check_report.py wrltrace-analysis live.json
+    check_report.py same-outputs     A.json B.json    # two wrlstats/1 reports
 
 Each check loads the document, asserts the schema tag and the invariants
 that keep the report's consumers honest (counter presence, conservation
@@ -70,6 +71,22 @@ def assert_experiment_phases(events):
     return len(experiments)
 
 
+def assert_parse_self_time(report, events):
+    """Each experiment reports the parser's self time, which cannot exceed
+    the experiment's wall time.  Experiments are matched to their phases by
+    workload name, and a name both personalities ran takes the longer."""
+    walls = {}
+    for e in events:
+        if e["ph"] == "X" and e["name"].startswith("experiment:"):
+            name = e["name"][len("experiment:"):]
+            walls[name] = max(walls.get(name, 0), e["dur"])
+    for x in report["experiments"]:
+        parse_us = x["trace"]["parse_wall_us"]
+        wall_us = walls[x["workload"]]
+        assert 0 <= parse_us <= wall_us, \
+            f"{x['workload']}: parse_wall_us {parse_us} exceeds the experiment's {wall_us} us"
+
+
 def check_wrlstats(path, args):
     """A wrlstats/1 run report: its timeline, and for tlb_study's report
     the counters and metrics as well."""
@@ -81,6 +98,7 @@ def check_wrlstats(path, args):
     experiments = assert_experiment_phases(events)
     if report["tool"] != "tlb_study":
         assert experiments, f"{report['tool']}: no experiment phases in the timeline"
+        assert_parse_self_time(report, events)
         print(f"report OK: {report['tool']}, {experiments} experiments, "
               f"{len(events)} timeline events on {tracks} tracks")
         return
@@ -229,6 +247,67 @@ def check_wrltrace_analysis(path, args):
           f"{report['predicted_cycles']:.0f} predicted cycles")
 
 
+# What two wrlstats/1 reports of one binary on one input may differ in:
+# the timeline, every wall-clock duration (`*wall_us`) and rate
+# (`*mrefs_per_sec`, `metrics.sim.mips`), and the counters of the
+# pipelined transport's ring (`trace.pipeline.*`), which depend on thread
+# timing and are absent under WRL_PIPELINE=0.  Two runs of one binary of
+# `bench_table2` and of `bench_figure3` at --scale=0.05 differed in the
+# timeline, `predicted.wall_us`, `replays[].wall_us`, `sweep.wall_us`,
+# `metrics.sim.mips` and `trace.pipeline.*`; `*mrefs_per_sec` is the
+# sweep's busy-time rate, reported when it prices cache families.
+def timing_dependent(path):
+    leaf = path[-1] if path else None
+    if not isinstance(leaf, str):
+        return False
+    return (path == ("traceEvents",) or path == ("metrics", "sim.mips") or
+            leaf.endswith("wall_us") or leaf.endswith("mrefs_per_sec") or
+            leaf.startswith("trace.pipeline."))
+
+
+def first_difference(a, b, path=()):
+    """The path of the first field, in document order, where `a` and `b`
+    differ outside the timing-dependent fields; None when they agree."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in list(a) + [k for k in b if k not in a]:
+            sub = path + (key,)
+            if timing_dependent(sub):
+                continue
+            if key not in a or key not in b:
+                return sub
+            diff = first_difference(a[key], b[key], sub)
+            if diff is not None:
+                return diff
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return path
+        for i, (x, y) in enumerate(zip(a, b)):
+            diff = first_difference(x, y, path + (i,))
+            if diff is not None:
+                return diff
+        return None
+    return None if a == b else path
+
+
+def format_path(path):
+    text = ""
+    for part in path:
+        text += f"[{part}]" if isinstance(part, int) else (f".{part}" if text else part)
+    return text or "(document)"
+
+
+def check_same_outputs(path, args):
+    """Two wrlstats/1 reports agree in every simulated output."""
+    assert args.other, "same-outputs needs two reports"
+    a, b = load(path), load(args.other)
+    for report in (a, b):
+        assert report["schema"] == "wrlstats/1", report.get("schema")
+    diff = first_difference(a, b)
+    assert diff is None, f"{args.other} differs first at {format_path(diff)}"
+    print(f"same outputs: {path} and {args.other} ({len(a.get('experiments', []))} experiments)")
+
+
 CHECKS = {
     "wrlstats": check_wrlstats,
     "wrlverify": check_wrlverify,
@@ -236,6 +315,7 @@ CHECKS = {
     "sweep-smoke": check_sweep_smoke,
     "wrlprof": check_wrlprof,
     "wrltrace-analysis": check_wrltrace_analysis,
+    "same-outputs": check_same_outputs,
 }
 
 
@@ -244,6 +324,7 @@ def main(argv):
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("kind", choices=sorted(CHECKS))
     parser.add_argument("path")
+    parser.add_argument("other", nargs="?", help="the second report (same-outputs only)")
     parser.add_argument("--folded", help="folded-stacks file (wrlprof only)")
     args = parser.parse_args(argv)
     try:
