@@ -270,9 +270,12 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
   // consumer in every transport mode.  Declared before the pipeline so
   // unwinding joins the consumer thread before the writer is destroyed.
   std::unique_ptr<ArchiveWriter> archive;
-  // Pipelined transport state.  Declared after every component the consumer
-  // thread touches (parser, tee and its sinks, archive), so stack unwinding
-  // joins the consumer before any of them is destroyed.
+  // Pipelined transport state: the analysis stage, then the word pipeline.
+  // Declared after every component their threads touch (parser, tee and
+  // its sinks, archive), so stack unwinding joins both threads before any
+  // of them is destroyed: first the parse thread, which feeds the analysis
+  // stage, then the analysis thread.
+  std::unique_ptr<RefBatchPipeline> analysis;
   std::unique_ptr<TracePipeline> pipeline;
   uint64_t traced_run_wall_us = 0;
   std::exception_ptr traced_exc;
@@ -328,7 +331,7 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
     }
     {
       // The profiler's tables, the parser, the archive writer, and the
-      // pipeline with its consumer thread.
+      // pipeline's two stages with their threads.
       EventRecorder::Scope scope(events, "trace.setup", "trace");
       if (options.profile) {
         profiler = std::make_unique<TraceProfiler>(options.profile_options);
@@ -341,7 +344,12 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
         tee.Add(sim.get());
       }
       parser = SystemTraceParser(*traced);
-      parser->SetBatchSink(&tee);
+      if (options.pipeline) {
+        analysis = std::make_unique<RefBatchPipeline>(&tee, events);
+        parser->SetBatchSink(analysis.get());
+      } else {
+        parser->SetBatchSink(&tee);
+      }
       // Pipelined, the parser's Feed phases land on the consumer thread's
       // track, which has no cycle source: the traced machine's cycle
       // counter belongs to this thread.
@@ -386,11 +394,15 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
                             traced->machine().pc()));
     }
     if (pipeline != nullptr) {
-      // Drain the ring and join the consumer; rethrows anything the
-      // parser/sink chain threw mid-stream.  The phase is the analysis
-      // tail the traced run did not hide.
+      // Drain the word ring and join the parse thread, flush the parser's
+      // last batch from here (the join hands the analysis ring's producer
+      // side to this thread), then drain the analysis ring and join its
+      // thread.  Each rethrows anything its thread threw mid-stream.  The
+      // phase is the analysis tail the traced run did not hide.
       EventRecorder::Scope scope(events, "trace.pipeline_wait", "trace");
       pipeline->Finish();
+      parser->Finish();
+      analysis->Finish();
     }
     if (archive != nullptr) {
       // Every chunk is on disk; seal the directory footer.  A crash before
@@ -398,12 +410,18 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
       EventRecorder::Scope scope(events, "trace.archive_finalize", "trace");
       archive->Finalize();
     }
-    // The analysis tail, to the end of this block: flush the parser's last
-    // batch, then read each sink's result and its busy time on the tee.
+    // The analysis tail, to the end of this block: synchronously, flush
+    // the parser's last batch through the sinks; then read each sink's
+    // result and its busy time on the tee.
     EventRecorder::Scope finish_scope(events, "analysis.finish", "analysis");
-    parser->Finish();
+    if (pipeline == nullptr) {
+      parser->Finish();
+    }
     result.parser_errors = parser->stats().validation_errors;
-    result.parse_wall_us = parser->busy_us() - tee.busy_us();
+    result.parse_wall_us = parser->self_us();
+    if (analysis != nullptr) {
+      result.parse_stall_wall_us = analysis->ring().producer_stall_us();
+    }
     if (profiler != nullptr) {
       result.profile = profiler->Finish();
       result.profile_wall_us = tee.busy_us(profiler.get());
@@ -478,6 +496,7 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
     }
     if (pipeline != nullptr) {
       pipeline->RegisterStats(registry, "trace.pipeline.");
+      analysis->RegisterStats(registry, "trace.pipeline.analysis.");
     }
     result.stats = registry.Snapshot();
   }

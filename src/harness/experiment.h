@@ -103,15 +103,16 @@ struct ExperimentOptions {
   // The parser always hands references to the analysis in batches; this
   // constant remains only for callers that still read it.
   static constexpr bool batch = true;
-  // Pipelined trace transport: trace chunks flow through a bounded SPSC
-  // ring to a consumer thread that runs the parser + analysis tee, so the
-  // traced machine keeps simulating while each chunk is consumed
-  // (simulate ∥ parse ∥ analyze).  A drain is published as one or more
-  // chunks, the earlier ones while the traced machine still runs, so the
-  // consumer works during the traced run.  Defaults to on when the host
-  // has more than one hardware thread; WRL_PIPELINE=0 forces the
-  // synchronous path and WRL_PIPELINE=1 forces the pipeline even on
-  // single-core hosts.
+  // Pipelined trace transport (simulate ∥ parse ∥ analyze): trace chunks
+  // flow through a bounded ring to a parse thread, and the parser's
+  // reference batches through a second ring to an analysis thread that
+  // runs the analysis tee, so the traced machine keeps simulating while
+  // each chunk is parsed and the parse runs ahead of the sinks.  A drain is
+  // published as one or more chunks, the earlier ones while the traced
+  // machine still runs, so both threads work during the traced run.
+  // Defaults to on when the host has more than one hardware thread;
+  // WRL_PIPELINE=0 forces the synchronous path and WRL_PIPELINE=1 forces
+  // the pipeline even on single-core hosts.
   // Every counter, trace word, profile, and report value is identical
   // either way; the overlap itself is observable via the trace.pipeline.*
   // metrics, which exist only on pipelined runs.
@@ -184,9 +185,13 @@ struct ExperimentResult {
   // variants' wall_us below.
   uint64_t prediction_wall_us = 0;
   uint64_t profile_wall_us = 0;
-  // The parser's self time: its wall time in Feed and Finish less every
-  // sink's busy time on the tee.
+  // The parser's self time: its wall time in Feed and Finish less its
+  // batch-sink calls (TraceParser::self_us).
   uint64_t parse_wall_us = 0;
+  // Pipelined: the parser's wall time blocked on a full ring of reference
+  // batches, which is how long the analysis held the parse back (0
+  // synchronous).
+  uint64_t parse_stall_wall_us = 0;
 
   // One result per ReplayVariant, in option order.
   std::vector<ReplayVariantResult> replays;

@@ -8,6 +8,9 @@
 // traced machine.  A K-config study costs one traced run + one parse per
 // Run() call.  Nothing is materialized: each batch is consumed by every
 // sink and its buffer reused, so replay memory is O(chunk), not O(capture).
+// With the pipeline on (PipelineEnabled(), so WRL_PIPELINE=0 turns it off)
+// the tee runs on an analysis thread behind a ring of reference batches
+// (trace/chunk_ring.h), while the caller decodes and parses ahead.
 //
 // Bit-identity invariant: the parser sees the captured word sequence in the
 // captured chunking, so every counter and predicted number a replayed
@@ -61,7 +64,7 @@ class ReplayEngine {
   // Streams the source once (TraceChunkSource::Replay), feeding every
   // config's sink through one tee.  Each call parses again.  Outcomes are
   // in config order.  Throws whatever the source, a config's make, or a
-  // sink throws.
+  // sink throws, with every thread it started joined.
   std::vector<Outcome> Run(const std::vector<Config>& configs);
 
   // The last Run()'s parse.

@@ -129,6 +129,7 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
   writer.KV("analysis_switches", r.analysis_switches);
   writer.KV("traced_machine_instructions", r.traced_machine_instructions);
   writer.KV("parse_wall_us", r.parse_wall_us);
+  writer.KV("parse_stall_wall_us", r.parse_stall_wall_us);
   writer.EndObject();
 
   if (!r.replays.empty()) {

@@ -227,6 +227,11 @@ void SweepEngine::CacheAccess(const TraceRef& ref) {
     }
     return;
   }
+  if (iforests_.empty() && dforests_.empty()) {
+    // No family reads the physical address.  Skipping the translation
+    // moves no throw: the primary simulator translates the same stream.
+    return;
+  }
   const uint32_t paddr = translator_.Translate(ref);
   switch (ref.kind) {
     case TraceRef::kIfetch:

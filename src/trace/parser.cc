@@ -15,6 +15,13 @@ namespace {
 // Fetches a run writes at a time (TraceParser::EmitFetches).
 constexpr size_t kRunGroup = 4;
 
+using Clock = std::chrono::steady_clock;
+
+uint64_t NsSince(Clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
+}
+
 }  // namespace
 
 void TraceInfoTable::Cover(uint32_t key) {
@@ -56,7 +63,6 @@ void TraceInfoTable::AddObject(const std::vector<BlockStatic>& blocks,
 }
 
 void TeeBatchSink::OnRefBatch(const TraceRef* refs, size_t count) {
-  using Clock = std::chrono::steady_clock;
   Clock::time_point t0 = Clock::now();
   for (Entry& entry : sinks_) {
     entry.sink->OnRefBatch(refs, count);
@@ -75,14 +81,6 @@ uint64_t TeeBatchSink::busy_us(const RefBatchSink* sink) const {
     }
   }
   return 0;
-}
-
-uint64_t TeeBatchSink::busy_us() const {
-  uint64_t busy_ns = 0;
-  for (const Entry& entry : sinks_) {
-    busy_ns += entry.busy_ns;
-  }
-  return busy_ns / 1000;
 }
 
 void BindParserStats(StatsRegistry& registry, const std::string& prefix,
@@ -137,7 +135,9 @@ void TraceParser::FlushBatch() {
   if (batch_sink_ == nullptr || batch_fill_ == 0) {
     return;
   }
+  const Clock::time_point t0 = Clock::now();
   batch_sink_->OnRefBatch(batch_.data(), batch_fill_);
+  sink_ns_ += NsSince(t0);
   batch_fill_ = 0;
 }
 
@@ -338,8 +338,8 @@ void TraceParser::HandleOperand(uint32_t word) {
 }
 
 void TraceParser::Feed(const uint32_t* words, size_t count) {
-  using Clock = std::chrono::steady_clock;
   const Clock::time_point t0 = Clock::now();
+  const uint64_t sink0 = sink_ns_;
   {
     EventRecorder::Scope scope(events_, "parser.feed", "parser");
     if (events_ != nullptr) {
@@ -359,13 +359,12 @@ void TraceParser::Feed(const uint32_t* words, size_t count) {
       }
     }
   }
-  busy_ns_ += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
+  self_ns_ += NsSince(t0) - (sink_ns_ - sink0);
 }
 
 void TraceParser::Finish() {
-  using Clock = std::chrono::steady_clock;
   const Clock::time_point t0 = Clock::now();
+  const uint64_t sink0 = sink_ns_;
   FlushBatch();
   if (expecting_operand_) {
     RecordError("trace ends inside a marker");
@@ -373,8 +372,7 @@ void TraceParser::Finish() {
   if (cursor_.active()) {
     RecordError(StrFormat("trace ends with block 0x%08x in flight", cursor_.info->orig_addr));
   }
-  busy_ns_ += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
+  self_ns_ += NsSince(t0) - (sink_ns_ - sink0);
 }
 
 }  // namespace wrl

@@ -176,13 +176,12 @@ class TeeBatchSink : public RefBatchSink {
   }
   void OnRefBatch(const TraceRef* refs, size_t count) override;
 
+  bool empty() const { return sinks_.empty(); }
   // References delivered to each sink.
   uint64_t refs() const { return refs_; }
   // Host wall microseconds `sink` spent consuming batches (0 for a sink the
   // tee does not hold).
   uint64_t busy_us(const RefBatchSink* sink) const;
-  // Host wall microseconds every sink together spent consuming batches.
-  uint64_t busy_us() const;
 
  private:
   struct Entry {
@@ -242,9 +241,11 @@ class TraceParser {
 
   const TraceParserStats& stats() const { return stats_; }
   const std::vector<std::string>& errors() const { return errors_; }
-  // Host wall microseconds spent in Feed() and Finish(), the batch sink's
-  // time included.
-  uint64_t busy_us() const { return busy_ns_ / 1000; }
+  // The parser's self time: host wall microseconds spent in Feed() and
+  // Finish(), less the time their batch-sink calls took.  Behind the
+  // analysis stage (chunk_ring.h) those calls are the copy into its ring
+  // and any wait on it, so the sinks' own time never counts here.
+  uint64_t self_us() const { return self_ns_ / 1000; }
 
   // Binds every field of `stats()` into `registry`; the parser must outlive
   // snapshots of the registry.
@@ -309,7 +310,8 @@ class TraceParser {
   size_t batch_capacity_ = kRefBatchCapacity;
   std::function<void(MarkerCode, uint32_t)> meta_sink_;
   EventRecorder* events_ = nullptr;
-  uint64_t busy_ns_ = 0;
+  uint64_t self_ns_ = 0;
+  uint64_t sink_ns_ = 0;  // Every batch-sink call's wall time.
   TraceParserStats stats_;
   std::vector<std::string> errors_;
 };

@@ -1,13 +1,16 @@
 // The pipelined trace transport's contract: chunks flow through the bounded
-// SPSC ring in strict drain order, so a pipelined experiment is
-// byte-identical to the synchronous one — every counter, trace word,
+// SPSC ring in strict drain order, and the parser's reference batches
+// through a second ring to the analysis thread, so a pipelined experiment
+// is byte-identical to the synchronous one — every counter, trace word,
 // profile, and predicted number — with and without replay variants and the
 // profiler.  The transport itself must apply backpressure when
 // the consumer is slow, count its stalls/starves, and shut down cleanly
-// when the consumer chain throws mid-stream.  The measured run overlapping
-// the traced half must surface its own failure from the helper thread.
-// Every thread of an experiment or a pooled suite records its phases on a
-// timeline track of its own, and every track is well nested.
+// when the consumer chain throws mid-stream, across both stages.  The
+// parser's self time leaves out its sinks' time in both transports.  The
+// measured run overlapping the traced half must surface its own failure
+// from the helper thread.  Every thread of an experiment or a pooled suite
+// records its phases on a timeline track of its own, and every track is
+// well nested.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -20,9 +23,11 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "harness/report.h"
 #include "stats/events.h"
 #include "stats/stats.h"
 #include "support/error.h"
+#include "support/json.h"
 #include "tests/test_util.h"
 #include "trace/chunk_ring.h"
 #include "workloads/workloads.h"
@@ -89,7 +94,7 @@ TEST(ChunkRing, PreservesOrderUnderBackpressure) {
     EXPECT_EQ(first_words[i], static_cast<uint32_t>(i)) << i;
   }
   EXPECT_EQ(ring.chunks(), kChunks);
-  EXPECT_EQ(ring.words(), kChunks * kWordsPerChunk);
+  EXPECT_EQ(ring.items(), kChunks * kWordsPerChunk);
   EXPECT_GT(ring.producer_stalls(), 0u);
   EXPECT_LE(ring.max_occupancy(), ring.capacity());
   EXPECT_EQ(ring.occupancy_hist().count(), kChunks);
@@ -339,6 +344,165 @@ TEST(PipelinedExperiment, ProfiledRunIsByteIdentical) {
   EXPECT_EQ(pipelined.profile.CanonicalJson(), sync.profile.CanonicalJson());
 }
 
+// ---- The analysis stage behind the parser ----
+
+// Sleeps on every batch: a sink far slower than the parse.
+class SlowSink : public RefBatchSink {
+ public:
+  void OnRefBatch(const TraceRef*, size_t) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ++batches_;
+  }
+  uint64_t batches() const { return batches_; }
+
+ private:
+  uint64_t batches_ = 0;
+};
+
+// A small system trace, in its published chunks.
+std::vector<std::vector<uint32_t>> TraceChunks(SystemInstance& traced) {
+  std::vector<std::vector<uint32_t>> chunks;
+  traced.SetTraceSink([&chunks](const uint32_t* words, size_t count) {
+    chunks.emplace_back(words, words + count);
+  });
+  EXPECT_TRUE(traced.Run(ExperimentOptions().max_instructions).halted);
+  traced.SetTraceSink(nullptr);
+  return chunks;
+}
+
+// The parser's self time leaves out its batch-sink calls: a sink's time
+// does not count, whether the tee runs it on the parser's thread or the
+// analysis stage does, where the parser also waits on the full ring.
+TEST(AnalysisStage, SlowSinkTimeStaysOutOfTheParseSelfTime) {
+  ExperimentOptions options;
+  std::unique_ptr<SystemInstance> traced =
+      BuildSystem(ExperimentSystemConfig(UnitWorkload(), options, true));
+  const std::vector<std::vector<uint32_t>> chunks = TraceChunks(*traced);
+  for (bool staged : {false, true}) {
+    SCOPED_TRACE(staged ? "analysis stage" : "synchronous");
+    SlowSink slow;
+    TeeBatchSink tee;
+    tee.Add(&slow);
+    std::unique_ptr<RefBatchPipeline> stage;
+    std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
+    if (staged) {
+      stage = std::make_unique<RefBatchPipeline>(&tee);
+      parser->SetBatchSink(stage.get(), 16);
+    } else {
+      parser->SetBatchSink(&tee, 16);
+    }
+    for (const std::vector<uint32_t>& chunk : chunks) {
+      parser->Feed(chunk.data(), chunk.size());
+    }
+    parser->Finish();
+    if (stage != nullptr) {
+      stage->Finish();
+      EXPECT_GT(stage->ring().producer_stalls(), 0u);
+      EXPECT_GT(stage->ring().producer_stall_us(), 0u);
+    }
+    ASSERT_GT(slow.batches(), 3 * kRefPipelineDepth);
+    const uint64_t slept_us = 1000 * slow.batches();
+    EXPECT_GE(tee.busy_us(&slow), slept_us);
+    EXPECT_LT(parser->self_us() * 4, slept_us) << parser->self_us() << " us";
+  }
+}
+
+// What a mid-stream sink failure on the analysis thread looks like through
+// the live chain RunExperiment wires: traced machine -> word ring -> parse
+// thread -> reference ring -> analysis thread.  The sink's own exception
+// reaches the caller, from the traced run or from the shutdown that
+// follows it in RunExperiment's order, and every thread has been joined
+// by the time the chain's objects are destroyed.
+TEST(AnalysisStage, SinkFailureCrossesBothStagesToTheCaller) {
+  ExperimentOptions options;
+  std::unique_ptr<SystemInstance> traced =
+      BuildSystem(ExperimentSystemConfig(PaperWorkload("sed", 0.02), options, true));
+  size_t batches = 0;
+  RefFnSink counter([](const TraceRef&) {});
+  class Failing : public RefBatchSink {
+   public:
+    explicit Failing(size_t* batches) : batches_(batches) {}
+    void OnRefBatch(const TraceRef*, size_t) override {
+      if (++*batches_ == 5) {
+        throw Error("sink failed mid-stream");
+      }
+    }
+
+   private:
+    size_t* batches_;
+  } failing(&batches);
+  TeeBatchSink tee;
+  tee.Add(&counter);
+  tee.Add(&failing);
+  std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
+  bool threw = false;
+  {
+    RefBatchPipeline analysis(&tee);
+    TracePipeline pipeline(
+        [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); });
+    parser->SetBatchSink(&analysis);
+    traced->SetTraceSink([&pipeline](const uint32_t* words, size_t count) {
+      pipeline.Produce(words, count);
+    });
+    try {
+      traced->Run(options.max_instructions);
+      pipeline.Finish();
+      parser->Finish();
+      analysis.Finish();
+    } catch (const Error& e) {
+      threw = true;
+      EXPECT_STREQ(e.what(), "sink failed mid-stream");
+    }
+    traced->SetTraceSink(nullptr);
+  }
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(batches, 5u);
+}
+
+// A pipelined experiment runs its tee on an analysis thread: one phase on
+// a track of its own, the reference ring's counters under
+// trace.pipeline.analysis., and the parse's stall on that ring in the
+// report's trace block.  None of it exists synchronously.
+TEST(PipelinedExperiment, AnalysisRunsOnAThreadOfItsOwn) {
+  for (bool pipeline : {true, false}) {
+    SCOPED_TRACE(pipeline ? "pipelined" : "synchronous");
+    EventRecorder events;
+    ExperimentOptions options;
+    options.pipeline = pipeline;
+    options.events = &events;
+    const ExperimentResult result = RunExperiment(PaperWorkload("sed", 0.02), options);
+    std::map<std::string, std::set<uint32_t>> tracks;
+    std::map<std::string, size_t> counts;
+    for (const TimelineEvent& e : events.events()) {
+      if (!e.instant) {
+        tracks[e.name].insert(e.tid);
+        ++counts[e.name];
+      }
+    }
+    if (!pipeline) {
+      EXPECT_EQ(counts.count("analysis.sinks"), 0u);
+      EXPECT_FALSE(result.stats.Has("trace.pipeline.analysis.refs"));
+      EXPECT_EQ(result.parse_stall_wall_us, 0u);
+      continue;
+    }
+    EXPECT_EQ(counts["analysis.sinks"], 1u);
+    const uint32_t analysis_tid = *tracks["analysis.sinks"].begin();
+    for (const char* phase : {"run.traced", "run.measured", "parser.feed"}) {
+      EXPECT_EQ(tracks[phase].count(analysis_tid), 0u) << phase;
+    }
+    const uint64_t refs = result.stats.CounterValue("parser.refs");
+    EXPECT_EQ(result.stats.CounterValue("trace.pipeline.analysis.refs"), refs);
+    EXPECT_EQ(result.stats.CounterValue("trace.pipeline.analysis.chunks"),
+              (refs + kRefBatchCapacity - 1) / kRefBatchCapacity);
+    EXPECT_LE(result.stats.CounterValue("trace.pipeline.analysis.max_occupancy"),
+              kRefPipelineDepth);
+    const JsonValue report = ParseJson(RunReportJson({result}, {}, RunReportOptions{}));
+    const JsonValue& trace = report.At("experiments").array.at(0).At("trace");
+    EXPECT_EQ(trace.At("parse_stall_wall_us").number,
+              static_cast<double>(result.parse_stall_wall_us));
+  }
+}
+
 // Neither run halts within the budget.  The measured run fails on its
 // helper thread while the traced half fails on this one; the measured
 // failure is the one that surfaces.
@@ -373,9 +537,10 @@ uint32_t CallerTid() {
   return probe.events().at(0).tid;
 }
 
-// A pipelined experiment runs on three threads: the measured run on its
-// helper, the parser on the consumer, everything else on the caller.  Each
-// records on a track of its own, and every track nests properly.
+// A pipelined experiment runs on four threads: the measured run on its
+// helper, the parser on the consumer, the sinks on the analysis thread,
+// everything else on the caller.  Each records on a track of its own, and
+// every track nests properly.
 TEST(PipelinedExperiment, EveryThreadRecordsAWellNestedTrackOfItsOwn) {
   const std::pair<const char*, Personality> runs[] = {{"sed", Personality::kUltrix},
                                                       {"eqntott", Personality::kMach}};
@@ -396,13 +561,13 @@ TEST(PipelinedExperiment, EveryThreadRecordsAWellNestedTrackOfItsOwn) {
                               "analysis.finish", "stats.snapshot"}) {
       EXPECT_EQ(tracks[phase], caller) << phase;
     }
-    for (const char* phase : {"run.measured", "run.traced", "parser.feed"}) {
+    for (const char* phase : {"run.measured", "run.traced", "parser.feed", "analysis.sinks"}) {
       ASSERT_EQ(tracks[phase].size(), 1u) << phase;
     }
-    const std::set<uint32_t> threads = {*tracks["run.measured"].begin(),
-                                        *tracks["run.traced"].begin(),
-                                        *tracks["parser.feed"].begin()};
-    EXPECT_EQ(threads.size(), 3u);
+    const std::set<uint32_t> threads = {
+        *tracks["run.measured"].begin(), *tracks["run.traced"].begin(),
+        *tracks["parser.feed"].begin(), *tracks["analysis.sinks"].begin()};
+    EXPECT_EQ(threads.size(), 4u);
   }
 }
 

@@ -1,13 +1,16 @@
 // The capture-once / analyze-many contract: a TraceLog stores the drained
 // trace words losslessly, and a streaming ReplayEngine parse of the capture
 // produces bit-identical parser stats, Prediction, and TLB miss counts to
-// the live path fed one reference at a time — on every Run().
-// Experiments price replay variants on the same live analysis tee as the
-// primary simulator.
+// the live path fed one reference at a time — on every Run(), with the
+// analysis stage on or off.  Experiments price replay variants on the same
+// live analysis tee as the primary simulator.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,11 +20,15 @@
 #include "harness/replay_engine.h"
 #include "harness/report.h"
 #include "kernel/system_build.h"
+#include "prof/prof.h"
 #include "sim/predictor.h"
 #include "sim/tlb_sim.h"
+#include "support/error.h"
 #include "support/json.h"
 #include "support/rng.h"
 #include "support/strings.h"
+#include "sweep/sweep.h"
+#include "trace/chunk_ring.h"
 #include "trace/parser.h"
 #include "trace/trace_archive.h"
 #include "trace/trace_log.h"
@@ -299,6 +306,309 @@ TEST(ReplayEngine, CorruptedBlockKeyIsReported) {
   EXPECT_TRUE(engine.Run({}).empty());
   EXPECT_GT(engine.parser_stats().validation_errors, 0u);
   EXPECT_FALSE(engine.parser_errors().empty());
+}
+
+// ---- The analysis stage (ReplayEngine behind WRL_PIPELINE) ----
+
+// Sets WRL_PIPELINE, which ReplayEngine reads on every Run(), for its
+// lifetime and restores the previous value after.
+class ScopedPipelineEnv {
+ public:
+  explicit ScopedPipelineEnv(const char* value) {
+    if (const char* old = std::getenv("WRL_PIPELINE")) {
+      had_ = true;
+      old_ = old;
+    }
+    setenv("WRL_PIPELINE", value, 1);
+  }
+  ~ScopedPipelineEnv() {
+    if (had_) {
+      setenv("WRL_PIPELINE", old_.c_str(), 1);
+    } else {
+      unsetenv("WRL_PIPELINE");
+    }
+  }
+  ScopedPipelineEnv(const ScopedPipelineEnv&) = delete;
+  ScopedPipelineEnv& operator=(const ScopedPipelineEnv&) = delete;
+
+ private:
+  bool had_ = false;
+  std::string old_;
+};
+
+// Every reference and every batch size a sink was handed.
+class BatchCollector : public RefBatchSink {
+ public:
+  void OnRefBatch(const TraceRef* refs, size_t count) override {
+    refs_.insert(refs_.end(), refs, refs + count);
+    sizes_.push_back(count);
+  }
+  const std::vector<TraceRef>& refs() const { return refs_; }
+  const std::vector<size_t>& sizes() const { return sizes_; }
+
+ private:
+  std::vector<TraceRef> refs_;
+  std::vector<size_t> sizes_;
+};
+
+// A paper workload's system trace, captured in its published chunks, with
+// the systems a replay of it needs.
+struct SystemCapture {
+  std::unique_ptr<SystemInstance> measured;
+  std::unique_ptr<SystemInstance> traced;
+  ExperimentOptions options;
+  TraceLog log;
+
+  ReplaySource Source() const {
+    ReplaySource source;
+    source.log = &log;
+    source.kernel_table = &traced->kernel_table();
+    for (const SystemInstance::UserSpace& space : traced->user_spaces()) {
+      source.user_tables.emplace_back(space.pid, space.table);
+    }
+    return source;
+  }
+};
+
+std::unique_ptr<SystemCapture> CaptureSystem(const std::string& name, Personality personality,
+                                             double scale) {
+  auto capture = std::make_unique<SystemCapture>();
+  const WorkloadSpec w = PaperWorkload(name, scale);
+  capture->options.personality = personality;
+  capture->measured = BuildSystem(ExperimentSystemConfig(w, capture->options, false));
+  capture->traced = BuildSystem(ExperimentSystemConfig(w, capture->options, true));
+  capture->traced->SetTraceSink(
+      [log = &capture->log](const uint32_t* words, size_t count) { log->Append(words, count); });
+  WRL_CHECK(capture->traced->Run(capture->options.max_instructions).halted);
+  capture->traced->SetTraceSink(nullptr);
+  return capture;
+}
+
+void ExpectSameParse(const TraceParserStats& a, const TraceParserStats& b) {
+  StatsRegistry ra;
+  StatsRegistry rb;
+  TraceParserStats ca = a;
+  TraceParserStats cb = b;
+  BindParserStats(ra, "parser.", &ca);
+  BindParserStats(rb, "parser.", &cb);
+  const StatsSnapshot sa = ra.Snapshot();
+  const StatsSnapshot sb = rb.Snapshot();
+  for (const auto& [name, value] : sa.values()) {
+    EXPECT_EQ(value.counter, sb.Find(name)->counter) << name;
+  }
+}
+
+// What one Run() of the archive-replay analysis produced.
+struct StageRun {
+  std::vector<ReplayEngine::Outcome> outcomes;
+  TraceParserStats stats;
+  std::vector<std::string> errors;
+};
+
+// The archive-replay workloads (gcc and eqntott, both personalities),
+// replayed through every kind of sink with the analysis stage off and on:
+// every sink's result, every reference and batch boundary, the parse's
+// counters and errors, and each outcome's refs are identical.
+TEST(ReplayEngine, AnalysisStageLeavesEveryOutcomeUnchanged) {
+  for (const char* name : {"gcc", "eqntott"}) {
+    for (Personality personality : {Personality::kUltrix, Personality::kMach}) {
+      SCOPED_TRACE(std::string(name) + "/" + PersonalityName(personality));
+      const std::unique_ptr<SystemCapture> capture = CaptureSystem(name, personality, 0.02);
+      ASSERT_GT(capture->log.chunks(), 1u);
+      const PredictorConfig pconfig =
+          ExperimentPredictorConfig(*capture->measured, capture->options);
+      SweepConfig sweep_config;
+      sweep_config.page_map = pconfig.page_map;
+      sweep_config.icache.push_back({16, 1024, 16 * 1024});
+      sweep_config.dcache.push_back({4, 1024, 16 * 1024});
+      sweep_config.tlb_max_entries = 64;
+      const SystemInstance& traced = *capture->traced;
+      const std::vector<ReplayEngine::Config> configs = {
+          {"primary", [&] { return ExperimentSimulator(*capture->measured, pconfig); }},
+          {"tlb", [] { return std::make_unique<TlbSimulator>(); }},
+          {"sweep", [&] { return std::make_unique<SweepEngine>(sweep_config); }},
+          {"profile",
+           [&traced] {
+             auto profiler = std::make_unique<TraceProfiler>();
+             ProfileSystemSpaces(*profiler, traced);
+             return profiler;
+           }},
+          {"collect", [] { return std::make_unique<BatchCollector>(); }}};
+
+      ReplayEngine engine(capture->Source());
+      StageRun runs[2];
+      for (int stage = 0; stage < 2; ++stage) {
+        ScopedPipelineEnv env(stage == 0 ? "0" : "1");
+        runs[stage].outcomes = engine.Run(configs);
+        runs[stage].stats = engine.parser_stats();
+        runs[stage].errors = engine.parser_errors();
+      }
+      const StageRun& sync = runs[0];
+      const StageRun& staged = runs[1];
+      EXPECT_EQ(sync.stats.validation_errors, 0u);
+      ExpectSameParse(staged.stats, sync.stats);
+      EXPECT_EQ(staged.errors, sync.errors);
+      ASSERT_EQ(staged.outcomes.size(), configs.size());
+      for (size_t i = 0; i < configs.size(); ++i) {
+        EXPECT_EQ(staged.outcomes[i].name, configs[i].name);
+        EXPECT_EQ(staged.outcomes[i].refs, sync.stats.refs) << configs[i].name;
+        EXPECT_EQ(sync.outcomes[i].refs, sync.stats.refs) << configs[i].name;
+      }
+      auto sink = [](const StageRun& run, size_t i) { return run.outcomes[i].sink.get(); };
+      auto* sim = static_cast<TraceDrivenSimulator*>(sink(staged, 0));
+      ExpectSamePrediction(sim->Finish(),
+                           static_cast<TraceDrivenSimulator*>(sink(sync, 0))->Finish());
+      EXPECT_EQ(sim->tlb().stats(),
+                static_cast<TraceDrivenSimulator*>(sink(sync, 0))->tlb().stats());
+      EXPECT_EQ(static_cast<TlbSimulator*>(sink(staged, 1))->stats(),
+                static_cast<TlbSimulator*>(sink(sync, 1))->stats());
+      const SweepResult& a = static_cast<SweepEngine*>(sink(staged, 2))->Finish();
+      const SweepResult& b = static_cast<SweepEngine*>(sink(sync, 2))->Finish();
+      ASSERT_EQ(a.icache.size(), b.icache.size());
+      for (size_t i = 0; i < a.icache.size(); ++i) {
+        EXPECT_EQ(a.icache[i].misses, b.icache[i].misses);
+        EXPECT_EQ(a.dcache[i].misses, b.dcache[i].misses);
+      }
+      EXPECT_EQ(a.tlb_lru_misses, b.tlb_lru_misses);
+      EXPECT_EQ(a.tlb, b.tlb);
+      EXPECT_EQ(static_cast<TraceProfiler*>(sink(staged, 3))->Finish().CanonicalJson(),
+                static_cast<TraceProfiler*>(sink(sync, 3))->Finish().CanonicalJson());
+      const auto* collected = static_cast<BatchCollector*>(sink(staged, 4));
+      const auto* expected = static_cast<BatchCollector*>(sink(sync, 4));
+      EXPECT_EQ(collected->sizes(), expected->sizes());
+      ExpectSameRefs(collected->refs(), expected->refs());
+    }
+  }
+}
+
+// A batch capacity of 1 through the analysis stage: every reference is a
+// batch of its own and crosses the ring alone, in order.
+TEST(ReplayEngine, AnalysisStageCarriesBatchesOfOne) {
+  const std::unique_ptr<SystemCapture> capture =
+      CaptureSystem("eqntott", Personality::kMach, 0.01);
+  BatchCollector direct;
+  BatchCollector staged;
+  for (BatchCollector* collector : {&direct, &staged}) {
+    std::unique_ptr<TraceParser> parser = SystemTraceParser(*capture->traced);
+    std::unique_ptr<RefBatchPipeline> stage;
+    if (collector == &staged) {
+      stage = std::make_unique<RefBatchPipeline>(collector);
+      parser->SetBatchSink(stage.get(), 1);
+    } else {
+      parser->SetBatchSink(collector, 1);
+    }
+    capture->log.Replay([&parser](const uint32_t* words, size_t count) {
+      parser->Feed(words, count);
+    });
+    parser->Finish();
+    if (stage != nullptr) {
+      stage->Finish();
+      EXPECT_EQ(stage->ring().chunks(), parser->stats().refs);
+      EXPECT_EQ(stage->ring().items(), parser->stats().refs);
+    }
+  }
+  ASSERT_GT(direct.refs().size(), 0u);
+  EXPECT_EQ(staged.sizes(), direct.sizes());
+  ExpectSameRefs(staged.refs(), direct.refs());
+}
+
+// A sink that throws on its third batch, recording the thread it ran on.
+class FailingSink : public RefBatchSink {
+ public:
+  explicit FailingSink(std::thread::id* ran_on) : ran_on_(ran_on) {}
+  void OnRefBatch(const TraceRef*, size_t) override {
+    *ran_on_ = std::this_thread::get_id();
+    if (++batches_ == 3) {
+      throw Error("sink failed mid-stream");
+    }
+  }
+
+ private:
+  std::thread::id* ran_on_;
+  int batches_ = 0;
+};
+
+// The sink's failure surfaces from Run() as its own exception in both
+// transports, from the analysis thread when the stage is on, and the
+// engine replays cleanly afterwards.
+TEST(ReplayEngine, SinkFailureSurfacesFromRunInBothTransports) {
+  const std::unique_ptr<SystemCapture> capture = CaptureSystem("sed", Personality::kUltrix, 0.02);
+  ReplayEngine engine(capture->Source());
+  for (const char* pipeline : {"0", "1"}) {
+    SCOPED_TRACE(std::string("WRL_PIPELINE=") + pipeline);
+    ScopedPipelineEnv env(pipeline);
+    std::thread::id ran_on;
+    try {
+      engine.Run({{"tlb", [] { return std::make_unique<TlbSimulator>(); }},
+                  {"failing", [&ran_on] { return std::make_unique<FailingSink>(&ran_on); }}});
+      FAIL() << "Run returned";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "sink failed mid-stream");
+    }
+    EXPECT_EQ(ran_on == std::this_thread::get_id(), std::string(pipeline) == "0");
+    const std::vector<ReplayEngine::Outcome> outcomes =
+        engine.Run({{"tlb", [] { return std::make_unique<TlbSimulator>(); }}});
+    EXPECT_EQ(outcomes.at(0).refs, engine.parser_stats().refs);
+    EXPECT_GT(outcomes[0].refs, 0u);
+  }
+}
+
+// Threads of this process, from /proc/self/task (Linux).
+size_t ProcessThreads() {
+  std::error_code ec;
+  size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end; !ec && it != end;
+       it.increment(ec)) {
+    ++n;
+  }
+  return ec ? 0 : n;
+}
+
+// A chunk source that counts the process's threads while it is replayed,
+// which is while Run() parses, after any analysis thread has started.
+class ThreadCountingSource : public TraceChunkSource {
+ public:
+  explicit ThreadCountingSource(const TraceChunkSource* inner) : inner_(inner) {}
+  size_t chunk_count() const override { return inner_->chunk_count(); }
+  uint64_t word_count() const override { return inner_->word_count(); }
+  void DecodeChunk(size_t index, std::vector<uint32_t>& out) const override {
+    inner_->DecodeChunk(index, out);
+  }
+  void Replay(const std::function<void(const uint32_t*, size_t)>& sink) const override {
+    threads_ = ProcessThreads();
+    inner_->Replay(sink);
+  }
+  size_t threads() const { return threads_; }
+
+ private:
+  const TraceChunkSource* inner_;
+  mutable size_t threads_ = 0;
+};
+
+// `wrltrace verify` replays with no sink: the stage has nothing to feed,
+// so Run({}) starts no thread, while a run with a sink starts one.
+TEST(ReplayEngine, RunWithoutSinksStartsNoAnalysisThread) {
+  if (ProcessThreads() == 0) {
+    GTEST_SKIP() << "no /proc/self/task to count threads";
+  }
+  BareBuild build = BuildBareTraced(kBody);
+  BareTraceRun run = RunBareTraced(build);
+  TraceLog log;
+  log.Append(run.trace_words.data(), run.trace_words.size());
+  ThreadCountingSource counting(&log);
+  ReplaySource source;
+  source.log = &counting;
+  source.kernel_table = &build.table;
+  ReplayEngine engine(std::move(source));
+  ScopedPipelineEnv env("1");
+  const size_t before = ProcessThreads();
+  EXPECT_TRUE(engine.Run({}).empty());
+  EXPECT_EQ(counting.threads(), before);
+  EXPECT_GT(engine.parser_stats().refs, 0u);
+  // Greater, not one greater: a sanitizer runtime may start a thread of
+  // its own with the process's first.
+  engine.Run({{"tlb", [] { return std::make_unique<TlbSimulator>(); }}});
+  EXPECT_GT(counting.threads(), before);
 }
 
 // The end-to-end harness contract: a replay variant configured identically

@@ -479,6 +479,85 @@ TEST(SweepEngine, ReuseHistogramMatchesPerReferenceRecordingOnSystemTrace) {
   EXPECT_EQ(got->hist_buckets, want->hist_buckets);
 }
 
+// A sweep with no cache family reads no physical address, so it never
+// translates one; everything else it reports equals what a sweep whose
+// families translate every reference reports, on a real system trace with
+// scrambled pages and two user spaces (eqntott/Mach).
+TEST(SweepEngine, FamilyLessSweepTranslatesNothingAndReportsTheSame) {
+  WorkloadSpec workload = PaperWorkload("eqntott", 0.02);
+  ExperimentOptions options;
+  options.personality = Personality::kMach;
+  std::unique_ptr<SystemInstance> measured =
+      BuildSystem(ExperimentSystemConfig(workload, options, false));
+  std::unique_ptr<SystemInstance> traced =
+      BuildSystem(ExperimentSystemConfig(workload, options, true));
+  std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
+  std::vector<TraceRef> refs;
+  RefFnSink collect([&refs](const TraceRef& r) { refs.push_back(r); });
+  parser->SetBatchSink(&collect);
+  traced->SetTraceSink(
+      [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); });
+  ASSERT_TRUE(traced->Run(options.max_instructions).halted);
+  parser->Finish();
+  ASSERT_EQ(parser->stats().validation_errors, 0u);
+
+  // Each engine's page map counts its calls.
+  const PageMapFn page_map = ExperimentPredictorConfig(*measured, options).page_map;
+  uint64_t calls[2] = {0, 0};
+  SweepConfig configs[2];
+  for (int i = 0; i < 2; ++i) {
+    configs[i].tlb_max_entries = 64;
+    configs[i].page_map = [&page_map, n = &calls[i]](uint32_t pid, uint32_t vpn) {
+      ++*n;
+      return page_map(pid, vpn);
+    };
+  }
+  configs[1].icache.push_back({16, 1024, 16 * 1024});
+  configs[1].dcache.push_back({4, 1024, 16 * 1024});
+  SweepEngine bare(configs[0]);
+  SweepEngine families(configs[1]);
+  bare.OnRefBatch(refs.data(), refs.size());
+  families.OnRefBatch(refs.data(), refs.size());
+  const SweepResult& a = bare.Finish();
+  const SweepResult& b = families.Finish();
+  EXPECT_EQ(calls[0], 0u);
+  EXPECT_GT(calls[1], 0u);
+
+  EXPECT_TRUE(a.icache.empty());
+  EXPECT_TRUE(a.dcache.empty());
+  EXPECT_EQ(a.family_points, 0u);
+  EXPECT_EQ(a.tlb_lru_misses, b.tlb_lru_misses);
+  EXPECT_EQ(a.tlb_cold_misses, b.tlb_cold_misses);
+  EXPECT_EQ(a.tlb_refs, b.tlb_refs);
+  EXPECT_EQ(a.refs, b.refs);
+  EXPECT_EQ(a.ifetches, b.ifetches);
+  EXPECT_EQ(a.synthesized_refs, b.synthesized_refs);
+  EXPECT_EQ(a.tlb, b.tlb);
+
+  // Every registry value but the family count, the uncached reads (which
+  // precede the translation) included.
+  StatsRegistry registries[2];
+  bare.RegisterStats(registries[0], "sweep.");
+  families.RegisterStats(registries[1], "sweep.");
+  const StatsSnapshot got = registries[0].Snapshot();
+  const StatsSnapshot want = registries[1].Snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_GT(got.Find("sweep.uncached_reads")->counter, 0u);
+  for (const auto& [name, value] : want.values()) {
+    if (name == "sweep.family_points") {
+      continue;
+    }
+    SCOPED_TRACE(name);
+    const StatValue* other = got.Find(name);
+    ASSERT_NE(other, nullptr);
+    EXPECT_EQ(other->counter, value.counter);
+    EXPECT_EQ(other->gauge, value.gauge);
+    EXPECT_EQ(other->hist_count, value.hist_count);
+    EXPECT_EQ(other->hist_sum, value.hist_sum);
+    EXPECT_EQ(other->hist_buckets, value.hist_buckets);
+  }
+}
+
 // ---- The memoized page-map translation ---------------------------------
 
 // The analysis translation with no memo: every kuseg reference calls the
