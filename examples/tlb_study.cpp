@@ -38,6 +38,7 @@
 #include "sim/tlb_sim.h"
 #include "stats/events.h"
 #include "stats/stats.h"
+#include "support/file.h"
 #include "support/json.h"
 #include "sweep/sweep.h"
 #include "trace/parser.h"
@@ -347,12 +348,10 @@ int main(int argc, char** argv) {
     writer.EndArray();
     writer.EndObject();
 
-    std::string json = writer.TakeString();
-    std::FILE* file = std::fopen(json_path.c_str(), "w");
-    if (file == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), file) != json.size() ||
-        std::fclose(file) != 0) {
-      fprintf(stderr, "cannot write report to %s\n", json_path.c_str());
+    try {
+      WriteTextFile(json_path, writer.TakeString());
+    } catch (const Error& e) {
+      fprintf(stderr, "error: %s\n", e.what());
       return 1;
     }
     fprintf(stderr, "wrote run report to %s\n", json_path.c_str());

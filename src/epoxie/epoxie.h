@@ -39,8 +39,6 @@
 #define WRLTRACE_EPOXIE_EPOXIE_H_
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -49,14 +47,6 @@
 namespace wrl {
 
 enum class InstrumentMode { kEpoxie, kPixie };
-
-// Liveness-driven scavenging is the default; WRL_SCAVENGE=0 forces the
-// unconditional (paper-literal) emission so the bit-identity invariant
-// stays A/B-testable.
-inline bool ScavengeEnabled() {
-  const char* env = std::getenv("WRL_SCAVENGE");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
 
 // Symbol naming the bookkeeping area in the traced address space.  The
 // link environment binds it: user links provide an absolute symbol at the
@@ -77,8 +67,9 @@ struct EpoxieConfig {
   // through $at to the bookkeeping area.  The parsed reference stream is
   // bit-identical either way; only text growth and trace-time dilation
   // shrink.  wrlverify's liveness-proof pass independently re-derives the
-  // safety of every elision.
-  bool scavenge = ScavengeEnabled();
+  // safety of every elision.  `false` is the unconditional (paper-literal)
+  // emission, the comparand of the bit-identity tests.
+  bool scavenge = true;
 };
 
 // One memory operation within a basic block: its instruction index in the

@@ -48,7 +48,7 @@ struct BareBuildOptions {
   // Liveness-driven scavenging in epoxie (header `sw ra` elision, shadow
   // windows through dead scratch registers).  The reconstructed reference
   // stream is bit-identical either way; only text growth changes.
-  bool scavenge = ScavengeEnabled();
+  bool scavenge = true;
 };
 
 // Assembles and links both images.  `body_source` must define a global

@@ -69,7 +69,6 @@ SystemConfig ExperimentSystemConfig(const WorkloadSpec& workload, const Experime
   config.events = options.events;
   if (options.personality == Personality::kMach) {
     config.policy = PagePolicy::kScrambled;
-    config.policy_mult = 9;
   }
   return config;
 }

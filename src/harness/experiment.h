@@ -84,11 +84,11 @@ struct ExperimentOptions {
   uint32_t clock_period = 200000;
   double dilation = 15.0;
   uint32_t trace_buf_bytes = 16u << 20;
-  // Liveness-driven epoxie scavenging (WRL_SCAVENGE in the environment by
-  // default).  Every counter, prediction, and reconstructed reference is
-  // bit-identical either way; only the instrumented text growth — and the
-  // traced.epoxie.* dilation metrics derived from it — changes.
-  bool scavenge = ScavengeEnabled();
+  // Liveness-driven epoxie scavenging.  Every counter, prediction, and
+  // reconstructed reference is bit-identical either way; only the
+  // instrumented text growth — and the traced.epoxie.* dilation metrics
+  // derived from it — changes.
+  bool scavenge = true;
   uint64_t max_instructions = 3'000'000'000;
   // Optional timeline: build/run/analysis phases and trace drains are
   // recorded here, each on the track of the thread that ran it (the

@@ -3,12 +3,17 @@
 #include <cmath>
 
 #include "support/error.h"
+#include "support/file.h"
 #include "support/json.h"
 #include "support/strings.h"
 
 namespace wrl {
 
 namespace {
+
+// Entries kept per profile table (blocks, symbols, pages) of an
+// experiment's attribution profile.
+constexpr size_t kProfileTop = 20;
 
 std::string MetricKey(const ExperimentResult& result, const char* leaf) {
   return StrFormat("%s.%s.%s", PersonalityName(result.personality), result.workload.c_str(),
@@ -81,8 +86,7 @@ void WriteHeader(JsonWriter& writer, const std::string& tool, double scale) {
   }
 }
 
-void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
-                     const RunReportOptions& options) {
+void WriteExperiment(JsonWriter& writer, const ExperimentResult& r) {
   writer.BeginObject();
   writer.KV("workload", r.workload);
   writer.KV("personality", PersonalityName(r.personality));
@@ -200,7 +204,7 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
   if (r.profile.totals.refs > 0) {
     writer.KV("profile_wall_us", r.profile_wall_us);
     writer.Key("profile");
-    r.profile.WriteJson(writer, options.profile_top);
+    r.profile.WriteJson(writer, kProfileTop);
   }
 
   writer.Key("counters");
@@ -213,18 +217,6 @@ void WriteExperiment(JsonWriter& writer, const ExperimentResult& r,
   }
   writer.EndArray();
   writer.EndObject();
-}
-
-void WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    throw Error(StrFormat("cannot open report file '%s' for writing", path.c_str()));
-  }
-  size_t written = std::fwrite(content.data(), 1, content.size(), file);
-  bool ok = written == content.size() && std::fclose(file) == 0;
-  if (!ok) {
-    throw Error(StrFormat("short write to report file '%s'", path.c_str()));
-  }
 }
 
 }  // namespace
@@ -241,7 +233,7 @@ std::string RunReportJson(const std::vector<ExperimentResult>& results,
 
   writer.Key("experiments").BeginArray();
   for (const ExperimentResult& r : results) {
-    WriteExperiment(writer, r, options);
+    WriteExperiment(writer, r);
   }
   writer.EndArray();
 
@@ -263,7 +255,7 @@ std::string RunReportJson(const std::vector<ExperimentResult>& results,
 
 void WriteRunReport(const std::string& path, const std::vector<ExperimentResult>& results,
                     const std::vector<TimelineEvent>& events, const RunReportOptions& options) {
-  WriteFile(path, RunReportJson(results, events, options));
+  WriteTextFile(path, RunReportJson(results, events, options));
 }
 
 void WriteMetricsReport(const std::string& path, const std::string& tool,
@@ -277,7 +269,7 @@ void WriteMetricsReport(const std::string& path, const std::string& tool,
   WriteChromeTraceEvents(writer, events);
   writer.EndArray();
   writer.EndObject();
-  WriteFile(path, writer.TakeString());
+  WriteTextFile(path, writer.TakeString());
 }
 
 size_t PrintResultWarnings(const ExperimentResult& result, std::FILE* out) {

@@ -25,9 +25,6 @@ namespace wrl {
 struct RunReportOptions {
   std::string tool;  // Emitting binary ("bench_table2", "tlb_study", ...).
   double scale = 0;  // Workload scale; 0 = not applicable.
-  // Entries kept per profile table (blocks/symbols/pages) when experiments
-  // carry an attribution profile; 0 = everything.
-  size_t profile_top = 20;
 };
 
 // Renders the full report document.

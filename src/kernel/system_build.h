@@ -53,7 +53,7 @@ struct SystemConfig {
   // windows through dead scratch registers).  The reconstructed reference
   // stream and every prediction are bit-identical either way; only the
   // instrumented text growth (and thus dilation) changes.
-  bool scavenge = ScavengeEnabled();
+  bool scavenge = true;
   // The workload program (defines `main`).  Under Mach a UNIX-server
   // process is added automatically as pid 2.
   std::string program_source;
@@ -112,6 +112,7 @@ class SystemInstance {
   }
   const TraceInfoTable& kernel_table() const { return kernel_table_; }
   const TraceInfoTable& user_table() const { return user_table_; }
+  const TraceInfoTable& server_table() const { return server_table_; }
   // One user address space the trace covers: the table its trace keys
   // resolve against and the original image its references name.
   struct UserSpace {
@@ -211,13 +212,6 @@ class SystemInstance {
     uint32_t data_slice_pages = 0;
   };
   std::vector<ProcLayout> layouts_;
-
-  const TraceInfoTable* UserTableFor(uint32_t pid) const {
-    return pid == 2 ? &server_table_ : &user_table_;
-  }
-
- public:
-  const TraceInfoTable& server_table() const { return server_table_; }
 };
 
 // Compiles, links, loads, and prepares a bootable system.  (Heap-allocated:

@@ -150,7 +150,6 @@ class Machine {
     in_delay_ = false;
   }
   uint32_t cop0(unsigned reg) const { return cop0_[reg & 15]; }
-  void set_cop0(unsigned reg, uint32_t v) { cop0_[reg & 15] = v; }
   bool user_mode() const { return (cop0_[kCop0Status] & kStatusKUc) != 0; }
   Tlb& tlb() { return tlb_; }
 
@@ -215,8 +214,8 @@ class Machine {
   void set_trace_hook(std::function<void(const RefEvent&)> hook) { trace_hook_ = std::move(hook); }
 
   // ---- Counters ----
-  // The counters live as registry-bindable wrl::Counter instruments; these
-  // accessors are thin shims over the same storage (see RegisterStats).
+  // The registry binds the same fields these accessors read (see
+  // RegisterStats).
   uint64_t cycles() const { return cycles_; }
   uint64_t instructions() const { return instructions_; }
   uint64_t user_instructions() const { return user_instructions_; }
@@ -231,7 +230,6 @@ class Machine {
   // outlive snapshots of the registry.
   void RegisterStats(StatsRegistry& registry, const std::string& prefix = "machine.");
   const MemorySystem* memsys() const { return timing_ ? &memsys_ : nullptr; }
-  MemorySystem* mutable_memsys() { return timing_ ? &memsys_ : nullptr; }
 
   // Counts instruction fetches whose PC lies in [lo, hi): used by tests and
   // benches to watch the kernel idle loop from outside.
@@ -408,17 +406,17 @@ class Machine {
   bool halted_ = false;
   uint32_t halt_code_ = 0;
 
-  Counter cycles_;
-  Counter instructions_;
-  Counter user_instructions_;
-  Counter kernel_instructions_;
+  uint64_t cycles_ = 0;
+  uint64_t instructions_ = 0;
+  uint64_t user_instructions_ = 0;
+  uint64_t kernel_instructions_ = 0;
   uint64_t muldiv_ready_ = 0;
-  Counter arith_stall_cycles_;
-  Counter utlb_miss_exceptions_;
+  uint64_t arith_stall_cycles_ = 0;
+  uint64_t utlb_miss_exceptions_ = 0;
   uint64_t exception_counts_[16] = {0};
   uint32_t idle_lo_ = 0;
   uint32_t idle_hi_ = 0;
-  Counter idle_instructions_;
+  uint64_t idle_instructions_ = 0;
   uint64_t cycle_latch_hi_ = 0;
 
   // The instruction budget of the current Run (RunTraceRoutine reads it).

@@ -19,18 +19,16 @@ uint32_t Log2Exact(uint32_t value) {
 DirectMappedCache::DirectMappedCache(const CacheConfig& config) : config_(config) {
   WRL_CHECK(config.line_bytes > 0 && (config.line_bytes & (config.line_bytes - 1)) == 0);
   WRL_CHECK(config.size_bytes % config.line_bytes == 0);
-  num_lines_ = config.size_bytes / config.line_bytes;
+  const uint32_t num_lines = config.size_bytes / config.line_bytes;
   // The shift/mask fast path needs a power-of-two line count too, and at
   // least one geometry bit so real (32-bit) tags stay below the sentinel.
-  WRL_CHECK(num_lines_ > 0 && (num_lines_ & (num_lines_ - 1)) == 0);
+  WRL_CHECK(num_lines > 0 && (num_lines & (num_lines - 1)) == 0);
   line_shift_ = Log2Exact(config.line_bytes);
-  index_bits_ = Log2Exact(num_lines_);
-  index_mask_ = num_lines_ - 1;
+  index_bits_ = Log2Exact(num_lines);
+  index_mask_ = num_lines - 1;
   WRL_CHECK(line_shift_ + index_bits_ > 0);
-  tags_.assign(num_lines_, kInvalidTag);
+  tags_.assign(num_lines, kInvalidTag);
 }
-
-void DirectMappedCache::InvalidateAll() { tags_.assign(num_lines_, kInvalidTag); }
 
 WriteBuffer::WriteBuffer(unsigned depth, unsigned cycles_per_entry)
     : depth_(depth), cycles_per_entry_(cycles_per_entry) {
@@ -38,23 +36,11 @@ WriteBuffer::WriteBuffer(unsigned depth, unsigned cycles_per_entry)
   ring_.assign(depth_, 0);
 }
 
-void WriteBuffer::Reset() {
-  head_ = 0;
-  size_ = 0;
-}
-
 MemorySystem::MemorySystem(const MemSysConfig& config)
     : config_(config),
       icache_(config.icache),
       dcache_(config.dcache),
       write_buffer_(config.wb_depth, config.wb_cycles_per_entry) {}
-
-void MemorySystem::Reset() {
-  icache_.InvalidateAll();
-  dcache_.InvalidateAll();
-  write_buffer_.Reset();
-  stats_ = MemSysStats{};
-}
 
 void MemorySystem::RegisterStats(StatsRegistry& registry, const std::string& prefix) {
   registry.AddCounter(prefix + "inst_fetches", &stats_.inst_fetches);

@@ -52,16 +52,7 @@ class DirectMappedCache {
   // Write-through update: refreshes the line only if already present
   // (no write allocation).  Returns true if the line was present.
   bool Update(uint32_t paddr) { return tags_[LineIndex(paddr)] == Tag(paddr); }
-  // Invalidates the line containing `paddr` (used by I-cache flushes).
-  void Invalidate(uint32_t paddr) {
-    uint32_t index = LineIndex(paddr);
-    if (tags_[index] == Tag(paddr)) {
-      tags_[index] = kInvalidTag;
-    }
-  }
-  void InvalidateAll();
 
-  uint32_t num_lines() const { return num_lines_; }
   const CacheConfig& config() const { return config_; }
 
  private:
@@ -72,7 +63,6 @@ class DirectMappedCache {
   uint32_t Tag(uint32_t paddr) const { return paddr >> (line_shift_ + index_bits_); }
 
   CacheConfig config_;
-  uint32_t num_lines_;
   uint32_t line_shift_;
   uint32_t index_bits_;
   uint32_t index_mask_;
@@ -115,7 +105,6 @@ class WriteBuffer {
     ++size_;
     return stall;
   }
-  void Reset();
 
  private:
   unsigned depth_;
@@ -196,9 +185,6 @@ class MemorySystem {
     stats_.wb_stall_cycles += stall;
     return stall;
   }
-
-  void FlushICache() { icache_.InvalidateAll(); }
-  void Reset();
 
   const MemSysStats& stats() const { return stats_; }
   const MemSysConfig& config() const { return config_; }

@@ -6,71 +6,6 @@
 #include "support/strings.h"
 
 namespace wrl {
-namespace {
-
-// --- Little helpers for the binary serialization format ---
-
-void Put32(std::vector<uint8_t>& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v >> 16));
-  out.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void PutString(std::vector<uint8_t>& out, const std::string& s) {
-  Put32(out, static_cast<uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void PutBytes(std::vector<uint8_t>& out, const std::vector<uint8_t>& bytes) {
-  Put32(out, static_cast<uint32_t>(bytes.size()));
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
-
-class Reader {
- public:
-  explicit Reader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
-
-  uint32_t Get32() {
-    if (pos_ + 4 > bytes_.size()) {
-      throw Error("truncated object file");
-    }
-    uint32_t v = bytes_[pos_] | (uint32_t{bytes_[pos_ + 1]} << 8) |
-                 (uint32_t{bytes_[pos_ + 2]} << 16) | (uint32_t{bytes_[pos_ + 3]} << 24);
-    pos_ += 4;
-    return v;
-  }
-
-  std::string GetString() {
-    uint32_t n = Get32();
-    if (pos_ + n > bytes_.size()) {
-      throw Error("truncated object file string");
-    }
-    std::string s(bytes_.begin() + static_cast<long>(pos_),
-                  bytes_.begin() + static_cast<long>(pos_ + n));
-    pos_ += n;
-    return s;
-  }
-
-  std::vector<uint8_t> GetBytes() {
-    uint32_t n = Get32();
-    if (pos_ + n > bytes_.size()) {
-      throw Error("truncated object file section");
-    }
-    std::vector<uint8_t> b(bytes_.begin() + static_cast<long>(pos_),
-                           bytes_.begin() + static_cast<long>(pos_ + n));
-    pos_ += n;
-    return b;
-  }
-
- private:
-  const std::vector<uint8_t>& bytes_;
-  size_t pos_ = 0;
-};
-
-constexpr uint32_t kMagic = 0x314f5745;  // "EWO1"
-
-}  // namespace
 
 uint32_t ObjectFile::TextWord(uint32_t offset) const {
   WRL_CHECK_MSG(offset % 4 == 0 && offset + 4 <= text.size(),
@@ -86,75 +21,6 @@ void ObjectFile::SetTextWord(uint32_t offset, uint32_t word) {
   text[offset + 1] = static_cast<uint8_t>(word >> 8);
   text[offset + 2] = static_cast<uint8_t>(word >> 16);
   text[offset + 3] = static_cast<uint8_t>(word >> 24);
-}
-
-std::vector<uint8_t> ObjectFile::Serialize() const {
-  std::vector<uint8_t> out;
-  Put32(out, kMagic);
-  PutString(out, source_name);
-  PutBytes(out, text);
-  PutBytes(out, data);
-  Put32(out, bss_size);
-  Put32(out, static_cast<uint32_t>(symbols.size()));
-  for (const Symbol& s : symbols) {
-    PutString(out, s.name);
-    Put32(out, s.value);
-    Put32(out, static_cast<uint32_t>(s.section));
-    Put32(out, s.global ? 1 : 0);
-  }
-  Put32(out, static_cast<uint32_t>(relocations.size()));
-  for (const Relocation& r : relocations) {
-    Put32(out, r.offset);
-    Put32(out, static_cast<uint32_t>(r.section));
-    Put32(out, static_cast<uint32_t>(r.type));
-    PutString(out, r.symbol);
-    Put32(out, static_cast<uint32_t>(r.addend));
-  }
-  Put32(out, static_cast<uint32_t>(blocks.size()));
-  for (const BlockAnnotation& b : blocks) {
-    Put32(out, b.offset);
-    Put32(out, b.flags);
-  }
-  return out;
-}
-
-ObjectFile ObjectFile::Deserialize(const std::vector<uint8_t>& bytes) {
-  Reader reader(bytes);
-  if (reader.Get32() != kMagic) {
-    throw Error("bad object file magic");
-  }
-  ObjectFile obj;
-  obj.source_name = reader.GetString();
-  obj.text = reader.GetBytes();
-  obj.data = reader.GetBytes();
-  obj.bss_size = reader.Get32();
-  uint32_t nsyms = reader.Get32();
-  for (uint32_t i = 0; i < nsyms; ++i) {
-    Symbol s;
-    s.name = reader.GetString();
-    s.value = reader.Get32();
-    s.section = static_cast<SectionId>(reader.Get32());
-    s.global = reader.Get32() != 0;
-    obj.symbols.push_back(std::move(s));
-  }
-  uint32_t nrelocs = reader.Get32();
-  for (uint32_t i = 0; i < nrelocs; ++i) {
-    Relocation r;
-    r.offset = reader.Get32();
-    r.section = static_cast<SectionId>(reader.Get32());
-    r.type = static_cast<RelocType>(reader.Get32());
-    r.symbol = reader.GetString();
-    r.addend = static_cast<int32_t>(reader.Get32());
-    obj.relocations.push_back(std::move(r));
-  }
-  uint32_t nblocks = reader.Get32();
-  for (uint32_t i = 0; i < nblocks; ++i) {
-    BlockAnnotation b;
-    b.offset = reader.Get32();
-    b.flags = reader.Get32();
-    obj.blocks.push_back(b);
-  }
-  return obj;
 }
 
 uint32_t Executable::SymbolAddress(const std::string& name) const {

@@ -77,10 +77,6 @@ struct ObjectFile {
   uint32_t TextWord(uint32_t offset) const;
   void SetTextWord(uint32_t offset, uint32_t word);
   uint32_t NumTextWords() const { return static_cast<uint32_t>(text.size() / 4); }
-
-  // Binary serialization (round-trips exactly; used for on-disk objects).
-  std::vector<uint8_t> Serialize() const;
-  static ObjectFile Deserialize(const std::vector<uint8_t>& bytes);
 };
 
 // A fully linked, absolute image.

@@ -8,14 +8,7 @@
 namespace wrl {
 
 TraceProfiler::TraceProfiler(ProfileOptions options) : options_(options) {
-  WRL_CHECK_MSG(options_.page_bytes != 0 &&
-                    (options_.page_bytes & (options_.page_bytes - 1)) == 0,
-                "profile page_bytes must be a power of two");
   WRL_CHECK_MSG(options_.window_refs != 0, "profile window_refs must be nonzero");
-  page_shift_ = 0;
-  while ((1u << page_shift_) != options_.page_bytes) {
-    ++page_shift_;
-  }
   window_filter_.fill(kNoKey);
 }
 
@@ -110,8 +103,8 @@ std::string TraceProfiler::SpaceName(uint8_t pid) const {
 }
 
 void TraceProfiler::TouchPage(Space& space, const TraceRef& ref) {
-  const uint32_t page = (ref.addr >> page_shift_) << page_shift_;
-  PageMemo& memo = space.page_memo[MemoSlot(page >> page_shift_)];
+  const uint32_t page = (ref.addr >> kPageShift) << kPageShift;
+  PageMemo& memo = space.page_memo[MemoSlot(page >> kPageShift)];
   if (memo.profile == nullptr || memo.page != page) {
     PageProfile& entry = space.pages[page];
     entry.page_addr = page;
@@ -132,7 +125,7 @@ void TraceProfiler::TouchPage(Space& space, const TraceRef& ref) {
 }
 
 void TraceProfiler::TouchWorkingSet(uint8_t pid, uint32_t addr) {
-  const uint64_t key = (static_cast<uint64_t>(pid) << 32) | (addr >> page_shift_);
+  const uint64_t key = (static_cast<uint64_t>(pid) << 32) | (addr >> kPageShift);
   uint64_t& seen = window_filter_[MemoSlot(key)];
   if (seen != key) {
     window_pages_.insert(key);
@@ -242,7 +235,6 @@ Profile TraceProfiler::Finish() const {
   Profile profile;
   profile.totals = totals_;
   profile.window_refs = options_.window_refs;
-  profile.page_bytes = options_.page_bytes;
   profile.working_set = working_set_;
   profile.tail_refs = window_fill_;
   if (window_fill_ > 0) {

@@ -40,6 +40,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "mach/address_space.h"
 #include "obj/object_file.h"
 #include "support/json.h"
 #include "trace/parser.h"
@@ -49,8 +50,6 @@ namespace wrl {
 struct ProfileOptions {
   // References per working-set window (every reference counts one).
   uint64_t window_refs = 1u << 18;
-  // Heatmap granularity; must be a power of two.
-  uint32_t page_bytes = 4096;
 };
 
 // Per-basic-block tally, keyed by (address space, original leader address).
@@ -131,7 +130,7 @@ struct Profile {
   std::vector<uint64_t> working_set;   // Unique pages touched per window.
   uint64_t window_refs = 0;            // Window size the curve used.
   uint64_t tail_refs = 0;              // Refs in the final partial window.
-  uint32_t page_bytes = 4096;
+  uint32_t page_bytes = kPageBytes;    // Heatmap granularity: the machine page.
 
   // The `profile` block of wrlstats/1 reports and the payload of wrlprof/1
   // documents.  `top` caps blocks/symbols/pages arrays (0 = everything);
@@ -241,7 +240,6 @@ class TraceProfiler : public RefBatchSink {
                                                           uint32_t addr) const;
 
   ProfileOptions options_;
-  uint32_t page_shift_ = 12;
   // std::map: Finish() iterates spaces in pid order for determinism.
   std::map<uint8_t, Space> spaces_;
   // pid -> its element of spaces_ (nullptr until the space exists).

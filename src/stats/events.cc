@@ -52,10 +52,6 @@ std::function<uint64_t()> EventRecorder::ExchangeCycleSource(std::function<uint6
   return source;
 }
 
-void EventRecorder::SetCycleSource(std::function<uint64_t()> source) {
-  ExchangeCycleSource(std::move(source));
-}
-
 void EventRecorder::Begin(std::string name, std::string category) {
   Track& track = CallerTrack();
   track.open.push_back(Stamp(track, std::move(name), std::move(category)));
@@ -122,23 +118,6 @@ void WriteChromeTraceEvents(JsonWriter& writer, const std::vector<TimelineEvent>
     writer.EndObject();
     writer.EndObject();
   }
-}
-
-void EventRecorder::WriteChromeTrace(JsonWriter& writer) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  writer.BeginArray();
-  WriteChromeTraceEvents(writer, events_);
-  writer.EndArray();
-}
-
-std::string EventRecorder::ChromeTraceJson() const {
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.KV("displayTimeUnit", "ms");
-  writer.Key("traceEvents");
-  WriteChromeTrace(writer);
-  writer.EndObject();
-  return writer.TakeString();
 }
 
 }  // namespace wrl

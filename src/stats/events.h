@@ -53,11 +53,6 @@ struct TimelineEvent {
 // unobserved.
 class EventRecorder {
  public:
-  // The calling thread's simulated-cycle clock on this recorder; typically
-  // `[&m] { return m.cycles(); }`, called only on this thread.  Prefer
-  // CycleScope, which cannot outlive the machine it reads.
-  void SetCycleSource(std::function<uint64_t()> source);
-
   // Opens a phase on the calling thread's track.
   void Begin(std::string name, std::string category = "phase");
   // Closes the calling thread's innermost open phase and appends its
@@ -74,12 +69,6 @@ class EventRecorder {
 
   // Microseconds on the process-wide clock every recorder stamps.
   static uint64_t NowUs();
-
-  // Emits the timeline as a Chrome trace_event JSON array ("X" complete
-  // events and "i" instants).  Open scopes are not emitted.
-  void WriteChromeTrace(JsonWriter& writer) const;
-  // The standalone document form: {"traceEvents": [...], ...metadata}.
-  std::string ChromeTraceJson() const;
 
   // RAII phase scope; a null recorder makes it a no-op.
   class Scope {
@@ -102,10 +91,11 @@ class EventRecorder {
     EventRecorder* recorder_;
   };
 
-  // RAII cycle source: the calling thread's source on `recorder` for the
-  // scope's lifetime, the previous one again once it ends (unwinding
-  // included), so a source never outlives the machine it reads.  A null
-  // recorder makes it a no-op.
+  // RAII cycle source: the calling thread's simulated-cycle clock on
+  // `recorder` (typically `[&m] { return m.cycles(); }`, called only on
+  // this thread) for the scope's lifetime, the previous one again once it
+  // ends (unwinding included), so a source never outlives the machine it
+  // reads.  A null recorder makes it a no-op.
   class CycleScope {
    public:
     CycleScope(EventRecorder* recorder, std::function<uint64_t()> source) : recorder_(recorder) {
@@ -149,7 +139,8 @@ class EventRecorder {
   std::vector<TimelineEvent> events_;
 };
 
-// Writes one run's Chrome trace events into an already-open JSON array.
+// Writes one run's Chrome trace events ("X" complete events and "i"
+// instants) into an already-open JSON array.
 void WriteChromeTraceEvents(JsonWriter& writer, const std::vector<TimelineEvent>& events);
 
 }  // namespace wrl

@@ -55,11 +55,6 @@ unsigned Histogram::UsedBuckets() const {
   return used;
 }
 
-void Histogram::Reset() {
-  buckets_.fill(0);
-  count_ = sum_ = min_ = max_ = 0;
-}
-
 // ---------------------------------------------------------------------------
 // StatValue / StatsSnapshot
 // ---------------------------------------------------------------------------
@@ -137,29 +132,16 @@ StatsRegistry::Instrument& StatsRegistry::Slot(std::string name) {
   return instruments_[std::move(name)] = Instrument{};
 }
 
-void StatsRegistry::AddCounter(std::string name, Counter* counter) {
-  Instrument& slot = Slot(std::move(name));
-  slot.kind = StatValue::Kind::kCounter;
-  slot.counter = counter;
-}
-
 void StatsRegistry::AddCounter(std::string name, uint64_t* value) {
   Instrument& slot = Slot(std::move(name));
   slot.kind = StatValue::Kind::kCounter;
-  slot.raw = value;
+  slot.counter = value;
 }
 
 void StatsRegistry::AddGauge(std::string name, std::function<double()> gauge) {
   Instrument& slot = Slot(std::move(name));
   slot.kind = StatValue::Kind::kGauge;
   slot.gauge = std::move(gauge);
-}
-
-Histogram* StatsRegistry::AddHistogram(std::string name) {
-  owned_histograms_.push_back(std::make_unique<Histogram>());
-  Histogram* histogram = owned_histograms_.back().get();
-  AddHistogram(std::move(name), histogram);
-  return histogram;
 }
 
 void StatsRegistry::AddHistogram(std::string name, Histogram* histogram) {
@@ -186,7 +168,7 @@ uint64_t StatsRegistry::CounterValue(std::string_view name) const {
   if (it == instruments_.end() || it->second.kind != StatValue::Kind::kCounter) {
     throw Error(MissingName(name));
   }
-  return it->second.counter != nullptr ? it->second.counter->value() : *it->second.raw;
+  return *it->second.counter;
 }
 
 StatsSnapshot StatsRegistry::Snapshot() const {
@@ -196,8 +178,7 @@ StatsSnapshot StatsRegistry::Snapshot() const {
     value.kind = instrument.kind;
     switch (instrument.kind) {
       case StatValue::Kind::kCounter:
-        value.counter =
-            instrument.counter != nullptr ? instrument.counter->value() : *instrument.raw;
+        value.counter = *instrument.counter;
         break;
       case StatValue::Kind::kGauge:
         value.gauge = instrument.gauge();
@@ -216,25 +197,6 @@ StatsSnapshot StatsRegistry::Snapshot() const {
     snapshot.Set(name, std::move(value));
   }
   return snapshot;
-}
-
-void StatsRegistry::ResetAll() {
-  for (auto& [name, instrument] : instruments_) {
-    switch (instrument.kind) {
-      case StatValue::Kind::kCounter:
-        if (instrument.counter != nullptr) {
-          instrument.counter->Reset();
-        } else {
-          *instrument.raw = 0;
-        }
-        break;
-      case StatValue::Kind::kGauge:
-        break;
-      case StatValue::Kind::kHistogram:
-        instrument.histogram->Reset();
-        break;
-    }
-  }
 }
 
 }  // namespace wrl

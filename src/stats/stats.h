@@ -8,19 +8,20 @@
 // against predicted runs mechanically instead of by hand-written printf.
 //
 // Three instrument kinds:
-//   * Counter    — a monotonically increasing u64 owned by the component;
-//                  the registry binds a pointer, so the component's hot
-//                  path pays nothing for being observable.
+//   * counter    — a plain uint64_t field owned by the component; the
+//                  registry binds a pointer, so the component's hot path
+//                  pays nothing for being observable.
 //   * gauge      — a callback evaluated at snapshot time, for values that
 //                  are derived (stall-cycle totals, dilation ratios) or
 //                  live in simulated memory (kernel stats block words).
 //   * Histogram  — power-of-two ("log-scale") buckets for distributions
-//                  such as trace-drain sizes and buffer fill levels.
+//                  such as trace-drain sizes and buffer fill levels, owned
+//                  by the component like its counters.
 //
-// Lifetime: the registry does not own Counter/raw-pointer registrations;
-// the registering component must outlive every Snapshot() call.  Registries
-// are scoped to one experiment/run, matching how the harness already
-// scopes the machines themselves.
+// Lifetime: the registry owns no instrument; the registering component
+// must outlive every Snapshot() call.  Registries are scoped to one
+// experiment/run, matching how the harness already scopes the machines
+// themselves.
 #ifndef WRLTRACE_STATS_STATS_H_
 #define WRLTRACE_STATS_STATS_H_
 
@@ -28,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,43 +36,6 @@
 namespace wrl {
 
 class JsonWriter;
-
-// A monotonically increasing counter.  Behaves like a uint64_t so existing
-// accounting code (`++x`, `x += n`, `x = y`, comparisons) keeps reading the
-// same; the small API surface beyond that exists for the registry.
-class Counter {
- public:
-  constexpr Counter() = default;
-  constexpr Counter(uint64_t value) : value_(value) {}  // NOLINT(runtime/explicit)
-
-  constexpr operator uint64_t() const { return value_; }  // NOLINT(runtime/explicit)
-  uint64_t value() const { return value_; }
-
-  Counter& operator=(uint64_t value) {
-    value_ = value;
-    return *this;
-  }
-  Counter& operator++() {
-    ++value_;
-    return *this;
-  }
-  Counter& operator--() {
-    --value_;
-    return *this;
-  }
-  Counter& operator+=(uint64_t delta) {
-    value_ += delta;
-    return *this;
-  }
-  Counter& operator-=(uint64_t delta) {
-    value_ -= delta;
-    return *this;
-  }
-  void Reset() { value_ = 0; }
-
- private:
-  uint64_t value_ = 0;
-};
 
 // Log-scale (power-of-two) histogram of u64 samples.  Bucket 0 counts exact
 // zeros; bucket i (i >= 1) counts samples in [2^(i-1), 2^i).
@@ -87,12 +50,9 @@ class Histogram {
   uint64_t sum() const { return sum_; }
   uint64_t min() const { return count_ == 0 ? 0 : min_; }
   uint64_t max() const { return max_; }
-  double Mean() const { return count_ == 0 ? 0 : static_cast<double>(sum_) / count_; }
   const std::array<uint64_t, kBuckets>& buckets() const { return buckets_; }
   // Index of the highest non-empty bucket + 1 (so reports can trim the tail).
   unsigned UsedBuckets() const;
-
-  void Reset();
 
  private:
   std::array<uint64_t, kBuckets> buckets_{};
@@ -154,17 +114,13 @@ class StatsRegistry {
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
-  // Binds an existing counter.  Re-registering a name replaces the binding
-  // (components may be rebuilt between runs within one registry scope).
-  void AddCounter(std::string name, Counter* counter);
-  // Binds a plain uint64_t field of a stats struct as a counter.
+  // Binds a component's uint64_t field as a counter.  Re-registering a name
+  // replaces the binding (components may be rebuilt between runs within one
+  // registry scope).
   void AddCounter(std::string name, uint64_t* value);
   // Registers a gauge callback, evaluated at every Snapshot().
   void AddGauge(std::string name, std::function<double()> gauge);
-  // Creates and owns a histogram; the returned pointer stays valid for the
-  // registry's lifetime.
-  Histogram* AddHistogram(std::string name);
-  // Binds an externally owned histogram.
+  // Binds a component's histogram.
   void AddHistogram(std::string name, Histogram* histogram);
 
   bool Has(std::string_view name) const;
@@ -175,15 +131,11 @@ class StatsRegistry {
   uint64_t CounterValue(std::string_view name) const;
 
   StatsSnapshot Snapshot() const;
-  // Zeroes every bound counter and clears every histogram.  Gauges are
-  // derived values and are left to their owners.
-  void ResetAll();
 
  private:
   struct Instrument {
     StatValue::Kind kind = StatValue::Kind::kCounter;
-    Counter* counter = nullptr;
-    uint64_t* raw = nullptr;
+    uint64_t* counter = nullptr;
     std::function<double()> gauge;
     Histogram* histogram = nullptr;
   };
@@ -191,7 +143,6 @@ class StatsRegistry {
   Instrument& Slot(std::string name);
 
   std::map<std::string, Instrument, std::less<>> instruments_;
-  std::vector<std::unique_ptr<Histogram>> owned_histograms_;
 };
 
 }  // namespace wrl

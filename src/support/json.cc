@@ -231,6 +231,14 @@ class Parser {
     throw Error(StrFormat("json: %s at offset %zu", what.c_str(), pos_));
   }
 
+  // Enters the array or object opening at pos_.
+  void Descend() {
+    if (++depth_ > kMaxJsonDepth) {
+      Fail(StrFormat("nesting deeper than %d levels", kMaxJsonDepth));
+    }
+    ++pos_;
+  }
+
   void SkipWhitespace() {
     while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
                                    text_[pos_] == '\n' || text_[pos_] == '\r')) {
@@ -351,7 +359,7 @@ class Parser {
     char c = Peek();
     JsonValue value;
     if (c == '{') {
-      ++pos_;
+      Descend();
       value.kind = JsonValue::Kind::kObject;
       if (!Consume('}')) {
         do {
@@ -361,10 +369,11 @@ class Parser {
         } while (Consume(','));
         Expect('}');
       }
+      --depth_;
       return value;
     }
     if (c == '[') {
-      ++pos_;
+      Descend();
       value.kind = JsonValue::Kind::kArray;
       if (!Consume(']')) {
         do {
@@ -372,6 +381,7 @@ class Parser {
         } while (Consume(','));
         Expect(']');
       }
+      --depth_;
       return value;
     }
     if (c == '"') {
@@ -419,6 +429,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Arrays and objects open at pos_.
 };
 
 }  // namespace

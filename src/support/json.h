@@ -93,8 +93,15 @@ struct JsonValue {
   bool Has(std::string_view key) const { return Find(key) != nullptr; }
 };
 
-// Parses one JSON document; trailing non-whitespace or malformed input
-// throws wrl::Error with a position-annotated message.
+// The deepest nesting of arrays and objects ParseJson accepts: far past
+// any document the repository writes, and shallow enough that a hostile
+// one (an archive's identity metadata is read with ParseJson) fails with a
+// diagnostic instead of overflowing the stack.
+inline constexpr int kMaxJsonDepth = 64;
+
+// Parses one JSON document; trailing non-whitespace, malformed input or
+// nesting deeper than kMaxJsonDepth throws wrl::Error with a
+// position-annotated message.
 JsonValue ParseJson(std::string_view text);
 
 }  // namespace wrl

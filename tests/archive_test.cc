@@ -307,6 +307,34 @@ TEST(ArchiveCorruption, UnknownVersionIsAHardError) {
   }
 }
 
+// The identity metadata's CRCs are easy to recompute, so they prove nothing
+// about its shape: metadata nesting a million arrays deep, under valid
+// CRCs, fails with the JSON parser's diagnostic instead of overflowing the
+// stack.
+TEST(ArchiveCorruption, DeeplyNestedMetadataIsAHardError) {
+  const std::string path = TempPath("deepmeta.wrl");
+  WriteTestArchive(path, SyntheticChunks(1, 10));
+  const std::string bytes = ReadFileBytes(path);
+  const std::string meta(1'000'000, '[');
+  std::string forged = bytes.substr(0, 24) + meta + bytes.substr(24 + FileU32(bytes, 12));
+  auto put32 = [&forged](size_t offset, uint32_t value) {
+    for (int i = 0; i < 4; ++i) {
+      forged[offset + i] = static_cast<char>(value >> (8 * i));
+    }
+  };
+  put32(12, static_cast<uint32_t>(meta.size()));
+  put32(16, Crc32(reinterpret_cast<const uint8_t*>(meta.data()), meta.size()));
+  put32(20, Crc32(reinterpret_cast<const uint8_t*>(forged.data()), 20));
+  WriteFileBytes(path, forged);
+  try {
+    ArchiveReader archive(path);
+    FAIL() << "deeply nested metadata accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("json: nesting deeper than"), std::string::npos)
+        << e.what();
+  }
+}
+
 // Header flags other than exactly "packed" are rejected with the path and
 // the flags: raw payloads (flags 0), which no writer produces any more, and
 // any unknown bit beside the packed one.

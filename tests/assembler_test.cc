@@ -295,48 +295,5 @@ TEST(Assembler, ImmediateRangeChecked) {
   EXPECT_NO_THROW(Assemble("t.s", "andi $t0, $t1, 0xffff\n"));
 }
 
-TEST(ObjectFileSerialization, RoundTrip) {
-  ObjectFile obj = Assemble("round.s", R"(
-        .text
-        .globl _start
-_start: la $a0, data
-        jal f
-        nop
-        syscall 1
-f:      jr $ra
-        nop
-        .notrace_on
-hidden: nop
-        .notrace_off
-        .data
-data:   .word _start, 99
-        .bss
-scratch: .space 256
-)");
-  std::vector<uint8_t> bytes = obj.Serialize();
-  ObjectFile copy = ObjectFile::Deserialize(bytes);
-  EXPECT_EQ(copy.source_name, obj.source_name);
-  EXPECT_EQ(copy.text, obj.text);
-  EXPECT_EQ(copy.data, obj.data);
-  EXPECT_EQ(copy.bss_size, obj.bss_size);
-  ASSERT_EQ(copy.symbols.size(), obj.symbols.size());
-  for (size_t i = 0; i < copy.symbols.size(); ++i) {
-    EXPECT_EQ(copy.symbols[i].name, obj.symbols[i].name);
-    EXPECT_EQ(copy.symbols[i].value, obj.symbols[i].value);
-    EXPECT_EQ(copy.symbols[i].global, obj.symbols[i].global);
-  }
-  ASSERT_EQ(copy.relocations.size(), obj.relocations.size());
-  ASSERT_EQ(copy.blocks.size(), obj.blocks.size());
-  for (size_t i = 0; i < copy.blocks.size(); ++i) {
-    EXPECT_EQ(copy.blocks[i].offset, obj.blocks[i].offset);
-    EXPECT_EQ(copy.blocks[i].flags, obj.blocks[i].flags);
-  }
-}
-
-TEST(ObjectFileSerialization, RejectsBadMagic) {
-  std::vector<uint8_t> bytes = {1, 2, 3, 4, 5, 6, 7, 8};
-  EXPECT_THROW(ObjectFile::Deserialize(bytes), Error);
-}
-
 }  // namespace
 }  // namespace wrl

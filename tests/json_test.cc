@@ -115,6 +115,19 @@ TEST(JsonParse, MalformedInputThrows) {
   EXPECT_THROW(ParseJson("\"unterminated"), Error);
   EXPECT_THROW(ParseJson("nulx"), Error);
   EXPECT_THROW(ParseJson("{} trailing"), Error);
+  // Nesting is bounded: a million '[' fails cleanly instead of overflowing
+  // the stack, and the diagnostic names where the limit was crossed.
+  try {
+    ParseJson(std::string(1'000'000, '['));
+    ADD_FAILURE() << "deep nesting accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 64 levels at offset 64"),
+              std::string::npos)
+        << e.what();
+  }
+  const std::string deepest = std::string(kMaxJsonDepth, '[') + std::string(kMaxJsonDepth, ']');
+  EXPECT_TRUE(ParseJson(deepest).IsArray());
+  EXPECT_THROW(ParseJson("[" + deepest + "]"), Error);
 }
 
 // A run-report shaped document with the §5 headline counters (cycles, UTLB

@@ -29,27 +29,6 @@ TEST(DirectMappedCache, UpdateDoesNotAllocate) {
   EXPECT_TRUE(cache.Update(0x2000));   // Present now.
 }
 
-TEST(DirectMappedCache, Invalidate) {
-  DirectMappedCache cache({1024, 16});
-  cache.Access(0x3000);
-  cache.Invalidate(0x3000);
-  EXPECT_FALSE(cache.Access(0x3000));
-  cache.Access(0x3000);
-  cache.Invalidate(0x7000);  // Different tag: no effect.
-  EXPECT_TRUE(cache.Access(0x3000));
-}
-
-TEST(DirectMappedCache, InvalidateAll) {
-  DirectMappedCache cache({256, 16});
-  for (uint32_t a = 0; a < 256; a += 16) {
-    cache.Access(a);
-  }
-  cache.InvalidateAll();
-  for (uint32_t a = 0; a < 256; a += 16) {
-    EXPECT_FALSE(cache.Access(a));
-  }
-}
-
 TEST(WriteBuffer, NoStallWhenNotFull) {
   WriteBuffer wb(4, 5);
   EXPECT_EQ(wb.Push(0), 0u);
@@ -157,17 +136,6 @@ TEST(MemorySystem, StallCyclesGaugeMatchesChargedStalls) {
   ms.RegisterStats(registry, "memsys.");
   EXPECT_DOUBLE_EQ(registry.Snapshot().GaugeValue("memsys.stall_cycles"),
                    static_cast<double>(charged));
-}
-
-TEST(MemorySystem, ResetClearsEverything) {
-  MemorySystem ms(MemSysConfig{});
-  ms.Fetch(0, 0);
-  ms.Store(0, 0);
-  ms.Reset();
-  EXPECT_EQ(ms.stats().inst_fetches, 0u);
-  EXPECT_EQ(ms.stats().data_writes, 0u);
-  // Cache is cold again.
-  EXPECT_EQ(ms.Fetch(0, 0), ms.config().read_miss_penalty);
 }
 
 // Property sweep: for any cache geometry, a linear scan touching each line

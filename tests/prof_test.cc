@@ -171,7 +171,6 @@ TEST(TraceProfiler, UnattributedIsCountedNeverGuessed) {
 TEST(TraceProfiler, WorkingSetWindowsAndTail) {
   ProfileOptions options;
   options.window_refs = 4;
-  options.page_bytes = 4096;
   TraceProfiler prof(options);
   // Window 1: pages 0,0,1,1 -> 2 unique.  Window 2: pages 2,3,4,5 -> 4.
   // Tail: pages 0,0 -> 1 unique over 2 refs.
@@ -198,7 +197,7 @@ TEST(TraceProfiler, WorkingSetWindowsAndTail) {
 void ExpectPagesAndWorkingSetMatchRecount(TraceProfiler& prof, const std::vector<TraceRef>& refs) {
   prof.OnRefBatch(refs.data(), refs.size());
   const Profile profile = prof.Finish();
-  const uint32_t page_mask = ~(prof.options().page_bytes - 1);
+  const uint32_t page_mask = ~(profile.page_bytes - 1);
   using Key = std::pair<uint8_t, uint32_t>;
   std::map<Key, std::array<uint64_t, 3>> pages;
   std::vector<uint64_t> working_set;
@@ -523,14 +522,13 @@ TEST(ExperimentProfile, LiveVsCaptureReplayBitIdentical) {
   EXPECT_EQ(live.profile.totals.unattributed_insts, 0u);
   EXPECT_EQ(live.profile.totals.unattributed_data, 0u);
 
-  // The wrlstats/1 run report embeds the profile, top-N capped, with the
-  // totals agreeing with the report's own parser counters.
-  RunReportOptions report_options;
-  report_options.profile_top = 3;
-  JsonValue report = ParseJson(RunReportJson({live}, {}, report_options));
+  // The wrlstats/1 run report embeds the profile, its tables capped at 20
+  // entries, with the totals agreeing with the report's own parser counters.
+  ASSERT_GT(live.profile.blocks.size(), 20u);
+  JsonValue report = ParseJson(RunReportJson({live}, {}, RunReportOptions{}));
   const JsonValue& experiment = report.At("experiments").array.at(0);
   const JsonValue& profile = experiment.At("profile");
-  EXPECT_LE(profile.At("blocks").array.size(), 3u);
+  EXPECT_EQ(profile.At("blocks").array.size(), 20u);
   EXPECT_EQ(profile.At("totals").At("refs").number,
             experiment.At("counters").At("parser.refs").number);
 }

@@ -26,14 +26,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "support/error.h"
+#include "support/file.h"
 #include "support/json.h"
 
 using namespace wrl;
@@ -62,13 +61,7 @@ Direction DirectionOf(const std::string& name) {
 }
 
 std::map<std::string, double> LoadMetrics(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw Error("wrlbench_diff: cannot read " + path);
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  JsonValue doc = ParseJson(buffer.str());
+  JsonValue doc = ParseJson(ReadTextFile(path));
   const JsonValue* metrics = doc.Find("metrics");
   if (metrics == nullptr || !metrics->IsObject()) {
     throw Error("wrlbench_diff: " + path + " has no metrics object");

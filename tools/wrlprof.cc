@@ -38,7 +38,6 @@
 // ("space;symbol;block_0xADDR insts" per line).
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,6 +46,7 @@
 #include "kernel/system_build.h"
 #include "prof/prof.h"
 #include "support/error.h"
+#include "support/file.h"
 #include "support/json.h"
 #include "support/strings.h"
 #include "trace/parser.h"
@@ -61,12 +61,11 @@ struct CliOptions {
   Personality personality = Personality::kUltrix;
   double scale = 1.0;
   size_t top = 10;
-  uint64_t window_refs = 1u << 18;
+  ProfileOptions profile;
   std::string json_path;
   std::string folded_path;
   bool verify = true;
   bool quiet = false;
-  uint64_t max_instructions = 3'000'000'000;
 };
 
 struct Reconcile {
@@ -92,14 +91,7 @@ void Usage() {
                "               [--no-verify] [--quiet]\n");
 }
 
-void WriteTextFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out || !(out << content)) {
-    throw Error("wrlprof: cannot write " + path);
-  }
-}
-
-void PrintTables(const TraceProfiler& profiler, const Profile& profile, size_t top) {
+void PrintTables(const Profile& profile, size_t top) {
   const ProfileTotals& t = profile.totals;
   std::printf("refs %llu: %llu ifetches (%llu kernel, %llu user, %llu idle), "
               "%llu loads, %llu stores\n",
@@ -164,7 +156,6 @@ void PrintTables(const TraceProfiler& profiler, const Profile& profile, size_t t
     }
     std::printf("\n");
   }
-  (void)profiler;
 }
 
 void WriteJsonReport(const std::string& path, const CliOptions& cli, const Reconcile& reconcile,
@@ -241,7 +232,7 @@ int Run(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--window" && i + 1 < argc) {
-      if (!ParseDecimal(argv[++i], cli.window_refs) || cli.window_refs < 1) {
+      if (!ParseDecimal(argv[++i], cli.profile.window_refs) || cli.profile.window_refs < 1) {
         Usage();
         return 2;
       }
@@ -266,9 +257,7 @@ int Run(int argc, char** argv) {
   std::unique_ptr<SystemInstance> traced =
       BuildSystem(ExperimentSystemConfig(workload, options, true));
 
-  ProfileOptions popts;
-  popts.window_refs = cli.window_refs;
-  TraceProfiler profiler(popts);
+  TraceProfiler profiler(cli.profile);
   ProfileSystemSpaces(profiler, *traced);
 
   std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
@@ -276,7 +265,7 @@ int Run(int argc, char** argv) {
   traced->SetTraceSink(
       [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); });
 
-  RunResult run = traced->Run(cli.max_instructions);
+  RunResult run = traced->Run(options.max_instructions);
   if (!run.halted) {
     throw Error(StrFormat("traced run of '%s' did not halt (pc=0x%08x)",
                           workload.name.c_str(), traced->machine().pc()));
@@ -296,7 +285,7 @@ int Run(int argc, char** argv) {
   if (!cli.quiet) {
     std::printf("wrlprof: %s (%s, scale %g, live analysis)\n", workload.name.c_str(),
                 cli.personality == Personality::kUltrix ? "ultrix" : "mach", cli.scale);
-    PrintTables(profiler, profile, cli.top);
+    PrintTables(profile, cli.top);
   }
 
   if (!cli.json_path.empty()) {

@@ -34,10 +34,8 @@
 // Exit codes: 0 ok/identical, 1 difference or integrity finding, 2 usage
 // or hard error (wrong magic, unreadable file, unknown workload).
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -45,6 +43,7 @@
 #include "harness/replay_engine.h"
 #include "kernel/system_build.h"
 #include "support/error.h"
+#include "support/file.h"
 #include "support/json.h"
 #include "support/strings.h"
 #include "trace/trace_archive.h"
@@ -64,23 +63,6 @@ void Usage() {
       "       wrltrace cat FILE [--chunk I] [--limit N]\n"
       "       wrltrace replay FILE [--json PATH] [--expect PATH]\n"
       "       wrltrace diff A B\n");
-}
-
-void WriteTextFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out || !(out << content)) {
-    throw Error("wrltrace: cannot write " + path);
-  }
-}
-
-std::string ReadTextFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw Error("wrltrace: cannot read " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 // The analysis-counter document shared by `record` and `replay`: every

@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <optional>
 #include <string>
@@ -42,6 +41,7 @@
 #include "obj/object_file.h"
 #include "stats/stats.h"
 #include "support/error.h"
+#include "support/file.h"
 #include "support/json.h"
 #include "support/parallel.h"
 #include "support/strings.h"
@@ -188,11 +188,7 @@ void WriteJsonReport(const std::string& path, const std::vector<TargetReport>& t
   }
   writer.EndObject();
   writer.EndObject();
-  std::ofstream out(path);
-  if (!out) {
-    throw Error("wrlverify: cannot write " + path);
-  }
-  out << writer.TakeString() << "\n";
+  WriteTextFile(path, writer.TakeString() + "\n");
 }
 
 void Usage() {
