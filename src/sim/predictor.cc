@@ -1,12 +1,46 @@
 #include "sim/predictor.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <numeric>
 
 #include "isa/isa.h"
 #include "mach/address_space.h"
 #include "support/error.h"
 
 namespace wrl {
+
+namespace {
+
+// The length, at most `count`, of the fetch run refs[0] starts: refs[0] is
+// a fetch outside kseg1, and the run takes each following fetch at the
+// next word address on its page with its pid, kernel and idle fields.
+size_t FetchRunLength(const TraceRef* refs, size_t count) {
+  const TraceRef& first = refs[0];
+  size_t n = 1;
+  while (n < count) {
+    const TraceRef& ref = refs[n];
+    if (ref.kind != TraceRef::kIfetch || ref.addr != first.addr + 4 * n ||
+        PageOf(ref.addr) != PageOf(first.addr) || ref.pid != first.pid ||
+        ref.kernel != first.kernel || ref.idle != first.idle) {
+      break;
+    }
+    ++n;
+  }
+  return n;
+}
+
+// The pages [first, end) that `words` words of text at `base` touch.
+std::pair<uint64_t, uint64_t> PageSpan(uint32_t base, uint64_t words) {
+  return {base / kPageBytes, (base + 4 * words + kPageBytes - 1) / kPageBytes};
+}
+
+}  // namespace
+
+TraceDrivenSimulator::Lane::Lane(const MemSysConfig& config)
+    : memsys(config),
+      fetch_lookup_shift(std::max(2, std::countr_zero(config.icache.line_bytes))) {}
 
 TraceDrivenSimulator::TraceDrivenSimulator(const PredictorConfig& config)
     : config_(config),
@@ -16,6 +50,13 @@ TraceDrivenSimulator::TraceDrivenSimulator(const PredictorConfig& config)
 
 void TraceDrivenSimulator::AddTextImage(const Executable& exe) {
   Image image{exe.text_base, std::vector<uint8_t>(exe.text.size() / 4)};
+  const auto [first, end] = PageSpan(image.base, image.stall_cycles.size());
+  WRL_CHECK_MSG(image.base % kPageBytes == 0 && end <= (uint64_t{1} << (32 - kPageShift)),
+                "a text image must start on a page and end below 2^32");
+  for (const Image& other : images_) {
+    const auto [other_first, other_end] = PageSpan(other.base, other.stall_cycles.size());
+    WRL_CHECK_MSG(end <= other_first || other_end <= first, "text images must not share a page");
+  }
   for (size_t i = 0; i < image.stall_cycles.size(); ++i) {
     uint32_t word;
     std::memcpy(&word, exe.text.data() + 4 * i, 4);
@@ -35,12 +76,15 @@ size_t TraceDrivenSimulator::AddMemorySystem(const MemSysConfig& memsys) {
   return more_lanes_.size();
 }
 
-unsigned TraceDrivenSimulator::ArithStallAt(uint32_t addr) const {
+uint64_t TraceDrivenSimulator::ArithStalls(uint32_t addr, size_t count) const {
   for (const Image& image : images_) {
     // Unsigned offsets wrap below the base, so one compare bounds both ends.
     const uint32_t word = (addr - image.base) / 4;
     if (word < image.stall_cycles.size()) {
-      return image.stall_cycles[word];
+      // Words past the end stall 0: no other image starts on this page.
+      const auto first = image.stall_cycles.begin() + word;
+      const auto last = first + std::min<size_t>(count, image.stall_cycles.size() - word);
+      return std::accumulate(first, last, uint64_t{0});
     }
   }
   return 0;
@@ -65,16 +109,38 @@ void TraceDrivenSimulator::Access(const TraceRef& ref, bool kernel) {
         stall = uncached ? memsys.UncachedStore(paddr, lane.now) : memsys.Store(paddr, lane.now);
         break;
     }
-    lane.mem_stall_cycles += stall;
-    if (kernel) {
-      lane.kernel_stall_cycles += stall;
-    } else {
-      lane.user_stall_cycles += stall;
-    }
+    lane.Stall(stall, kernel);
     lane.now += stall;
     if (ref.kind == TraceRef::kIfetch) {
       ++lane.now;  // One CPU cycle per instruction drives write-buffer drain.
     }
+  };
+  charge(lane0_);
+  if constexpr (kMoreLanes) {
+    for (Lane& lane : more_lanes_) {
+      charge(lane);
+    }
+  }
+}
+
+template <bool kMoreLanes>
+void TraceDrivenSimulator::FetchRun(uint32_t paddr, size_t count, bool kernel) {
+  const uint32_t last = paddr + 4 * static_cast<uint32_t>(count - 1);
+  // Only fetches touch the I-cache, so a fetch into the line the fetch
+  // before it looked up hits: each lane looks up the run's first fetch
+  // into each of its lines and counts the rest.  Fetch ignores the clock,
+  // and no store falls inside the run for the clock to reach, so the run's
+  // cycles are added at once.
+  auto charge = [&](Lane& lane) {
+    const unsigned shift = lane.fetch_lookup_shift;
+    const uint32_t lookups = (last >> shift) - (paddr >> shift) + 1;
+    uint64_t stall = 0;
+    for (uint32_t i = 0; i < lookups; ++i) {
+      stall += lane.memsys.Fetch(paddr + (i << shift), lane.now);
+    }
+    lane.memsys.CountFetchHits(count - lookups);
+    lane.Stall(stall, kernel);
+    lane.now += count + stall;
   };
   charge(lane0_);
   if constexpr (kMoreLanes) {
@@ -98,31 +164,45 @@ void TraceDrivenSimulator::OnRefBatch(const TraceRef* refs, size_t count) {
 
 template <bool kMoreLanes>
 void TraceDrivenSimulator::Walk(const TraceRef* refs, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
+  for (size_t i = 0; i < count;) {
     const TraceRef& ref = refs[i];
+    // A data reference, a kseg1 fetch, or the first fetch of a run.
+    size_t run = 1;
     if (ref.kind == TraceRef::kIfetch) {
-      ++events_.instructions;
+      if (!InKseg1(ref.addr)) {
+        run = FetchRunLength(refs + i, count - i);
+      }
+      events_.instructions += run;
       if (ref.idle) {
-        ++events_.idle_instructions;
+        events_.idle_instructions += run;
       } else if (ref.kernel) {
-        ++events_.kernel_instructions;
+        events_.kernel_instructions += run;
       }
       if (!ref.kernel) {
-        ++events_.user_instructions;
+        events_.user_instructions += run;
       }
       // Pixie-style arithmetic-stall estimate from the original text.
-      events_.arith_stall_cycles += ArithStallAt(ref.addr);
+      events_.arith_stall_cycles += ArithStalls(ref.addr, run);
     }
     if (tlb_.OnRef(ref)) {
       // The synthesized handler runs ahead of the reference that missed
       // and is charged in its mode (counted, but not re-run through the
-      // TLB).
+      // TLB): its fetches are one run, then its page-table load.
+      const auto& handler = tlb_.handler();
       events_.synthesized_refs += TlbSimulator::kHandlerRefs;
-      for (const TraceRef& handler_ref : tlb_.handler()) {
-        Access<kMoreLanes>(handler_ref, ref.kernel);
-      }
+      FetchRun<kMoreLanes>(translator_.Translate(handler.front()),
+                           TlbSimulator::kHandlerInstructions, ref.kernel);
+      Access<kMoreLanes>(handler.back(), ref.kernel);
     }
-    Access<kMoreLanes>(ref, ref.kernel);
+    if (run == 1) {
+      Access<kMoreLanes>(ref, ref.kernel);
+    } else {
+      // The rest of the run is on the first fetch's page: it translates
+      // to the next words of its frame.
+      tlb_.CountPageHits(ref.addr, run - 1);
+      FetchRun<kMoreLanes>(translator_.Translate(ref), run, ref.kernel);
+    }
+    i += run;
   }
 }
 

@@ -24,8 +24,16 @@
 // the reference stream, which the TLB wiring and the page map fix.  Every
 // memory system that shares that stream is a *lane* of the pass, with its
 // own caches, write buffer, clock and user/kernel stall split, charged by
-// one routine per reference, so each lane's Prediction is exactly what a
+// one routine per step, so each lane's Prediction is exactly what a
 // simulator of its own would report.
+//
+// A step is one reference, or one *fetch run*: consecutive instruction
+// fetches at sequential word addresses inside one page, with equal pid,
+// kernel and idle fields, outside kseg1.  Sequential execution carries no
+// information the run's first fetch and length do not, so the pass pays
+// once per run for what it would pay per fetch — the counters, the TLB,
+// translation, and each lane's I-cache lookups — with results identical
+// to a walk of one reference at a time (tests/sim_oracle_test.cc).
 #ifndef WRLTRACE_SIM_PREDICTOR_H_
 #define WRLTRACE_SIM_PREDICTOR_H_
 
@@ -157,7 +165,10 @@ class TraceDrivenSimulator : public RefBatchSink {
 
   // Registers an original binary image so arithmetic stalls can be
   // estimated pixie-style from its text.  Each word's stall cycles are
-  // decoded once, here; the image must not change afterwards.
+  // decoded once, here; the image must not change afterwards.  The text
+  // must start on a page, end below 2^32 and share no page with an image
+  // added before, so one image lookup prices a fetch run whole; otherwise
+  // this throws wrl::InternalError.
   void AddTextImage(const Executable& exe);
 
   // Adds a memory-system lane priced on this simulator's stream and
@@ -166,8 +177,9 @@ class TraceDrivenSimulator : public RefBatchSink {
   size_t AddMemorySystem(const MemSysConfig& memsys);
 
   void OnRef(const TraceRef& ref);
-  // Batched entry point: the same per-reference step in a tight loop, with
-  // the per-call sink indirection amortized away.  Identical results.
+  // Batched entry point: the steps in a tight loop, with the per-call sink
+  // indirection amortized away.  A fetch run ends at the batch's end; any
+  // split of the stream gives identical results.
   void OnRefBatch(const TraceRef* refs, size_t count) override;
   // Finalizes and returns lane 0's prediction.
   Prediction Finish();
@@ -186,25 +198,39 @@ class TraceDrivenSimulator : public RefBatchSink {
  private:
   // One memory system priced on the event pass's stream.
   struct Lane {
-    explicit Lane(const MemSysConfig& config) : memsys(config) {}
+    explicit Lane(const MemSysConfig& config);
+
+    // Adds `stall` cycles to the lane's totals, in the given mode.
+    void Stall(uint64_t stall, bool kernel) {
+      mem_stall_cycles += stall;
+      (kernel ? kernel_stall_cycles : user_stall_cycles) += stall;
+    }
 
     MemorySystem memsys;
+    // log2 of the bytes a fetch run advances between I-cache lookups: the
+    // line size, or a word when lines are narrower.
+    unsigned fetch_lookup_shift;
     uint64_t now = 0;  // Simulated cycle time driving the write buffer.
     uint64_t mem_stall_cycles = 0;
     uint64_t user_stall_cycles = 0;
     uint64_t kernel_stall_cycles = 0;
   };
 
-  // The per-reference step over a batch; kMoreLanes says whether lanes
-  // beyond lane 0 exist.
+  // The steps over a batch; kMoreLanes says whether lanes beyond lane 0
+  // exist.
   template <bool kMoreLanes>
   void Walk(const TraceRef* refs, size_t count);
   // Translates `ref` once and charges it to every lane, in the given mode.
   template <bool kMoreLanes>
   void Access(const TraceRef& ref, bool kernel);
-  // Arithmetic-stall cycles of the original instruction at a word-aligned
-  // text address (0 outside every registered image).
-  unsigned ArithStallAt(uint32_t addr) const;
+  // Charges `count` cached fetches at physical `paddr`, `paddr` + 4, ...
+  // (one page) to every lane, in the given mode.
+  template <bool kMoreLanes>
+  void FetchRun(uint32_t paddr, size_t count, bool kernel);
+  // Arithmetic-stall cycles of the `count` original instructions from
+  // word-aligned text address `addr` on, all in its page (0 for words
+  // outside every registered image).
+  uint64_t ArithStalls(uint32_t addr, size_t count) const;
 
   PredictorConfig config_;
   TlbSimulator tlb_;

@@ -60,6 +60,10 @@ class TlbSimulator : public RefBatchSink {
   // References of one synthesized handler run: the fetches plus the
   // page-table load.
   static constexpr unsigned kHandlerRefs = kHandlerInstructions + 1;
+  // The fetches lie in one kseg0 page, so they are one fetch run
+  // (TraceDrivenSimulator).
+  static_assert(kVecUtlbMiss >= kKseg0 && kVecUtlbMiss < kKseg1 &&
+                (kVecUtlbMiss & (kPageBytes - 1)) + 4 * kHandlerInstructions <= kPageBytes);
 
   explicit TlbSimulator(unsigned wired = Tlb::kWired);
 
@@ -103,6 +107,16 @@ class TlbSimulator : public RefBatchSink {
   void OnRefBatch(const TraceRef* refs, size_t count) override {
     for (size_t i = 0; i < count; ++i) {
       OnRef(refs[i]);
+    }
+  }
+  // Stands for `count` fetches that follow, on its page and with its pid,
+  // the fetch at `vaddr` just passed to OnRef.  Each would take the ASID
+  // that fetch took and hit the entry OnRef left present and hinted, since
+  // only OnRef refills, so only the counters move.
+  void CountPageHits(uint32_t vaddr, uint64_t count) {
+    instruction_counter_ += count;
+    if (InKuseg(vaddr)) {
+      stats_.user_refs += count;
     }
   }
 

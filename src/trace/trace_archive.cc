@@ -213,12 +213,13 @@ ArchiveReader::ArchiveReader(const std::string& path) : path_(path) {
     throw Error("archive: '" + path + "' is not a wrltrace archive (only " +
                 std::to_string(file_bytes_) + " bytes)");
   }
-  map_ = ::mmap(nullptr, file_bytes_, PROT_READ, MAP_PRIVATE, fd, 0);
+  void* addr = ::mmap(nullptr, file_bytes_, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
-  if (map_ == MAP_FAILED) {
-    map_ = nullptr;
+  if (addr == MAP_FAILED) {
     throw Error("archive: mmap of '" + path + "' failed: " + std::strerror(errno));
   }
+  map_.addr = addr;
+  map_.bytes = file_bytes_;
 
   const uint8_t* head = data();
   if (std::memcmp(head, kFileMagic, 4) != 0) {
@@ -264,9 +265,9 @@ ArchiveReader::ArchiveReader(const std::string& path) : path_(path) {
   }
 }
 
-ArchiveReader::~ArchiveReader() {
-  if (map_ != nullptr) {
-    ::munmap(map_, file_bytes_);
+ArchiveReader::Mapping::~Mapping() {
+  if (addr != nullptr) {
+    ::munmap(addr, bytes);
   }
 }
 

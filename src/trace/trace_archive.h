@@ -124,7 +124,6 @@ class ArchiveReader : public TraceChunkSource {
   // recovery scan instead — the readable prefix is served and degraded()
   // reports true with diagnostics().
   explicit ArchiveReader(const std::string& path);
-  ~ArchiveReader() override;
   ArchiveReader(const ArchiveReader&) = delete;
   ArchiveReader& operator=(const ArchiveReader&) = delete;
 
@@ -164,12 +163,24 @@ class ArchiveReader : public TraceChunkSource {
     uint32_t payload_crc = 0;
   };
 
-  const uint8_t* data() const { return static_cast<const uint8_t*>(map_); }
+  // The whole-file read-only mapping.  It unmaps in its own destructor,
+  // so a constructor that throws after mapping leaves nothing mapped.
+  struct Mapping {
+    Mapping() = default;
+    Mapping(const Mapping&) = delete;
+    Mapping& operator=(const Mapping&) = delete;
+    ~Mapping();
+
+    void* addr = nullptr;
+    uint64_t bytes = 0;
+  };
+
+  const uint8_t* data() const { return static_cast<const uint8_t*>(map_.addr); }
   bool LoadFooter();
   void RecoverByScan(const std::string& reason);
 
   std::string path_;
-  void* map_ = nullptr;
+  Mapping map_;
   uint64_t file_bytes_ = 0;
   bool degraded_ = false;
   uint64_t words_ = 0;

@@ -288,6 +288,57 @@ TEST(ArchiveCorruption, WrongMagicIsAHardError) {
   EXPECT_THROW(ArchiveReader{path}, Error);
 }
 
+// This process's mappings of `path`: its lines in /proc/self/maps.  (The
+// whole table's line count also moves with the allocator's own mappings,
+// as under AddressSanitizer.)
+size_t MappingsOf(const std::string& path) {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) {
+    lines += line.size() >= path.size() &&
+             line.compare(line.size() - path.size(), path.size(), path) == 0;
+  }
+  return lines;
+}
+
+// The reader maps the whole file before it checks the header, and a
+// rejection throws from inside its constructor: the mapping must not
+// outlive the throw.
+TEST(ArchiveCorruption, RejectedOpenLeavesNoMapping) {
+  const std::string bad_magic = TempPath("leak_magic.wrl");
+  const std::string bad_crc = TempPath("leak_crc.wrl");
+  WriteTestArchive(bad_magic, SyntheticChunks(1, 10));
+  std::string bytes = ReadFileBytes(bad_magic);
+  bytes[20] ^= 0x01;  // The header CRC field.
+  WriteFileBytes(bad_crc, bytes);
+  bytes[20] ^= 0x01;
+  bytes[0] = 'X';
+  WriteFileBytes(bad_magic, bytes);
+  auto expect_rejected = [](const std::string& path, const std::string& reason) {
+    try {
+      ArchiveReader archive(path);
+      ADD_FAILURE() << path << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
+    }
+  };
+  for (int i = 0; i < 100; ++i) {
+    expect_rejected(bad_magic, "wrong magic");
+  }
+  for (int i = 0; i < 100; ++i) {
+    expect_rejected(bad_crc, "header checksum");
+  }
+  EXPECT_EQ(MappingsOf(bad_magic), 0u);
+  EXPECT_EQ(MappingsOf(bad_crc), 0u);
+  // A reader that opens maps the file, and unmaps it when destroyed.
+  WriteTestArchive(bad_magic, SyntheticChunks(1, 10));
+  {
+    ArchiveReader archive(bad_magic);
+    EXPECT_EQ(MappingsOf(bad_magic), 1u);
+  }
+  EXPECT_EQ(MappingsOf(bad_magic), 0u);
+}
+
 TEST(ArchiveCorruption, UnknownVersionIsAHardError) {
   const std::string path = TempPath("badversion.wrl");
   WriteTestArchive(path, SyntheticChunks(1, 10));

@@ -242,9 +242,17 @@ def check_wrltrace_analysis(path, args):
     assert counters["parser.refs"] > 0
     assert counters["parser.validation_errors"] == 0, counters
     assert report["predicted_cycles"] > 0, report["predicted_cycles"]
+    timing = ""
+    if report["mode"] == "replay":
+        # Where the replay's wall time went; outside `counters`, so no
+        # --expect comparison reads it.
+        wall = report["timing"]["replay_wall_us"]
+        busy = report["timing"]["primary_busy_us"]
+        assert 0 < busy <= wall, report["timing"]
+        timing = f", {wall} us wall, primary simulator busy {busy} us"
     print(f"wrltrace analysis OK ({report['mode']}): {len(counters)} counters, "
           f"{int(counters['parser.refs'])} refs, "
-          f"{report['predicted_cycles']:.0f} predicted cycles")
+          f"{report['predicted_cycles']:.0f} predicted cycles{timing}")
 
 
 # What two wrlstats/1 reports of one binary on one input may differ in:

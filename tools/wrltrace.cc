@@ -27,6 +27,8 @@
 //       Rebuild the capturing system from metadata, stream the archive
 //       through the ReplayEngine, and (with --expect) require every
 //       analysis counter to match a `record --json` document bit-for-bit.
+//       The summary line and the document's `timing` give the replay's
+//       wall time and the primary simulator's busy time within it.
 //   diff    A B
 //       Byte-level (chunk framing + payload CRCs) and reference-level
 //       (decoded word streams) comparison; exit 0 only when identical.
@@ -42,6 +44,7 @@
 #include "harness/experiment.h"
 #include "harness/replay_engine.h"
 #include "kernel/system_build.h"
+#include "stats/events.h"
 #include "support/error.h"
 #include "support/file.h"
 #include "support/json.h"
@@ -65,14 +68,22 @@ void Usage() {
       "       wrltrace diff A B\n");
 }
 
+// Where a replay's wall time went: host microseconds around
+// ReplayEngine::Run, and the primary simulator's busy time inside it.
+struct ReplayTiming {
+  uint64_t replay_wall_us = 0;
+  uint64_t primary_busy_us = 0;
+};
+
 // The analysis-counter document shared by `record` and `replay`: every
 // parser.* and predicted.* instrument from the run's registry snapshot.
 // Bit-identity between a live capture and its archived replay is asserted
-// over exactly this object.
+// over exactly this object.  A replay adds its `timing` beside it, which no
+// comparison reads.
 void WriteAnalysisJson(const std::string& path, const std::string& mode,
                        const std::string& workload, Personality personality,
                        const std::string& archive_path, double predicted_cycles,
-                       const StatsSnapshot& stats) {
+                       const StatsSnapshot& stats, const ReplayTiming* timing = nullptr) {
   JsonWriter writer;
   writer.BeginObject();
   writer.KV("schema", "wrltrace-analysis/1");
@@ -96,6 +107,13 @@ void WriteAnalysisJson(const std::string& path, const std::string& mode,
     // Histograms are shape, not analysis output; skipped.
   }
   writer.EndObject();
+  if (timing != nullptr) {
+    writer.Key("timing");
+    writer.BeginObject();
+    writer.KV("replay_wall_us", timing->replay_wall_us);
+    writer.KV("primary_busy_us", timing->primary_busy_us);
+    writer.EndObject();
+  }
   writer.EndObject();
   WriteTextFile(path, writer.TakeString() + "\n");
 }
@@ -384,8 +402,10 @@ int CmdReplay(int argc, char** argv) {
   RebuiltSystems sys = RebuildFromMeta(archive);
 
   ReplayEngine engine(MakeSource(archive, sys));
+  const uint64_t start_us = EventRecorder::NowUs();
   std::vector<ReplayEngine::Outcome> outcomes = engine.Run(
       {{"primary", [&sys] { return ExperimentSimulator(*sys.measured, sys.pconfig); }}});
+  const ReplayTiming timing{EventRecorder::NowUs() - start_us, outcomes[0].wall_us};
   auto* simulator = static_cast<TraceDrivenSimulator*>(outcomes[0].sink.get());
   Prediction prediction = simulator->Finish();
 
@@ -394,17 +414,19 @@ int CmdReplay(int argc, char** argv) {
   simulator->RegisterStats(registry, "predicted.");
   StatsSnapshot stats = registry.Snapshot();
 
-  std::printf("wrltrace: replayed %s: %llu words -> %llu refs, predicted %.0f cycles\n",
+  std::printf("wrltrace: replayed %s: %llu words -> %llu refs, predicted %.0f cycles, "
+              "%llu us wall, primary simulator busy %llu us\n",
               path.c_str(), static_cast<unsigned long long>(archive.word_count()),
               static_cast<unsigned long long>(engine.parser_stats().refs),
-              prediction.PredictedCycles());
+              prediction.PredictedCycles(), static_cast<unsigned long long>(timing.replay_wall_us),
+              static_cast<unsigned long long>(timing.primary_busy_us));
   if (engine.parser_stats().validation_errors > 0) {
     std::fprintf(stderr, "wrltrace: %llu parser validation error(s) during replay\n",
                  static_cast<unsigned long long>(engine.parser_stats().validation_errors));
   }
   if (!json_path.empty()) {
     WriteAnalysisJson(json_path, "replay", sys.workload.name, sys.options.personality, path,
-                      prediction.PredictedCycles(), stats);
+                      prediction.PredictedCycles(), stats, &timing);
   }
 
   if (!expect_path.empty()) {
