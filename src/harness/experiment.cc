@@ -249,15 +249,21 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
   });
 
   // ---- Predicted: the traced system driving the analysis program ----
-  // One parser feeds one tee: the primary simulator, the profiler, the
+  // One parser feeds every sink: the primary simulator, the profiler, the
   // sweep engine, and a simulator per other reference stream the variants
   // need.  The parser consumes the trace during the traced run: the traced
   // system publishes each drain as one or more chunks, the earlier ones
   // while the machine still runs (paper §3: the analysis program consumes
   // the buffer in place), so no copy of the trace outlives its chunk.
+  // The parser's tee hands each batch to the simulators' tee (behind the
+  // reference ring when pipelined), then to the profiler and the sweep,
+  // which pipelined run on the parse thread: the simulators alone keep the
+  // analysis thread busy, and the parse thread would otherwise wait on the
+  // ring.
   std::unique_ptr<SystemInstance> traced;
   std::unique_ptr<TraceParser> parser;
   TeeBatchSink tee;
+  TeeBatchSink parse_tee;
   std::unique_ptr<TraceDrivenSimulator> simulator;
   std::unique_ptr<TraceProfiler> profiler;
   std::unique_ptr<SweepEngine> sweep_engine;
@@ -270,8 +276,8 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
   // unwinding joins the consumer thread before the writer is destroyed.
   std::unique_ptr<ArchiveWriter> archive;
   // Pipelined transport state: the analysis stage, then the word pipeline.
-  // Declared after every component their threads touch (parser, tee and
-  // its sinks, archive), so stack unwinding joins both threads before any
+  // Declared after every component their threads touch (parser, both tees
+  // and their sinks, archive), so stack unwinding joins both threads before any
   // of them is destroyed: first the parse thread, which feeds the analysis
   // stage, then the analysis thread.
   std::unique_ptr<RefBatchPipeline> analysis;
@@ -337,18 +343,19 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
         ProfileSystemSpaces(*profiler, *traced);
       }
       tee.Add(simulator.get());
-      tee.Add(profiler.get());
-      tee.Add(sweep_engine.get());
       for (const auto& sim : variant_sims) {
         tee.Add(sim.get());
       }
-      parser = SystemTraceParser(*traced);
       if (options.pipeline) {
         analysis = std::make_unique<RefBatchPipeline>(&tee, events);
-        parser->SetBatchSink(analysis.get());
+        parse_tee.Add(analysis.get());
       } else {
-        parser->SetBatchSink(&tee);
+        parse_tee.Add(&tee);
       }
+      parse_tee.Add(profiler.get());
+      parse_tee.Add(sweep_engine.get());
+      parser = SystemTraceParser(*traced);
+      parser->SetBatchSink(&parse_tee);
       // Pipelined, the parser's Feed phases land on the consumer thread's
       // track, which has no cycle source: the traced machine's cycle
       // counter belongs to this thread.
@@ -411,7 +418,7 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
     }
     // The analysis tail, to the end of this block: synchronously, flush
     // the parser's last batch through the sinks; then read each sink's
-    // result and its busy time on the tee.
+    // result and its busy time on the tee that runs it.
     EventRecorder::Scope finish_scope(events, "analysis.finish", "analysis");
     if (pipeline == nullptr) {
       parser->Finish();
@@ -423,13 +430,13 @@ ExperimentResult RunBothSystems(const WorkloadSpec& workload, const ExperimentOp
     }
     if (profiler != nullptr) {
       result.profile = profiler->Finish();
-      result.profile_wall_us = tee.busy_us(profiler.get());
+      result.profile_wall_us = parse_tee.busy_us(profiler.get());
     }
     result.prediction = simulator->Finish();
     result.prediction_wall_us = tee.busy_us(simulator.get());
     if (sweep_engine != nullptr) {
       result.sweep = sweep_engine->Finish();
-      result.sweep.wall_us = tee.busy_us(sweep_engine.get());
+      result.sweep.wall_us = parse_tee.busy_us(sweep_engine.get());
       result.sweep_ran = true;
       if (result.sweep.wall_us > 0) {
         // Equivalent-replay throughput: one pass priced `family_points`

@@ -53,14 +53,14 @@ struct ReplayVariantResult {
   Prediction prediction;
   TlbSimStats tlb;
   uint64_t refs = 0;
-  // Busy time on the analysis tee of the simulator this variant's stream
+  // Busy time on the simulators' tee of the simulator this variant's stream
   // opened; 0 for a lane on a stream an earlier configuration opened (its
   // cost is in that simulator's time).
   uint64_t wall_us = 0;
 };
 
 // Single-pass sweep configuration (src/sweep).  When active, one
-// SweepEngine pass rides the analysis tee and prices the cache families
+// SweepEngine pass rides the parser's tee and prices the cache families
 // and the TLB curve below: exact miss counts for every family point, no
 // timing.
 struct SweepOptions {
@@ -106,10 +106,12 @@ struct ExperimentOptions {
   // Pipelined trace transport (simulate ∥ parse ∥ analyze): trace chunks
   // flow through a bounded ring to a parse thread, and the parser's
   // reference batches through a second ring to an analysis thread that
-  // runs the analysis tee, so the traced machine keeps simulating while
-  // each chunk is parsed and the parse runs ahead of the sinks.  A drain is
-  // published as one or more chunks, the earlier ones while the traced
-  // machine still runs, so both threads work during the traced run.
+  // runs the simulators, so the traced machine keeps simulating while each
+  // chunk is parsed and the parse runs ahead of the simulators.  The parse
+  // thread runs the profiler and the sweep on each batch after handing it
+  // to the ring.  A drain is published as one or more chunks, the earlier
+  // ones while the traced machine still runs, so both threads work during
+  // the traced run.
   // Defaults to on when the host has more than one hardware thread;
   // WRL_PIPELINE=0 forces the synchronous path and WRL_PIPELINE=1 forces
   // the pipeline even on single-core hosts.
@@ -127,7 +129,7 @@ struct ExperimentOptions {
   // Extra analysis configurations priced from the same live parse of the
   // traced run, not another traced machine run.  Variants that share a
   // reference stream (TLB wiring and page map) share one simulator on the
-  // analysis tee, each as a memory-system lane; the primary's stream needs
+  // simulators' tee, each as a memory-system lane; the primary's stream needs
   // no simulator beyond the primary's.  RunSuite already parallelizes
   // across workloads.
   std::vector<ReplayVariant> replay_variants;
@@ -179,10 +181,10 @@ struct ExperimentResult {
   uint64_t run_wall_us = 0;
   uint64_t simulated_instructions = 0;
 
-  // Busy time on the analysis tee of the primary simulator (with every
-  // variant lane it prices) and of the profiler (0 unless
-  // ExperimentOptions::profile).  Wall clock, like the sweep's and the
-  // variants' wall_us below.
+  // Busy time of the primary simulator (with every variant lane it prices)
+  // on the simulators' tee, and of the profiler (0 unless
+  // ExperimentOptions::profile) on the parser's.  Wall clock, like the
+  // sweep's and the variants' wall_us below.
   uint64_t prediction_wall_us = 0;
   uint64_t profile_wall_us = 0;
   // The parser's self time: its wall time in Feed and Finish less its
@@ -197,7 +199,7 @@ struct ExperimentResult {
   std::vector<ReplayVariantResult> replays;
 
   // Single-pass sweep outputs (sweep_ran only when SweepOptions::Active()).
-  // sweep.wall_us is the sweep engine's busy time on the analysis tee.
+  // sweep.wall_us is the sweep engine's busy time on the parser's tee.
   bool sweep_ran = false;
   SweepResult sweep;
   // Equivalent-replay throughput of the sweep pass: family points × refs

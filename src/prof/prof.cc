@@ -28,23 +28,43 @@ const TraceProfiler::Space* TraceProfiler::FindSpace(uint8_t pid) const {
 }
 
 void TraceProfiler::AddTable(uint8_t pid, const TraceInfoTable* table) {
+  WRL_CHECK_MSG(totals_.refs == 0, "profiler tables must be added before the first reference");
   Space& space = SpaceFor(pid);
-  space.table = table;
-  space.leaders.clear();
-  space.leader_keys.clear();
+  space.blocks.clear();
+  space.index.clear();
   if (table == nullptr) {
     return;
   }
-  space.leaders.reserve(table->size());
-  space.leader_keys.reserve(table->size());
-  for (const auto& [key_addr, info] : table->blocks()) {
-    auto it = space.leader_keys.find(info.orig_addr);
-    // Duplicate leaders (should not happen for well-formed tables) resolve
-    // to the smallest key address so the choice is iteration-order-free.
-    if (it == space.leader_keys.end() || key_addr < it->second) {
-      space.leader_keys[info.orig_addr] = key_addr;
-      space.leaders[info.orig_addr] = &info;
+  // Leaders in address order.  Duplicate leaders (should not happen for
+  // well-formed tables) resolve to the smallest key address, so the choice
+  // is free of the table's order.
+  std::vector<const TraceInfoTable::Entry*> entries;
+  entries.reserve(table->size());
+  for (const TraceInfoTable::Entry& entry : table->blocks()) {
+    entries.push_back(&entry);
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const TraceInfoTable::Entry* a, const TraceInfoTable::Entry* b) {
+              return std::pair(a->info.orig_addr, a->key) < std::pair(b->info.orig_addr, b->key);
+            });
+  for (const TraceInfoTable::Entry* entry : entries) {
+    const uint32_t leader = entry->info.orig_addr;
+    WRL_CHECK_MSG(leader % 4 == 0, StrFormat("block leader 0x%08x is not word-aligned", leader));
+    if (space.blocks.empty() || space.blocks.back().info->orig_addr != leader) {
+      space.blocks.push_back({&entry->info});
     }
+  }
+  if (space.blocks.empty()) {
+    return;
+  }
+  const uint32_t first = space.blocks.front().info->orig_addr;
+  const uint32_t span = space.blocks.back().info->orig_addr - first;
+  WRL_CHECK_MSG(span < TraceInfoTable::kMaxKeySpanBytes,
+                StrFormat("block leaders span 0x%x bytes", span));
+  space.index_base = first;
+  space.index.assign(span / 4 + 1, nullptr);
+  for (Block& block : space.blocks) {
+    space.index[(block.info->orig_addr - first) / 4] = &block;
   }
 }
 
@@ -102,132 +122,159 @@ std::string TraceProfiler::SpaceName(uint8_t pid) const {
   return pid == kKernelPid ? "kernel" : StrFormat("pid%u", static_cast<unsigned>(pid));
 }
 
-void TraceProfiler::TouchPage(Space& space, const TraceRef& ref) {
-  const uint32_t page = (ref.addr >> kPageShift) << kPageShift;
-  PageMemo& memo = space.page_memo[MemoSlot(page >> kPageShift)];
+PageProfile& TraceProfiler::TouchPage(Space& space, uint32_t addr) {
+  const uint32_t page = PageBase(addr);
+  PageMemo& memo = space.page_memo[MemoSlot(PageOf(addr))];
   if (memo.profile == nullptr || memo.page != page) {
     PageProfile& entry = space.pages[page];
     entry.page_addr = page;
     memo = {page, &entry};
   }
-  PageProfile& tally = *memo.profile;
-  switch (ref.kind) {
-    case TraceRef::kIfetch:
-      ++tally.ifetches;
-      break;
-    case TraceRef::kLoad:
-      ++tally.loads;
-      break;
-    case TraceRef::kStore:
-      ++tally.stores;
-      break;
-  }
+  return *memo.profile;
 }
 
-void TraceProfiler::TouchWorkingSet(uint8_t pid, uint32_t addr) {
-  const uint64_t key = (static_cast<uint64_t>(pid) << 32) | (addr >> kPageShift);
+void TraceProfiler::TouchWorkingSet(uint8_t pid, uint32_t addr, uint64_t count) {
+  const uint64_t key = (static_cast<uint64_t>(pid) << 32) | PageOf(addr);
   uint64_t& seen = window_filter_[MemoSlot(key)];
-  if (seen != key) {
-    window_pages_.insert(key);
-    seen = key;
-  }
-  if (++window_fill_ == options_.window_refs) {
-    working_set_.push_back(window_pages_.size());
-    window_pages_.clear();
-    window_filter_.fill(kNoKey);
-    window_fill_ = 0;
+  while (count > 0) {
+    if (seen != key) {
+      window_pages_.insert(key);
+      seen = key;
+    }
+    const uint64_t take = std::min(count, options_.window_refs - window_fill_);
+    window_fill_ += take;
+    count -= take;
+    if (window_fill_ == options_.window_refs) {
+      working_set_.push_back(window_pages_.size());
+      window_pages_.clear();
+      window_filter_.fill(kNoKey);
+      window_fill_ = 0;
+    }
   }
 }
 
-void TraceProfiler::AdvanceCursor(Space& space, const TraceRef& ref) {
+uint32_t TraceProfiler::AdvanceCursor(Space& space, uint32_t count, bool idle) {
   Cursor& cursor = space.stack.back();
-  BlockTally& tally = *cursor.tally;
-  ++tally.insts;
-  if (ref.idle) {
-    ++tally.idle_insts;
-  }
-  ++cursor.next_inst;
-  const TraceBlockInfo& info = *cursor.info;
+  const TraceBlockInfo& info = *cursor.block->info;
+  // The index of the fetch that ends the segment: the next memory op's,
+  // if the block still reaches it (its fetch then awaits the data), or
+  // else the block's last, which pops the cursor.  A block with neither
+  // ahead runs on as long as its fetches do.
+  uint64_t last = UINT64_MAX;
+  bool await = false;
   if (cursor.next_mem < info.mem_ops.size() &&
-      info.mem_ops[cursor.next_mem].index == cursor.next_inst - 1) {
-    cursor.awaiting = true;
-  } else if (cursor.next_inst == info.num_insts) {
-    space.stack.pop_back();
+      info.mem_ops[cursor.next_mem].index >= cursor.next_inst) {
+    last = info.mem_ops[cursor.next_mem].index;
+    await = true;
   }
+  if (info.num_insts > cursor.next_inst && info.num_insts - 1 < last) {
+    last = info.num_insts - 1;
+    await = false;
+  }
+  const uint64_t segment = last == UINT64_MAX ? UINT64_MAX : last - cursor.next_inst + 1;
+  const uint32_t taken = static_cast<uint32_t>(std::min<uint64_t>(count, segment));
+  Block& block = *cursor.block;
+  block.insts += taken;
+  if (idle) {
+    block.idle_insts += taken;
+  }
+  cursor.next_inst += taken;
+  if (taken == segment) {
+    if (await) {
+      cursor.awaiting = true;
+    } else {
+      space.stack.pop_back();
+    }
+  }
+  return taken;
 }
 
-void TraceProfiler::OnRef(const TraceRef& ref) {
-  Space& space = SpaceFor(ref.pid);
-  ++totals_.refs;
-  TouchPage(space, ref);
-  TouchWorkingSet(ref.pid, ref.addr);
+void TraceProfiler::OnFetchRun(Space& space, const TraceRef& first, uint32_t count) {
+  totals_.refs += count;
+  totals_.insts += count;
+  if (first.kernel) {
+    totals_.kernel_insts += count;
+  } else {
+    totals_.user_insts += count;
+  }
+  if (first.idle) {
+    totals_.idle_insts += count;
+  }
+  TouchPage(space, first.addr).ifetches += count;
+  TouchWorkingSet(first.pid, first.addr, count);
 
-  if (ref.kind == TraceRef::kIfetch) {
-    ++totals_.insts;
-    if (ref.kernel) {
-      ++totals_.kernel_insts;
-    } else {
-      ++totals_.user_insts;
-    }
-    if (ref.idle) {
-      ++totals_.idle_insts;
-    }
+  uint32_t addr = first.addr;
+  while (count > 0) {
     // Continuation of the block in progress?  (The parser suspends blocks
     // only at data-await points, so a non-awaiting top cursor's next ifetch
     // is always the expected address on a healthy trace.)
     if (!space.stack.empty()) {
-      Cursor& top = space.stack.back();
-      if (!top.awaiting && ref.addr == top.info->orig_addr + 4 * top.next_inst) {
-        AdvanceCursor(space, ref);
-        return;
+      const Cursor& top = space.stack.back();
+      if (!top.awaiting && addr == top.block->info->orig_addr + 4 * top.next_inst) {
+        const uint32_t taken = AdvanceCursor(space, count, first.idle);
+        addr += 4 * taken;
+        count -= taken;
+        continue;
       }
     }
     // Block entry (including a nested exception on top of an awaiting
-    // cursor): the leader address must be in the space's table.
-    auto it = space.leaders.find(ref.addr);
-    if (it == space.leaders.end()) {
+    // cursor): the leader address must be in the space's table.  The new
+    // cursor expects this fetch, so the next pass continues it.
+    Block* block = space.Find(addr);
+    if (block == nullptr) {
       ++totals_.unattributed_insts;
-      return;
+      addr += 4;
+      --count;
+      continue;
     }
-    BlockTally& tally = space.tallies[ref.addr];
-    tally.info = it->second;
-    ++tally.entries;
-    Cursor cursor;
-    cursor.info = it->second;
-    cursor.tally = &tally;
-    space.stack.push_back(cursor);
+    ++block->entries;
     ++totals_.block_entries;
-    AdvanceCursor(space, ref);
-    return;
+    space.stack.push_back({block});
   }
+}
 
-  // Data reference.
+void TraceProfiler::OnData(Space& space, const TraceRef& ref) {
+  ++totals_.refs;
+  PageProfile& page = TouchPage(space, ref.addr);
+  TouchWorkingSet(ref.pid, ref.addr, 1);
   if (ref.kind == TraceRef::kLoad) {
     ++totals_.loads;
+    ++page.loads;
   } else {
     ++totals_.stores;
+    ++page.stores;
   }
   if (space.stack.empty() || !space.stack.back().awaiting) {
     ++totals_.unattributed_data;
     return;
   }
   Cursor& top = space.stack.back();
-  BlockTally& tally = *top.tally;
+  Block& block = *top.block;
   if (ref.kind == TraceRef::kLoad) {
-    ++tally.loads;
+    ++block.loads;
   } else {
-    ++tally.stores;
+    ++block.stores;
   }
   top.awaiting = false;
   ++top.next_mem;
-  if (top.next_inst == top.info->num_insts) {
+  if (top.next_inst == block.info->num_insts) {
     space.stack.pop_back();
   }
 }
 
 void TraceProfiler::OnRefBatch(const TraceRef* refs, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    OnRef(refs[i]);
+  for (size_t i = 0; i < count;) {
+    const TraceRef& ref = refs[i];
+    Space& space = SpaceFor(ref.pid);
+    if (ref.kind != TraceRef::kIfetch) {
+      OnData(space, ref);
+      ++i;
+      continue;
+    }
+    // A run shares its first fetch's pid, page, and kernel and idle flags.
+    const size_t run = FetchRunLength(refs + i, count - i);
+    OnFetchRun(space, ref, static_cast<uint32_t>(run));
+    i += run;
   }
 }
 
@@ -243,18 +290,13 @@ Profile TraceProfiler::Finish() const {
 
   for (const auto& [pid, space] : spaces_) {
     // Blocks, in address order first (the rollup walk), re-sorted by heat
-    // below.
-    std::vector<uint32_t> leaders;
-    leaders.reserve(space.tallies.size());
-    for (const auto& [leader, tally] : space.tallies) {
-      (void)tally;
-      leaders.push_back(leader);
-    }
-    std::sort(leaders.begin(), leaders.end());
-
+    // below.  A block never entered has no profile.
     std::map<std::pair<uint32_t, std::string>, SymbolProfile> rollup;
-    for (uint32_t leader : leaders) {
-      const BlockTally& tally = space.tallies.at(leader);
+    for (const Block& tally : space.blocks) {
+      if (tally.entries == 0) {
+        continue;
+      }
+      const uint32_t leader = tally.info->orig_addr;
       BlockProfile block;
       block.pid = pid;
       block.space = space.name;

@@ -23,6 +23,14 @@
 //   * a load/store is charged to the top cursor when it awaits one;
 //   * anything else is counted as unattributed, never guessed.
 //
+// The profiler walks the stream a step at a time, as TraceDrivenSimulator
+// does: a fetch run (FetchRunLength) charges its totals, its page tally
+// and its working-set window at once, split where a window closes, and
+// advances a cursor a block segment at a time, up to the block's next
+// memory op or its end.  A block entry is one lookup in a dense index over
+// the space's original text.  tests/analysis_oracle_test.cc holds the
+// profile to a walk of one reference at a time.
+//
 // From the per-block tallies the profiler derives per-symbol rollups (via
 // the original images' symbol tables), kernel/user/idle splits, per-page
 // reference heatmaps, a windowed working-set curve, and — using the exact
@@ -154,6 +162,9 @@ class TraceProfiler : public RefBatchSink {
 
   // Registers the block table for one address space (kKernelPid = kernel).
   // Spaces without a table accumulate only totals/pages as unattributed.
+  // Call before the first reference; after it, this throws
+  // wrl::InternalError, as it does for a table whose block leaders are not
+  // word-aligned or span TraceInfoTable::kMaxKeySpanBytes or more.
   void AddTable(uint8_t pid, const TraceInfoTable* table);
   // Registers the text symbols of the *original* image for the space:
   // global symbols within [text_base, TextEnd()) become rollup buckets.
@@ -163,8 +174,10 @@ class TraceProfiler : public RefBatchSink {
   // Display name for the space ("kernel"/"pid<N>" by default).
   void SetSpaceName(uint8_t pid, std::string name);
 
+  // A fetch run ends at the batch's end; any split of the stream gives
+  // identical profiles.
   void OnRefBatch(const TraceRef* refs, size_t count) override;
-  void OnRef(const TraceRef& ref);
+  void OnRef(const TraceRef& ref) { OnRefBatch(&ref, 1); }
 
   // Sorts, rolls up, and returns the finished profile.  The profiler can
   // keep consuming references afterwards; Finish() snapshots current state.
@@ -177,7 +190,8 @@ class TraceProfiler : public RefBatchSink {
   std::string SpaceName(uint8_t pid) const;
 
  private:
-  struct BlockTally {
+  // One block of a space's table, with its tally.
+  struct Block {
     const TraceBlockInfo* info = nullptr;
     uint64_t entries = 0;
     uint64_t insts = 0;
@@ -187,18 +201,16 @@ class TraceProfiler : public RefBatchSink {
   };
 
   struct Cursor {
-    const TraceBlockInfo* info = nullptr;
-    BlockTally* tally = nullptr;  // The block's tally in its space.
+    Block* block = nullptr;
     uint32_t next_inst = 0;  // Next original instruction index expected.
-    uint32_t next_mem = 0;   // Next info->mem_ops entry awaiting data.
+    uint32_t next_mem = 0;   // Next block->info->mem_ops entry awaiting data.
     bool awaiting = false;   // An ifetched memory op awaits its data word.
   };
 
   // Exact lookup memos.  Each one holds pointers to elements of a map
-  // that never erases them (the profiler never drops a space, tally or
-  // page), and element pointers of std::map and std::unordered_map survive
-  // insertion and rehash, so a memo hit names the element the map lookup
-  // would find.
+  // that never erases them (the profiler never drops a space or page), and
+  // element pointers of std::map and std::unordered_map survive insertion
+  // and rehash, so a memo hit names the element the map lookup would find.
   static constexpr unsigned kMemoBits = 6;
   static unsigned MemoSlot(uint64_t key) {
     return static_cast<unsigned>((key * 0x9e3779b97f4a7c15ull) >> (64 - kMemoBits));
@@ -212,13 +224,26 @@ class TraceProfiler : public RefBatchSink {
   };
 
   struct Space {
+    // The block led at original address `leader`, or null.  Safe for any
+    // address: the offset from the lowest leader is unsigned, so an
+    // address below the span wraps past its end, and a misaligned address
+    // leads no block.
+    Block* Find(uint32_t leader) {
+      const uint32_t offset = leader - index_base;
+      if ((offset & 3) != 0 || offset / 4 >= index.size()) {
+        return nullptr;
+      }
+      return index[offset / 4];
+    }
+
     std::string name;
-    const TraceInfoTable* table = nullptr;
-    // Original leader address -> block info (duplicate leaders keep the
-    // entry with the smallest key address, deterministically).
-    std::unordered_map<uint32_t, const TraceBlockInfo*> leaders;
-    std::unordered_map<uint32_t, uint32_t> leader_keys;  // leader -> key addr.
-    std::unordered_map<uint32_t, BlockTally> tallies;
+    // The table's blocks in leader order, one per leader (duplicate
+    // leaders keep the entry with the smallest key address), and a dense
+    // index over the words from the lowest leader to the highest.  Fixed
+    // once references flow, so cursors and the index point into `blocks`.
+    std::vector<Block> blocks;
+    uint32_t index_base = 0;
+    std::vector<Block*> index;
     std::unordered_map<uint32_t, PageProfile> pages;
     // Direct-mapped page -> pages entry memo.
     std::array<PageMemo, 1u << kMemoBits> page_memo{};
@@ -230,11 +255,19 @@ class TraceProfiler : public RefBatchSink {
 
   Space& SpaceFor(uint8_t pid);
   const Space* FindSpace(uint8_t pid) const;
-  // Charges one ifetch to `cursor`'s block and advances it; pops the cursor
-  // when the block completes without pending memory ops.
-  void AdvanceCursor(Space& space, const TraceRef& ref);
-  void TouchPage(Space& space, const TraceRef& ref);
-  void TouchWorkingSet(uint8_t pid, uint32_t addr);
+  // The `count` fetches of the run `first` starts (FetchRunLength).
+  void OnFetchRun(Space& space, const TraceRef& first, uint32_t count);
+  void OnData(Space& space, const TraceRef& ref);
+  // Charges up to `count` fetches to the top cursor's block, which expects
+  // the first of them, and returns how many it took: up to the block's
+  // next memory op, which then awaits its data, or to the block's end,
+  // which pops the cursor.
+  uint32_t AdvanceCursor(Space& space, uint32_t count, bool idle);
+  // The heatmap entry of the page holding `addr`.
+  PageProfile& TouchPage(Space& space, uint32_t addr);
+  // `count` references to the page holding `addr`, closing every window
+  // they fill.
+  void TouchWorkingSet(uint8_t pid, uint32_t addr, uint64_t count);
   // Last sorted symbol at or below `addr`; nullptr when none.
   const std::pair<uint32_t, std::string>* SymbolAtOrBelow(const Space& space,
                                                           uint32_t addr) const;

@@ -13,24 +13,6 @@ namespace wrl {
 
 namespace {
 
-// The length, at most `count`, of the fetch run refs[0] starts: refs[0] is
-// a fetch outside kseg1, and the run takes each following fetch at the
-// next word address on its page with its pid, kernel and idle fields.
-size_t FetchRunLength(const TraceRef* refs, size_t count) {
-  const TraceRef& first = refs[0];
-  size_t n = 1;
-  while (n < count) {
-    const TraceRef& ref = refs[n];
-    if (ref.kind != TraceRef::kIfetch || ref.addr != first.addr + 4 * n ||
-        PageOf(ref.addr) != PageOf(first.addr) || ref.pid != first.pid ||
-        ref.kernel != first.kernel || ref.idle != first.idle) {
-      break;
-    }
-    ++n;
-  }
-  return n;
-}
-
 // The pages [first, end) that `words` words of text at `base` touch.
 std::pair<uint64_t, uint64_t> PageSpan(uint32_t base, uint64_t words) {
   return {base / kPageBytes, (base + 4 * words + kPageBytes - 1) / kPageBytes};
@@ -167,11 +149,8 @@ void TraceDrivenSimulator::Walk(const TraceRef* refs, size_t count) {
   for (size_t i = 0; i < count;) {
     const TraceRef& ref = refs[i];
     // A data reference, a kseg1 fetch, or the first fetch of a run.
-    size_t run = 1;
+    const size_t run = FetchRunLength(refs + i, count - i);
     if (ref.kind == TraceRef::kIfetch) {
-      if (!InKseg1(ref.addr)) {
-        run = FetchRunLength(refs + i, count - i);
-      }
       events_.instructions += run;
       if (ref.idle) {
         events_.idle_instructions += run;

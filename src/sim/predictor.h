@@ -27,13 +27,14 @@
 // one routine per step, so each lane's Prediction is exactly what a
 // simulator of its own would report.
 //
-// A step is one reference, or one *fetch run*: consecutive instruction
-// fetches at sequential word addresses inside one page, with equal pid,
-// kernel and idle fields, outside kseg1.  Sequential execution carries no
-// information the run's first fetch and length do not, so the pass pays
-// once per run for what it would pay per fetch — the counters, the TLB,
-// translation, and each lane's I-cache lookups — with results identical
-// to a walk of one reference at a time (tests/sim_oracle_test.cc).
+// A step is one reference, or one *fetch run* (FetchRunLength, beside
+// TraceRef): consecutive instruction fetches at sequential word addresses
+// inside one page, with equal pid, kernel and idle fields, outside kseg1.
+// Sequential execution carries no information the run's first fetch and
+// length do not, so the pass pays once per run for what it would pay per
+// fetch — the counters, the TLB, translation, and each lane's I-cache
+// lookups — with results identical to a walk of one reference at a time
+// (tests/sim_oracle_test.cc).
 #ifndef WRLTRACE_SIM_PREDICTOR_H_
 #define WRLTRACE_SIM_PREDICTOR_H_
 

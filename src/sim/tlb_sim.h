@@ -61,7 +61,7 @@ class TlbSimulator : public RefBatchSink {
   // page-table load.
   static constexpr unsigned kHandlerRefs = kHandlerInstructions + 1;
   // The fetches lie in one kseg0 page, so they are one fetch run
-  // (TraceDrivenSimulator).
+  // (TraceDrivenSimulator, SweepEngine).
   static_assert(kVecUtlbMiss >= kKseg0 && kVecUtlbMiss < kKseg1 &&
                 (kVecUtlbMiss & (kPageBytes - 1)) + 4 * kHandlerInstructions <= kPageBytes);
 

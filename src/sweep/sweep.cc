@@ -198,6 +198,17 @@ uint64_t StackDistanceProfiler::Access(uint64_t key) {
   return distance;
 }
 
+void StackDistanceProfiler::RepeatLastKey(uint64_t count) {
+  if (count == 0) {
+    return;
+  }
+  accesses_ += count;
+  if (distance_counts_.empty()) {
+    distance_counts_.resize(1, 0);
+  }
+  distance_counts_[0] += count;
+}
+
 uint64_t StackDistanceProfiler::MissesAtCapacity(unsigned capacity) const {
   uint64_t misses = cold_misses_;
   for (size_t d = capacity; d < distance_counts_.size(); ++d) {
@@ -252,39 +263,59 @@ void SweepEngine::CacheAccess(const TraceRef& ref) {
   }
 }
 
-void SweepEngine::OnRef(const TraceRef& ref) {
-  ++refs_;
-  if (ref.kind == TraceRef::kIfetch) {
-    ++ifetches_;
+void SweepEngine::CacheFetchRun(const TraceRef& first, uint32_t count) {
+  if (iforests_.empty() && dforests_.empty()) {
+    return;  // As in CacheAccess.
   }
-  if (InKuseg(ref.addr)) {
-    // Mirror TlbSimulator's ASID attribution so the LRU curve prices the
-    // same key stream the production TLB sees.
-    uint8_t asid;
-    if (ref.pid != kKernelPid) {
-      asid = ref.pid;
-      last_user_asid_ = ref.pid;
-    } else {
-      asid = last_user_asid_ == 0 ? 1 : last_user_asid_;
-    }
-    const uint64_t key = (static_cast<uint64_t>(asid) << 20) | (ref.addr >> kPageShift);
-    tlb_stack_.Access(key);
+  // The run is on one page, so it translates to the next words of its
+  // frame.
+  const uint32_t paddr = translator_.Translate(first);
+  for (CacheForest& forest : iforests_) {
+    forest.AccessRun(paddr, count);
   }
-  // Same ordering as TraceDrivenSimulator::OnRef: the TLB simulation first
-  // (a miss's synthesized handler enters the forests ahead of the
-  // triggering reference), then the reference itself.
-  if (tlb_.OnRef(ref)) {
-    synthesized_refs_ += TlbSimulator::kHandlerRefs;
-    for (const TraceRef& handler_ref : tlb_.handler()) {
-      CacheAccess(handler_ref);
-    }
-  }
-  CacheAccess(ref);
 }
 
 void SweepEngine::OnRefBatch(const TraceRef* refs, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    OnRef(refs[i]);
+  for (size_t i = 0; i < count;) {
+    const TraceRef& ref = refs[i];
+    // A data reference, a kseg1 fetch, or the first fetch of a run, whose
+    // others share its page, pid and segment.
+    const size_t run = FetchRunLength(refs + i, count - i);
+    refs_ += run;
+    if (ref.kind == TraceRef::kIfetch) {
+      ifetches_ += run;
+    }
+    if (InKuseg(ref.addr)) {
+      // Mirror TlbSimulator's ASID attribution so the LRU curve prices the
+      // same key stream the production TLB sees.
+      uint8_t asid;
+      if (ref.pid != kKernelPid) {
+        asid = ref.pid;
+        last_user_asid_ = ref.pid;
+      } else {
+        asid = last_user_asid_ == 0 ? 1 : last_user_asid_;
+      }
+      const uint64_t key = (static_cast<uint64_t>(asid) << 20) | (ref.addr >> kPageShift);
+      tlb_stack_.Access(key);
+      tlb_stack_.RepeatLastKey(run - 1);
+    }
+    // Same ordering as TraceDrivenSimulator::Walk: the TLB simulation first
+    // (a miss's synthesized handler enters the forests ahead of the
+    // triggering reference: its fetches as one run, then its page-table
+    // load), then the reference or run itself.
+    if (tlb_.OnRef(ref)) {
+      synthesized_refs_ += TlbSimulator::kHandlerRefs;
+      const auto& handler = tlb_.handler();
+      CacheFetchRun(handler.front(), TlbSimulator::kHandlerInstructions);
+      CacheAccess(handler.back());
+    }
+    if (run == 1) {
+      CacheAccess(ref);
+    } else {
+      tlb_.CountPageHits(ref.addr, run - 1);
+      CacheFetchRun(ref, static_cast<uint32_t>(run));
+    }
+    i += run;
   }
 }
 

@@ -26,8 +26,8 @@
 //     working-set/reuse-distance profile exported through wrlstats.
 //
 // The SweepEngine is a RefBatchSink, so it rides everything the analysis
-// side already has: the experiment's live analysis tee (synchronous or
-// behind the trace pipeline) and ReplayEngine configs over a capture.  It
+// side already has: the experiment's live parser (on the parse thread when
+// the transport is pipelined) and ReplayEngine configs over a capture.  It
 // mirrors TraceDrivenSimulator's reference ordering exactly — one
 // TlbSimulator (the family shares the TLB configuration; geometry changes
 // cannot perturb it) synthesizes the UTLB-handler references into the
@@ -87,6 +87,20 @@ class CacheForest {
     }
     ++cold_or_conflict_everywhere_;
   }
+  // `count` reads at `paddr`, `paddr` + 4, ... inside one page: one Access
+  // per line they touch (per read, for lines narrower than a word).  An
+  // Access leaves its line at level 0, hit or fill, so each later read
+  // into that line is a level-0 hit.
+  void AccessRun(uint32_t paddr, uint32_t count) {
+    const unsigned shift = line_shift_ < 2 ? 2 : line_shift_;
+    const uint32_t last = paddr + 4 * (count - 1);
+    const uint32_t lookups = (last >> shift) - (paddr >> shift) + 1;
+    for (uint32_t i = 0; i < lookups; ++i) {
+      Access(paddr + (i << shift));
+    }
+    accesses_ += count - lookups;
+    hits_at_level_[0] += count - lookups;
+  }
 
   // Exact miss count for the family member of `size_bytes` (must be in
   // the family; throws otherwise).
@@ -131,6 +145,9 @@ class StackDistanceProfiler {
 
   // Touches `key`; returns its stack distance (0 = first touch).
   uint64_t Access(uint64_t key);
+  // Stands for `count` more touches of the key the last Access touched:
+  // it is the top of the stack, so each is a reuse at distance 1.
+  void RepeatLastKey(uint64_t count);
 
   uint64_t accesses() const { return accesses_; }
   // First-touch (compulsory) misses — infinite stack distance.
@@ -223,11 +240,17 @@ struct SweepResult {
   uint64_t wall_us = 0;           // Filled by the harness (tee busy time).
 };
 
+// It walks the stream a step at a time, as TraceDrivenSimulator does: a
+// fetch run (FetchRunLength) is one LRU-stack access, one TLB probe, and
+// one forest lookup per I-cache line, and its other fetches are counted as
+// the distance-1 and level-0 hits they would be, with results identical to
+// a walk of one reference at a time (tests/analysis_oracle_test.cc).
 class SweepEngine : public RefBatchSink {
  public:
   explicit SweepEngine(const SweepConfig& config);
 
-  void OnRef(const TraceRef& ref);
+  // A fetch run ends at the batch's end; any split of the stream gives
+  // identical results.
   void OnRefBatch(const TraceRef* refs, size_t count) override;
 
   // Finalizes (idempotent) and returns the result.
@@ -255,6 +278,8 @@ class SweepEngine : public RefBatchSink {
 
  private:
   void CacheAccess(const TraceRef& ref);
+  // The `count` fetches of the run `first` starts, in the I-cache forests.
+  void CacheFetchRun(const TraceRef& first, uint32_t count);
   const CacheForest* FindForest(const std::vector<CacheForest>& forests, uint32_t line_bytes,
                                 uint32_t size_bytes) const;
 

@@ -14,9 +14,11 @@
 //     while the machine still runs (kernel/system_build.h), so the parse
 //     works during the traced run, not only after it;
 //   * the parser flushes each batch of references into a ring of batches
-//     (RefBatchPipeline), and an analysis thread runs the analysis tee
-//     over the batches in order — in live runs behind the parse thread, in
-//     archive replay behind the caller's decode and parse.
+//     (RefBatchPipeline), and an analysis thread runs the analysis sinks
+//     behind it over the batches in order — in live runs the simulators
+//     behind the parse thread, which runs the profiler and the sweep
+//     itself, and in archive replay every sink behind the caller's decode
+//     and parse.
 //
 // Ordering/identity invariant: each ring is strictly FIFO and its consumer
 // is a single thread, so the consumer observes exactly the chunk sequence

@@ -128,6 +128,30 @@ static_assert(sizeof(TraceRef) == 8, "TraceRef must stay packed into 8 bytes");
 
 constexpr uint8_t kKernelPid = 0xff;
 
+// The references, at most `count` (at least 1), of the step refs[0] starts
+// in a sink that prices a *fetch run* at once: consecutive instruction
+// fetches at sequential word addresses inside one page, with equal pid,
+// kernel and idle fields, outside kseg1.  A data reference or a kseg1
+// fetch is a step of its own.  The fields are compared one by one: the
+// rest of the bitfield byte is unspecified.
+inline size_t FetchRunLength(const TraceRef* refs, size_t count) {
+  const TraceRef& first = refs[0];
+  if (first.kind != TraceRef::kIfetch || InKseg1(first.addr)) {
+    return 1;
+  }
+  size_t n = 1;
+  while (n < count) {
+    const TraceRef& ref = refs[n];
+    if (ref.kind != TraceRef::kIfetch || ref.addr != first.addr + 4 * n ||
+        PageOf(ref.addr) != PageOf(first.addr) || ref.pid != first.pid ||
+        ref.kernel != first.kernel || ref.idle != first.idle) {
+      break;
+    }
+    ++n;
+  }
+  return n;
+}
+
 // ---- Batched reference delivery ----
 //
 // The parser reconstructs tens of references per trace word; delivering

@@ -2,10 +2,12 @@
 // SPSC ring in strict drain order, and the parser's reference batches
 // through a second ring to the analysis thread, so a pipelined experiment
 // is byte-identical to the synchronous one — every counter, trace word,
-// profile, and predicted number — with and without replay variants and the
-// profiler.  The transport itself must apply backpressure when
-// the consumer is slow, count its stalls/starves, and shut down cleanly
-// when the consumer chain throws mid-stream, across both stages.  The
+// profile, sweep result and predicted number — with and without replay
+// variants, the profiler and the sweep, which run on the parse thread
+// beside the reference ring.  The transport itself must apply backpressure
+// when the consumer is slow, count its stalls/starves, and shut down
+// cleanly when the consumer chain throws mid-stream, from a sink on either
+// side of the reference ring.  The
 // parser's self time leaves out its sinks' time in both transports.  The
 // measured run overlapping the traced half must surface its own failure
 // from the helper thread.  Every thread of an experiment or a pooled suite
@@ -18,6 +20,8 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -344,6 +348,92 @@ TEST(PipelinedExperiment, ProfiledRunIsByteIdentical) {
   EXPECT_EQ(pipelined.profile.CanonicalJson(), sync.profile.CanonicalJson());
 }
 
+// bench_figure3's what-if variants: two cache geometries and slower memory,
+// which are lanes of the primary pass, and more wired TLB entries, which
+// is a pass of its own.
+std::vector<ReplayVariant> WhatIfVariants() {
+  std::vector<ReplayVariant> variants(4);
+  variants[0].name = "cache32k";
+  variants[0].memsys.icache.size_bytes = 32 * 1024;
+  variants[0].memsys.dcache.size_bytes = 32 * 1024;
+  variants[1].name = "cache16k";
+  variants[1].memsys.icache.size_bytes = 16 * 1024;
+  variants[1].memsys.dcache.size_bytes = 16 * 1024;
+  variants[2].name = "slowmem";
+  variants[2].memsys.read_miss_penalty = 30;
+  variants[2].memsys.uncached_penalty = 30;
+  variants[3].name = "wired16";
+  variants[3].tlb_wired = 16;
+  return variants;
+}
+
+void ExpectSameSweep(const SweepResult& a, const SweepResult& b) {
+  auto points = [](const std::vector<SweepCachePoint>& family) {
+    std::vector<std::tuple<uint32_t, uint32_t, uint64_t>> out;
+    for (const SweepCachePoint& p : family) {
+      out.emplace_back(p.line_bytes, p.size_bytes, p.misses);
+    }
+    return out;
+  };
+  EXPECT_EQ(points(a.icache), points(b.icache));
+  EXPECT_EQ(points(a.dcache), points(b.dcache));
+  EXPECT_EQ(a.tlb_lru_misses, b.tlb_lru_misses);
+  EXPECT_EQ(a.tlb_cold_misses, b.tlb_cold_misses);
+  EXPECT_EQ(a.tlb_refs, b.tlb_refs);
+  EXPECT_EQ(a.refs, b.refs);
+  EXPECT_EQ(a.ifetches, b.ifetches);
+  EXPECT_EQ(a.synthesized_refs, b.synthesized_refs);
+  EXPECT_EQ(a.tlb, b.tlb);
+  EXPECT_EQ(a.family_points, b.family_points);
+}
+
+// Every sink of a what-if experiment, pipelined against synchronous: the
+// profiler and the sweep (families and the TLB curve) run on the parse
+// thread beside the reference ring, and the primary pass with its lanes
+// and wired16's pass on the analysis thread behind it.
+TEST(PipelinedExperiment, SinksBesideTheParserAreByteIdentical) {
+  const std::pair<const char*, Personality> runs[] = {{"sed", Personality::kUltrix},
+                                                      {"sed", Personality::kMach},
+                                                      {"eqntott", Personality::kUltrix},
+                                                      {"eqntott", Personality::kMach}};
+  for (const auto& [name, personality] : runs) {
+    SCOPED_TRACE(std::string(name) + "/" + PersonalityName(personality));
+    ExperimentOptions pipelined_options;
+    pipelined_options.pipeline = true;
+    pipelined_options.personality = personality;
+    pipelined_options.profile = true;
+    pipelined_options.replay_variants = WhatIfVariants();
+    pipelined_options.sweep.icache = {{4, 1024, 65536}, {16, 4096, 65536}};
+    pipelined_options.sweep.dcache = {{16, 4096, 65536}};
+    pipelined_options.sweep.tlb_max_entries = 64;
+    const WorkloadSpec workload = PaperWorkload(name, 0.02);
+    const ExperimentResult pipelined = RunExperiment(workload, pipelined_options);
+    ExperimentOptions sync_options = pipelined_options;
+    sync_options.pipeline = false;
+    const ExperimentResult sync = RunExperiment(workload, sync_options);
+
+    ExpectSameExperiment(pipelined, sync);
+    EXPECT_TRUE(pipelined.prediction == sync.prediction);
+    ASSERT_EQ(pipelined.replays.size(), 4u);
+    ASSERT_EQ(sync.replays.size(), 4u);
+    for (size_t i = 0; i < sync.replays.size(); ++i) {
+      EXPECT_EQ(pipelined.replays[i].name, sync.replays[i].name);
+      EXPECT_TRUE(pipelined.replays[i].prediction == sync.replays[i].prediction) << i;
+      EXPECT_EQ(pipelined.replays[i].tlb, sync.replays[i].tlb);
+      EXPECT_EQ(pipelined.replays[i].refs, sync.replays[i].refs);
+    }
+    ASSERT_TRUE(pipelined.sweep_ran);
+    ASSERT_TRUE(sync.sweep_ran);
+    ExpectSameSweep(pipelined.sweep, sync.sweep);
+    EXPECT_EQ(pipelined.profile.CanonicalJson(), sync.profile.CanonicalJson());
+    // Not vacuous: every sink saw the stream.
+    EXPECT_GT(pipelined.profile.totals.block_entries, 0u);
+    EXPECT_EQ(pipelined.sweep.family_points, 7 + 5 + 5u);
+    EXPECT_GT(pipelined.sweep.icache.front().misses, 0u);
+    EXPECT_EQ(pipelined.sweep.refs, pipelined.stats.CounterValue("parser.refs"));
+  }
+}
+
 // ---- The analysis stage behind the parser ----
 
 // Sleeps on every batch: a sink far slower than the parse.
@@ -407,56 +497,66 @@ TEST(AnalysisStage, SlowSinkTimeStaysOutOfTheParseSelfTime) {
   }
 }
 
-// What a mid-stream sink failure on the analysis thread looks like through
-// the live chain RunExperiment wires: traced machine -> word ring -> parse
-// thread -> reference ring -> analysis thread.  The sink's own exception
-// reaches the caller, from the traced run or from the shutdown that
-// follows it in RunExperiment's order, and every thread has been joined
-// by the time the chain's objects are destroyed.
-TEST(AnalysisStage, SinkFailureCrossesBothStagesToTheCaller) {
-  ExperimentOptions options;
-  std::unique_ptr<SystemInstance> traced =
-      BuildSystem(ExperimentSystemConfig(PaperWorkload("sed", 0.02), options, true));
-  size_t batches = 0;
-  RefFnSink counter([](const TraceRef&) {});
-  class Failing : public RefBatchSink {
-   public:
-    explicit Failing(size_t* batches) : batches_(batches) {}
-    void OnRefBatch(const TraceRef*, size_t) override {
-      if (++*batches_ == 5) {
-        throw Error("sink failed mid-stream");
-      }
+// Throws on its fifth batch.
+class FailingSink : public RefBatchSink {
+ public:
+  explicit FailingSink(size_t* batches) : batches_(batches) {}
+  void OnRefBatch(const TraceRef*, size_t) override {
+    if (++*batches_ == 5) {
+      throw Error("sink failed mid-stream");
     }
-
-   private:
-    size_t* batches_;
-  } failing(&batches);
-  TeeBatchSink tee;
-  tee.Add(&counter);
-  tee.Add(&failing);
-  std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
-  bool threw = false;
-  {
-    RefBatchPipeline analysis(&tee);
-    TracePipeline pipeline(
-        [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); });
-    parser->SetBatchSink(&analysis);
-    traced->SetTraceSink([&pipeline](const uint32_t* words, size_t count) {
-      pipeline.Produce(words, count);
-    });
-    try {
-      traced->Run(options.max_instructions);
-      pipeline.Finish();
-      parser->Finish();
-      analysis.Finish();
-    } catch (const Error& e) {
-      threw = true;
-      EXPECT_STREQ(e.what(), "sink failed mid-stream");
-    }
-    traced->SetTraceSink(nullptr);
   }
-  EXPECT_TRUE(threw);
-  EXPECT_EQ(batches, 5u);
+
+ private:
+  size_t* batches_;
+};
+
+// What a mid-stream sink failure looks like through the live chain
+// RunExperiment wires: traced machine -> word ring -> parse thread ->
+// parser's tee -> reference ring -> analysis thread.  The failing sink sits
+// on the analysis thread's tee, as a simulator does, or on the parser's
+// tee beside the reference ring, as the profiler and the sweep do.  Either
+// way the sink's own exception reaches the caller, from the traced run or
+// from the shutdown that follows it in RunExperiment's order, and every
+// thread has been joined by the time the chain's objects are destroyed.
+TEST(AnalysisStage, SinkFailureCrossesBothStagesToTheCaller) {
+  for (bool beside_parser : {false, true}) {
+    SCOPED_TRACE(beside_parser ? "on the parse thread" : "on the analysis thread");
+    ExperimentOptions options;
+    std::unique_ptr<SystemInstance> traced =
+        BuildSystem(ExperimentSystemConfig(PaperWorkload("sed", 0.02), options, true));
+    size_t batches = 0;
+    RefFnSink counter([](const TraceRef&) {});
+    FailingSink failing(&batches);
+    TeeBatchSink tee;
+    tee.Add(&counter);
+    TeeBatchSink parse_tee;
+    std::unique_ptr<TraceParser> parser = SystemTraceParser(*traced);
+    bool threw = false;
+    {
+      RefBatchPipeline analysis(&tee);
+      parse_tee.Add(&analysis);
+      (beside_parser ? parse_tee : tee).Add(&failing);
+      TracePipeline pipeline(
+          [p = parser.get()](const uint32_t* words, size_t count) { p->Feed(words, count); });
+      parser->SetBatchSink(&parse_tee);
+      traced->SetTraceSink([&pipeline](const uint32_t* words, size_t count) {
+        pipeline.Produce(words, count);
+      });
+      try {
+        traced->Run(options.max_instructions);
+        pipeline.Finish();
+        parser->Finish();
+        analysis.Finish();
+      } catch (const Error& e) {
+        threw = true;
+        EXPECT_STREQ(e.what(), "sink failed mid-stream");
+      }
+      traced->SetTraceSink(nullptr);
+    }
+    EXPECT_TRUE(threw);
+    EXPECT_EQ(batches, 5u);
+  }
 }
 
 // A pipelined experiment runs its tee on an analysis thread: one phase on

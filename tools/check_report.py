@@ -71,20 +71,32 @@ def assert_experiment_phases(events):
     return len(experiments)
 
 
-def assert_parse_self_time(report, events):
-    """Each experiment reports the parser's self time, which cannot exceed
-    the experiment's wall time.  Experiments are matched to their phases by
-    workload name, and a name both personalities ran takes the longer."""
+def assert_busy_times(report, events):
+    """Each experiment reports the parser's self time and every sink's busy
+    time, none of which can exceed the experiment's wall time: the parser's
+    `trace.parse_wall_us`, the primary simulator's `predicted.wall_us`, each
+    `replays[].wall_us`, `sweep.wall_us` and `profile_wall_us`.  A sink the
+    parser's tee and the simulators' tee both timed would show here.
+    Experiments are matched to their phases by workload name, and a name
+    both personalities ran takes the longer."""
     walls = {}
     for e in events:
         if e["ph"] == "X" and e["name"].startswith("experiment:"):
             name = e["name"][len("experiment:"):]
             walls[name] = max(walls.get(name, 0), e["dur"])
     for x in report["experiments"]:
-        parse_us = x["trace"]["parse_wall_us"]
         wall_us = walls[x["workload"]]
-        assert 0 <= parse_us <= wall_us, \
-            f"{x['workload']}: parse_wall_us {parse_us} exceeds the experiment's {wall_us} us"
+        busy = [("trace.parse_wall_us", x["trace"]["parse_wall_us"]),
+                ("predicted.wall_us", x["predicted"]["wall_us"])]
+        busy += [(f"replays[{i}].wall_us", v["wall_us"])
+                 for i, v in enumerate(x.get("replays", []))]
+        if "sweep" in x:
+            busy.append(("sweep.wall_us", x["sweep"]["wall_us"]))
+        if "profile_wall_us" in x:
+            busy.append(("profile_wall_us", x["profile_wall_us"]))
+        for name, us in busy:
+            assert 0 <= us <= wall_us, \
+                f"{x['workload']}: {name} {us} lies outside the experiment's [0, {wall_us}] us"
 
 
 def check_wrlstats(path, args):
@@ -98,7 +110,7 @@ def check_wrlstats(path, args):
     experiments = assert_experiment_phases(events)
     if report["tool"] != "tlb_study":
         assert experiments, f"{report['tool']}: no experiment phases in the timeline"
-        assert_parse_self_time(report, events)
+        assert_busy_times(report, events)
         print(f"report OK: {report['tool']}, {experiments} experiments, "
               f"{len(events)} timeline events on {tracks} tracks")
         return
